@@ -6,9 +6,9 @@ GO ?= go
 BENCH_OUT ?= BENCH_10.json
 BENCH_PREV ?= BENCH_9.json
 
-.PHONY: check fmt vet build test race bench bench-compare api e2e-shard obs chaos lint clean
+.PHONY: check fmt vet build build-bench test race bench bench-compare api e2e-shard obs chaos lint clean
 
-check: fmt vet build race
+check: fmt vet build build-bench race
 
 # The sharding end-to-end gate, exactly as CI's e2e-shard job runs it:
 # coordinator + loopback workers, density equality, fault paths.
@@ -25,6 +25,10 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# The dsdperf benchmark is its own module; `go build ./...` skips it.
+build-bench:
+	$(GO) -C dsdperf vet ./... && $(GO) -C dsdperf build -o /dev/null ./...
 
 test:
 	$(GO) test ./...

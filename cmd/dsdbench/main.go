@@ -111,6 +111,9 @@ func run(args []string, out io.Writer) error {
 		if err := expt.ValidateBenchReport(data); err != nil {
 			return fmt.Errorf("%s: %w", *validate, err)
 		}
+		if err := expt.ValidateBenchTimings(data); err != nil {
+			return fmt.Errorf("%s: %w", *validate, err)
+		}
 		fmt.Fprintf(out, "%s: valid %s report\n", *validate, expt.BenchSchema)
 		return nil
 	}

@@ -148,3 +148,20 @@ func TestRunValidateIterativeGate(t *testing.T) {
 		t.Fatalf("iterative-regression report accepted: %v", err)
 	}
 }
+
+// TestRunValidateTimingGate: -validate applies the wall-clock gates that
+// the unit tests leave out, so a report whose tracing overhead is over 3%
+// fails there.
+func TestRunValidateTimingGate(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	badJSON := `{"schema":"dsd-bench/v1","suite":"perfsuite","workers":4,"obs_overhead":1.05,"cases":[
+		{"name":"a","algo":"core-exact","serial_ns_op":100}]}`
+	if err := os.WriteFile(bad, []byte(badJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run([]string{"-validate", bad}, &out)
+	if err == nil || !strings.Contains(err.Error(), "obs overhead") {
+		t.Fatalf("over-budget tracing overhead accepted: %v", err)
+	}
+}

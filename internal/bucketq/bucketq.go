@@ -1,24 +1,55 @@
 // Package bucketq implements the bin-sort bucket queue of Batagelj &
 // Zaversnik that backs every peeling loop in this repository (classical
-// k-core, (k,Ψ)-core, PeelApp). It supports O(1) pop-min and O(1) amortized
-// clamped key decreases, with keys that are non-negative int64s (clique and
-// pattern degrees can be large and sparse, so buckets live in a map and a
-// lazy min-heap tracks the occupied keys).
+// k-core, (k,Ψ)-core, PeelApp, Greed++). It supports O(1) pop-min and
+// O(1) amortized clamped key decreases over non-negative int64 keys.
+//
+// Each bucket is a doubly linked list of items, and the queue keeps its
+// bucket heads in one of two stores, picked by New and Reset from the
+// keys they are given:
+//
+//   - When the largest key is at most 2n+64 for n items, the heads live in
+//     a slice indexed by key, scanned by a min cursor. Keys never rise, so
+//     the initial maximum bounds the slice until the next Reset, and the
+//     slice costs at most as much as the item links the queue holds anyway.
+//     A decrease below the cursor moves the cursor back, as the Greed++
+//     peel's load floors require.
+//   - Larger key ranges (pattern degrees can be large and sparse) keep the
+//     heads in a map, with a lazy min-heap tracking the occupied keys.
+//
+// Both stores give the same pop order: an item enters its bucket at the
+// front and PopMin takes the front of the lowest occupied bucket, so items
+// of equal key leave last-in first-out, and New/Reset insert items in
+// index order. The choice of store is never visible to callers.
 package bucketq
 
-import "container/heap"
+import (
+	"container/heap"
+	"math"
+)
 
 // Queue is a bucket priority queue over items 0..n-1 with int64 keys.
 type Queue struct {
 	key  []int64 // current key of each item; -1 when removed
-	head map[int64]int32
 	next []int32
 	prev []int32
-	keys keyHeap // lazy min-heap of (possibly stale) bucket keys
 	live int
+
+	// Array store, used when dense: heads[k] is the first item of bucket k,
+	// and no live item has a key below cursor.
+	dense  bool
+	heads  []int32
+	cursor int64
+
+	// Map store, used otherwise.
+	head map[int64]int32
+	keys keyHeap // lazy min-heap of (possibly stale) bucket keys
 }
 
 const nilItem = int32(-1)
+
+// denseSlack lets small queues use the array store whatever their keys'
+// spread relative to n.
+const denseSlack = 64
 
 type keyHeap []int64
 
@@ -36,7 +67,7 @@ func (h *keyHeap) Pop() interface{} {
 
 // New builds a queue holding every item v with initial key keys[v].
 func New(keys []int64) *Queue {
-	q := &Queue{head: make(map[int64]int32)}
+	q := &Queue{}
 	q.Reset(keys)
 	return q
 }
@@ -44,23 +75,36 @@ func New(keys []int64) *Queue {
 // Reset reinitializes the queue to hold every item v with key keys[v],
 // reusing its internal allocations — behaviorally identical to New(keys).
 // Iterated peels (the Greed++ pre-solver runs one per iteration on a
-// fixed vertex set) reset one queue instead of rebuilding its arrays,
-// bucket map and key heap every round.
+// fixed vertex set) reset one queue instead of rebuilding its arrays
+// and bucket store every round.
 func (q *Queue) Reset(keys []int64) {
 	n := len(keys)
 	q.key = append(q.key[:0], keys...)
 	q.next = growInt32(q.next, n)
 	q.prev = growInt32(q.prev, n)
+	q.live = n
+	minKey, maxKey := int64(math.MaxInt64), int64(-1)
+	for _, k := range keys {
+		minKey, maxKey = min(minKey, k), max(maxKey, k)
+	}
+	q.dense = minKey >= 0 && maxKey <= 2*int64(n)+denseSlack
 	clear(q.head)
 	q.keys = q.keys[:0]
-	q.live = n
-	for i := 0; i < n; i++ {
-		q.next[i], q.prev[i] = nilItem, nilItem
+	if q.dense {
+		q.heads = growInt32(q.heads, int(maxKey+1))
+		for k := range q.heads {
+			q.heads[k] = nilItem
+		}
+		q.cursor = minKey
+	} else if q.head == nil {
+		q.head = make(map[int64]int32)
 	}
 	for v := range keys {
-		q.push(int32(v), keys[v])
+		q.push(int32(v), keys[v], false)
 	}
-	heap.Init(&q.keys)
+	if !q.dense {
+		heap.Init(&q.keys)
+	}
 }
 
 // growInt32 returns s resized to n elements, reusing its array when large
@@ -72,39 +116,41 @@ func growInt32(s []int32, n int) []int32 {
 	return make([]int32, n)
 }
 
-func (q *Queue) push(v int32, k int64) {
-	h, ok := q.head[k]
-	if !ok {
-		h = nilItem
-		q.keys = append(q.keys, k) // heap property restored by Init or Push callers
+// push puts v at the front of bucket k. In the map store a new bucket key
+// is pushed onto the heap when heapify is set, else only appended (Reset
+// restores the heap property once, after every push).
+func (q *Queue) push(v int32, k int64, heapify bool) {
+	var h int32
+	if q.dense {
+		h = q.heads[k]
+		q.heads[k] = v
+		if k < q.cursor {
+			q.cursor = k
+		}
+	} else {
+		var ok bool
+		if h, ok = q.head[k]; !ok {
+			h = nilItem
+			if heapify {
+				heap.Push(&q.keys, k)
+			} else {
+				q.keys = append(q.keys, k)
+			}
+		}
+		q.head[k] = v
 	}
 	q.next[v] = h
 	q.prev[v] = nilItem
 	if h != nilItem {
 		q.prev[h] = v
 	}
-	q.head[k] = v
-}
-
-func (q *Queue) pushHeapified(v int32, k int64) {
-	if _, ok := q.head[k]; !ok {
-		heap.Push(&q.keys, k)
-	}
-	h, ok := q.head[k]
-	if !ok {
-		h = nilItem
-	}
-	q.next[v] = h
-	q.prev[v] = nilItem
-	if h != nilItem {
-		q.prev[h] = v
-	}
-	q.head[k] = v
 }
 
 func (q *Queue) unlink(v int32, k int64) {
 	if q.prev[v] != nilItem {
 		q.next[q.prev[v]] = q.next[v]
+	} else if q.dense {
+		q.heads[k] = q.next[v]
 	} else if q.next[v] != nilItem {
 		q.head[k] = q.next[v]
 	} else {
@@ -123,28 +169,38 @@ func (q *Queue) Len() int { return q.live }
 // removed.
 func (q *Queue) Key(v int) int64 { return q.key[v] }
 
-// PopMin removes and returns a live item with the minimum key. ok is false
-// when the queue is empty.
+// PopMin removes and returns a live item with the minimum key: the most
+// recently inserted item of the lowest occupied bucket. ok is false when
+// the queue is empty.
 func (q *Queue) PopMin() (v int, key int64, ok bool) {
 	if q.live == 0 {
 		return 0, 0, false
 	}
-	for {
-		k := q.keys[0]
-		h, exists := q.head[k]
-		if !exists {
-			heap.Pop(&q.keys) // stale entry
-			continue
+	var h int32
+	if q.dense {
+		for q.heads[q.cursor] == nilItem {
+			q.cursor++
 		}
-		q.unlink(h, k)
-		q.key[h] = -1
-		q.live--
-		return int(h), k, true
+		key, h = q.cursor, q.heads[q.cursor]
+	} else {
+		for {
+			var exists bool
+			key = q.keys[0]
+			if h, exists = q.head[key]; exists {
+				break
+			}
+			heap.Pop(&q.keys) // stale entry
+		}
 	}
+	q.unlink(h, key)
+	q.key[h] = -1
+	q.live--
+	return int(h), key, true
 }
 
 // DecreaseTo lowers the key of item v to max(newKey, floor). It is a no-op
 // when v is no longer live or when the clamped key would not decrease.
+// The clamped key must be non-negative.
 func (q *Queue) DecreaseTo(v int, newKey, floor int64) {
 	if q.key[v] < 0 {
 		return
@@ -157,7 +213,7 @@ func (q *Queue) DecreaseTo(v int, newKey, floor int64) {
 	}
 	q.unlink(int32(v), q.key[v])
 	q.key[v] = newKey
-	q.pushHeapified(int32(v), newKey)
+	q.push(int32(v), newKey, true)
 }
 
 // Remove deletes item v from the queue without popping it.

@@ -198,3 +198,108 @@ func TestResetEquivalentToNew(t *testing.T) {
 		}
 	}
 }
+
+// TestStoresPopIdentically: the array store and the map store must pop the
+// same items in the same order. One random sequence of pops, removals and
+// clamped decreases runs on two queues, one holding keys within the array
+// bound and one holding the same keys offset by 1<<40, which forces the map
+// store. Decrease floors fall below the last popped key, as the Greed++
+// load floors do, so the array store's cursor has to move back. Each round
+// Resets both queues into the other store after a partial drain, so state
+// left by one store must not leak into the other.
+func TestStoresPopIdentically(t *testing.T) {
+	const off = int64(1) << 40
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		qs := [2]*Queue{New(nil), New(nil)}
+		for round := 0; round < 8; round++ {
+			n := 1 + rng.Intn(60)
+			keys := make([]int64, n)
+			for i := range keys {
+				keys[i] = int64(rng.Intn(2*n + denseSlack + 1))
+			}
+			var base [2]int64 // the offset of the keys queue i holds
+			base[round%2] = off
+			for i, q := range qs {
+				shifted := make([]int64, n)
+				for v, k := range keys {
+					shifted[v] = k + base[i]
+				}
+				q.Reset(shifted)
+				if q.dense != (base[i] == 0) {
+					t.Logf("round %d: queue %d dense=%v with offset %d", round, i, q.dense, base[i])
+					return false
+				}
+			}
+			last := int64(0)
+			for qs[0].Len() > 0 && rng.Intn(8*n) != 0 {
+				switch r := rng.Intn(6); {
+				case r < 2:
+					var vs [2]int
+					var ks [2]int64
+					for i, q := range qs {
+						v, k, _ := q.PopMin()
+						vs[i], ks[i] = v, k-base[i]
+					}
+					if vs[0] != vs[1] || ks[0] != ks[1] {
+						t.Logf("round %d: popped (%d,%d) and (%d,%d)", round, vs[0], ks[0], vs[1], ks[1])
+						return false
+					}
+					last = ks[0]
+				case r == 2:
+					v := rng.Intn(n)
+					for _, q := range qs {
+						q.Remove(v)
+					}
+				default:
+					v := rng.Intn(n)
+					k := qs[0].Key(v)
+					if k < 0 {
+						continue
+					}
+					k -= base[0]
+					newKey := rng.Int63n(k + 1)
+					floor := rng.Int63n(last + 1)
+					for i, q := range qs {
+						q.DecreaseTo(v, newKey+base[i], floor+base[i])
+					}
+				}
+				if qs[0].Len() != qs[1].Len() {
+					t.Logf("round %d: live counts %d and %d", round, qs[0].Len(), qs[1].Len())
+					return false
+				}
+				for v := 0; v < n; v++ {
+					k0, k1 := qs[0].Key(v), qs[1].Key(v)
+					if (k0 < 0) != (k1 < 0) || (k0 >= 0 && k0-base[0] != k1-base[1]) {
+						t.Logf("round %d: item %d keys %d and %d", round, v, k0, k1)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestArrayStoreBound: keys up to 2n+64 take the array store, anything
+// larger or negative the map store.
+func TestArrayStoreBound(t *testing.T) {
+	for _, tc := range []struct {
+		keys  []int64
+		dense bool
+	}{
+		{nil, true},
+		{[]int64{0, 1, 2}, true},
+		{[]int64{3, 2*2 + denseSlack}, true},
+		{[]int64{3, 2*2 + denseSlack + 1}, false},
+		{[]int64{-1, 0}, false},
+		{[]int64{1 << 40}, false},
+	} {
+		if got := New(tc.keys).dense; got != tc.dense {
+			t.Errorf("keys %v: dense = %v, want %v", tc.keys, got, tc.dense)
+		}
+	}
+}

@@ -65,11 +65,12 @@ func BatchPeelWithState(g *graph.Graph, o motif.Oracle, eps float64, total int64
 			if !st.Alive[v] {
 				continue
 			}
-			destroyed := o.OnRemove(st, int(v), func(u int, delta int64) {
-				deg[u] -= delta
-			})
+			if deg[v] != 0 {
+				mu -= o.OnRemove(st, int(v), func(u int, delta int64) {
+					deg[u] -= delta
+				})
+			}
 			st.Remove(int(v))
-			mu -= destroyed
 			alive--
 		}
 		if alive > 0 {
@@ -165,11 +166,12 @@ func peelTraceFrom(g *graph.Graph, o motif.Oracle, total int64, deg []int64) *tr
 				minV, minD = v, deg[v]
 			}
 		}
-		destroyed := o.OnRemove(st, minV, func(u int, delta int64) {
-			deg[u] -= delta
-		})
+		if deg[minV] != 0 {
+			mu -= o.OnRemove(st, minV, func(u int, delta int64) {
+				deg[u] -= delta
+			})
+		}
 		st.Remove(minV)
-		mu -= destroyed
 		alive--
 		tr.order = append(tr.order, int32(minV))
 	}

@@ -779,14 +779,15 @@ func WriteBenchReport(w io.Writer, rep *BenchReport) error {
 // schema tag, at least one case, positive timings, and the correctness
 // gates — an exact density match on every case that ran a parallel or
 // iterative arm, and no iterative arm spending more flow solves than the
-// seed engine it is meant to relieve. CI runs it against the emitted
-// artifact and fails the bench job on any violation.
+// seed engine it is meant to relieve. No check here compares two wall
+// clocks, so a report from a loaded machine passes it as surely as one
+// from an idle machine; the wall-clock gates are ValidateBenchTimings.
+// CI runs both against the emitted artifact and fails the bench job on
+// any violation.
 func ValidateBenchReport(data []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var rep BenchReport
-	if err := dec.Decode(&rep); err != nil {
-		return fmt.Errorf("bench report: %w", err)
+	rep, err := decodeBenchReportStrict(data)
+	if err != nil {
+		return err
 	}
 	if rep.Schema != BenchSchema {
 		return fmt.Errorf("bench report: schema %q, want %q", rep.Schema, BenchSchema)
@@ -888,13 +889,6 @@ func ValidateBenchReport(data []byte) error {
 			if c.MutateMatch == nil || !*c.MutateMatch {
 				return fmt.Errorf("bench report: case %q: incremental mutate density does not match cold rebuild", c.Name)
 			}
-			// Wall clock is gated on the dedicated mutate case, where the
-			// cold path's Ψ-instance enumeration gives a deterministic
-			// margin.
-			if strings.HasPrefix(c.Name, "mutate-") && c.MutateIncNsOp >= c.MutateColdNsOp {
-				return fmt.Errorf("bench report: case %q: incremental mutate (%dns) not faster than cold rebuild (%dns)",
-					c.Name, c.MutateIncNsOp, c.MutateColdNsOp)
-			}
 		}
 		if c.DegradeNsOp > 0 {
 			if c.DegradeDeadlineNs <= 0 {
@@ -909,13 +903,6 @@ func ValidateBenchReport(data []byte) error {
 			if c.DegradeUpper < c.DegradeLower {
 				return fmt.Errorf("bench report: case %q: degraded interval [%g, %g] is inverted",
 					c.Name, c.DegradeLower, c.DegradeUpper)
-			}
-			// The latency gate on the dedicated case: a deadline-bounded
-			// query must produce its certified answer in under 10% of the
-			// exact solve — the point of degrading instead of finishing.
-			if strings.HasPrefix(c.Name, "degrade-") && float64(c.DegradeNsOp) >= 0.10*float64(c.SerialNsOp) {
-				return fmt.Errorf("bench report: case %q: degraded answer took %dns, want < 10%% of exact %dns",
-					c.Name, c.DegradeNsOp, c.SerialNsOp)
 			}
 		}
 		if c.AnytimeNsOp > 0 {
@@ -936,13 +923,6 @@ func ValidateBenchReport(data []byte) error {
 			if c.AnytimeMonotone == nil || !*c.AnytimeMonotone {
 				return fmt.Errorf("bench report: case %q: streamed interval widened between events", c.Name)
 			}
-			// The latency gate on the dedicated case: the first certified
-			// answer must land in under 5% of the exact solve — the point of
-			// streaming instead of waiting.
-			if strings.HasPrefix(c.Name, "anytime-") && float64(c.AnytimeFirstNs) >= 0.05*float64(c.SerialNsOp) {
-				return fmt.Errorf("bench report: case %q: first certified answer took %dns, want < 5%% of exact %dns",
-					c.Name, c.AnytimeFirstNs, c.SerialNsOp)
-			}
 		}
 		if c.WarmNsOp > 0 {
 			if c.ColdNsOp <= 0 {
@@ -957,14 +937,47 @@ func ValidateBenchReport(data []byte) error {
 			if c.WarmReused == nil || !*c.WarmReused {
 				return fmt.Errorf("bench report: case %q: warm arm did not reuse the solver state", c.Name)
 			}
-			// Wall clock is gated only on the dedicated warm case, where
-			// the decomposition is a deterministic double-digit share of
-			// the solve. The generic cases' warm arms stay informational
-			// so scheduler noise cannot fail CI on a thin margin.
-			if strings.HasPrefix(c.Name, "warmsolver-") && c.WarmNsOp >= c.ColdNsOp {
-				return fmt.Errorf("bench report: case %q: warm solve (%dns) not faster than cold (%dns)",
-					c.Name, c.WarmNsOp, c.ColdNsOp)
-			}
+		}
+	}
+	return nil
+}
+
+// ValidateBenchTimings applies the wall-clock gates to a BenchReport: each
+// compares two timings measured on one machine, so it holds only on a
+// machine quiet enough to measure them. The bench job runs it, through
+// dsdbench -validate, next to ValidateBenchReport; unit tests do not, so
+// scheduler noise cannot fail `go test`.
+func ValidateBenchTimings(data []byte) error {
+	rep, err := decodeBenchReportStrict(data)
+	if err != nil {
+		return err
+	}
+	for _, c := range rep.Cases {
+		// Wall clock is gated on the dedicated mutate case, where the
+		// cold path's Ψ-instance enumeration gives a wide margin.
+		if strings.HasPrefix(c.Name, "mutate-") && c.MutateIncNsOp > 0 && c.MutateIncNsOp >= c.MutateColdNsOp {
+			return fmt.Errorf("bench report: case %q: incremental mutate (%dns) not faster than cold rebuild (%dns)",
+				c.Name, c.MutateIncNsOp, c.MutateColdNsOp)
+		}
+		// A deadline-bounded query must produce its certified answer in
+		// under 10% of the exact solve — the point of degrading instead of
+		// finishing.
+		if strings.HasPrefix(c.Name, "degrade-") && c.DegradeNsOp > 0 && float64(c.DegradeNsOp) >= 0.10*float64(c.SerialNsOp) {
+			return fmt.Errorf("bench report: case %q: degraded answer took %dns, want < 10%% of exact %dns",
+				c.Name, c.DegradeNsOp, c.SerialNsOp)
+		}
+		// The first certified answer must land in under 5% of the exact
+		// solve — the point of streaming instead of waiting.
+		if strings.HasPrefix(c.Name, "anytime-") && c.AnytimeNsOp > 0 && float64(c.AnytimeFirstNs) >= 0.05*float64(c.SerialNsOp) {
+			return fmt.Errorf("bench report: case %q: first certified answer took %dns, want < 5%% of exact %dns",
+				c.Name, c.AnytimeFirstNs, c.SerialNsOp)
+		}
+		// Wall clock is gated only on the dedicated warm case, where the
+		// decomposition is a double-digit share of the solve. The generic
+		// cases' warm arms stay informational.
+		if strings.HasPrefix(c.Name, "warmsolver-") && c.WarmNsOp > 0 && c.WarmNsOp >= c.ColdNsOp {
+			return fmt.Errorf("bench report: case %q: warm solve (%dns) not faster than cold (%dns)",
+				c.Name, c.WarmNsOp, c.ColdNsOp)
 		}
 	}
 	// The tracing-overhead gate: across the suite, running under a live
@@ -973,6 +986,18 @@ func ValidateBenchReport(data []byte) error {
 		return fmt.Errorf("bench report: obs overhead %.4f, want ≤ 1.03 (tracing must stay under 3%%)", rep.ObsOverhead)
 	}
 	return nil
+}
+
+// decodeBenchReportStrict parses a freshly emitted BENCH_*.json, rejecting
+// unknown fields.
+func decodeBenchReportStrict(data []byte) (*BenchReport, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var rep BenchReport
+	if err := dec.Decode(&rep); err != nil {
+		return nil, fmt.Errorf("bench report: %w", err)
+	}
+	return &rep, nil
 }
 
 // decodeBenchReport parses a BENCH_*.json leniently (older reports lack

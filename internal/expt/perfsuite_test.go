@@ -16,8 +16,11 @@ func perfCfg() Config {
 }
 
 // TestPerfSuiteReportRoundTrip runs the suite, checks the headline
-// invariants, and round-trips the JSON through the validator — the same
-// gate CI applies to the uploaded BENCH_*.json artifact.
+// invariants, and round-trips the JSON through the schema and density
+// validator CI applies to the uploaded BENCH_*.json artifact. The
+// wall-clock gates (ValidateBenchTimings) are left to the bench job: on a
+// quick case of tens of milliseconds they measure the machine's load as
+// much as the code.
 func TestPerfSuiteReportRoundTrip(t *testing.T) {
 	rep, err := PerfSuiteReport(perfCfg())
 	if err != nil {
@@ -132,6 +135,62 @@ func TestValidateBenchReportRejects(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestValidateBenchTimings walks the wall-clock gates through their
+// failure modes on synthetic reports, and checks that none of them is
+// also a ValidateBenchReport failure.
+func TestValidateBenchTimings(t *testing.T) {
+	tr := true
+	report := func(c BenchCase, obs float64) []byte {
+		c.Algo = "core-exact"
+		if c.SerialNsOp == 0 {
+			c.SerialNsOp = 100
+		}
+		data, err := json.Marshal(BenchReport{Schema: BenchSchema, Suite: "perfsuite", Workers: 4,
+			ObsOverhead: obs, Cases: []BenchCase{c}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	cases := []struct {
+		name       string
+		good, slow []byte
+		want       string
+	}{
+		{"obs overhead", report(BenchCase{Name: "x"}, 1.03), report(BenchCase{Name: "x"}, 1.04), "obs overhead"},
+		{"degrade",
+			report(BenchCase{Name: "degrade-x", DegradeNsOp: 9, DegradeDeadlineNs: 5, DegradeCertified: &tr}, 0),
+			report(BenchCase{Name: "degrade-x", DegradeNsOp: 10, DegradeDeadlineNs: 5, DegradeCertified: &tr}, 0),
+			"10%"},
+		{"anytime",
+			report(BenchCase{Name: "anytime-x", AnytimeNsOp: 50, AnytimeFirstNs: 4, AnytimeEvents: 2, AnytimeMatch: &tr, AnytimeMonotone: &tr}, 0),
+			report(BenchCase{Name: "anytime-x", AnytimeNsOp: 50, AnytimeFirstNs: 5, AnytimeEvents: 2, AnytimeMatch: &tr, AnytimeMonotone: &tr}, 0),
+			"5%"},
+		{"mutate",
+			report(BenchCase{Name: "mutate-x", MutateIncNsOp: 9, MutateColdNsOp: 10, MutateMatch: &tr}, 0),
+			report(BenchCase{Name: "mutate-x", MutateIncNsOp: 10, MutateColdNsOp: 10, MutateMatch: &tr}, 0),
+			"not faster than cold rebuild"},
+		{"warm",
+			report(BenchCase{Name: "warmsolver-x", WarmNsOp: 9, ColdNsOp: 10, WarmMatch: &tr, WarmReused: &tr}, 0),
+			report(BenchCase{Name: "warmsolver-x", WarmNsOp: 10, ColdNsOp: 10, WarmMatch: &tr, WarmReused: &tr}, 0),
+			"not faster than cold"},
+	}
+	for _, c := range cases {
+		for _, data := range [][]byte{c.good, c.slow} {
+			if err := ValidateBenchReport(data); err != nil {
+				t.Fatalf("%s: schema validator rejected a timing: %v", c.name, err)
+			}
+		}
+		if err := ValidateBenchTimings(c.good); err != nil {
+			t.Fatalf("%s: in-bound report rejected: %v", c.name, err)
+		}
+		err := ValidateBenchTimings(c.slow)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: error %v does not mention %q", c.name, err, c.want)
 		}
 	}
 }

@@ -277,21 +277,28 @@ func (Diamond) CountAndDegrees(g *graph.Graph) (int64, []int64) {
 func (Diamond) OnRemove(st *State, v int, dec func(u int, delta int64)) int64 {
 	g := st.G
 	cnt := make(map[int32]int64)
+	// ends lists the 2-path endpoints in first-seen order, so the
+	// decrements, and with them the peel's tie order, do not depend on map
+	// iteration order.
+	var ends []int32
 	for _, u := range g.Neighbors(v) {
 		if !st.Alive[u] {
 			continue
 		}
 		for _, w := range g.Neighbors(int(u)) {
 			if int(w) != v && st.Alive[w] {
+				if cnt[w] == 0 {
+					ends = append(ends, w)
+				}
 				cnt[w]++
 			}
 		}
 	}
 	var destroyed int64
-	for w, y := range cnt {
-		if c2 := combin.Binom(y, 2); c2 > 0 {
+	for _, w := range ends {
+		if c2 := combin.Binom(cnt[w], 2); c2 > 0 {
 			destroyed += c2
-			dec(int(w), c2) // w is the diagonal partner in C(y,2) instances
+			dec(int(w), c2) // w is the diagonal partner in C(cnt[w],2) instances
 		}
 	}
 	for _, u := range g.Neighbors(v) {

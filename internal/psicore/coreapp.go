@@ -133,13 +133,15 @@ func boundedKMaxCore(g *graph.Graph, o motif.Oracle, kLow int64) (int64, []int32
 			if !st.Alive[v] {
 				continue
 			}
-			o.OnRemove(st, int(v), func(u int, delta int64) {
-				deg[u] -= delta
-				if deg[u] < kLow && !queued[u] {
-					queued[u] = true
-					queue = append(queue, int32(u))
-				}
-			})
+			if deg[v] != 0 {
+				o.OnRemove(st, int(v), func(u int, delta int64) {
+					deg[u] -= delta
+					if deg[u] < kLow && !queued[u] {
+						queued[u] = true
+						queue = append(queue, int32(u))
+					}
+				})
+			}
 			st.Remove(int(v))
 		}
 		if st.NAlive == 0 {

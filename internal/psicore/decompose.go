@@ -86,8 +86,10 @@ func DecomposeSeeded(ctx context.Context, g *graph.Graph, o motif.Oracle, total 
 }
 
 // peel is the shared Algorithm-3 peel loop: it takes ownership of deg
-// (the bucket queue consumes it) and runs the removal order, core-number
-// assignment, and residual-density tracking.
+// and runs the removal order, core-number assignment, and residual-density
+// tracking. The bucket queue copies deg, so deg itself stays the exact
+// residual Ψ-degree of every vertex: dec lowers it by each destroyed
+// instance, and the vertex's key becomes max(deg, cur).
 func peel(ctx context.Context, g *graph.Graph, o motif.Oracle, total int64, deg []int64) (*Decomposition, error) {
 	n := g.N()
 	st := motif.NewState(g)
@@ -103,6 +105,10 @@ func peel(ctx context.Context, g *graph.Graph, o motif.Oracle, total int64, deg 
 	d.BestResidualMu = mu
 	d.BestResidualStart = 0
 	cur := int64(0)
+	dec := func(u int, delta int64) {
+		deg[u] -= delta
+		q.DecreaseTo(u, deg[u], cur)
+	}
 	for steps := 0; ; steps++ {
 		if steps%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -121,11 +127,14 @@ func peel(ctx context.Context, g *graph.Graph, o motif.Oracle, total int64, deg 
 			d.KMax = cur
 		}
 		d.Order = append(d.Order, int32(v))
-		destroyed := o.OnRemove(st, v, func(u int, delta int64) {
-			q.DecreaseTo(u, q.Key(u)-delta, cur)
-		})
+		// A vertex in no live instance is removed without asking the
+		// oracle: OnRemove would destroy nothing and lower no degree, so
+		// the skip leaves every field of the result unchanged. Most
+		// vertices of a sparse graph lie in no triangle at all.
+		if deg[v] != 0 {
+			mu -= o.OnRemove(st, v, dec)
+		}
 		st.Remove(v)
-		mu -= destroyed
 		alive--
 		if alive > 0 {
 			if r := rational.New(mu, int64(alive)); r.Greater(d.BestResidual) {

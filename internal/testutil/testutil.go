@@ -224,3 +224,17 @@ func BruteForceCoreNumbers(g *graph.Graph, degrees func(sub *graph.Graph) []int6
 		}
 	}
 }
+
+// Fingerprint hashes a sequence of integers (FNV-1a over their 64-bit
+// little-endian encodings). Golden tests pin a long result, such as a
+// peel order, to one hex string with it.
+func Fingerprint(xs ...int64) string {
+	h := uint64(14695981039346656037)
+	for _, x := range xs {
+		for i := 0; i < 8; i++ {
+			h ^= uint64(x>>(8*i)) & 0xff
+			h *= 1099511628211
+		}
+	}
+	return fmt.Sprintf("%016x", h)
+}
