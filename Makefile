@@ -6,9 +6,9 @@ GO ?= go
 BENCH_OUT ?= BENCH_10.json
 BENCH_PREV ?= BENCH_9.json
 
-.PHONY: check fmt vet build build-bench test race bench bench-compare api e2e-shard obs chaos lint clean
+.PHONY: check fmt vet build build-bench test race bench-kernels bench bench-compare api e2e-shard obs chaos lint clean
 
-check: fmt vet build build-bench race
+check: fmt vet build build-bench race bench-kernels
 
 # The sharding end-to-end gate, exactly as CI's e2e-shard job runs it:
 # coordinator + loopback workers, density equality, fault paths.
@@ -35,6 +35,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# One iteration of each enumeration-kernel benchmark, exactly as CI's test
+# job runs them: they must keep compiling and running (timings ungated).
+bench-kernels:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/clique ./internal/psicore ./internal/graph
 
 # Produce and validate the perf-trajectory artifact locally, exactly as
 # CI's bench job does.

@@ -3,129 +3,95 @@ package clique
 import (
 	"runtime"
 	"sync"
-
-	"repro/internal/graph"
 )
 
 // Parallel clique counting (Section 6.3 of the paper notes that the
 // core-based approximation algorithms parallelize because clique-degree
 // computation does). The degeneracy DAG makes this embarrassingly
-// parallel: each worker owns a stripe of root vertices and a private
-// degree array, merged at the end.
+// parallel: each worker walks a stripe of root ranks with private
+// counters, merged at the end.
+
+// stripes runs fn(w, workers) for w = 0..workers−1, each on its own
+// goroutine, or inline when workers is 1. Static striping (worker w
+// walks the roots of rank ≡ w mod workers) balances better than
+// contiguous blocks, because the work concentrates at the high-rank end
+// of the degeneracy order, where the dense cores sit.
+func stripes(workers int, fn func(w, workers int)) {
+	if workers == 1 {
+		fn(0, 1)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w, workers)
+		}()
+	}
+	wg.Wait()
+}
+
+// workersFor clamps a worker request (≤ 0 = GOMAXPROCS) to [1, n].
+func workersFor(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(workers, n))
+}
 
 // DegreesParallel computes h-clique degrees with the given number of
 // workers (0 = GOMAXPROCS). It returns exactly the same values as
 // Degrees.
 func (l *Lister) DegreesParallel(h int, workers int) []int64 {
-	n := l.g.N()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	n := len(l.order)
+	deg := make([]int64, n)
 	if h < 1 || n == 0 {
-		return make([]int64, n)
+		return deg
 	}
-	partial := make([][]int64, workers)
-	var wg sync.WaitGroup
-	// Static striping: worker w handles roots v ≡ w (mod workers). Roots
-	// near the front of the degeneracy order have larger out-neighborhoods,
-	// so striping balances better than contiguous blocks.
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			deg := make([]int64, n)
-			l.forEachFromRoots(h, w, workers, func(c []int32) {
-				for _, v := range c {
-					deg[v]++
-				}
-			})
-			partial[w] = deg
-		}()
-	}
-	wg.Wait()
-	total := make([]int64, n)
-	for _, deg := range partial {
-		for v, d := range deg {
-			total[v] += d
+	workers = workersFor(workers, n)
+	partial := make([][]int64, workers) // per worker, indexed by rank
+	stripes(workers, func(w, stride int) {
+		d := make([]int64, n)
+		l.walk(h, w, stride, func(prefix, cand []int32) bool {
+			for _, r := range cand {
+				d[r]++
+			}
+			k := int64(len(cand))
+			for _, r := range prefix {
+				d[r] += k
+			}
+			return true
+		})
+		partial[w] = d
+	})
+	for r, v := range l.order {
+		for _, d := range partial {
+			deg[v] += d[r]
 		}
 	}
-	return total
+	return deg
 }
 
 // CountParallel counts h-cliques with the given number of workers.
 func (l *Lister) CountParallel(h int, workers int) int64 {
-	n := l.g.N()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	n := len(l.order)
 	if h < 1 || n == 0 {
 		return 0
 	}
+	workers = workersFor(workers, n)
 	counts := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var c int64
-			l.forEachFromRoots(h, w, workers, func([]int32) { c++ })
-			counts[w] = c
-		}()
-	}
-	wg.Wait()
+	stripes(workers, func(w, stride int) {
+		var c int64
+		l.walk(h, w, stride, func(_, cand []int32) bool {
+			c += int64(len(cand))
+			return true
+		})
+		counts[w] = c
+	})
 	var total int64
 	for _, c := range counts {
 		total += c
 	}
 	return total
-}
-
-// forEachFromRoots enumerates the h-cliques whose rank-minimal vertex v
-// satisfies v ≡ offset (mod stride). Each clique has exactly one
-// rank-minimal vertex, so the stripes partition the clique set.
-func (l *Lister) forEachFromRoots(h int, offset, stride int, fn func(clique []int32)) {
-	n := l.g.N()
-	clique := make([]int32, h)
-	if h == 1 {
-		for v := offset; v < n; v += stride {
-			clique[0] = int32(v)
-			fn(clique)
-		}
-		return
-	}
-	bufs := make([][]int32, h)
-	for i := range bufs {
-		bufs[i] = make([]int32, 0, l.g.MaxDegree())
-	}
-	var rec func(depth int, cand []int32)
-	rec = func(depth int, cand []int32) {
-		if h-depth > len(cand) {
-			return
-		}
-		if depth == h-1 {
-			for _, u := range cand {
-				clique[depth] = u
-				fn(clique)
-			}
-			return
-		}
-		for _, u := range cand {
-			clique[depth] = u
-			next := graph.IntersectSorted(cand, l.out[u], bufs[depth+1])
-			rec(depth+1, next)
-			bufs[depth+1] = next[:0]
-		}
-	}
-	for v := offset; v < n; v += stride {
-		clique[0] = int32(v)
-		rec(1, l.out[v])
-	}
 }

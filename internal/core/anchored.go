@@ -89,7 +89,16 @@ func QueryDensestWithState(g *graph.Graph, query []int32, dec *kcore.Decompositi
 		res.Stats.Total = time.Since(start)
 		return res, nil
 	}
-	best := sub.Orig // the anchored core itself contains Q and has density ≥ l
+	// The starting witness is the x-core: it contains Q, and its minimum
+	// degree x gives it density ≥ x/2 = l. The anchored ⌈x/2⌉-core need
+	// not reach l, and when no density above l exists the search never
+	// replaces its starting witness.
+	var best []int32
+	for _, v := range sub.Orig {
+		if dec.Core[v] >= x {
+			best = append(best, v)
+		}
+	}
 	for u-l >= stop {
 		alpha := (l + u) / 2
 		net := buildAnchoredEDS(sub.Graph, local, alpha)

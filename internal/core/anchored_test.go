@@ -76,6 +76,11 @@ func TestQueryDensestMatchesBruteForce(t *testing.T) {
 		}
 		return true
 	}
+	// A seed whose optimum for q={0} is exactly x/2: the K4 3-core, inside
+	// a sparser anchored 2-core.
+	if !f(8958336021951372219) {
+		t.Fatal("fixed seed failed")
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,8 @@ type Stats struct {
 	// only on traced runs — the tracer's memory sampling is what
 	// measures them — and process-wide, so concurrent queries inflate
 	// each other's deltas (the per-phase trace says where the bytes
-	// went).
+	// went). They are also span-granular (see internal/obs): a run that
+	// allocates less than about a span per size class may read zero.
 	AllocBytes int64
 	Allocs     int64
 	// Trace is the phase-level span tree of the run, non-nil only when

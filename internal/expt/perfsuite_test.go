@@ -269,3 +269,36 @@ func TestCompareBenchReportsMemoryGate(t *testing.T) {
 		t.Fatalf("old point without memory data failed the gate: %v", err)
 	}
 }
+
+// TestInterleavedAlternates: the two arms alternate which runs first, one
+// ratio comes back per pair, and both bests are positive.
+func TestInterleavedAlternates(t *testing.T) {
+	var order []string
+	bestA, bestB, ratios := interleaved(4, 0,
+		func() { order = append(order, "a") },
+		func() { order = append(order, "b") })
+	if got := strings.Join(order, ""); got != "abbaabba" {
+		t.Fatalf("run order %q, want abbaabba", got)
+	}
+	if len(ratios) != 4 || bestA <= 0 || bestB <= 0 {
+		t.Fatalf("bests %d/%d, %d ratios; want positive bests and 4 ratios", bestA, bestB, len(ratios))
+	}
+}
+
+func TestQuartiles(t *testing.T) {
+	for _, c := range []struct {
+		xs          []float64
+		q1, med, q3 float64
+	}{
+		{[]float64{1.5}, 1.5, 1.5, 1.5},
+		{[]float64{2, 1}, 1, 1.5, 2},
+		{[]float64{5, 1, 3}, 1, 3, 5},
+		{[]float64{4, 1, 3, 2}, 1.5, 2.5, 3.5},
+		{[]float64{7, 1, 5, 3, 9}, 2, 5, 8},
+	} {
+		q1, med, q3 := quartiles(c.xs)
+		if q1 != c.q1 || med != c.med || q3 != c.q3 {
+			t.Errorf("quartiles(%v) = %v, %v, %v; want %v, %v, %v", c.xs, q1, med, q3, c.q1, c.med, c.q3)
+		}
+	}
+}

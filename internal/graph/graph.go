@@ -4,7 +4,7 @@
 //
 // Vertices are dense integers 0..N-1. Adjacency lists are sorted, which
 // makes edge queries O(log d) and set intersections (used heavily by the
-// clique and pattern enumerators) linear.
+// clique and pattern enumerators) cost no more than a linear merge.
 package graph
 
 import (
@@ -290,11 +290,31 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
+// gallopRatio is the size ratio above which IntersectSorted gallops. A
+// linear merge costs O(|a|+|b|); galloping each element of the shorter
+// input a through the longer b (exponential search from the last match,
+// then binary search) costs O(|a|·log(|b|/|a|)). The merge's sequential
+// scan is cheaper per step, so galloping pays only once b is more than
+// about gallopRatio times longer than a. Fixed, not tunable.
+const gallopRatio = 16
+
 // IntersectSorted writes the intersection of sorted slices a and b into out
-// (which may be nil) and returns it. It is the workhorse of the clique
-// enumerator.
+// (which may be nil) and returns it, in increasing order. It is the
+// workhorse of the clique enumerators. The cost is that of the smaller
+// side: inputs of similar length are merged linearly, and when one is
+// more than gallopRatio times longer than the other, each element of the
+// shorter one gallops through the longer.
 func IntersectSorted(a, b, out []int32) []int32 {
 	out = out[:0]
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	if len(a) == 0 {
+		return out
+	}
+	if len(b) > gallopRatio*len(a) {
+		return gallop(a, b, out)
+	}
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -306,6 +326,41 @@ func IntersectSorted(a, b, out []int32) []int32 {
 			out = append(out, a[i])
 			i++
 			j++
+		}
+	}
+	return out
+}
+
+// gallop appends a ∩ b to out for sorted a much shorter than sorted b.
+func gallop(a, b, out []int32) []int32 {
+	lo := 0 // every b[:lo] is below the current element of a
+	for _, x := range a {
+		// Exponential search: double the step until b[hi] ≥ x or hi
+		// runs off the end; b[lo-1] < x holds throughout.
+		hi, step := lo, 1
+		for hi < len(b) && b[hi] < x {
+			lo = hi + 1
+			hi += step
+			step <<= 1
+		}
+		if hi > len(b) {
+			hi = len(b)
+		}
+		// Binary search b[lo:hi] for the first element ≥ x.
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if b[mid] < x {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo == len(b) {
+			break
+		}
+		if b[lo] == x {
+			out = append(out, x)
+			lo++
 		}
 	}
 	return out

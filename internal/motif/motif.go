@@ -115,6 +115,13 @@ func (c Clique) Size() int { return c.H }
 
 // CountAndDegrees implements Oracle using the kClist enumerator.
 func (c Clique) CountAndDegrees(g *graph.Graph) (int64, []int64) {
+	return c.CountAndDegreesParallel(g, 1)
+}
+
+// CountAndDegreesParallel implements ParallelCounter with the striped
+// kClist enumerator: every h-clique contributes h to the degree sum, so
+// µ is recovered from the degrees without a second pass.
+func (c Clique) CountAndDegreesParallel(g *graph.Graph, workers int) (int64, []int64) {
 	if c.H == 2 {
 		deg := make([]int64, g.N())
 		for v := 0; v < g.N(); v++ {
@@ -122,31 +129,15 @@ func (c Clique) CountAndDegrees(g *graph.Graph) (int64, []int64) {
 		}
 		return int64(g.M()), deg
 	}
-	l := clique.NewLister(g)
-	deg := make([]int64, g.N())
-	var total int64
-	l.ForEach(c.H, func(cl []int32) {
-		total++
-		for _, v := range cl {
-			deg[v]++
-		}
-	})
-	return total, deg
-}
-
-// CountAndDegreesParallel implements ParallelCounter with the striped
-// kClist enumerator: every h-clique contributes h to the degree sum, so
-// µ is recovered from the parallel degrees without a second pass.
-func (c Clique) CountAndDegreesParallel(g *graph.Graph, workers int) (int64, []int64) {
-	if c.H == 2 || workers == 1 {
-		return c.CountAndDegrees(g)
-	}
 	deg := clique.NewLister(g).DegreesParallel(c.H, workers)
 	var sum int64
 	for _, d := range deg {
 		sum += d
 	}
-	return sum / int64(c.H), deg
+	if c.H > 0 {
+		sum /= int64(c.H)
+	}
+	return sum, deg
 }
 
 // OnRemove implements Oracle by enumerating the cliques that contain v

@@ -51,8 +51,10 @@ type QueryEvent struct {
 	DurNs       int64 `json:"dur_ns"`
 	QueueWaitNs int64 `json:"queue_wait_ns,omitempty"`
 
-	// AllocBytes/Allocs are the heap allocation attributed to the solve
-	// (the root span's counter delta; zero for cache hits and sheds).
+	// AllocBytes/Allocs are the heap allocation attributed to the solve:
+	// the root span's counter delta, span-granular, so a tiny solve may
+	// read zero. Zero for sheds; a cache hit repeats the figures of the
+	// computation it hit.
 	AllocBytes int64 `json:"alloc_bytes,omitempty"`
 	Allocs     int64 `json:"allocs,omitempty"`
 

@@ -13,6 +13,13 @@ import (
 // running in the same window — attribution is exact for serial phases
 // and an upper bound for parallel ones (the trace says which is which:
 // sibling spans with overlapping times double-count).
+//
+// The counters are span-granular. The runtime publishes a small-object
+// allocation only when the per-P cache swaps out the span it came from
+// (large objects count at once), so a window that allocates less than
+// about one span per size class can read zero. A delta is exact in
+// aggregate and positive for any window that allocates well past a
+// span; for a tiny query it is only ≥ 0.
 type heapCount struct {
 	bytes   uint64
 	objects uint64

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/motif"
 	"repro/internal/testutil"
 )
 
@@ -58,5 +59,16 @@ func TestDecomposeGoldenPeelOrder(t *testing.T) {
 				t.Errorf("%s: fingerprint %s, golden %s", key, got, w)
 			}
 		}
+	}
+}
+
+// BenchmarkDecomposeTriangle times a cold serial (k,Ψ)-core decomposition
+// for triangles — degree seeding plus the peel — on a power-law graph
+// with shuffled ids.
+func BenchmarkDecomposeTriangle(b *testing.B) {
+	g := testutil.Relabel(gen.ChungLu(40000, 200000, 2.1, 1), 1)
+	o := motif.Clique{H: 3}
+	for b.Loop() {
+		Decompose(g, o)
 	}
 }

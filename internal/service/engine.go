@@ -468,11 +468,17 @@ func (e *Engine) solve(ctx context.Context, graphName string, q dsd.Query, timeo
 	if err != nil {
 		return nil, false, err
 	}
+	// Pin the version as a Snapshot, not a bare number: a burst of
+	// mutations that evicts it from the retention window before a worker
+	// picks the query up cannot take it away. Version 0, the floating
+	// head, becomes the concrete head version (see ResolveFor); from here
+	// on the computation, its cache entry, and its answer all name one
+	// immutable graph version. A version already evicted stays unpinned:
+	// a cached answer may still serve it, and a computation reports it
+	// not retained.
+	snap, pinErr := entry.Solver.At(nq.Version)
 	if nq.Version == 0 {
-		// Pin the floating head to a concrete version (see ResolveFor):
-		// from here on the computation, its cache entry, and its answer
-		// all name one immutable graph version.
-		nq.Version = entry.Solver.Version()
+		nq.Version = snap.Version()
 	}
 	alabel = string(nq.Algo)
 	queryKey = nq.Key()
@@ -586,10 +592,12 @@ func (e *Engine) solve(ctx context.Context, graphName string, q dsd.Query, timeo
 				} else {
 					r, err = e.coord.Solve(algoCtx, graphName, nq)
 				}
+			case snap == nil:
+				err = pinErr
 			case sink != nil:
-				r, err = entry.Solver.StreamFunc(algoCtx, nq, sink)
+				r, err = snap.StreamFunc(algoCtx, nq, sink)
 			default:
-				r, err = entry.Solver.Solve(algoCtx, nq)
+				r, err = snap.Solve(algoCtx, nq)
 			}
 			root.End()
 			if err == nil && r != nil {

@@ -299,3 +299,62 @@ func TestEngineShardRouting(t *testing.T) {
 		t.Fatalf("ShardQueries grew to %d on non-distributable queries", got)
 	}
 }
+
+// TestFloatingQuerySurvivesEviction: a floating-head query pins the head
+// at admission, and a burst of mutations longer than the retention window
+// that lands before a worker picks the query up must not evict its
+// version out from under it — for unary queries and streams alike, and
+// for a query the HTTP handlers pinned with ResolveFor first.
+func TestFloatingQuerySurvivesEviction(t *testing.T) {
+	ctx := context.Background()
+	want, err := dsd.NewSolver(bowtie()).Solve(ctx, dsd.Query{H: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"solve", "stream", "resolved"} {
+		t.Run(mode, func(t *testing.T) {
+			r := NewRegistry()
+			r.SetRetain(2)
+			if _, err := r.Register("bowtie", bowtie()); err != nil {
+				t.Fatal(err)
+			}
+			started, release := make(chan struct{}, 1), make(chan struct{})
+			e := NewEngine(r, Config{Workers: 1, ComputeHook: func() {
+				started <- struct{}{}
+				<-release
+			}})
+			q := dsd.Query{H: 3}
+			if mode == "resolved" {
+				if q, err = e.ResolveFor("bowtie", q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			type outcome struct {
+				res *core.Result
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				var o outcome
+				if mode == "stream" {
+					o.res, _, o.err = e.Stream(ctx, "bowtie", q, 0, func(dsd.Answer, bool) {})
+				} else {
+					o.res, _, o.err = e.Solve(ctx, "bowtie", q, 0)
+				}
+				done <- o
+			}()
+			<-started
+			for i := 0; i < 5; i++ {
+				if _, err := e.Mutate(ctx, "bowtie", dsd.Mutation{Insert: [][2]int{{0, 10 + i}}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(release)
+			o := <-done
+			if o.err != nil {
+				t.Fatalf("query admitted before the mutations: %v", o.err)
+			}
+			assertSameResult(t, o.res, want)
+		})
+	}
+}

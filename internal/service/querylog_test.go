@@ -81,13 +81,38 @@ func TestQueryLogWideEvents(t *testing.T) {
 	if !sawSolve {
 		t.Fatalf("phase costs missing the solve phase: %+v", computed.Phases)
 	}
-	if computed.AllocBytes <= 0 || computed.Allocs <= 0 {
-		t.Fatalf("computed event alloc attribution = %d bytes / %d objects, want > 0",
+	// Alloc attribution is span-granular: the bowtie allocates too little
+	// to be sure of swapping out a cached span, so it may read zero.
+	// TestQueryLogAllocAttribution checks > 0 where that is certain.
+	if computed.AllocBytes < 0 || computed.Allocs < 0 {
+		t.Fatalf("computed event alloc attribution = %d bytes / %d objects, want ≥ 0",
 			computed.AllocBytes, computed.Allocs)
 	}
 	seen, retained, sampled := e.QueryLog().Counts()
 	if seen != 2 || retained+sampled != 2 {
 		t.Fatalf("counts seen=%d retained=%d sampled=%d, want 2 total", seen, retained, sampled)
+	}
+}
+
+// TestQueryLogAllocAttribution: a computation that allocates far more
+// than one span per size class reports a positive allocation in its wide
+// event.
+func TestQueryLogAllocAttribution(t *testing.T) {
+	r := NewRegistry()
+	if _, err := r.Register("gnm", dsd.GenerateGNM(3000, 30000, 1)); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(r, Config{Workers: 1, QueryLogSample: 1})
+	if _, _, err := e.Solve(context.Background(), "gnm", dsd.Query{H: 3, Algo: dsd.AlgoCoreExact}, 0); err != nil {
+		t.Fatal(err)
+	}
+	events := e.QueryLog().Snapshot(0)
+	if len(events) != 1 {
+		t.Fatalf("query log holds %d events, want 1", len(events))
+	}
+	if ev := events[0]; ev.Cached || ev.AllocBytes < 1<<20 || ev.Allocs <= 0 {
+		t.Fatalf("computed event cached=%v, alloc attribution = %d bytes / %d objects, want ≥ 1 MiB and > 0",
+			ev.Cached, ev.AllocBytes, ev.Allocs)
 	}
 }
 

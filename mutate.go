@@ -346,12 +346,22 @@ func (sn *Snapshot) Graph() *Graph { return sn.vs.g }
 // equal to the pinned version — a snapshot cannot answer for a different
 // version.
 func (sn *Snapshot) Solve(ctx context.Context, q Query) (*Result, error) {
-	nq, o, err := q.normalize()
+	nq, o, err := sn.normalize(q)
 	if err != nil {
 		return nil, err
 	}
-	if nq.Version != 0 && nq.Version != sn.vs.ver {
-		return nil, fmt.Errorf("dsd: snapshot pinned to version %d cannot answer for version %d", sn.vs.ver, nq.Version)
-	}
 	return sn.s.solveOn(ctx, nq, o, sn.vs)
+}
+
+// normalize normalizes q and checks that it may be answered on the
+// snapshot's version.
+func (sn *Snapshot) normalize(q Query) (Query, motif.Oracle, error) {
+	nq, o, err := q.normalize()
+	if err != nil {
+		return Query{}, nil, err
+	}
+	if nq.Version != 0 && nq.Version != sn.vs.ver {
+		return Query{}, nil, fmt.Errorf("dsd: snapshot pinned to version %d cannot answer for version %d", sn.vs.ver, nq.Version)
+	}
+	return nq, o, nil
 }

@@ -263,11 +263,23 @@ func TestSnapshotPinsVersion(t *testing.T) {
 		t.Fatalf("snapshot solve after eviction: %v", err)
 	}
 	sameDensity(t, "snapshot vs original", got, want)
+	var final dsd.Answer
+	streamed, err := snap.StreamFunc(ctx, q, func(a dsd.Answer) { final = a })
+	if err != nil {
+		t.Fatalf("snapshot stream after eviction: %v", err)
+	}
+	sameDensity(t, "snapshot stream vs original", streamed, want)
+	if !final.Final || final.Density.Cmp(want.Density) != 0 {
+		t.Fatalf("snapshot stream ended on %+v, want a final answer at %v", final, want.Density)
+	}
 	if snap.Graph().M() != g.M() {
 		t.Fatalf("snapshot graph m=%d, want %d", snap.Graph().M(), g.M())
 	}
 	if _, err := snap.Solve(ctx, dsd.Query{H: 3, Version: 99}); err == nil {
 		t.Fatal("snapshot answered for a different version")
+	}
+	if _, err := snap.StreamFunc(ctx, dsd.Query{H: 3, Version: 99}, func(dsd.Answer) {}); err == nil {
+		t.Fatal("snapshot streamed for a different version")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/motif"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/psicore"
@@ -54,12 +55,28 @@ func (s *Solver) StreamFunc(ctx context.Context, q Query, fn func(Answer)) (*Res
 	if err != nil {
 		return nil, err
 	}
-	if nq.Algo != AlgoCoreExact {
-		return nil, fmt.Errorf("dsd: streaming supports Algo=core-exact only (got %q)", nq.Algo)
-	}
 	vs, err := s.state(nq.Version)
 	if err != nil {
 		return nil, err
+	}
+	return streamOn(ctx, nq, o, vs, fn)
+}
+
+// StreamFunc is Solver.StreamFunc on the snapshot's version. q.Version
+// must be zero or equal to the pinned version, as for Snapshot.Solve.
+func (sn *Snapshot) StreamFunc(ctx context.Context, q Query, fn func(Answer)) (*Result, error) {
+	nq, o, err := sn.normalize(q)
+	if err != nil {
+		return nil, err
+	}
+	return streamOn(ctx, nq, o, sn.vs, fn)
+}
+
+// streamOn streams a normalized query on one version's state (shared by
+// Solver.StreamFunc and Snapshot.StreamFunc).
+func streamOn(ctx context.Context, nq Query, o motif.Oracle, vs *verState, fn func(Answer)) (*Result, error) {
+	if nq.Algo != AlgoCoreExact {
+		return nil, fmt.Errorf("dsd: streaming supports Algo=core-exact only (got %q)", nq.Algo)
 	}
 	tr, parent := obs.FromContext(ctx)
 	sp := tr.Start(obs.SpanSolve, parent)
