@@ -1,18 +1,25 @@
 // Package bucketq implements the bin-sort bucket queue of Batagelj &
-// Zaversnik that backs every peeling loop in this repository (classical
-// k-core, (k,Ψ)-core, PeelApp, Greed++). It supports O(1) pop-min and
-// O(1) amortized clamped key decreases over non-negative int64 keys.
+// Zaversnik behind the repository's Ψ-peeling loops: the (k,Ψ)-core peel
+// of psicore (whose residual-density tracking is PeelApp) and the Greed++
+// peel of iterative. The classical k-core peel runs the same discipline
+// in a loop of its own (kcore.Decompose), since its keys are plain
+// degrees. The queue supports O(1) pop-min and O(1) amortized clamped key
+// decreases over non-negative int64 keys.
 //
 // Each bucket is a doubly linked list of items, and the queue keeps its
 // bucket heads in one of two stores, picked by New and Reset from the
 // keys they are given:
 //
-//   - When the largest key is at most 2n+64 for n items, the heads live in
-//     a slice indexed by key, scanned by a min cursor. Keys never rise, so
-//     the initial maximum bounds the slice until the next Reset, and the
-//     slice costs at most as much as the item links the queue holds anyway.
-//     A decrease below the cursor moves the cursor back, as the Greed++
-//     peel's load floors require.
+//   - When the largest key is at most 2n for n items, or below arrayFloor
+//     whatever n is, the heads live in a slice indexed by key, scanned by
+//     a min cursor. Keys never rise, so the initial maximum bounds the
+//     slice until the next Reset. Within 2n the slice costs at most as
+//     much as the item links the queue holds anyway; the floor lets a
+//     small queue with a wide key range (a compacted clique peel: a few
+//     thousand vertices, Ψ-degrees past ten thousand) keep array buckets
+//     for at most 256 KiB of heads, where a heap would cost a log factor
+//     on every decrease. A decrease below the cursor moves the cursor
+//     back, as the Greed++ peel's load floors require.
 //   - Larger key ranges (pattern degrees can be large and sparse) keep the
 //     heads in a map, with a lazy min-heap tracking the occupied keys.
 //
@@ -47,9 +54,10 @@ type Queue struct {
 
 const nilItem = int32(-1)
 
-// denseSlack lets small queues use the array store whatever their keys'
-// spread relative to n.
-const denseSlack = 64
+// arrayFloor is the number of bucket heads (256 KiB of int32) the array
+// store may always use, whatever the number of items: keys below it
+// never force the map store.
+const arrayFloor = 1 << 16
 
 type keyHeap []int64
 
@@ -87,7 +95,7 @@ func (q *Queue) Reset(keys []int64) {
 	for _, k := range keys {
 		minKey, maxKey = min(minKey, k), max(maxKey, k)
 	}
-	q.dense = minKey >= 0 && maxKey <= 2*int64(n)+denseSlack
+	q.dense = minKey >= 0 && (maxKey < arrayFloor || maxKey <= 2*int64(n))
 	clear(q.head)
 	q.keys = q.keys[:0]
 	if q.dense {

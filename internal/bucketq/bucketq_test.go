@@ -203,8 +203,11 @@ func TestResetEquivalentToNew(t *testing.T) {
 // same items in the same order. One random sequence of pops, removals and
 // clamped decreases runs on two queues, one holding keys within the array
 // bound and one holding the same keys offset by 1<<40, which forces the map
-// store. Decrease floors fall below the last popped key, as the Greed++
-// load floors do, so the array store's cursor has to move back. Each round
+// store. Half the rounds draw keys within 2n, the other half anywhere
+// below arrayFloor, so array stores admitted only by the floor (wide key
+// ranges over few items: mostly empty buckets for the cursor to scan) are
+// checked too. Decrease floors fall below the last popped key, as the
+// Greed++ load floors do, so the array store's cursor has to move back. Each round
 // Resets both queues into the other store after a partial drain, so state
 // left by one store must not leak into the other.
 func TestStoresPopIdentically(t *testing.T) {
@@ -214,9 +217,13 @@ func TestStoresPopIdentically(t *testing.T) {
 		qs := [2]*Queue{New(nil), New(nil)}
 		for round := 0; round < 8; round++ {
 			n := 1 + rng.Intn(60)
+			span := 2*n + 1
+			if round%4 >= 2 {
+				span = arrayFloor
+			}
 			keys := make([]int64, n)
 			for i := range keys {
-				keys[i] = int64(rng.Intn(2*n + denseSlack + 1))
+				keys[i] = int64(rng.Intn(span))
 			}
 			var base [2]int64 // the offset of the keys queue i holds
 			base[round%2] = off
@@ -284,17 +291,28 @@ func TestStoresPopIdentically(t *testing.T) {
 	}
 }
 
-// TestArrayStoreBound: keys up to 2n+64 take the array store, anything
-// larger or negative the map store.
+// TestArrayStoreBound: keys below arrayFloor, or up to 2n for n items,
+// take the array store; anything larger or negative the map store.
 func TestArrayStoreBound(t *testing.T) {
+	// wide returns n items, all of key 0 but the last, which has key max.
+	wide := func(n int, max int64) []int64 {
+		keys := make([]int64, n)
+		keys[n-1] = max
+		return keys
+	}
+	const big = arrayFloor // as many items, whose 2n is twice the floor
 	for _, tc := range []struct {
 		keys  []int64
 		dense bool
 	}{
 		{nil, true},
 		{[]int64{0, 1, 2}, true},
-		{[]int64{3, 2*2 + denseSlack}, true},
-		{[]int64{3, 2*2 + denseSlack + 1}, false},
+		{[]int64{3, 2*2 + 64}, true},
+		{[]int64{3, 2*2 + 65}, true}, // above 2n+64: by the floor alone
+		{[]int64{3, arrayFloor - 1}, true},
+		{[]int64{3, arrayFloor}, false},
+		{wide(big, 2*big), true},
+		{wide(big, 2*big+1), false},
 		{[]int64{-1, 0}, false},
 		{[]int64{1 << 40}, false},
 	} {

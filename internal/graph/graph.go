@@ -191,15 +191,34 @@ func (g *Graph) Induced(vs []int32) *Subgraph {
 }
 
 // InducedKeep returns the subgraph induced by the vertices for which keep
-// returns true.
+// returns true, numbered like Induced's: in increasing original id. It
+// scans every vertex anyway, so it maps ids through a dense index rather
+// than Induced's map and fills all adjacency lists, in one pass, into one
+// backing array sized by the kept vertices' parent degrees.
 func (g *Graph) InducedKeep(keep func(v int) bool) *Subgraph {
-	var vs []int32
-	for v := 0; v < g.N(); v++ {
+	local := make([]int32, g.N())
+	var orig []int32
+	size := 0
+	for v := range g.adj {
+		local[v] = -1
 		if keep(v) {
-			vs = append(vs, int32(v))
+			local[v] = int32(len(orig))
+			orig = append(orig, int32(v))
+			size += len(g.adj[v])
 		}
 	}
-	return g.Induced(vs)
+	backing := make([]int32, 0, size)
+	adj := make([][]int32, len(orig))
+	for i, v := range orig {
+		start := len(backing)
+		for _, w := range g.adj[v] {
+			if lw := local[w]; lw >= 0 {
+				backing = append(backing, lw)
+			}
+		}
+		adj[i] = backing[start:len(backing):len(backing)]
+	}
+	return &Subgraph{Graph: &Graph{adj: adj, m: len(backing) / 2}, Orig: orig}
 }
 
 // ConnectedComponents returns the vertex sets of the connected components,

@@ -95,6 +95,45 @@ func TestInducedDedupesInput(t *testing.T) {
 	}
 }
 
+// TestInducedKeepMatchesInduced: the dense-index InducedKeep must build
+// exactly the subgraph Induced builds from the kept vertex list.
+func TestInducedKeepMatchesInduced(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		b := NewBuilder(n)
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			b.AddEdge(rng.Intn(n), rng.Intn(n))
+		}
+		g := b.Build()
+		keep := make([]bool, n)
+		var vs []int32
+		for v := range keep {
+			if keep[v] = rng.Intn(3) != 0; keep[v] {
+				vs = append(vs, int32(v))
+			}
+		}
+		got, want := g.InducedKeep(func(v int) bool { return keep[v] }), g.Induced(vs)
+		if got.N() != want.N() || got.M() != want.M() || !reflect.DeepEqual(got.Orig, want.Orig) {
+			return false
+		}
+		for v := 0; v < want.N(); v++ {
+			if len(got.Neighbors(v)) != len(want.Neighbors(v)) {
+				return false
+			}
+			for i, w := range want.Neighbors(v) {
+				if got.Neighbors(v)[i] != w {
+					return false
+				}
+			}
+		}
+		return got.Validate() == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestConnectedComponents(t *testing.T) {
 	g := FromEdges(7, [][2]int{{0, 1}, {1, 2}, {3, 4}})
 	comps := g.ConnectedComponents()

@@ -5,10 +5,7 @@
 // γ(v,Ψ) upper bounds used by CoreApp.
 package kcore
 
-import (
-	"repro/internal/bucketq"
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Decomposition holds the result of a classical core decomposition.
 type Decomposition struct {
@@ -24,37 +21,81 @@ type Decomposition struct {
 }
 
 // Decompose computes core numbers for every vertex in O(n+m).
+//
+// It is the bin-sort peel of Batagelj & Zaversnik, written out instead of
+// run on the generic bucketq queue because it sits inside every
+// clique.NewLister. Each vertex owns one {key, next, prev} record, so its
+// key and both bucket links share a cache line, and bucket heads are
+// indexed by degree. A neighbour whose key is already at or below the current
+// core (popped vertices hold key −1) cannot decrease and is skipped
+// before any link is touched.
+//
+// The peel order is a contract: the degeneracy order it yields decides
+// the order cliques are enumerated in. Vertices enter their initial
+// bucket in increasing id order, every decrease pushes to the bucket
+// front, and each step pops the front of the lowest non-empty bucket, so
+// equal keys leave last-in first-out — the discipline of bucketq, which
+// this loop reproduces bit for bit.
 func Decompose(g *graph.Graph) *Decomposition {
 	n := g.N()
-	keys := make([]int64, n)
-	for v := 0; v < n; v++ {
-		keys[v] = int64(g.Degree(v))
-	}
-	q := bucketq.New(keys)
 	d := &Decomposition{
 		Core:  make([]int32, n),
-		Order: make([]int32, 0, n),
+		Order: make([]int32, n),
 		Pos:   make([]int32, n),
 	}
-	cur := int64(0)
-	for {
-		v, k, ok := q.PopMin()
-		if !ok {
-			break
+	const nilItem = int32(-1)
+	type record struct{ key, next, prev int32 }
+	recs := make([]record, n)
+	heads := make([]int32, g.MaxDegree()+1)
+	for k := range heads {
+		heads[k] = nilItem
+	}
+	// push puts v at the front of bucket k.
+	push := func(v, k int32) {
+		h := heads[k]
+		recs[v] = record{key: k, next: h, prev: nilItem}
+		if h != nilItem {
+			recs[h].prev = v
 		}
-		if k > cur {
-			cur = k
+		heads[k] = v
+	}
+	for v := 0; v < n; v++ {
+		push(int32(v), int32(g.Degree(v)))
+	}
+	// Popped keys never fall: every decrease is clamped at the current
+	// core, so cur is both the scan cursor and the core number.
+	cur := int32(0)
+	for i := range d.Order {
+		for heads[cur] == nilItem {
+			cur++
 		}
-		d.Core[v] = int32(cur)
-		if int32(cur) > d.KMax {
-			d.KMax = int32(cur)
+		v := heads[cur]
+		next := recs[v].next
+		heads[cur] = next
+		if next != nilItem {
+			recs[next].prev = nilItem
 		}
-		d.Pos[v] = int32(len(d.Order))
-		d.Order = append(d.Order, int32(v))
-		for _, w := range g.Neighbors(v) {
-			q.DecreaseTo(int(w), q.Key(int(w))-1, cur)
+		recs[v].key = -1
+		d.Core[v] = cur
+		d.Order[i] = v
+		d.Pos[v] = int32(i)
+		for _, w := range g.Neighbors(int(v)) {
+			r := recs[w]
+			if r.key <= cur {
+				continue
+			}
+			if r.prev != nilItem {
+				recs[r.prev].next = r.next
+			} else {
+				heads[r.key] = r.next
+			}
+			if r.next != nilItem {
+				recs[r.next].prev = r.prev
+			}
+			push(w, r.key-1)
 		}
 	}
+	d.KMax = cur
 	return d
 }
 

@@ -90,20 +90,63 @@ func DecomposeSeeded(ctx context.Context, g *graph.Graph, o motif.Oracle, total 
 // tracking. The bucket queue copies deg, so deg itself stays the exact
 // residual Ψ-degree of every vertex: dec lowers it by each destroyed
 // instance, and the vertex's key becomes max(deg, cur).
+//
+// Say z vertices have Ψ-degree 0. The queue pops them first, from
+// bucket 0 in descending id order (equal keys leave last-in first-out),
+// and each destroys nothing: no degree moves, cur stays 0, and µ over the
+// shrinking residual only rises, so the best residual becomes µ/(n−z) at
+// start z whenever µ > 0. When compactSupport says it pays, the peel runs
+// in two phases instead: the first emits exactly that prefix, with core
+// 0, and no queue; the second peels the Ψ-support — the subgraph induced
+// by the other vertices, which holds every instance — compacted into a
+// graph of its own.
+//
+// Compacting costs one copy of the support's adjacency, and saves the
+// oracle, the residual-degree state and the queue from ever touching the
+// rest. So it is done only when the instance-free vertices hold at least
+// half of all adjacency entries. It never is for edge density, whose
+// instance-free vertices are isolated; there, and whenever the rule
+// fails, one queue peels all of g.
+//
+// The compacted peel keeps the order bit for bit. Local ids follow
+// original ids, so every queue insertion and every oracle enumeration
+// (neighbour lists, candidate intersections, canonical-instance tests)
+// sees the same relative order, ties included. Where the pattern matcher
+// picks its candidate list by degree, the support may change which list
+// it scans, but not the ascending order its matches come out in. And the
+// support after phase one is the residual graph the plain peel has then.
 func peel(ctx context.Context, g *graph.Graph, o motif.Oracle, total int64, deg []int64) (*Decomposition, error) {
 	n := g.N()
-	st := motif.NewState(g)
-	q := bucketq.New(deg)
 	d := &Decomposition{
 		Core:           make([]int64, n),
 		Order:          make([]int32, 0, n),
 		TotalInstances: total,
+		BestResidual:   rational.New(total, int64(n)),
+		BestResidualMu: total,
 	}
+	h, orig := g, []int32(nil) // the graph the queue peels; its ids in g, if not g
+	if compactSupport(g, deg) {
+		for v := n - 1; v >= 0; v-- {
+			if deg[v] == 0 {
+				d.Order = append(d.Order, int32(v)) // Core[v] is 0
+			}
+		}
+		if total > 0 {
+			d.BestResidual = rational.New(total, int64(n-len(d.Order)))
+			d.BestResidualStart = len(d.Order)
+		}
+		sub := g.InducedKeep(func(v int) bool { return deg[v] != 0 })
+		h, orig = sub.Graph, sub.Orig
+		local := make([]int64, len(orig))
+		for i, v := range orig {
+			local[i] = deg[v]
+		}
+		deg = local
+	}
+	st := motif.NewState(h)
+	q := bucketq.New(deg)
 	mu := total
-	alive := n
-	d.BestResidual = rational.New(mu, int64(alive))
-	d.BestResidualMu = mu
-	d.BestResidualStart = 0
+	alive := h.N()
 	cur := int64(0)
 	dec := func(u int, delta int64) {
 		deg[u] -= delta
@@ -122,11 +165,15 @@ func peel(ctx context.Context, g *graph.Graph, o motif.Oracle, total int64, deg 
 		if k > cur {
 			cur = k
 		}
-		d.Core[v] = cur
+		id := int32(v)
+		if orig != nil {
+			id = orig[v]
+		}
+		d.Core[id] = cur
 		if cur > d.KMax {
 			d.KMax = cur
 		}
-		d.Order = append(d.Order, int32(v))
+		d.Order = append(d.Order, id)
 		// A vertex in no live instance is removed without asking the
 		// oracle: OnRemove would destroy nothing and lower no degree, so
 		// the skip leaves every field of the result unchanged. Most
@@ -145,6 +192,19 @@ func peel(ctx context.Context, g *graph.Graph, o motif.Oracle, total int64, deg 
 		}
 	}
 	return d, nil
+}
+
+// compactSupport is peel's fixed compaction rule: the vertices of
+// Ψ-degree 0 hold at least half of g's 2m adjacency entries, and some at
+// all. It is not settable.
+func compactSupport(g *graph.Graph, deg []int64) bool {
+	free := 0
+	for v, dv := range deg {
+		if dv == 0 {
+			free += g.Degree(v)
+		}
+	}
+	return free > 0 && free >= g.M()
 }
 
 // CoreVertices returns the vertices of the (k,Ψ)-core: those with core
