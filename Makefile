@@ -6,7 +6,7 @@ GO ?= go
 BENCH_OUT ?= BENCH_10.json
 BENCH_PREV ?= BENCH_9.json
 
-.PHONY: check fmt vet build build-bench test race bench-kernels bench bench-compare api e2e-shard obs chaos lint clean
+.PHONY: check fmt vet build build-bench test race fuzz bench-kernels bench bench-compare api loc e2e-shard obs chaos lint clean
 
 check: fmt vet build build-bench race bench-kernels
 
@@ -35,6 +35,10 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The bounded differential fuzz run, exactly as CI's test job runs it.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime 30s .
 
 # One iteration of each enumeration- and peel-kernel benchmark, exactly
 # as CI's test job runs them: they must keep compiling and running
@@ -92,10 +96,15 @@ lint:
 
 # Refresh the exported-API baseline (api/dsd.txt) after an intentional
 # public-surface change. TestAPIStability fails any PR whose surface
-# drifts from the committed baseline, so the v1 wrappers cannot be
-# broken silently.
+# drifts from the committed baseline, so no exported symbol can be
+# added, changed or removed silently.
 api:
 	$(GO) test -run TestAPIStability -count=1 . -args -update
+
+# The non-test Go line count outside the dsdperf benchmark module: the
+# size of the product code.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './dsdperf/*' -exec cat {} + | wc -l
 
 clean:
 	$(GO) clean ./...

@@ -20,12 +20,11 @@ var updateAPIBaseline = flag.Bool("update", false, "rewrite api/dsd.txt from the
 
 const apiBaselinePath = "api/dsd.txt"
 
-// TestAPIStability is the API gate of the Query/Solver redesign: the
-// exported surface of package dsd — every legacy wrapper included — is
-// snapshotted in api/dsd.txt, and a PR that changes a signature, drops a
-// symbol, or adds one must refresh the baseline explicitly (`make api`)
-// so the change is visible in review instead of silently breaking the
-// v1 wrappers.
+// TestAPIStability is the API gate of package dsd: its exported surface
+// is snapshotted in api/dsd.txt, and a PR that changes a signature, drops
+// a symbol, or adds one must refresh the baseline explicitly (`make api`)
+// so the change is visible in review instead of silently breaking
+// callers.
 func TestAPIStability(t *testing.T) {
 	got := apiSurface(t)
 	if *updateAPIBaseline {

@@ -5,6 +5,7 @@
 package dsd_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -120,7 +121,7 @@ func BenchmarkCoreExactTriangleMidSize(b *testing.B) {
 	g := dsd.GenerateChungLu(5000, 25000, 2.5, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.CoreExact(g, 3)
+		core.CoreExact(context.Background(), g, motif.Clique{H: 3}, core.DefaultOptions(), nil)
 	}
 }
 
@@ -128,7 +129,7 @@ func BenchmarkExactTriangleMidSize(b *testing.B) {
 	g := dsd.GenerateChungLu(5000, 25000, 2.5, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Exact(g, 3)
+		core.Exact(g, motif.Clique{H: 3}, false)
 	}
 }
 
@@ -136,7 +137,7 @@ func BenchmarkPeelAppTriangle(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.PeelApp(g, motif.Clique{H: 3})
+		core.PeelApp(g, motif.Clique{H: 3}, nil)
 	}
 }
 
@@ -146,19 +147,19 @@ func BenchmarkPeelAppTriangle(b *testing.B) {
 // grouping pattern instances that share a vertex set shrinks the network.
 func BenchmarkPDSExactUngrouped(b *testing.B) {
 	g := dsd.GenerateSSCA(400, 10, 3)
-	p := dsd.DiamondPattern()
+	o := motif.For(dsd.DiamondPattern())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.PExact(g, p)
+		core.Exact(g, o, false)
 	}
 }
 
 func BenchmarkPDSExactGrouped(b *testing.B) {
 	g := dsd.GenerateSSCA(400, 10, 3)
-	p := dsd.DiamondPattern()
+	o := motif.For(dsd.DiamondPattern())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.PExactGrouped(g, p)
+		core.Exact(g, o, true)
 	}
 }
 
@@ -178,7 +179,7 @@ func BenchmarkCoreExactSerial(b *testing.B) {
 	g := benchMultiComponent()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.CoreExact(g, 3)
+		core.CoreExact(context.Background(), g, motif.Clique{H: 3}, core.DefaultOptions(), nil)
 	}
 }
 
@@ -188,7 +189,7 @@ func BenchmarkCoreExactParallel(b *testing.B) {
 	opts.Workers = 4
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.CoreExactOpts(g, 3, opts)
+		core.CoreExact(context.Background(), g, motif.Clique{H: 3}, opts, nil)
 	}
 }
 
@@ -215,7 +216,7 @@ func BenchmarkKMaxCoreBottomUp(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.IncApp(g, motif.Clique{H: 3})
+		core.IncApp(g, motif.Clique{H: 3}, nil)
 	}
 }
 
@@ -232,7 +233,7 @@ func BenchmarkQueryDensest(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dsd.QueryDensest(g, []int32{0, 1}); err != nil {
+		if _, err := dsd.NewSolver(g).Solve(context.Background(), dsd.Query{Anchors: []int32{0, 1}}); err != nil {
 			b.Fatal(err)
 		}
 	}

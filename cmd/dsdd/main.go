@@ -17,10 +17,11 @@
 //	     [-querylog 512] [-querylog-sample 8]
 //	     [-trace=true] [-pprof]
 //
-// API: POST /v2/query (any dsd.Query), POST /v1/query (legacy triple),
-// GET/POST /v1/graphs, GET/DELETE /v1/graphs/{g} (per-graph detail /
-// eviction), POST /v1/graphs/{g}/edges (edge-mutation batches producing
-// new graph versions; -retain bounds how many stay addressable),
+// API: POST /v2/query (any dsd.Query), POST /v1/stream (a core-exact
+// query as an anytime SSE stream), GET/POST /v1/graphs, GET/DELETE
+// /v1/graphs/{g} (per-graph detail / eviction), POST /v1/graphs/{g}/edges
+// (edge-mutation batches producing new graph versions; -retain bounds how
+// many stay addressable),
 // GET /v1/stats, GET /v1/querylog (the wide-event query log),
 // GET /metrics (Prometheus text exposition), GET /healthz, plus the
 // wire v3 sharding protocol (POST /v3/component, POST /v3/bound,
@@ -50,7 +51,7 @@
 // graphs under the same names as the coordinator.
 //
 //	curl -s localhost:8080/v2/query -d '{"graph":"web","query":{"pattern":"triangle","algo":"core-exact"}}'
-//	curl -s localhost:8080/v1/query -d '{"graph":"web","pattern":"triangle","algo":"core-exact"}'
+//	curl -sN localhost:8080/v1/stream -d '{"graph":"web","query":{"pattern":"triangle"}}'
 //	curl -s localhost:8080/metrics
 //	curl -s localhost:8080/v3/shards
 package main

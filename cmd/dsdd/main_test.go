@@ -48,7 +48,7 @@ func TestNewServerPreloadsGraphs(t *testing.T) {
 	if len(infos) != 1 || infos[0].Name != "bowtie" || infos[0].N != 5 {
 		t.Fatalf("preloaded graphs wrong: %+v", infos)
 	}
-	resp, err := c.Query(ctx, wire.QueryRequest{Graph: "bowtie", Pattern: "triangle", Algo: "core-exact"})
+	resp, err := c.QueryV2(ctx, wire.QueryV2Request{Graph: "bowtie", Query: wire.Query{Pattern: "triangle", Algo: "core-exact"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestNewServerAlgoIterative(t *testing.T) {
 	if stats.AlgoIterative != -1 {
 		t.Fatalf("stats.AlgoIterative = %d, want -1", stats.AlgoIterative)
 	}
-	resp, err := c.Query(ctx, wire.QueryRequest{Graph: "bowtie", Pattern: "triangle", Algo: "core-exact"})
+	resp, err := c.QueryV2(ctx, wire.QueryV2Request{Graph: "bowtie", Query: wire.Query{Pattern: "triangle", Algo: "core-exact"}})
 	if err != nil {
 		t.Fatal(err)
 	}

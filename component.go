@@ -86,11 +86,9 @@ func (s *Solver) PlanComponents(ctx context.Context, q Query) (*ComponentPlan, e
 		decTime = 0
 	}
 	opts := nq.coreOptions()
-	if len(opts.SeedWitness) == 0 {
-		// Same warm start Solve's core-exact path gets: the carried
-		// witness's density is re-evaluated by PlanCoreExact before use.
-		opts.SeedWitness = st.seedWitness()
-	}
+	// Same warm start Solve's core-exact path gets: the carried witness's
+	// density is re-evaluated by PlanCoreExact before use.
+	opts.SeedWitness = st.seedWitness()
 	plan, err := core.PlanCoreExact(ctx, vs.g, o, opts, dec)
 	if err != nil {
 		return nil, err
@@ -199,7 +197,7 @@ func (s *Solver) SolveComponent(ctx context.Context, q Query, comp []int32, kLoc
 	// merged certificate, so component searches always run exact.
 	opts.Deadline = 0
 	opts.Gap = 0
-	out, err := core.SearchComponent(ctx, vs.g, o, dec, opts, floor.cell, comp, kLocate)
+	out, err := core.SearchComponent(ctx, vs.g, o, dec, opts, floor.cell, comp, kLocate, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -7,33 +7,28 @@
 // maximizing Ψ-density µ(S,Ψ)/|S| where Ψ is an edge (EDS), an h-clique
 // (CDS), or an arbitrary connected pattern (PDS). Algorithms:
 //
-//   - Exact / PExact: flow-network binary search on the whole graph
-//     (the pre-existing state of the art, Algorithms 1 and 8).
-//   - CoreExact / CorePExact: the paper's contribution — the search is
-//     confined to (k,Ψ)-cores, with flow networks that shrink as the
-//     bound improves (Algorithm 4, Section 7.2).
-//   - PeelApp: greedy peeling, 1/|VΨ|-approximation (Algorithm 2).
-//   - IncApp / CoreApp: the (kmax,Ψ)-core as a 1/|VΨ|-approximation,
+//   - AlgoExact: flow-network binary search on the whole graph (the
+//     pre-existing state of the art, Algorithms 1 and 8).
+//   - AlgoCoreExact: the paper's contribution — the search is confined
+//     to (k,Ψ)-cores, with flow networks that shrink as the bound
+//     improves (Algorithm 4, Section 7.2).
+//   - AlgoPeel: greedy peeling, 1/|VΨ|-approximation (Algorithm 2).
+//   - AlgoInc / AlgoCoreApp: the (kmax,Ψ)-core as a 1/|VΨ|-approximation,
 //     computed bottom-up or top-down (Algorithms 5 and 6).
 //
-// The unified entrypoint is a Solver over one graph answering Query
-// values — every problem variant (EDS/CDS/PDS, anchored, at-least-k,
-// batch-peel, pruning ablations) is one Query, and repeated queries with
-// the same Ψ reuse the memoized per-graph state:
+// The one entrypoint is a Solver over one graph answering Query values —
+// every problem variant (EDS/CDS/PDS, anchored, at-least-k, batch-peel,
+// pruning ablations) is one Query, and repeated queries with the same Ψ
+// reuse the memoized per-graph state:
 //
 //	g := dsd.FromEdges(4, [][2]int{{0,1},{0,2},{1,2},{2,3}})
 //	s := dsd.NewSolver(g)
 //	res, _ := s.Solve(ctx, dsd.Query{H: 3})           // triangle-densest, CoreExact
 //	res, _ = s.Solve(ctx, dsd.Query{H: 3, Algo: dsd.AlgoPeel}) // Ψ-state reused
 //	fmt.Println(res.Density.Float(), res.Vertices)
-//
-// The pre-Solver entrypoints (CliqueDensest, PatternDensest, and their
-// With/Context variants) remain as thin wrappers over a throwaway Solver.
 package dsd
 
 import (
-	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/clique"
@@ -109,159 +104,6 @@ var (
 	// DiamondPattern returns the 4-cycle ("diamond") pattern.
 	DiamondPattern = pattern.Diamond
 )
-
-// EdgeDensest finds the edge-densest subgraph (EDS) of g.
-//
-// Deprecated: use NewSolver(g).Solve with a zero-motif Query.
-func EdgeDensest(g *Graph, algo Algo) (*Result, error) { return CliqueDensest(g, 2, algo) }
-
-// checkH preserves the legacy wrappers' contract: unlike Query, whose
-// documented zero value means "edge", the h-typed entrypoints have
-// always rejected h outside [2,8] — h=0 from an unset config must stay
-// a loud error, not a silent edge-density answer.
-func checkH(h int) error {
-	if h < 2 || h > 8 {
-		return fmt.Errorf("dsd: clique size h=%d out of supported range [2,8]", h)
-	}
-	return nil
-}
-
-// CliqueDensest finds the h-clique densest subgraph (CDS) of g (h ≥ 2).
-//
-// Deprecated: use NewSolver(g).Solve(ctx, Query{H: h, Algo: algo}).
-func CliqueDensest(g *Graph, h int, algo Algo) (*Result, error) {
-	if err := checkH(h); err != nil {
-		return nil, err
-	}
-	return NewSolver(g).Solve(context.Background(), Query{H: h, Algo: algo})
-}
-
-// PatternDensest finds the pattern densest subgraph (PDS) of g w.r.t. p.
-//
-// Deprecated: use NewSolver(g).Solve(ctx, Query{Pattern: p, Algo: algo}).
-func PatternDensest(g *Graph, p *Pattern, algo Algo) (*Result, error) {
-	return NewSolver(g).Solve(context.Background(), Query{Pattern: p, Algo: algo})
-}
-
-// Config configures a densest-subgraph computation beyond the algorithm
-// choice. The zero value selects AlgoCoreExact, serial execution, and the
-// default prunings.
-//
-// Deprecated: Query carries the same knobs (and the problem-variant
-// parameters Config never had); use Solver.Solve.
-type Config struct {
-	// Algo selects the algorithm ("" = AlgoCoreExact).
-	Algo Algo
-	// Workers bounds intra-run parallelism for algorithms with a parallel
-	// engine (currently core-exact, whose per-component binary searches
-	// run on a worker pool sharing the lower bound). Values ≤ 1 run
-	// serially; pass runtime.GOMAXPROCS(0) for full parallelism. The
-	// returned density is identical for every value.
-	Workers int
-	// Iterative tunes core-exact's Greed++ pre-solver, which brackets each
-	// component's density with certified flow-free bounds before any flow
-	// network is built (most per-α min-cut solves are skipped outright).
-	// 0 keeps the engine default (on, core.DefaultIterativeBudget
-	// iterations), a negative value disables the pre-solver (the flow-only
-	// seed engine), and a positive value sets the iteration budget. The
-	// returned density is identical for every value.
-	Iterative int
-	// Core overrides CoreExact's pruning options (nil = DefaultOptions).
-	// Its Workers field is ignored in favor of Config.Workers, and its
-	// Iterative field yields to a non-zero Config.Iterative.
-	Core *CoreExactOptions
-}
-
-// query converts the legacy Config into its Query equivalent.
-func (c Config) query() Query {
-	return Query{Algo: c.Algo, Workers: c.Workers, Iterative: c.Iterative, Core: c.Core}
-}
-
-// CliqueDensestWith is CliqueDensest under a Config, bounded by ctx; see
-// Solve for the cancellation contract.
-//
-// Deprecated: use NewSolver(g).Solve with a Query.
-func CliqueDensestWith(ctx context.Context, g *Graph, h int, cfg Config) (*Result, error) {
-	if err := checkH(h); err != nil {
-		return nil, err
-	}
-	q := cfg.query()
-	q.H = h
-	return NewSolver(g).Solve(ctx, q)
-}
-
-// PatternDensestWith is PatternDensest under a Config, bounded by ctx;
-// see Solve for the cancellation contract.
-//
-// Deprecated: use NewSolver(g).Solve with a Query.
-func PatternDensestWith(ctx context.Context, g *Graph, p *Pattern, cfg Config) (*Result, error) {
-	q := cfg.query()
-	q.Pattern = p
-	return NewSolver(g).Solve(ctx, q)
-}
-
-// CliqueDensestContext is CliqueDensestWith with a bare algorithm choice
-// and serial execution.
-//
-// Deprecated: use NewSolver(g).Solve(ctx, Query{H: h, Algo: algo}).
-func CliqueDensestContext(ctx context.Context, g *Graph, h int, algo Algo) (*Result, error) {
-	if err := checkH(h); err != nil {
-		return nil, err
-	}
-	return NewSolver(g).Solve(ctx, Query{H: h, Algo: algo})
-}
-
-// PatternDensestContext is PatternDensestWith with a bare algorithm
-// choice and serial execution.
-//
-// Deprecated: use NewSolver(g).Solve(ctx, Query{Pattern: p, Algo: algo}).
-func PatternDensestContext(ctx context.Context, g *Graph, p *Pattern, algo Algo) (*Result, error) {
-	return NewSolver(g).Solve(ctx, Query{Pattern: p, Algo: algo})
-}
-
-// CoreExactOptions exposes CoreExact's pruning switches for ablation.
-type CoreExactOptions = core.Options
-
-// CliqueDensestCoreExactOpts runs CoreExact with explicit pruning options
-// (Figure 10's P1/P2/P3 variants).
-//
-// Deprecated: use NewSolver(g).Solve with Query{Core: &opts}; unlike this
-// wrapper, Solve also surfaces validation errors (h out of range) instead
-// of returning nil.
-func CliqueDensestCoreExactOpts(g *Graph, h int, opts CoreExactOptions) *Result {
-	res, _ := NewSolver(g).Solve(context.Background(), Query{
-		H: h, Algo: AlgoCoreExact, Core: &opts,
-		Workers: opts.Workers, Iterative: opts.Iterative,
-	})
-	return res
-}
-
-// QueryDensest solves the Section-6.3 variant: the edge-densest subgraph
-// among those containing every query vertex, located in a query-anchored
-// core instead of the whole graph.
-//
-// Deprecated: use NewSolver(g).Solve(ctx, Query{Anchors: query}).
-func QueryDensest(g *Graph, query []int32) (*Result, error) {
-	return NewSolver(g).Solve(context.Background(), Query{Algo: AlgoAnchored, Anchors: query})
-}
-
-// BatchPeelDensest is the streaming-model approximation of Bahmani et al.
-// (the paper's reference [6]): batch-removal passes instead of one vertex
-// at a time, giving a 1/((1+ε)·|VΨ|)-approximation in O(log n / ε) passes.
-//
-// Deprecated: use NewSolver(g).Solve(ctx, Query{Pattern: p, Eps: eps}).
-func BatchPeelDensest(g *Graph, p *Pattern, eps float64) (*Result, error) {
-	return NewSolver(g).Solve(context.Background(), Query{Pattern: p, Algo: AlgoBatchPeel, Eps: eps})
-}
-
-// DensestAtLeast is the size-constrained greedy heuristic of Andersen &
-// Chellapilla (the paper's reference [3]): the densest residual subgraph
-// with at least k vertices. The exact size-constrained problem is NP-hard.
-//
-// Deprecated: use NewSolver(g).Solve(ctx, Query{Pattern: p, AtLeast: k}).
-func DensestAtLeast(g *Graph, p *Pattern, k int) (*Result, error) {
-	return NewSolver(g).Solve(context.Background(), Query{Pattern: p, Algo: AlgoAtLeast, AtLeast: k})
-}
 
 // VerifyResult checks a result's certificates against g: µ/ρ consistency
 // always, plus (when exact is true) the Lemma-4 participation condition

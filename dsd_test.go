@@ -9,33 +9,32 @@ import (
 	dsd "repro"
 )
 
+// TestContextEntryPoints: Solve answers the same motif identically under
+// its H and Pattern spellings, honors a cancelled or expired ctx, and
+// still rejects an unknown algorithm.
 func TestContextEntryPoints(t *testing.T) {
-	g := triangleBowtie()
+	s := dsd.NewSolver(triangleBowtie())
 	ctx := context.Background()
-
-	res, err := dsd.CliqueDensestContext(ctx, g, 3, dsd.AlgoCoreExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := dsd.CliqueDensest(g, 3, dsd.AlgoCoreExact)
-	if res.Density != want.Density || res.Mu != want.Mu {
-		t.Fatalf("context result %v differs from direct result %v", res.Density, want.Density)
-	}
-
 	p, _ := dsd.PatternByName("triangle")
-	pres, err := dsd.PatternDensestContext(ctx, g, p, dsd.AlgoPeel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pwant, _ := dsd.PatternDensest(g, p, dsd.AlgoPeel)
-	if pres.Density != pwant.Density {
-		t.Fatalf("pattern context result differs: %v vs %v", pres.Density, pwant.Density)
+
+	for _, algo := range []dsd.Algo{dsd.AlgoCoreExact, dsd.AlgoPeel} {
+		res, err := s.Solve(ctx, dsd.Query{H: 3, Algo: algo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pres, err := s.Solve(ctx, dsd.Query{Pattern: p, Algo: algo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Density != pres.Density || res.Mu != pres.Mu {
+			t.Fatalf("%s: H=3 result %v differs from triangle-pattern result %v", algo, res.Density, pres.Density)
+		}
 	}
 
 	// A cancelled context short-circuits before any work.
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := dsd.CliqueDensestContext(cancelled, g, 3, dsd.AlgoExact); err == nil {
+	if _, err := s.Solve(cancelled, dsd.Query{H: 3, Algo: dsd.AlgoExact}); err == nil {
 		t.Fatal("cancelled context returned a result")
 	}
 
@@ -43,12 +42,11 @@ func TestContextEntryPoints(t *testing.T) {
 	expired, cancel2 := context.WithTimeout(ctx, time.Nanosecond)
 	defer cancel2()
 	<-expired.Done()
-	if _, err := dsd.PatternDensestContext(expired, g, p, dsd.AlgoExact); err != context.DeadlineExceeded {
+	if _, err := s.Solve(expired, dsd.Query{Pattern: p, Algo: dsd.AlgoExact}); err != context.DeadlineExceeded {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
 
-	// Bad algorithms still error through the context wrappers.
-	if _, err := dsd.PatternDensestContext(ctx, g, p, dsd.Algo("bogus")); err == nil {
+	if _, err := s.Solve(ctx, dsd.Query{Pattern: p, Algo: dsd.Algo("bogus")}); err == nil {
 		t.Fatal("bogus algo accepted")
 	}
 }
@@ -59,9 +57,10 @@ func triangleBowtie() *dsd.Graph {
 }
 
 func TestPublicAPICliqueDensest(t *testing.T) {
-	g := triangleBowtie()
+	s := dsd.NewSolver(triangleBowtie())
+	ctx := context.Background()
 	for _, algo := range []dsd.Algo{dsd.AlgoExact, dsd.AlgoCoreExact} {
-		res, err := dsd.CliqueDensest(g, 3, algo)
+		res, err := s.Solve(ctx, dsd.Query{H: 3, Algo: algo})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +71,7 @@ func TestPublicAPICliqueDensest(t *testing.T) {
 		}
 	}
 	for _, algo := range []dsd.Algo{dsd.AlgoPeel, dsd.AlgoInc, dsd.AlgoCoreApp, dsd.AlgoNucleus} {
-		res, err := dsd.CliqueDensest(g, 3, algo)
+		res, err := s.Solve(ctx, dsd.Query{H: 3, Algo: algo})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,43 +83,44 @@ func TestPublicAPICliqueDensest(t *testing.T) {
 }
 
 func TestPublicAPIErrors(t *testing.T) {
-	g := triangleBowtie()
-	if _, err := dsd.CliqueDensest(g, 1, dsd.AlgoExact); err == nil {
+	s := dsd.NewSolver(triangleBowtie())
+	ctx := context.Background()
+	if _, err := s.Solve(ctx, dsd.Query{H: 1, Algo: dsd.AlgoExact}); err == nil {
 		t.Fatal("h=1 accepted")
 	}
-	if _, err := dsd.CliqueDensest(g, 99, dsd.AlgoExact); err == nil {
+	if _, err := s.Solve(ctx, dsd.Query{H: 99, Algo: dsd.AlgoExact}); err == nil {
 		t.Fatal("h=99 accepted")
 	}
-	if _, err := dsd.CliqueDensest(g, 3, dsd.Algo("bogus")); err == nil {
+	if _, err := s.Solve(ctx, dsd.Query{H: 3, Algo: dsd.Algo("bogus")}); err == nil {
 		t.Fatal("bogus algorithm accepted")
 	}
-	if _, err := dsd.PatternDensest(g, dsd.Star(2), dsd.Algo("bogus")); err == nil {
+	if _, err := s.Solve(ctx, dsd.Query{Pattern: dsd.Star(2), Algo: dsd.Algo("bogus")}); err == nil {
 		t.Fatal("bogus pattern algorithm accepted")
 	}
 }
 
 func TestPublicAPIPatternDensest(t *testing.T) {
-	g := triangleBowtie()
+	s := dsd.NewSolver(triangleBowtie())
+	ctx := context.Background()
 	p, err := dsd.PatternByName("2-star")
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := dsd.PatternDensest(g, p, dsd.AlgoCoreExact)
+	exact, err := s.Solve(ctx, dsd.Query{Pattern: p, Algo: dsd.AlgoCoreExact})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := dsd.PatternDensest(g, p, dsd.AlgoExact)
+	base, err := s.Solve(ctx, dsd.Query{Pattern: p, Algo: dsd.AlgoExact})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if exact.Density.Cmp(base.Density) != 0 {
-		t.Fatalf("CorePExact %v != PExact %v", exact.Density, base.Density)
+		t.Fatalf("core-exact %v != exact %v", exact.Density, base.Density)
 	}
 }
 
 func TestPublicAPIEdgeDensest(t *testing.T) {
-	g := triangleBowtie()
-	res, err := dsd.EdgeDensest(g, dsd.AlgoCoreExact)
+	res, err := dsd.NewSolver(triangleBowtie()).Solve(context.Background(), dsd.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +212,20 @@ func TestPublicAPIGenerators(t *testing.T) {
 	}
 }
 
+// TestCoreExactOptionsExposed: a Query.Core ablation changes only the
+// pruning switches — the density stays exact and the pre-solver, which
+// Query.Iterative alone governs, keeps running.
 func TestCoreExactOptionsExposed(t *testing.T) {
-	g := triangleBowtie()
-	res := dsd.CliqueDensestCoreExactOpts(g, 3, dsd.CoreExactOptions{Pruning1: true})
+	res, err := dsd.NewSolver(triangleBowtie()).Solve(context.Background(),
+		dsd.Query{H: 3, Core: &dsd.CoreExactOptions{Pruning1: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Density.Float() != 0.4 {
 		t.Fatalf("P1-only density %v, want 0.4", res.Density)
+	}
+	if res.Stats.PreSolveIters == 0 {
+		t.Fatal("a Core ablation turned the pre-solver off")
 	}
 }
 

@@ -51,9 +51,9 @@ func ExampleQuery() {
 
 // The bowtie graph: two triangles sharing vertex 2. Its triangle-densest
 // subgraph is the whole bowtie (2 triangles over 5 vertices).
-func ExampleCliqueDensest() {
+func ExampleSolver_Solve() {
 	g := dsd.FromEdges(5, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {2, 4}, {3, 4}})
-	res, err := dsd.CliqueDensest(g, 3, dsd.AlgoCoreExact)
+	res, err := dsd.NewSolver(g).Solve(context.Background(), dsd.Query{H: 3})
 	if err != nil {
 		panic(err)
 	}
@@ -61,13 +61,14 @@ func ExampleCliqueDensest() {
 	// Output: density=0.40 vertices=[0 1 2 3 4]
 }
 
-func ExamplePatternDensest() {
+// Any connected pattern can stand in for the clique.
+func ExampleSolver_Solve_pattern() {
 	g := dsd.FromEdges(5, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {2, 4}, {3, 4}})
 	p, err := dsd.PatternByName("2-star")
 	if err != nil {
 		panic(err)
 	}
-	res, err := dsd.PatternDensest(g, p, dsd.AlgoCoreExact)
+	res, err := dsd.NewSolver(g).Solve(context.Background(), dsd.Query{Pattern: p})
 	if err != nil {
 		panic(err)
 	}
@@ -82,10 +83,10 @@ func ExampleCliqueCoreNumbers() {
 	// Output: [1 1 1 1 1] 1
 }
 
-func ExampleQueryDensest() {
+func ExampleQuery_anchored() {
 	// Densest subgraph forced to contain vertex 4 (on the sparse side).
 	g := dsd.FromEdges(5, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}})
-	res, err := dsd.QueryDensest(g, []int32{4})
+	res, err := dsd.NewSolver(g).Solve(context.Background(), dsd.Query{Anchors: []int32{4}})
 	if err != nil {
 		panic(err)
 	}

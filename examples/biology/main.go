@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,8 +32,9 @@ func main() {
 		{"2-star", mustPattern("2-star")},
 		{"diamond", mustPattern("diamond")},
 	}
+	s := dsd.NewSolver(g)
 	for _, pc := range patterns {
-		res, err := dsd.PatternDensest(g, pc.p, dsd.AlgoCoreExact)
+		res, err := s.Solve(context.Background(), dsd.Query{Pattern: pc.p})
 		if err != nil {
 			log.Fatal(err)
 		}

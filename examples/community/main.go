@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -19,6 +20,8 @@ func main() {
 	// Zipf-skewed so a few senior authors join many papers.
 	g := dsd.GenerateCollaboration(478, 260, 6, 42)
 	fmt.Printf("co-authorship network: %d authors, %d edges\n\n", g.N(), g.M())
+	s := dsd.NewSolver(g)
+	ctx := context.Background()
 
 	show := func(title string, res *dsd.Result) {
 		sub := g.Induced(res.Vertices)
@@ -44,13 +47,13 @@ func main() {
 		fmt.Println()
 	}
 
-	tri, err := dsd.PatternDensest(g, dsd.Clique(3), dsd.AlgoCoreExact)
+	tri, err := s.Solve(ctx, dsd.Query{Pattern: dsd.Clique(3)})
 	if err != nil {
 		log.Fatal(err)
 	}
 	show("triangle-PDS — a tight research group (everyone co-authors with everyone):", tri)
 
-	star, err := dsd.PatternDensest(g, dsd.Star(2), dsd.AlgoCoreExact)
+	star, err := s.Solve(ctx, dsd.Query{Pattern: dsd.Star(2)})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func main() {
 
 	// The approximation algorithms reach nearly the same density in a
 	// fraction of the time on large networks.
-	approx, err := dsd.PatternDensest(g, dsd.Clique(3), dsd.AlgoCoreApp)
+	approx, err := s.Solve(ctx, dsd.Query{Pattern: dsd.Clique(3), Algo: dsd.AlgoCoreApp})
 	if err != nil {
 		log.Fatal(err)
 	}

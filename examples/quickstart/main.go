@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,30 +32,32 @@ func main() {
 		{3, 4},
 	})
 	fmt.Printf("graph: n=%d m=%d\n\n", g.N(), g.M())
+	s := dsd.NewSolver(g)
+	ctx := context.Background()
 
-	// Exact edge-densest subgraph (EDS).
-	eds, err := dsd.EdgeDensest(g, dsd.AlgoCoreExact)
+	// Exact edge-densest subgraph (EDS): the zero Query.
+	eds, err := s.Solve(ctx, dsd.Query{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("EDS  (edge density):     ρ=%.3f vertices=%v\n", eds.Density.Float(), eds.Vertices)
 
 	// Exact triangle-densest subgraph (CDS with h=3).
-	cds, err := dsd.CliqueDensest(g, 3, dsd.AlgoCoreExact)
+	cds, err := s.Solve(ctx, dsd.Query{H: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("CDS  (triangle density): ρ=%.3f vertices=%v\n", cds.Density.Float(), cds.Vertices)
 
 	// The greedy 1/|VΨ|-approximation for comparison.
-	peel, err := dsd.CliqueDensest(g, 3, dsd.AlgoPeel)
+	peel, err := s.Solve(ctx, dsd.Query{H: 3, Algo: dsd.AlgoPeel})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Peel (triangle approx):  ρ=%.3f vertices=%v\n", peel.Density.Float(), peel.Vertices)
 
 	// Pattern density: the densest subgraph for the 2-star pattern.
-	star, err := dsd.PatternDensest(g, dsd.Star(2), dsd.AlgoCoreExact)
+	star, err := s.Solve(ctx, dsd.Query{Pattern: dsd.Star(2)})
 	if err != nil {
 		log.Fatal(err)
 	}

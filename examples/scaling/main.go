@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -31,7 +32,7 @@ func main() {
 
 func timeAlgo(g *dsd.Graph, algo dsd.Algo) time.Duration {
 	start := time.Now()
-	if _, err := dsd.CliqueDensest(g, 3, algo); err != nil {
+	if _, err := dsd.NewSolver(g).Solve(context.Background(), dsd.Query{H: 3, Algo: algo}); err != nil {
 		panic(err)
 	}
 	return time.Since(start)

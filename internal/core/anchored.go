@@ -20,16 +20,11 @@ import (
 // ≥ x/2 and its non-query vertices all have internal degree ≥ ⌈x/2⌉.
 // The flow network is therefore built on the query-anchored ⌈x/2⌉-core —
 // the subgraph left by peeling non-query vertices of degree < ⌈x/2⌉ —
-// instead of the whole graph.
-func QueryDensest(g *graph.Graph, query []int32) (*Result, error) {
-	return QueryDensestWithState(g, query, nil)
-}
-
-// QueryDensestWithState is QueryDensest reusing a precomputed classical
-// k-core decomposition of g (nil computes one) — the per-graph locate
-// state a warm dsd.Solver shares across anchored queries. dec is only
-// read.
-func QueryDensestWithState(g *graph.Graph, query []int32, dec *kcore.Decomposition) (*Result, error) {
+// instead of the whole graph. It reuses dec, a precomputed classical
+// k-core decomposition of g, when non-nil (nil computes one) — the
+// per-graph locate state a warm dsd.Solver shares across anchored
+// queries. dec is only read.
+func QueryDensest(g *graph.Graph, query []int32, dec *kcore.Decomposition) (*Result, error) {
 	start := time.Now()
 	n := g.N()
 	if len(query) == 0 {
@@ -84,7 +79,7 @@ func QueryDensestWithState(g *graph.Graph, query []int32, dec *kcore.Decompositi
 	nn := sub.N()
 	stop := 1.0 / (float64(nn) * float64(nn-1))
 	if nn < 2 {
-		res := evaluate(g, motif.Clique{H: 2}, []int32{query[0]})
+		res := Evaluate(g, motif.Clique{H: 2}, []int32{query[0]})
 		res.Stats.ReusedDecomposition = reused
 		res.Stats.Total = time.Since(start)
 		return res, nil
@@ -116,7 +111,7 @@ func QueryDensestWithState(g *graph.Graph, query []int32, dec *kcore.Decompositi
 			u = alpha
 		}
 	}
-	res := evaluate(g, motif.Clique{H: 2}, best)
+	res := Evaluate(g, motif.Clique{H: 2}, best)
 	res.Stats = stats
 	res.Stats.ReusedDecomposition = reused
 	res.Stats.Total = time.Since(start)
@@ -186,43 +181,4 @@ func buildAnchoredEDS(g *graph.Graph, query []int32, alpha float64) *flownet.Net
 		f.AddEdge(flownet.VertexNode(v), flownet.VertexNode(u), 1)
 	})
 	return &flownet.Net{Network: f, NVertices: n}
-}
-
-// QueryDensestBrute is the reference implementation used by tests: it
-// enumerates all vertex subsets containing the query set (only viable for
-// tiny graphs).
-func QueryDensestBrute(g *graph.Graph, query []int32) (rational.R, []int32) {
-	n := g.N()
-	inQ := make([]bool, n)
-	for _, q := range query {
-		inQ[q] = true
-	}
-	best := rational.Zero
-	var bestSet []int32
-	var vs []int32
-	for mask := 0; mask < (1 << n); mask++ {
-		ok := true
-		for q := 0; q < n; q++ {
-			if inQ[q] && mask&(1<<q) == 0 {
-				ok = false
-				break
-			}
-		}
-		if !ok || mask == 0 {
-			continue
-		}
-		vs = vs[:0]
-		for v := 0; v < n; v++ {
-			if mask&(1<<v) != 0 {
-				vs = append(vs, int32(v))
-			}
-		}
-		sub := g.Induced(vs)
-		d := rational.New(int64(sub.M()), int64(len(vs)))
-		if d.Greater(best) {
-			best = d
-			bestSet = append([]int32(nil), vs...)
-		}
-	}
-	return best, bestSet
 }

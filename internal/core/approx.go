@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/motif"
-	"repro/internal/pattern"
 	"repro/internal/psicore"
 )
 
@@ -16,16 +15,12 @@ import (
 // (kmax,Ψ)-core, whose density Theorem 1 bounds below by kmax/|VΨ|.
 
 // PeelApp is Algorithm 2: repeatedly remove the vertex with minimum
-// Ψ-degree and return the densest residual subgraph.
-func PeelApp(g *graph.Graph, o motif.Oracle) *Result {
-	return PeelAppWithState(g, o, nil)
-}
-
-// PeelAppWithState is PeelApp reusing a precomputed (k,Ψ)-core
-// decomposition (nil computes one): the answer is read straight off the
-// decomposition's residual-density tracking, so a warm dsd.Solver serves
-// it without touching the graph. dec is only read.
-func PeelAppWithState(g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition) *Result {
+// Ψ-degree and return the densest residual subgraph. It reuses dec, a
+// precomputed (k,Ψ)-core decomposition, when non-nil (nil computes one):
+// the answer is read straight off the decomposition's residual-density
+// tracking, so a warm dsd.Solver serves it without touching the graph.
+// dec is only read.
+func PeelApp(g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition) *Result {
 	start := time.Now()
 	reused := dec != nil
 	if dec == nil {
@@ -46,20 +41,15 @@ func PeelAppWithState(g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition
 }
 
 // IncApp is Algorithm 5: full (k,Ψ)-core decomposition, returning the
-// (kmax,Ψ)-core.
-func IncApp(g *graph.Graph, o motif.Oracle) *Result {
-	return IncAppWithState(g, o, nil)
-}
-
-// IncAppWithState is IncApp reusing a precomputed decomposition (nil
-// computes one); only the (kmax,Ψ)-core's own µ is re-counted.
-func IncAppWithState(g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition) *Result {
+// (kmax,Ψ)-core. It reuses dec when non-nil (nil computes one); only the
+// (kmax,Ψ)-core's own µ is then re-counted.
+func IncApp(g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition) *Result {
 	start := time.Now()
 	reused := dec != nil
 	if dec == nil {
 		dec = psicore.Decompose(g, o)
 	}
-	res := evaluate(g, o, dec.KMaxCoreVertices())
+	res := Evaluate(g, o, dec.KMaxCoreVertices())
 	if !reused {
 		res.Stats.Decompose = time.Since(start)
 	}
@@ -73,28 +63,23 @@ func IncAppWithState(g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition)
 func CoreApp(g *graph.Graph, o motif.Oracle) *Result {
 	start := time.Now()
 	ca := psicore.CoreApp(g, o)
-	res := evaluate(g, o, ca.Vertices)
+	res := Evaluate(g, o, ca.Vertices)
 	res.Stats.Total = time.Since(start)
 	return res
 }
 
 // Nucleus is the baseline that computes the (kmax,Ψ)-core with the
-// local (AND-style) nucleus decomposition instead of peeling.
-func Nucleus(g *graph.Graph, o motif.Oracle) *Result {
-	return NucleusWithState(g, o, nil)
-}
-
-// NucleusWithState is Nucleus reusing a precomputed nucleus decomposition
-// (nil computes one). dec must come from psicore.NucleusDecompose — the
-// nucleus core numbers differ from the peel decomposition's, so the two
-// memo kinds are never interchangeable.
-func NucleusWithState(g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition) *Result {
+// local (AND-style) nucleus decomposition instead of peeling. It reuses
+// dec when non-nil (nil computes one); dec must then come from
+// psicore.NucleusDecompose — the nucleus core numbers differ from the
+// peel decomposition's, so the two memo kinds are never interchangeable.
+func Nucleus(g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition) *Result {
 	start := time.Now()
 	reused := dec != nil
 	if dec == nil {
 		dec = psicore.NucleusDecompose(g, o)
 	}
-	res := evaluate(g, o, dec.KMaxCoreVertices())
+	res := Evaluate(g, o, dec.KMaxCoreVertices())
 	if !reused {
 		res.Stats.Decompose = time.Since(start)
 	}
@@ -102,17 +87,6 @@ func NucleusWithState(g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition
 	res.Stats.Total = time.Since(start)
 	return res
 }
-
-// PeelAppPattern, IncAppPattern and CoreAppPattern are the PDS variants of
-// the approximation algorithms (Section 7.2): identical drivers over the
-// pattern oracle.
-func PeelAppPattern(g *graph.Graph, p *pattern.Pattern) *Result { return PeelApp(g, motif.For(p)) }
-
-// IncAppPattern runs IncApp for a general pattern.
-func IncAppPattern(g *graph.Graph, p *pattern.Pattern) *Result { return IncApp(g, motif.For(p)) }
-
-// CoreAppPattern runs CoreApp for a general pattern.
-func CoreAppPattern(g *graph.Graph, p *pattern.Pattern) *Result { return CoreApp(g, motif.For(p)) }
 
 func sortVertices(vs []int32) {
 	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })

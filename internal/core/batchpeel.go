@@ -15,16 +15,12 @@ import (
 // vertices whose Ψ-degree is below (1+ε)·|VΨ|·ρ(current), so only
 // O(log n / ε) passes over the graph are needed. The best residual is a
 // 1/((1+ε)|VΨ|)-approximation of the densest subgraph.
-func BatchPeel(g *graph.Graph, o motif.Oracle, eps float64) (*Result, error) {
-	return BatchPeelWithState(g, o, eps, 0, nil)
-}
-
-// BatchPeelWithState is BatchPeel reusing a precomputed whole-graph
-// Ψ-degree vector (total = µ(G,Ψ), deg = per-vertex Ψ-degrees, exactly
-// o.CountAndDegrees(g)'s results; nil deg computes them). The peel
-// mutates a private copy, so one memoized vector may serve any number of
-// concurrent calls.
-func BatchPeelWithState(g *graph.Graph, o motif.Oracle, eps float64, total int64, deg []int64) (*Result, error) {
+//
+// It reuses a precomputed whole-graph Ψ-degree vector (total = µ(G,Ψ),
+// deg = per-vertex Ψ-degrees, exactly o.CountAndDegrees(g)'s results;
+// nil deg computes them). The peel mutates a private copy, so one
+// memoized vector may serve any number of concurrent calls.
+func BatchPeel(g *graph.Graph, o motif.Oracle, eps float64, total int64, deg []int64) (*Result, error) {
 	if eps <= 0 {
 		return nil, fmt.Errorf("core: BatchPeel needs ε > 0, got %f", eps)
 	}
@@ -90,15 +86,10 @@ func BatchPeelWithState(g *graph.Graph, o motif.Oracle, eps float64, total int64
 // Andersen & Chellapilla (WAW'09), cited as [3]: greedy peeling restricted
 // to residual subgraphs with at least k vertices. For edge density this is
 // a 1/3-approximation of the optimal ≥k-vertex subgraph; the exact problem
-// is NP-hard [5,4].
-func PeelAppAtLeast(g *graph.Graph, o motif.Oracle, k int) (*Result, error) {
-	return PeelAppAtLeastWithState(g, o, k, 0, nil)
-}
-
-// PeelAppAtLeastWithState is PeelAppAtLeast reusing a precomputed
-// whole-graph Ψ-degree vector (see BatchPeelWithState for the contract;
-// nil deg computes it). The trace peels a private copy.
-func PeelAppAtLeastWithState(g *graph.Graph, o motif.Oracle, k int, total int64, deg []int64) (*Result, error) {
+// is NP-hard [5,4]. It reuses a precomputed whole-graph Ψ-degree vector
+// (see BatchPeel for the contract; nil deg computes it); the trace peels
+// a private copy.
+func PeelAppAtLeast(g *graph.Graph, o motif.Oracle, k int, total int64, deg []int64) (*Result, error) {
 	if k < 1 || k > g.N() {
 		return nil, fmt.Errorf("core: size bound k=%d outside [1,%d]", k, g.N())
 	}

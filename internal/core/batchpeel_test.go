@@ -19,7 +19,7 @@ func TestBatchPeelGuarantee(t *testing.T) {
 				continue
 			}
 			for _, eps := range []float64{0.1, 0.5, 1.0} {
-				res, err := BatchPeel(g, o, eps)
+				res, err := BatchPeel(g, o, eps, 0, nil)
 				if err != nil {
 					t.Logf("%v", err)
 					return false
@@ -45,11 +45,11 @@ func TestBatchPeelFewPasses(t *testing.T) {
 	// and agree with PeelApp's guarantee regime.
 	g := gen.ChungLu(5000, 25000, 2.5, 3)
 	o := motif.Clique{H: 2}
-	res, err := BatchPeel(g, o, 0.25)
+	res, err := BatchPeel(g, o, 0.25, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peel := PeelApp(g, o)
+	peel := PeelApp(g, o, nil)
 	// Batch peel loses at most (1+ε) against sequential peel's bound; in
 	// practice they land close. Accept within 2x.
 	if res.Density.Float() < peel.Density.Float()/2 {
@@ -59,14 +59,14 @@ func TestBatchPeelFewPasses(t *testing.T) {
 
 func TestBatchPeelErrors(t *testing.T) {
 	g := graph.FromEdges(3, [][2]int{{0, 1}})
-	if _, err := BatchPeel(g, motif.Clique{H: 2}, 0); err == nil {
+	if _, err := BatchPeel(g, motif.Clique{H: 2}, 0, 0, nil); err == nil {
 		t.Fatal("eps=0 accepted")
 	}
-	if _, err := BatchPeel(g, motif.Clique{H: 2}, -1); err == nil {
+	if _, err := BatchPeel(g, motif.Clique{H: 2}, -1, 0, nil); err == nil {
 		t.Fatal("eps<0 accepted")
 	}
 	// No instances: density zero, empty-ish result, no panic.
-	res, err := BatchPeel(g, motif.Clique{H: 3}, 0.5)
+	res, err := BatchPeel(g, motif.Clique{H: 3}, 0.5, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestPeelAppAtLeastRespectsBound(t *testing.T) {
 	g := graph.FromEdges(12, b)
 	o := motif.Clique{H: 2}
 
-	un := PeelApp(g, o)
+	un := PeelApp(g, o, nil)
 	if len(un.Vertices) != 4 {
 		t.Fatalf("unconstrained peel |V|=%d, want 4", len(un.Vertices))
 	}
-	res, err := PeelAppAtLeast(g, o, 8)
+	res, err := PeelAppAtLeast(g, o, 8, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestPeelAppAtLeastMatchesBruteForceShape(t *testing.T) {
 		g := gen.GNM(10, 22, seed)
 		o := motif.Clique{H: 2}
 		for _, k := range []int{1, 4, 8, 10} {
-			res, err := PeelAppAtLeast(g, o, k)
+			res, err := PeelAppAtLeast(g, o, k, 0, nil)
 			if err != nil {
 				return false
 			}
@@ -142,10 +142,10 @@ func TestPeelAppAtLeastMatchesBruteForceShape(t *testing.T) {
 
 func TestPeelAppAtLeastErrors(t *testing.T) {
 	g := graph.FromEdges(3, [][2]int{{0, 1}})
-	if _, err := PeelAppAtLeast(g, motif.Clique{H: 2}, 0); err == nil {
+	if _, err := PeelAppAtLeast(g, motif.Clique{H: 2}, 0, 0, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := PeelAppAtLeast(g, motif.Clique{H: 2}, 99); err == nil {
+	if _, err := PeelAppAtLeast(g, motif.Clique{H: 2}, 99, 0, nil); err == nil {
 		t.Fatal("k>n accepted")
 	}
 }

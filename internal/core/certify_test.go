@@ -15,13 +15,13 @@ func TestCertifyAcceptsExactResults(t *testing.T) {
 		g := gen.GNM(11, 26, seed)
 		for _, h := range []int{2, 3, 4} {
 			o := motif.Clique{H: h}
-			res := CoreExact(g, h)
+			res := coreExact(t, g, motif.Clique{H: h}, DefaultOptions())
 			if err := Certify(g, o, res, true); err != nil {
 				t.Logf("seed %d h=%d: %v", seed, h, err)
 				return false
 			}
 			// Approximations pass the consistency-only check.
-			for _, ares := range []*Result{PeelApp(g, o), CoreApp(g, o)} {
+			for _, ares := range []*Result{PeelApp(g, o, nil), CoreApp(g, o)} {
 				if err := Certify(g, o, ares, false); err != nil {
 					t.Logf("seed %d h=%d approx: %v", seed, h, err)
 					return false
@@ -38,7 +38,7 @@ func TestCertifyAcceptsExactResults(t *testing.T) {
 func TestCertifyRejectsCorruption(t *testing.T) {
 	g := gen.GNM(12, 30, 3)
 	o := motif.Clique{H: 3}
-	res := CoreExact(g, 3)
+	res := coreExact(t, g, motif.Clique{H: 3}, DefaultOptions())
 	if res.Density.IsZero() {
 		t.Skip("no triangles in this seed")
 	}
@@ -100,8 +100,8 @@ func TestCertifyRejectsSuboptimalAsExact(t *testing.T) {
 	}
 	g := graph.FromEdges(73, b)
 	o := motif.Clique{H: 2}
-	peel := PeelApp(g, o)
-	exact := CoreExact(g, 2)
+	peel := PeelApp(g, o, nil)
+	exact := coreExact(t, g, motif.Clique{H: 2}, DefaultOptions())
 	if peel.Density.Cmp(exact.Density) == 0 {
 		t.Skip("peel found the optimum on this instance")
 	}

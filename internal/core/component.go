@@ -63,19 +63,14 @@ type ComponentOutcome struct {
 // core numbers the search shrinks along), and opts must match the plan's
 // options; both are read-only here, so one plan may serve any number of
 // concurrent SearchComponent calls.
-func SearchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition,
-	opts Options, bounds BoundSource, comp []int32, kLocate int64) (*ComponentOutcome, error) {
-	return SearchComponentObserved(ctx, g, o, dec, opts, bounds, comp, kLocate, nil)
-}
-
-// SearchComponentObserved is SearchComponent with a live upper-bound hook:
-// when onUpper is non-nil it receives every strict tightening of the
+//
+// When onUpper is non-nil it receives every strict tightening of the
 // search's certified upper bound (initially the component's max core
 // number), in monotone decreasing order, on the search's own goroutine.
 // Together with the Improve calls the search makes on bounds, this turns
 // the whole binary search into an emittable stream of certified interval
 // refinements — the anytime planner's substrate.
-func SearchComponentObserved(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition,
+func SearchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition,
 	opts Options, bounds BoundSource, comp []int32, kLocate int64, onUpper func(float64)) (*ComponentOutcome, error) {
 	n := g.N()
 	globalStop := 1.0 / (float64(n) * float64(n-1))
@@ -171,12 +166,4 @@ func (c *FloorCell) Raise(d rational.R) bool {
 	}
 	c.floor = d
 	return true
-}
-
-// Evaluate builds the full Result (µ, exact density, sorted vertex set)
-// for the subgraph of g induced by vs — the coordinator's final merge
-// step, recomputing the winning witness's certificate from the graph
-// rather than trusting a wire-carried density.
-func Evaluate(g *graph.Graph, o motif.Oracle, vs []int32) *Result {
-	return evaluate(g, o, vs)
 }

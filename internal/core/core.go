@@ -1,19 +1,21 @@
 // Package core implements the densest-subgraph-discovery algorithms that
 // are the paper's contribution: the state-of-the-art baselines Exact
-// (Algorithm 1) and PeelApp (Algorithm 2), the core-based algorithms
-// CoreExact (Algorithm 4), IncApp (Algorithm 5), CoreApp (Algorithm 6),
-// PExact (Algorithm 8) and CorePExact (Section 7.2), the Section-6.3
+// (Algorithms 1 and 8) and PeelApp (Algorithm 2), the core-based
+// algorithms CoreExact (Algorithm 4, and Section 7.2 for patterns),
+// IncApp (Algorithm 5) and CoreApp (Algorithm 6), the Section-6.3
 // query-anchored variant, the cited streaming (Bahmani et al.) and
 // size-constrained (Andersen–Chellapilla) baselines, and a result
 // certifier. All algorithms are generic over the motif Ψ (h-clique or
-// pattern) via motif.Oracle.
+// pattern) via motif.Oracle, and each has one entry point; those that
+// can reuse memoized per-graph state (a decomposition or a Ψ-degree
+// vector) take it as a final argument, nil meaning "compute it".
 //
 // File guide:
 //
-//	exact.go      Exact / PExact: flow-network binary search (Alg. 1, 8)
-//	coreexact.go  CoreExact / CorePExact with Pruning1-3 and construct+
+//	exact.go      Exact: flow-network binary search (Alg. 1, 8)
+//	coreexact.go  CoreExact with Pruning1-3 and construct+
 //	parallel.go   worker pool + shared monotone bound for CoreExact
-//	approx.go     PeelApp, IncApp, CoreApp, Nucleus wrappers
+//	approx.go     PeelApp, IncApp, CoreApp, Nucleus
 //	anchored.go   QueryDensest (§6.3 variant)
 //	batchpeel.go  BatchPeel [6] and PeelAppAtLeast [3]
 //	certify.go    Certify: result certificates

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -19,6 +20,16 @@ func bruteDensest(g *graph.Graph, o motif.Oracle) rational.R {
 	return d
 }
 
+// coreExact runs CoreExact to completion on a fresh decomposition.
+func coreExact(t testing.TB, g *graph.Graph, o motif.Oracle, opts Options) *Result {
+	t.Helper()
+	res, err := CoreExact(context.Background(), g, o, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // figure1 is the paper's running example (Figure 1(a)): a 7-vertex graph
 // whose EDS S1 has edge-density 11/7 and whose triangle-CDS S2 is a
 // 4-clique-ish region. We build a graph with the stated densities: S1 =
@@ -32,7 +43,7 @@ func figure1() *graph.Graph {
 
 func TestExactEDSFigure1(t *testing.T) {
 	g := figure1()
-	res := Exact(g, 2)
+	res := Exact(g, motif.Clique{H: 2}, false)
 	want := bruteDensest(g, motif.Clique{H: 2})
 	if res.Density.Cmp(want) != 0 {
 		t.Fatalf("Exact EDS density %v, brute force %v", res.Density, want)
@@ -44,7 +55,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 		g := gen.GNM(10, 22, seed)
 		for _, h := range []int{2, 3, 4} {
 			want := bruteDensest(g, motif.Clique{H: h})
-			got := Exact(g, h)
+			got := Exact(g, motif.Clique{H: h}, false)
 			if got.Density.Cmp(want) != 0 {
 				t.Logf("seed %d h=%d: Exact %v, brute %v", seed, h, got.Density, want)
 				return false
@@ -69,8 +80,8 @@ func TestCoreExactMatchesExact(t *testing.T) {
 	f := func(seed int64) bool {
 		g := gen.GNM(12, 30, seed)
 		for _, h := range []int{2, 3, 4, 5} {
-			exact := Exact(g, h)
-			ce := CoreExact(g, h)
+			exact := Exact(g, motif.Clique{H: h}, false)
+			ce := coreExact(t, g, motif.Clique{H: h}, DefaultOptions())
 			if ce.Density.Cmp(exact.Density) != 0 {
 				t.Logf("seed %d h=%d: CoreExact %v, Exact %v", seed, h, ce.Density, exact.Density)
 				return false
@@ -97,7 +108,7 @@ func TestCoreExactPruningVariants(t *testing.T) {
 		for _, h := range []int{2, 3} {
 			want := bruteDensest(g, motif.Clique{H: h})
 			for i, opts := range variants {
-				got := CoreExactOpts(g, h, opts)
+				got := coreExact(t, g, motif.Clique{H: h}, opts)
 				if got.Density.Cmp(want) != 0 {
 					t.Logf("seed %d h=%d variant %d: %v want %v", seed, h, i, got.Density, want)
 					return false
@@ -118,17 +129,17 @@ func TestPExactAndCorePExactMatchBruteForce(t *testing.T) {
 		for _, p := range pats {
 			o := motif.For(p)
 			want := bruteDensest(g, o)
-			pe := PExact(g, p)
+			pe := Exact(g, motif.For(p), false)
 			if pe.Density.Cmp(want) != 0 {
 				t.Logf("seed %d %s: PExact %v want %v", seed, p.Name(), pe.Density, want)
 				return false
 			}
-			cpe := CorePExact(g, p)
+			cpe := coreExact(t, g, motif.For(p), DefaultOptions())
 			if cpe.Density.Cmp(want) != 0 {
 				t.Logf("seed %d %s: CorePExact %v want %v", seed, p.Name(), cpe.Density, want)
 				return false
 			}
-			peg := PExactGrouped(g, p)
+			peg := Exact(g, motif.For(p), true)
 			if peg.Density.Cmp(want) != 0 {
 				t.Logf("seed %d %s: PExactGrouped %v want %v", seed, p.Name(), peg.Density, want)
 				return false
@@ -156,10 +167,10 @@ func TestApproximationGuarantee(t *testing.T) {
 				continue
 			}
 			for name, res := range map[string]*Result{
-				"PeelApp": PeelApp(g, o),
-				"IncApp":  IncApp(g, o),
+				"PeelApp": PeelApp(g, o, nil),
+				"IncApp":  IncApp(g, o, nil),
 				"CoreApp": CoreApp(g, o),
-				"Nucleus": Nucleus(g, o),
+				"Nucleus": Nucleus(g, o, nil),
 			} {
 				// ρ(S*) ≥ ρopt/|VΨ| ⟺ ρ(S*)·|VΨ|·den(opt) ≥ num(opt)·den(S*).
 				lhs := rational.New(res.Density.Num*int64(o.Size()), res.Density.Den)
@@ -181,9 +192,9 @@ func TestApproximationGuarantee(t *testing.T) {
 func TestIncCoreNucleusAgree(t *testing.T) {
 	g := gen.GNM(30, 110, 5)
 	for _, o := range []motif.Oracle{motif.Clique{H: 2}, motif.Clique{H: 3}, motif.Diamond{}} {
-		a := IncApp(g, o)
+		a := IncApp(g, o, nil)
 		b := CoreApp(g, o)
-		c := Nucleus(g, o)
+		c := Nucleus(g, o, nil)
 		if a.Density.Cmp(b.Density) != 0 || a.Density.Cmp(c.Density) != 0 {
 			t.Fatalf("%s: IncApp %v CoreApp %v Nucleus %v", o.Name(), a.Density, b.Density, c.Density)
 		}
@@ -195,30 +206,30 @@ func TestIncCoreNucleusAgree(t *testing.T) {
 
 func TestEmptyAndDegenerateInputs(t *testing.T) {
 	empty := graph.FromEdges(0, nil)
-	if res := CoreExact(empty, 3); len(res.Vertices) != 0 || !res.Density.IsZero() {
+	if res := coreExact(t, empty, motif.Clique{H: 3}, DefaultOptions()); len(res.Vertices) != 0 || !res.Density.IsZero() {
 		t.Fatalf("empty graph: %+v", res)
 	}
-	if res := Exact(empty, 2); len(res.Vertices) != 0 {
+	if res := Exact(empty, motif.Clique{H: 2}, false); len(res.Vertices) != 0 {
 		t.Fatalf("empty graph Exact: %+v", res)
 	}
 	// No triangles at all.
 	tree := graph.FromEdges(6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
-	if res := CoreExact(tree, 3); !res.Density.IsZero() {
+	if res := coreExact(t, tree, motif.Clique{H: 3}, DefaultOptions()); !res.Density.IsZero() {
 		t.Fatalf("tree triangle density: %v", res.Density)
 	}
-	if res := PeelApp(tree, motif.Clique{H: 3}); !res.Density.IsZero() {
+	if res := PeelApp(tree, motif.Clique{H: 3}, nil); !res.Density.IsZero() {
 		t.Fatalf("tree PeelApp: %v", res.Density)
 	}
 	// Graph smaller than the pattern.
 	tiny := graph.FromEdges(2, [][2]int{{0, 1}})
-	if res := PExact(tiny, pattern.Basket()); len(res.Vertices) != 0 {
+	if res := Exact(tiny, motif.For(pattern.Basket()), false); len(res.Vertices) != 0 {
 		t.Fatalf("tiny PExact: %+v", res)
 	}
 }
 
 func TestStatsInstrumentation(t *testing.T) {
 	g := gen.GNM(20, 70, 2)
-	res := CoreExact(g, 3)
+	res := coreExact(t, g, motif.Clique{H: 3}, DefaultOptions())
 	if res.Stats.Total <= 0 {
 		t.Fatal("missing total time")
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/iterative"
 	"repro/internal/motif"
 	"repro/internal/obs"
-	"repro/internal/pattern"
 	"repro/internal/psicore"
 	"repro/internal/rational"
 	"repro/internal/resilience"
@@ -110,66 +109,6 @@ func DefaultOptions() Options {
 		Pruning1: true, Pruning2: true, Pruning3: true, Grouped: true,
 		Iterative: DefaultIterativeBudget,
 	}
-}
-
-// CoreExact is the paper's core-based exact CDS algorithm (Algorithm 4)
-// for h-clique density.
-func CoreExact(g *graph.Graph, h int) *Result {
-	return CoreExactOpts(g, h, DefaultOptions())
-}
-
-// CoreExactOpts runs CoreExact with explicit pruning options.
-func CoreExactOpts(g *graph.Graph, h int, opts Options) *Result {
-	res, _ := coreExactDriver(context.Background(), g, motif.Clique{H: h}, opts)
-	return res
-}
-
-// CoreExactCtx runs CoreExact bounded by ctx: the decomposition and every
-// component search poll ctx and return (nil, ctx.Err()) once it is
-// cancelled, so a caller's cancellation stops the work instead of letting
-// it run to completion. Cancellation is cooperative at flow-solve
-// granularity: the algorithm returns after at most one more min-cut.
-func CoreExactCtx(ctx context.Context, g *graph.Graph, h int, opts Options) (*Result, error) {
-	return coreExactDriver(ctx, g, motif.Clique{H: h}, opts)
-}
-
-// CoreExactWithState is CoreExactCtx reusing a precomputed (k,Ψ)-core
-// decomposition of g for Ψ = h-clique (nil dec computes one): step 1 of
-// Algorithm 4 — the dominant fixed cost on dense-motif graphs — is
-// skipped entirely, which is how a warm dsd.Solver answers a repeat-Ψ
-// query. dec must be exactly psicore.Decompose(g, motif.Clique{H:h})'s
-// result; it is only read, so one decomposition may serve any number of
-// concurrent searches.
-func CoreExactWithState(ctx context.Context, g *graph.Graph, h int, opts Options, dec *psicore.Decomposition) (*Result, error) {
-	return coreExactDriverState(ctx, g, motif.Clique{H: h}, opts, dec)
-}
-
-// CorePExactWithState is CorePExactCtx reusing a precomputed pattern-core
-// decomposition (nil dec computes one); see CoreExactWithState.
-func CorePExactWithState(ctx context.Context, g *graph.Graph, p *pattern.Pattern, opts Options, dec *psicore.Decomposition) (*Result, error) {
-	return coreExactDriverState(ctx, g, motif.For(p), opts, dec)
-}
-
-// CorePExact is the core-based exact PDS algorithm (Section 7.2): the
-// CoreExact skeleton over pattern cores with the construct+ network.
-func CorePExact(g *graph.Graph, p *pattern.Pattern) *Result {
-	return CorePExactOpts(g, p, DefaultOptions())
-}
-
-// CorePExactOpts runs CorePExact with explicit options.
-func CorePExactOpts(g *graph.Graph, p *pattern.Pattern, opts Options) *Result {
-	res, _ := coreExactDriver(context.Background(), g, motif.For(p), opts)
-	return res
-}
-
-// CorePExactCtx runs CorePExact bounded by ctx; see CoreExactCtx for the
-// cancellation contract.
-func CorePExactCtx(ctx context.Context, g *graph.Graph, p *pattern.Pattern, opts Options) (*Result, error) {
-	return coreExactDriver(ctx, g, motif.For(p), opts)
-}
-
-func coreExactDriver(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Options) (*Result, error) {
-	return coreExactDriverState(ctx, g, o, opts, nil)
 }
 
 // Plan is the output of Algorithm 4's location steps (lines 1-4 plus
@@ -356,7 +295,21 @@ func PlanCoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Opt
 	}, nil
 }
 
-func coreExactDriverState(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Options, dec *psicore.Decomposition) (*Result, error) {
+// CoreExact is the paper's core-based exact algorithm (Algorithm 4) over
+// any motif oracle: h-clique density (CDS), or a general pattern with the
+// construct+ network (PDS, Section 7.2). It reuses dec, a precomputed
+// (k,Ψ)-core decomposition of g for o, when non-nil — step 1 of Algorithm
+// 4, the dominant fixed cost on dense-motif graphs, is then skipped, which
+// is how a warm dsd.Solver answers a repeat-Ψ query. dec must be exactly
+// psicore.Decompose(g, o)'s result (or an upper bound on it, flagged by
+// Options.DecUpperBound); it is only read, so one decomposition may serve
+// any number of concurrent searches; nil computes one.
+//
+// The decomposition and every component search poll ctx and return
+// (nil, ctx.Err()) once it is cancelled. Cancellation is cooperative at
+// flow-solve granularity: the algorithm returns after at most one more
+// min-cut.
+func CoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Options, dec *psicore.Decomposition) (*Result, error) {
 	start := time.Now()
 	// Graceful degradation: the searches run under the deadline-bounded
 	// dctx, while the caller's ctx stays the authority on real
@@ -432,7 +385,7 @@ func coreExactDriverState(ctx context.Context, g *graph.Graph, o motif.Oracle, o
 	}
 
 	_, witness := cell.snapshot()
-	res := evaluate(g, o, witness)
+	res := Evaluate(g, o, witness)
 	res.Stats = stats
 	res.Stats.Total = time.Since(start)
 	if deadlined || gapped {

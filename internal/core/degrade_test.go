@@ -53,9 +53,9 @@ func TestGapBoundsContainExact(t *testing.T) {
 	f := func(seed int64) bool {
 		g := gen.GNM(14, 34, seed)
 		for _, h := range []int{2, 3} {
-			exact := Exact(g, h)
+			exact := Exact(g, motif.Clique{H: h}, false)
 			for _, gap := range []float64{0.05, 0.25, 1.0} {
-				res, err := CoreExactCtx(context.Background(), g, h, Options{Gap: gap})
+				res, err := CoreExact(context.Background(), g, motif.Clique{H: h}, Options{Gap: gap}, nil)
 				if err != nil {
 					t.Logf("seed %d h=%d gap=%g: %v", seed, h, gap, err)
 					return false
@@ -98,9 +98,9 @@ func TestDeadlineBoundsContainExact(t *testing.T) {
 		500 * time.Microsecond, 5 * time.Millisecond, time.Minute}
 	f := func(seed int64) bool {
 		g := gen.GNM(16, 40, seed)
-		exact := Exact(g, 3)
+		exact := Exact(g, motif.Clique{H: 3}, false)
 		for _, d := range deadlines {
-			res, err := CoreExactCtx(context.Background(), g, 3, Options{Deadline: d})
+			res, err := CoreExact(context.Background(), g, motif.Clique{H: 3}, Options{Deadline: d}, nil)
 			if err != nil {
 				// Only a mid-plan deadline may error, and only with the
 				// context's own error.
@@ -134,7 +134,7 @@ func TestDeadlineNeverMasksRealCancellation(t *testing.T) {
 	cancel()
 	// Outer ctx dead: the run must error, never "degrade" its way past a
 	// real cancellation — even with a deadline armed.
-	if _, err := CoreExactCtx(ctx, g, 3, Options{Deadline: time.Minute}); !errors.Is(err, context.Canceled) {
+	if _, err := CoreExact(ctx, g, motif.Clique{H: 3}, Options{Deadline: time.Minute}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned err=%v, want context.Canceled", err)
 	}
 }
@@ -144,8 +144,8 @@ func TestGenerousBudgetsStayExact(t *testing.T) {
 	// the unbudgeted run: same density, not degraded.
 	f := func(seed int64) bool {
 		g := gen.GNM(12, 30, seed)
-		exact := CoreExact(g, 2)
-		res, err := CoreExactCtx(context.Background(), g, 2, Options{Deadline: time.Hour})
+		exact := coreExact(t, g, motif.Clique{H: 2}, DefaultOptions())
+		res, err := CoreExact(context.Background(), g, motif.Clique{H: 2}, Options{Deadline: time.Hour}, nil)
 		if err != nil || res.Degraded || res.Density.Cmp(exact.Density) != 0 {
 			t.Logf("seed %d: deadline=1h err=%v degraded=%v density %v want %v",
 				seed, err, res != nil && res.Degraded, res.Density, exact.Density)

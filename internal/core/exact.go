@@ -8,36 +8,20 @@ import (
 	"repro/internal/graph"
 	"repro/internal/iterative"
 	"repro/internal/motif"
-	"repro/internal/pattern"
 )
 
-// Exact is the state-of-the-art exact CDS algorithm (Algorithm 1): binary
-// search on the guess α with a min s-t cut per probe, with the flow
-// network rebuilt on the entire graph every iteration. For Ψ = edge it
-// uses Goldberg's simplified network, for h-cliques the (h−1)-clique
-// network. The binary search is seeded from Greed++ bounds (the same
-// flow-free pre-solver CoreExact uses) instead of (0, max motif degree);
-// the bounds are conservative certificates, so the returned density is
-// unchanged and the seeding only removes probes.
-func Exact(g *graph.Graph, h int) *Result {
-	return exactDriver(g, motif.Clique{H: h}, false)
-}
-
-// PExact is the exact PDS algorithm (Algorithm 8): the Exact framework
-// with one flow-network node per pattern instance, pre-solve seeded like
-// Exact.
-func PExact(g *graph.Graph, p *pattern.Pattern) *Result {
-	return exactDriver(g, motif.For(p), false)
-}
-
-// PExactGrouped runs PExact with the construct+ grouped network
-// (Algorithm 7) but without core-based pruning, isolating the effect of
-// grouping for ablations.
-func PExactGrouped(g *graph.Graph, p *pattern.Pattern) *Result {
-	return exactDriver(g, motif.For(p), true)
-}
-
-func exactDriver(g *graph.Graph, o motif.Oracle, grouped bool) *Result {
+// Exact is the state-of-the-art exact algorithm: binary search on the
+// guess α with a min s-t cut per probe, with the flow network rebuilt on
+// the entire graph every iteration. For h-cliques it is Algorithm 1 (for
+// Ψ = edge, Goldberg's simplified network; otherwise the (h−1)-clique
+// network); for a general pattern it is Algorithm 8, one flow-network
+// node per pattern instance — or, with grouped set, the construct+
+// grouped network (Algorithm 7) without core-based pruning, isolating the
+// effect of grouping for ablations. The binary search is seeded from
+// Greed++ bounds (the same flow-free pre-solver CoreExact uses) instead
+// of (0, max motif degree); the bounds are conservative certificates, so
+// the returned density is unchanged and the seeding only removes probes.
+func Exact(g *graph.Graph, o motif.Oracle, grouped bool) *Result {
 	start := time.Now()
 	n := g.N()
 	if n < o.Size() {
@@ -91,7 +75,7 @@ func exactDriver(g *graph.Graph, o motif.Oracle, grouped bool) *Result {
 		// flow-free.
 		stats.PreSolveSkips++
 	}
-	res := evaluate(g, o, best)
+	res := Evaluate(g, o, best)
 	res.Stats = stats
 	res.Stats.Total = time.Since(start)
 	return res

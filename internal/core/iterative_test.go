@@ -19,12 +19,12 @@ import (
 func TestCoreExactIterativeEquivalence(t *testing.T) {
 	for gi, g := range equivalenceGraphs(t) {
 		for h := 2; h <= 4; h++ {
-			want := Exact(g, h).Density
+			want := Exact(g, motif.Clique{H: h}, false).Density
 			serial := DefaultOptions() // pre-solver on by default
 			par := DefaultOptions()
 			par.Workers = 4
 			for mode, opts := range map[string]Options{"serial": serial, "parallel": par} {
-				res := CoreExactOpts(g, h, opts)
+				res := coreExact(t, g, motif.Clique{H: h}, opts)
 				if res.Density.Cmp(want) != 0 {
 					t.Fatalf("graph %d h=%d %s: pre-solved density %v != exact %v",
 						gi, h, mode, res.Density, want)
@@ -47,10 +47,10 @@ func TestCorePExactIterativeEquivalence(t *testing.T) {
 	gs := equivalenceGraphs(t)[:10]
 	for gi, g := range gs {
 		for _, p := range pats {
-			want := PExact(g, p).Density
+			want := Exact(g, motif.For(p), false).Density
 			opts := DefaultOptions()
 			opts.Workers = 3
-			res := CorePExactOpts(g, p, opts)
+			res := coreExact(t, g, motif.For(p), opts)
 			if res.Density.Cmp(want) != 0 {
 				t.Fatalf("graph %d pattern %s: pre-solved density %v != exact %v",
 					gi, p.Name(), res.Density, want)
@@ -65,13 +65,13 @@ func TestCorePExactIterativeEquivalence(t *testing.T) {
 func TestCoreExactIterativeBudgets(t *testing.T) {
 	gs := equivalenceGraphs(t)[:8]
 	for gi, g := range gs {
-		want := CoreExactOpts(g, 3, Options{
+		want := coreExact(t, g, motif.Clique{H: 3}, Options{
 			Pruning1: true, Pruning2: true, Pruning3: true, Grouped: true,
 		}).Density // Iterative: 0 — the flow-only seed engine
 		for _, budget := range []int{1, 2, DefaultIterativeBudget, 64} {
 			opts := DefaultOptions()
 			opts.Iterative = budget
-			got := CoreExactOpts(g, 3, opts).Density
+			got := coreExact(t, g, motif.Clique{H: 3}, opts).Density
 			if got.Cmp(want) != 0 {
 				t.Fatalf("graph %d budget %d: density %v, want %v", gi, budget, got, want)
 			}
@@ -90,11 +90,11 @@ func TestCoreExactIterativePruningVariants(t *testing.T) {
 		{Pruning1: true, Pruning2: true, Pruning3: false, Grouped: true, Iterative: DefaultIterativeBudget},
 	}
 	for gi, g := range gs {
-		want := Exact(g, 3).Density
+		want := Exact(g, motif.Clique{H: 3}, false).Density
 		for vi, opts := range variants {
 			for _, workers := range []int{0, 3} {
 				opts.Workers = workers
-				got := CoreExactOpts(g, 3, opts).Density
+				got := coreExact(t, g, motif.Clique{H: 3}, opts).Density
 				if got.Cmp(want) != 0 {
 					t.Fatalf("graph %d variant %d workers %d: density %v, want %v",
 						gi, vi, workers, got, want)
@@ -117,14 +117,14 @@ func TestCoreExactIterativeMultiCommunity(t *testing.T) {
 
 	seed := DefaultOptions()
 	seed.Iterative = 0
-	seedRes := CoreExactOpts(g, 3, seed)
+	seedRes := coreExact(t, g, motif.Clique{H: 3}, seed)
 	if seedRes.Density.Cmp(want) != 0 {
 		t.Fatalf("seed engine: density %v, want %v", seedRes.Density, want)
 	}
 	for _, w := range []int{0, 1, 2, 4, 8} {
 		opts := DefaultOptions()
 		opts.Workers = w
-		res := CoreExactOpts(g, 3, opts)
+		res := coreExact(t, g, motif.Clique{H: 3}, opts)
 		if res.Density.Cmp(want) != 0 {
 			t.Fatalf("workers=%d: density %v, want %v", w, res.Density, want)
 		}
@@ -149,11 +149,11 @@ func TestCoreExactIterativeStats(t *testing.T) {
 	g := gen.ChungLu(80, 320, 2.3, 5)
 	seed := DefaultOptions()
 	seed.Iterative = 0
-	rs := CoreExactOpts(g, 3, seed)
+	rs := coreExact(t, g, motif.Clique{H: 3}, seed)
 	if rs.Stats.PreSolveIters != 0 || rs.Stats.PreSolveSkips != 0 {
 		t.Fatalf("seed engine reports pre-solve work: %+v", rs.Stats)
 	}
-	ri := CoreExact(g, 3)
+	ri := coreExact(t, g, motif.Clique{H: 3}, DefaultOptions())
 	if ri.Stats.PreSolveIters == 0 {
 		t.Fatal("default engine reports no pre-solve iterations")
 	}
@@ -170,8 +170,8 @@ func TestExactPreSolveSeeding(t *testing.T) {
 	seed := Options{Pruning1: true, Pruning2: true, Pruning3: true, Grouped: true}
 	for gi, g := range equivalenceGraphs(t)[:10] {
 		for h := 2; h <= 3; h++ {
-			e := Exact(g, h)
-			want := CoreExactOpts(g, h, seed)
+			e := Exact(g, motif.Clique{H: h}, false)
+			want := coreExact(t, g, motif.Clique{H: h}, seed)
 			if e.Density.Cmp(want.Density) != 0 {
 				t.Fatalf("graph %d h=%d: seeded Exact density %v != core-exact %v",
 					gi, h, e.Density, want.Density)
@@ -186,8 +186,8 @@ func TestExactPreSolveSeeding(t *testing.T) {
 	}
 	g := equivalenceGraphs(t)[0]
 	p := pattern.Star(2)
-	pe := PExact(g, p)
-	want := CorePExactOpts(g, p, seed)
+	pe := Exact(g, motif.For(p), false)
+	want := coreExact(t, g, motif.For(p), seed)
 	if pe.Density.Cmp(want.Density) != 0 {
 		t.Fatalf("seeded PExact density %v != core-p-exact %v", pe.Density, want.Density)
 	}
@@ -210,7 +210,7 @@ func TestSearchComponentFloorCell(t *testing.T) {
 	if len(plan.Components) < 2 {
 		t.Fatalf("stress instance yielded %d components", len(plan.Components))
 	}
-	want := CoreExactOpts(g, 3, opts)
+	want := coreExact(t, g, motif.Clique{H: 3}, opts)
 
 	// Sequential floor-cell execution in plan order reproduces the
 	// serial engine's merge exactly.
@@ -218,7 +218,7 @@ func TestSearchComponentFloorCell(t *testing.T) {
 	witness := plan.Witness
 	for i, comp := range plan.Components {
 		cell := NewFloorCell(best)
-		out, err := SearchComponent(context.Background(), g, o, plan.Dec, opts, cell, comp, plan.KLocate)
+		out, err := SearchComponent(context.Background(), g, o, plan.Dec, opts, cell, comp, plan.KLocate, nil)
 		if err != nil {
 			t.Fatalf("component %d: %v", i, err)
 		}
@@ -243,7 +243,7 @@ func TestSearchComponentFloorCell(t *testing.T) {
 	// searches must come back witness-less, never with a worse answer.
 	for i, comp := range plan.Components {
 		cell := NewFloorCell(want.Density)
-		out, err := SearchComponent(context.Background(), g, o, plan.Dec, opts, cell, comp, plan.KLocate)
+		out, err := SearchComponent(context.Background(), g, o, plan.Dec, opts, cell, comp, plan.KLocate, nil)
 		if err != nil {
 			t.Fatalf("component %d: %v", i, err)
 		}

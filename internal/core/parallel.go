@@ -1,6 +1,6 @@
-// Parallel execution substrate for the exact hot path: CoreExact's and
-// CorePExact's per-component binary searches are independent except for
-// the global lower bound l, so they run on a bounded worker pool that
+// Parallel execution substrate for the exact hot path: CoreExact's
+// per-component binary searches are independent except for the global
+// lower bound l, so they run on a bounded worker pool that
 // shares (l, witness) through a mutex-protected monotone cell. A density
 // improvement found in one component immediately raises the probe
 // threshold, shrinks the cores, and arms the can't-beat abort of every

@@ -39,10 +39,10 @@ func equivalenceGraphs(tb testing.TB) []*graph.Graph {
 func TestCoreExactParallelEquivalence(t *testing.T) {
 	for gi, g := range equivalenceGraphs(t) {
 		for h := 2; h <= 4; h++ {
-			serial := CoreExact(g, h)
+			serial := coreExact(t, g, motif.Clique{H: h}, DefaultOptions())
 			opts := DefaultOptions()
 			opts.Workers = 4
-			par := CoreExactOpts(g, h, opts)
+			par := coreExact(t, g, motif.Clique{H: h}, opts)
 			if serial.Density.Cmp(par.Density) != 0 {
 				t.Fatalf("graph %d h=%d: parallel density %v != serial %v",
 					gi, h, par.Density, serial.Density)
@@ -64,10 +64,10 @@ func TestCorePExactParallelEquivalence(t *testing.T) {
 	gs := equivalenceGraphs(t)[:10]
 	for gi, g := range gs {
 		for _, p := range pats {
-			serial := CorePExact(g, p)
+			serial := coreExact(t, g, motif.For(p), DefaultOptions())
 			opts := DefaultOptions()
 			opts.Workers = 4
-			par := CorePExactOpts(g, p, opts)
+			par := coreExact(t, g, motif.For(p), opts)
 			if serial.Density.Cmp(par.Density) != 0 {
 				t.Fatalf("graph %d pattern %s: parallel density %v != serial %v",
 					gi, p.Name(), par.Density, serial.Density)
@@ -90,7 +90,7 @@ func TestCoreExactParallelMultiCommunity(t *testing.T) {
 	for _, w := range []int{0, 1, 2, 4, 8} {
 		opts := DefaultOptions()
 		opts.Workers = w
-		res := CoreExactOpts(g, 3, opts)
+		res := coreExact(t, g, motif.Clique{H: 3}, opts)
 		if res.Density.Cmp(want) != 0 {
 			t.Fatalf("workers=%d: density %v, want %v", w, res.Density, want)
 		}
@@ -106,7 +106,7 @@ func TestCoreExactCtxCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CoreExactCtx(ctx, g, 3, DefaultOptions()); err != context.Canceled {
+	if _, err := CoreExact(ctx, g, motif.Clique{H: 3}, DefaultOptions(), nil); err != context.Canceled {
 		t.Fatalf("pre-cancelled ctx: err = %v, want context.Canceled", err)
 	}
 
@@ -120,7 +120,7 @@ func TestCoreExactCtxCancelled(t *testing.T) {
 	done := make(chan outcome, 1)
 	start := time.Now()
 	go func() {
-		res, err := CoreExactCtx(ctx, g, 3, opts)
+		res, err := CoreExact(ctx, g, motif.Clique{H: 3}, opts, nil)
 		done <- outcome{res, err}
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -136,7 +136,7 @@ func TestCoreExactCtxCancelled(t *testing.T) {
 			t.Fatalf("mid-run cancel: err = %v (res=%v), want context.Canceled", o.err, o.res)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled CoreExactCtx never returned")
+		t.Fatal("cancelled CoreExact never returned")
 	}
 }
 
@@ -175,10 +175,10 @@ func TestCoreExactPruningOffParallel(t *testing.T) {
 		{Pruning1: true, Pruning2: true, Pruning3: false, Grouped: true},
 	}
 	for gi, g := range gs {
-		want := CoreExact(g, 3).Density
+		want := coreExact(t, g, motif.Clique{H: 3}, DefaultOptions()).Density
 		for vi, opts := range variants {
 			opts.Workers = 3
-			got := CoreExactOpts(g, 3, opts).Density
+			got := coreExact(t, g, motif.Clique{H: 3}, opts).Density
 			if got.Cmp(want) != 0 {
 				t.Fatalf("graph %d variant %d: density %v, want %v", gi, vi, got, want)
 			}

@@ -67,11 +67,11 @@ type Stats struct {
 	PreSolveSkips int
 	// ReusedDecomposition reports that the run was handed a precomputed
 	// (k,Ψ)-core (or nucleus, or classical-core) decomposition via a
-	// *WithState entrypoint instead of computing its own — the hot path a
+	// non-nil state argument instead of computing its own — the hot path a
 	// warm dsd.Solver serves; Decompose is zero on such runs.
 	ReusedDecomposition bool
 	// ReusedDegrees reports that the run was handed the whole-graph
-	// Ψ-degree vector via a *WithState entrypoint instead of enumerating
+	// Ψ-degree vector as a state argument instead of enumerating
 	// instances itself.
 	ReusedDegrees bool
 	// BoundedCores reports that the run located on upper-bound core
@@ -110,8 +110,12 @@ type Stats struct {
 	Trace *obs.Trace
 }
 
-// evaluate builds the Result for the subgraph of g induced by vs.
-func evaluate(g *graph.Graph, o motif.Oracle, vs []int32) *Result {
+// Evaluate builds the full Result (µ, exact density, sorted vertex set)
+// for the subgraph of g induced by vs. The engines return their witness
+// through it, and the coordinator's final merge step uses it to
+// recompute the winning witness's certificate from the graph rather than
+// trusting a wire-carried density.
+func Evaluate(g *graph.Graph, o motif.Oracle, vs []int32) *Result {
 	if len(vs) == 0 {
 		return &Result{Density: rational.Zero}
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // side abstracts the flow-network construction for one fixed graph so the
-// binary-search drivers (Exact, CoreExact, PExact, CorePExact) are written
+// binary-search drivers (Exact, CoreExact) are written
 // once. A side is built per graph (or per component) and can then emit
 // networks for any α.
 type side interface {

@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -89,8 +90,14 @@ func TestPlantedStructure(t *testing.T) {
 	spec, _ := Get("Yeast")
 	g := spec.Load()
 
-	eds := core.CoreExact(g, 2)
-	cds := core.CoreExact(g, 3)
+	eds, err := core.CoreExact(context.Background(), g, motif.Clique{H: 2}, core.DefaultOptions(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cds, err := core.CoreExact(context.Background(), g, motif.Clique{H: 3}, core.DefaultOptions(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if eds.Density.IsZero() || cds.Density.IsZero() {
 		t.Fatal("planted structures missing")
 	}
@@ -99,7 +106,7 @@ func TestPlantedStructure(t *testing.T) {
 		t.Fatalf("EDS |V|=%d should exceed CDS |V|=%d", len(eds.Vertices), len(cds.Vertices))
 	}
 	// Greedy peel underestimates ρopt for edges on this family.
-	peel := core.PeelApp(g, motif.Clique{H: 2})
+	peel := core.PeelApp(g, motif.Clique{H: 2}, nil)
 	if peel.Density.Cmp(eds.Density) >= 0 {
 		t.Fatalf("peel %v not below ρopt %v — the bipartite plant lost its role",
 			peel.Density, eds.Density)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/motif"
 	"repro/internal/pattern"
 )
 
@@ -18,8 +19,8 @@ func RunFig17(cfg Config) error {
 	g := sdblp()
 	fmt.Fprintf(cfg.Out, "S-DBLP stand-in: n=%d m=%d\n", g.N(), g.M())
 
-	tri := seedCorePExact(g, pattern.Triangle())
-	star := seedCorePExact(g, pattern.Star(2))
+	tri := seedCoreExact(g, motif.For(pattern.Triangle()))
+	star := seedCoreExact(g, motif.For(pattern.Star(2)))
 
 	report := func(name string, res *core.Result) {
 		sub := g.Induced(res.Vertices)
@@ -71,7 +72,7 @@ func RunFig21(cfg Config) error {
 		pattern.Edge(), pattern.CStar(), pattern.Book(2), pattern.KClique(4), pattern.Star(2), pattern.Diamond(),
 	}
 	for _, p := range pats {
-		res := seedCorePExact(g, p)
+		res := seedCoreExact(g, motif.For(p))
 		if len(res.Vertices) == 0 {
 			fmt.Fprintf(cfg.Out, "%-12s no instances\n", p.Name())
 			continue

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -43,10 +44,10 @@ func RunFig8Exact(cfg Config) error {
 			exactCell := "t/o"
 			_, _, within := cliqueNetworkCost(g, h, cfg.LinkBudget)
 			if within {
-				exact = core.Exact(g, h)
+				exact = core.Exact(g, motif.Clique{H: h}, false)
 				exactCell = secs(exact.Stats.Total)
 			}
-			coreExact = seedCoreExact(g, h)
+			coreExact = seedCoreExact(g, motif.Clique{H: h})
 			speedup := "-"
 			if exact != nil {
 				if exact.Density.Cmp(coreExact.Density) != 0 {
@@ -72,11 +73,11 @@ func RunFig8Approx(cfg Config) error {
 			o := motif.Clique{H: h}
 			nucleusCell := "t/o"
 			if total, ok := motifInstanceCost(g, o, cfg.InstanceBudget); ok && total > 0 {
-				r := core.Nucleus(g, o)
+				r := core.Nucleus(g, o, nil)
 				nucleusCell = secs(r.Stats.Total)
 			}
-			peel := core.PeelApp(g, o)
-			inc := core.IncApp(g, o)
+			peel := core.PeelApp(g, o, nil)
+			inc := core.IncApp(g, o, nil)
 			capp := core.CoreApp(g, o)
 			if inc.Density.Cmp(capp.Density) != 0 {
 				return fmt.Errorf("fig8approx: %s h=%d: IncApp %v != CoreApp %v",
@@ -111,7 +112,7 @@ func RunFig9(cfg Config) error {
 					full = fmt.Sprintf("%d", 2+g.N()+int(lambda))
 				}
 			}
-			res := seedCoreExact(g, h)
+			res := seedCoreExact(g, motif.Clique{H: h})
 			seq := ""
 			for i, sz := range res.Stats.FlowNodes {
 				if i >= 7 {
@@ -151,7 +152,7 @@ func RunFig10(cfg Config) error {
 			cells := make([]string, len(variants))
 			var ref rational.R
 			for i, opts := range variants {
-				r := core.CoreExactOpts(g, h, opts)
+				r, _ := core.CoreExact(context.Background(), g, motif.Clique{H: h}, opts, nil)
 				cells[i] = secs(r.Stats.Total)
 				if i == 0 {
 					ref = r.Density
@@ -177,7 +178,7 @@ func RunTable3(cfg Config) error {
 		}
 		g := load(cfg, spec)
 		for _, h := range hRange(cfg) {
-			r := seedCoreExact(g, h)
+			r := seedCoreExact(g, motif.Clique{H: h})
 			share := 100 * r.Stats.Decompose.Seconds() / r.Stats.Total.Seconds()
 			t.row(name, fmt.Sprintf("%d", h), secs(r.Stats.Decompose), secs(r.Stats.Total),
 				fmt.Sprintf("%.2f%%", share))
@@ -220,12 +221,12 @@ func RunFig11(cfg Config) error {
 		g := load(cfg, spec)
 		for _, h := range hRange(cfg) {
 			o := motif.Clique{H: h}
-			opt := seedCoreExact(g, h)
+			opt := seedCoreExact(g, motif.Clique{H: h})
 			if opt.Density.IsZero() {
 				t.row(name, fmt.Sprintf("%d", h), "-", "-", "-")
 				continue
 			}
-			peel := core.PeelApp(g, o)
+			peel := core.PeelApp(g, o, nil)
 			capp := core.CoreApp(g, o)
 			t.row(name, fmt.Sprintf("%d", h),
 				fmt.Sprintf("%.3f", 1/float64(h)),
@@ -247,7 +248,7 @@ func RunFig12(cfg Config) error {
 		}
 		g := load(cfg, spec)
 		for _, h := range hRange(cfg) {
-			ce := seedCoreExact(g, h)
+			ce := seedCoreExact(g, motif.Clique{H: h})
 			ca := core.CoreApp(g, motif.Clique{H: h})
 			t.row(name, fmt.Sprintf("%d", h), secs(ce.Stats.Total), secs(ca.Stats.Total),
 				fmt.Sprintf("%.1fx", ce.Stats.Total.Seconds()/ca.Stats.Total.Seconds()))
@@ -273,14 +274,14 @@ func RunFig13(cfg Config) error {
 			_, _, ok := cliqueNetworkCost(g, h, budget)
 			exactCell, coreCell := "t/o", "t/o"
 			if ok {
-				r := core.Exact(g, h)
+				r := core.Exact(g, motif.Clique{H: h}, false)
 				exactCell = secs(r.Stats.Total)
 			}
 			// CoreExact's networks live on the located core; on SSCA that
 			// core is the largest planted clique, which carries almost all
 			// instances, so its feasibility horizon is only ~4x further.
 			if _, _, ok := cliqueNetworkCost(g, h, cfg.LinkBudget); ok {
-				ce := seedCoreExact(g, h)
+				ce := seedCoreExact(g, motif.Clique{H: h})
 				coreCell = secs(ce.Stats.Total)
 			}
 			t.row(spec.Name, fmt.Sprintf("%d", h), exactCell, coreCell)
@@ -298,8 +299,8 @@ func RunFig14(cfg Config) error {
 		g := loadRandom(cfg, spec)
 		for _, h := range hRange(cfg) {
 			o := motif.Clique{H: h}
-			peel := core.PeelApp(g, o)
-			inc := core.IncApp(g, o)
+			peel := core.PeelApp(g, o, nil)
+			inc := core.IncApp(g, o, nil)
 			capp := core.CoreApp(g, o)
 			t.row(spec.Name, fmt.Sprintf("%d", h),
 				secs(peel.Stats.Total), secs(inc.Stats.Total), secs(capp.Stats.Total))

@@ -10,6 +10,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -20,7 +21,6 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/graph"
 	"repro/internal/motif"
-	"repro/internal/pattern"
 )
 
 // Config tunes an experiment run.
@@ -198,22 +198,15 @@ func timeIt(fn func()) time.Duration {
 	return time.Since(start)
 }
 
-// seedCoreExact and seedCorePExact run the core engines in their paper
-// configuration — flow-only, Greed++ pre-solver off. The reproduction
+// seedCoreExact runs the core engine in its paper configuration — flow-only, Greed++ pre-solver off. The reproduction
 // experiments (Figures 8-16, Tables 3-5) must keep measuring the paper's
 // algorithm even though the library default now pre-solves; Figure 9 in
 // particular plots the networks the flow binary search builds, which the
 // pre-solver exists to skip. The perf suite measures the pre-solved
 // engine separately, against these as its seed arms.
-func seedCoreExact(g *graph.Graph, h int) *core.Result {
+func seedCoreExact(g *graph.Graph, o motif.Oracle) *core.Result {
 	opts := core.DefaultOptions()
 	opts.Iterative = 0
-	return core.CoreExactOpts(g, h, opts)
-}
-
-// seedCorePExact is seedCoreExact for pattern motifs.
-func seedCorePExact(g *graph.Graph, p *pattern.Pattern) *core.Result {
-	opts := core.DefaultOptions()
-	opts.Iterative = 0
-	return core.CorePExactOpts(g, p, opts)
+	res, _ := core.CoreExact(context.Background(), g, o, opts, nil)
+	return res
 }

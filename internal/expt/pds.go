@@ -39,18 +39,18 @@ func RunTable5(cfg Config) error {
 		graphs = append(graphs, namedGraph{name, spec.LoadPlain(spec.Div * cfg.Div)})
 	}
 	for _, ng := range graphs {
-		eds := seedCoreExact(ng.g, 2)
+		eds := seedCoreExact(ng.g, motif.Clique{H: 2})
 		// Clique motifs.
 		for _, h := range hRange(cfg) {
 			o := motif.Clique{H: h}
-			opt := seedCoreExact(ng.g, h)
+			opt := seedCoreExact(ng.g, motif.Clique{H: h})
 			edsDen, _ := densityOn(ng.g, o, eds.Vertices)
 			t.row(ng.name, o.Name(), fmt.Sprintf("%.3f", opt.Density.Float()), edsDen)
 		}
 		// Pattern motifs: 2-star and diamond (the Table 5 columns).
 		for _, p := range []*pattern.Pattern{pattern.Star(2), pattern.Diamond()} {
 			o := motif.For(p)
-			opt := seedCorePExact(ng.g, p)
+			opt := seedCoreExact(ng.g, motif.For(p))
 			edsDen, _ := densityOn(ng.g, o, eds.Vertices)
 			t.row(ng.name, p.Name(), fmt.Sprintf("%.3f", opt.Density.Float()), edsDen)
 		}
@@ -100,10 +100,10 @@ func RunFig15(cfg Config) error {
 			var pexact *core.Result
 			pexactCell := "t/o"
 			if total <= cfg.InstanceBudget {
-				pexact = core.PExact(g, p)
+				pexact = core.Exact(g, motif.For(p), false)
 				pexactCell = secs(pexact.Stats.Total)
 			}
-			cpe := seedCorePExact(g, p)
+			cpe := seedCoreExact(g, motif.For(p))
 			speedup := "-"
 			if pexact != nil {
 				if pexact.Density.Cmp(cpe.Density) != 0 {
@@ -150,9 +150,9 @@ func RunFig16(cfg Config) error {
 					continue
 				}
 			}
-			peel := core.PeelAppPattern(g, p)
-			inc := core.IncAppPattern(g, p)
-			capp := core.CoreAppPattern(g, p)
+			peel := core.PeelApp(g, o, nil)
+			inc := core.IncApp(g, o, nil)
+			capp := core.CoreApp(g, o)
 			if inc.Density.Cmp(capp.Density) != 0 {
 				return fmt.Errorf("fig16: %s %s: IncApp %v != CoreApp %v",
 					name, p.Name(), inc.Density, capp.Density)
@@ -172,8 +172,8 @@ func RunFig20(cfg Config) error {
 		g := load(cfg, spec)
 		for _, h := range hRange(cfg) {
 			o := motif.Clique{H: h}
-			peel := core.PeelApp(g, o)
-			inc := core.IncApp(g, o)
+			peel := core.PeelApp(g, o, nil)
+			inc := core.IncApp(g, o, nil)
 			capp := core.CoreApp(g, o)
 			t.row(spec.Name, fmt.Sprintf("%d", h),
 				secs(peel.Stats.Total), secs(inc.Stats.Total), secs(capp.Stats.Total))

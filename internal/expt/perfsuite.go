@@ -467,13 +467,14 @@ func PerfSuiteReport(cfg Config) (*BenchReport, error) {
 	obsPairs := 2*reps + 1
 	var obsRatios []float64
 	coreExactCase := func(name string, g *graph.Graph, h int) BenchCase {
+		o := motif.Clique{H: h}
 		seed := core.DefaultOptions()
 		seed.Iterative = 0
 		var serialRes, parRes, iterRes *core.Result
-		serial := bestOf(reps, func() { serialRes = core.CoreExactOpts(g, h, seed) })
+		serial := bestOf(reps, func() { serialRes, _ = core.CoreExact(context.Background(), g, o, seed, nil) })
 		popts := seed
 		popts.Workers = workers
-		par := bestOf(reps, func() { parRes = core.CoreExactOpts(g, h, popts) })
+		par := bestOf(reps, func() { parRes, _ = core.CoreExact(context.Background(), g, o, popts, nil) })
 		iopts := core.DefaultOptions()
 		iopts.Iterative = iterBudget
 		// The iterative arm, interleaved with the obs arm: the exact same
@@ -482,10 +483,10 @@ func PerfSuiteReport(cfg Config) (*BenchReport, error) {
 		// default.
 		var obsRes *core.Result
 		iter, obsNs, ratios := interleaved(obsPairs, obsBudget,
-			func() { iterRes = core.CoreExactOpts(g, h, iopts) },
+			func() { iterRes, _ = core.CoreExact(context.Background(), g, o, iopts, nil) },
 			func() {
 				octx := obs.WithSpan(context.Background(), obs.New(), nil)
-				obsRes, _ = core.CoreExactCtx(octx, g, h, iopts)
+				obsRes, _ = core.CoreExact(octx, g, o, iopts, nil)
 			})
 		obsRatios = append(obsRatios, ratios...)
 		match := serialRes.Density.Cmp(parRes.Density) == 0
@@ -494,7 +495,7 @@ func PerfSuiteReport(cfg Config) (*BenchReport, error) {
 
 		// The memory arm: the iterative configuration once more, measured
 		// for heap allocation and peak RSS instead of wall clock.
-		peakRSS, allocBytes, allocs := measureMem(func() { core.CoreExactOpts(g, h, iopts) })
+		peakRSS, allocBytes, allocs := measureMem(func() { core.CoreExact(context.Background(), g, o, iopts, nil) })
 
 		// Warm-solver arm: the same Ψ through one dsd.Solver, default
 		// engine configuration (pre-solver on).
@@ -559,7 +560,7 @@ func PerfSuiteReport(cfg Config) (*BenchReport, error) {
 			return core.CoreApp(cl, motif.Clique{H: 3})
 		}),
 		serialCase("peel-chunglu-triangle", "peel", cl, 3, func() *core.Result {
-			return core.PeelApp(cl, motif.Clique{H: 3})
+			return core.PeelApp(cl, motif.Clique{H: 3}, nil)
 		}),
 	)
 
@@ -625,7 +626,7 @@ func PerfSuiteReport(cfg Config) (*BenchReport, error) {
 	// latency stands in for the network); the gate is density equality
 	// with the serial engine on every shard count.
 	{
-		serial := core.CoreExactOpts(multi, 3, core.DefaultOptions())
+		serial, _ := core.CoreExact(context.Background(), multi, motif.Clique{H: 3}, core.DefaultOptions(), nil)
 		arms, err := shardedArms(multi, 3, serial.Density, []int{1, 2, 4}, reps)
 		if err != nil {
 			return nil, err
@@ -636,7 +637,7 @@ func PerfSuiteReport(cfg Config) (*BenchReport, error) {
 			Motif:      motif.Clique{H: 3}.Name(),
 			N:          multi.N(),
 			M:          multi.M(),
-			SerialNsOp: bestOf(reps, func() { core.CoreExactOpts(multi, 3, core.DefaultOptions()) }),
+			SerialNsOp: bestOf(reps, func() { core.CoreExact(context.Background(), multi, motif.Clique{H: 3}, core.DefaultOptions(), nil) }),
 			Sharded:    arms,
 			Density:    serial.Density.Float(),
 		})

@@ -37,7 +37,7 @@ func TestSolverBoundsBracketOptimum(t *testing.T) {
 			if err := s.Run(context.Background(), 8); err != nil {
 				t.Fatal(err)
 			}
-			opt := core.Exact(g, h).Density
+			opt := core.Exact(g, motif.Clique{H: h}, false).Density
 			lb, wit := s.Lower()
 			ub := s.Upper()
 			if lb.Greater(opt) {
@@ -69,7 +69,7 @@ func TestSolverBoundsPatterns(t *testing.T) {
 			if err := s.Run(context.Background(), 6); err != nil {
 				t.Fatal(err)
 			}
-			opt := core.PExact(g, p).Density
+			opt := core.Exact(g, motif.For(p), false).Density
 			lb, wit := s.Lower()
 			if lb.Greater(opt) {
 				t.Fatalf("seed %d %s: lower %v above optimum %v", seed, p.Name(), lb, opt)
@@ -136,7 +136,7 @@ func TestSolverWarmStartCertificate(t *testing.T) {
 			warmLoads[i] = loads[v]
 		}
 		ws := iterative.NewWarm(sub.Graph, o, warmLoads, s.Iterations())
-		opt := core.Exact(sub.Graph, 3).Density
+		opt := core.Exact(sub.Graph, motif.Clique{H: 3}, false).Density
 		if opt.Greater(ws.Upper()) {
 			t.Fatalf("seed %d: warm upper %v below subgraph optimum %v", seed, ws.Upper(), opt)
 		}
@@ -221,7 +221,7 @@ func TestRunAdaptiveCertificates(t *testing.T) {
 			if s.Iterations() != ran {
 				t.Fatalf("seed %d h=%d: Iterations() = %d, ran = %d", seed, h, s.Iterations(), ran)
 			}
-			opt := core.Exact(g, h).Density
+			opt := core.Exact(g, motif.Clique{H: h}, false).Density
 			lb, wit := s.Lower()
 			if lb.Greater(opt) {
 				t.Fatalf("seed %d h=%d: adaptive lower %v above optimum %v", seed, h, lb, opt)

@@ -144,7 +144,7 @@ func Run(ctx context.Context, g *graph.Graph, o motif.Oracle, opts core.Options,
 	if !deadlined {
 		cell := stageCell{em: em, stage: StageSearch}
 		pool(workers, len(plan.Components), func(i int) {
-			outs[i], errs[i] = core.SearchComponentObserved(
+			outs[i], errs[i] = core.SearchComponent(
 				dctx, g, o, plan.Dec, opts, cell, plan.Components[i], plan.KLocate,
 				func(v float64) { em.TightenComp(i, v, StageSearch) })
 		})

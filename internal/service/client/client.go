@@ -31,15 +31,6 @@ func New(base string, hc *http.Client) *Client {
 	return &Client{base: strings.TrimRight(base, "/"), http: hc}
 }
 
-// Query runs a v1 densest-subgraph query (graph, pattern, algo).
-func (c *Client) Query(ctx context.Context, req wire.QueryRequest) (*wire.QueryResponse, error) {
-	var resp wire.QueryResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/query", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 // QueryV2 runs a v2 query: any dsd.Query in its wire form, answered with
 // the result plus the run's QueryStats.
 func (c *Client) QueryV2(ctx context.Context, req wire.QueryV2Request) (*wire.QueryV2Response, error) {

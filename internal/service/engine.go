@@ -323,28 +323,6 @@ func (e *Engine) Solve(ctx context.Context, graphName string, q dsd.Query, timeo
 	return e.solve(ctx, graphName, q, timeout, nil, nil)
 }
 
-// Query answers the v1 (graph, pattern, algo) triple by decoding it into
-// a Query and delegating to the same pipeline Solve uses, so v1 and v2
-// requests for the same computation share one cache entry.
-func (e *Engine) Query(ctx context.Context, graphName, patternName string, algo dsd.Algo, timeout time.Duration) (res *core.Result, cached bool, err error) {
-	e.queries.Add(1)
-	defer func() {
-		if err != nil {
-			e.errors.Add(1)
-		}
-	}()
-
-	p, err := dsd.PatternByName(patternName)
-	if err != nil {
-		return nil, false, err
-	}
-	a, err := dsd.ParseAlgo(string(algo))
-	if err != nil {
-		return nil, false, err
-	}
-	return e.solve(ctx, graphName, dsd.Query{Pattern: p, Algo: a}, timeout, nil, nil)
-}
-
 // Resolve applies the engine's default knobs to the fields q leaves at
 // zero and returns the canonical form — the query Solve will actually
 // answer and key on, before any computation runs. Filling defaults ahead
@@ -382,7 +360,7 @@ func (e *Engine) ResolveFor(graphName string, q dsd.Query) (dsd.Query, error) {
 	return nq, nil
 }
 
-// solve is the shared pipeline behind Solve, Query, and Stream (counters
+// solve is the shared pipeline behind Solve and Stream (counters
 // are the callers' concern): resolve the graph, apply engine defaults,
 // normalize, and run through the single-flight cache on the canonical
 // query key. A non-nil sink turns the computation into a refinement

@@ -26,21 +26,42 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 	return NewEngine(r, cfg)
 }
 
+// patternQuery is the Query for a (pattern name, algorithm) pair.
+func patternQuery(t testing.TB, pattern string, algo dsd.Algo) dsd.Query {
+	t.Helper()
+	p, err := dsd.PatternByName(pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dsd.Query{Pattern: p, Algo: algo}
+}
+
+// librarySolve answers q on g through a fresh Solver, the reference the
+// engine's answers are checked against.
+func librarySolve(t testing.TB, g *dsd.Graph, q dsd.Query) *core.Result {
+	t.Helper()
+	res, err := dsd.NewSolver(g).Solve(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestEngineQueryMatchesLibrary(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 2})
-	res, cached, err := e.Query(context.Background(), "bowtie", "triangle", dsd.AlgoCoreExact, 0)
+	q := patternQuery(t, "triangle", dsd.AlgoCoreExact)
+	res, cached, err := e.Solve(context.Background(), "bowtie", q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached {
 		t.Fatal("first query reported cached")
 	}
-	p, _ := dsd.PatternByName("triangle")
-	want, _ := dsd.PatternDensest(bowtie(), p, dsd.AlgoCoreExact)
+	want := librarySolve(t, bowtie(), q)
 	assertSameResult(t, res, want)
 
 	// Second identical query is a cache hit with the same answer.
-	res2, cached2, err := e.Query(context.Background(), "bowtie", "triangle", dsd.AlgoCoreExact, 0)
+	res2, cached2, err := e.Solve(context.Background(), "bowtie", q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +88,12 @@ func TestEngineAlgoWorkersCompose(t *testing.T) {
 	if s := e.Stats(); s.AlgoWorkers != 3 {
 		t.Fatalf("Stats().AlgoWorkers = %d, want 3", s.AlgoWorkers)
 	}
-	res, _, err := e.Query(context.Background(), "bowtie", "triangle", dsd.AlgoCoreExact, 0)
+	q := patternQuery(t, "triangle", dsd.AlgoCoreExact)
+	res, _, err := e.Solve(context.Background(), "bowtie", q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := dsd.PatternByName("triangle")
-	want, _ := dsd.PatternDensest(bowtie(), p, dsd.AlgoCoreExact)
-	assertSameResult(t, res, want)
+	assertSameResult(t, res, librarySolve(t, bowtie(), q))
 
 	// Default: max(1, GOMAXPROCS/pool), never zero.
 	wide := newTestEngine(t, Config{Workers: 64})
@@ -88,13 +108,16 @@ func TestEngineAlgoWorkersCompose(t *testing.T) {
 
 func TestEngineErrors(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1})
-	cases := []struct{ graph, pattern, algo string }{
-		{"nope", "triangle", "core-exact"},
-		{"bowtie", "heptagon", "core-exact"},
-		{"bowtie", "triangle", "bogus"},
+	cases := []struct {
+		graph string
+		q     dsd.Query
+	}{
+		{"nope", dsd.Query{H: 3}},
+		{"bowtie", dsd.Query{H: 99}},
+		{"bowtie", dsd.Query{H: 3, Algo: "bogus"}},
 	}
 	for _, c := range cases {
-		if _, _, err := e.Query(context.Background(), c.graph, c.pattern, dsd.Algo(c.algo), 0); err == nil {
+		if _, _, err := e.Solve(context.Background(), c.graph, c.q, 0); err == nil {
 			t.Fatalf("query %+v succeeded", c)
 		}
 	}
@@ -103,15 +126,21 @@ func TestEngineErrors(t *testing.T) {
 	}
 }
 
+// TestEngineTimeout holds every computation in the compute hook until
+// the caller under test has already failed, so each timeout fires before
+// the answer can exist, on every run.
 func TestEngineTimeout(t *testing.T) {
 	// A per-request timeout bounds only that caller's wait: the shared
 	// computation runs to completion and serves later callers.
-	e := newTestEngine(t, Config{Workers: 1})
-	_, _, err := e.Query(context.Background(), "bowtie", "triangle", dsd.AlgoCoreExact, time.Nanosecond)
+	release := make(chan struct{})
+	e := newTestEngine(t, Config{Workers: 1, ComputeHook: func() { <-release }})
+	q := patternQuery(t, "triangle", dsd.AlgoCoreExact)
+	_, _, err := e.Solve(context.Background(), "bowtie", q, time.Nanosecond)
 	if err == nil {
 		t.Fatal("1ns wait budget succeeded")
 	}
-	res, _, err := e.Query(context.Background(), "bowtie", "triangle", dsd.AlgoCoreExact, 0)
+	close(release)
+	res, _, err := e.Solve(context.Background(), "bowtie", q, 0)
 	if err != nil || res == nil {
 		t.Fatalf("retry after caller timeout failed: %v", err)
 	}
@@ -121,8 +150,10 @@ func TestEngineTimeout(t *testing.T) {
 
 	// The engine-wide compute budget is not loosened by a generous
 	// per-request timeout, and its errors are not cached.
-	tight := newTestEngine(t, Config{Workers: 1, Timeout: time.Nanosecond})
-	if _, _, err := tight.Query(context.Background(), "bowtie", "triangle", dsd.AlgoCoreExact, time.Minute); err == nil {
+	tightRelease := make(chan struct{})
+	defer close(tightRelease)
+	tight := newTestEngine(t, Config{Workers: 1, Timeout: time.Nanosecond, ComputeHook: func() { <-tightRelease }})
+	if _, _, err := tight.Solve(context.Background(), "bowtie", q, time.Minute); err == nil {
 		t.Fatal("per-request timeout loosened the engine budget")
 	}
 	if got := tight.cache.Len(); got != 0 {
@@ -134,7 +165,7 @@ func TestEngineCallerCancellation(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := e.Query(ctx, "bowtie", "triangle", dsd.AlgoCoreExact, 0); err == nil {
+	if _, _, err := e.Solve(ctx, "bowtie", dsd.Query{H: 3}, 0); err == nil {
 		t.Fatal("cancelled caller got a result")
 	}
 }
@@ -159,18 +190,13 @@ func TestEngineStressSingleFlight(t *testing.T) {
 		{"k4", "4-clique", dsd.AlgoExact},
 		{"k4", "2-star", dsd.AlgoInc},
 	}
+	queries := make([]dsd.Query, len(distinct))
 	want := make([]*core.Result, len(distinct))
 	graphs := map[string]*dsd.Graph{"bowtie": bowtie(),
 		"k4": dsd.FromEdges(4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})}
 	for i, c := range distinct {
-		p, err := dsd.PatternByName(c.pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i], err = dsd.PatternDensest(graphs[c.graph], p, c.algo)
-		if err != nil {
-			t.Fatal(err)
-		}
+		queries[i] = patternQuery(t, c.pattern, c.algo)
+		want[i] = librarySolve(t, graphs[c.graph], queries[i])
 	}
 
 	const fanout = 16 // concurrent callers per distinct key
@@ -181,7 +207,7 @@ func TestEngineStressSingleFlight(t *testing.T) {
 			wg.Add(1)
 			go func(i int, c q) {
 				defer wg.Done()
-				res, _, err := e.Query(context.Background(), c.graph, c.pattern, c.algo, 0)
+				res, _, err := e.Solve(context.Background(), c.graph, queries[i], 0)
 				if err != nil {
 					errs <- fmt.Errorf("%+v: %w", c, err)
 					return

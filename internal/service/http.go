@@ -20,7 +20,7 @@ import (
 // Server is the HTTP JSON API over a Registry and Engine:
 //
 //	POST   /v2/query            — run any dsd.Query (wire.QueryV2Request)
-//	POST   /v1/query            — run a (graph, pattern, algo) query (legacy)
+//	POST   /v1/stream           — run a core-exact dsd.Query as an anytime SSE stream
 //	GET    /v1/graphs           — list registered graphs with their stats
 //	POST   /v1/graphs           — register a graph (inline edges or server path)
 //	GET    /v1/graphs/{g}       — per-graph detail: stats, current version, retained versions
@@ -35,12 +35,11 @@ import (
 //	GET    /v3/shards           — list registered shard workers with health
 //	POST   /v3/shards           — register a shard worker's base URL
 //
-// v1 queries are decoded into a dsd.Query and answered by the same
-// pipeline as v2, so the two generations share one result cache. The v3
+// Queries and streams share one pipeline and one result cache. The v3
 // endpoints are the distributed sharding protocol (internal/shard):
 // every server can act as a shard worker, and a server whose shard set
-// is non-empty coordinates — its v2/v1 core-exact queries fan their
-// component searches across the registered workers.
+// is non-empty coordinates — its core-exact queries fan their component
+// searches across the registered workers.
 type Server struct {
 	reg    *Registry
 	engine *Engine
@@ -57,7 +56,6 @@ func NewServer(reg *Registry, cfg Config) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/query", s.handleQueryV2)
 	mux.HandleFunc("POST /v1/stream", s.handleStream)
-	mux.HandleFunc("POST /v1/query", s.handleQuery)
 	mux.HandleFunc("GET /v1/graphs", s.handleListGraphs)
 	mux.HandleFunc("POST /v1/graphs", s.handleRegisterGraph)
 	mux.HandleFunc("GET /v1/graphs/{g}", s.handleGraphDetail)
@@ -125,35 +123,6 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 		resp.Stats = wire.FromQueryStats(res.Stats)
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req wire.QueryRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Graph == "" || req.Pattern == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("graph and pattern are required"))
-		return
-	}
-	algo := dsd.AlgoCoreExact
-	if req.Algo != "" {
-		algo = dsd.Algo(req.Algo)
-	}
-	res, cached, err := s.engine.Query(r.Context(), req.Graph, req.Pattern, algo,
-		time.Duration(req.TimeoutMs)*time.Millisecond)
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.QueryResponse{
-		Graph:   req.Graph,
-		Pattern: req.Pattern,
-		Algo:    string(algo),
-		Cached:  cached,
-		Result:  wire.FromResult(res),
-	})
 }
 
 func (s *Server) handleListGraphs(w http.ResponseWriter, _ *http.Request) {

@@ -34,7 +34,7 @@ func newTestServer(t *testing.T) (*service.Server, *client.Client) {
 
 // TestServerEndToEnd is the acceptance test: it registers a graph over
 // HTTP, fires parallel mixed-algorithm queries (run under -race), checks
-// every answer against a direct dsd.PatternDensest call, and asserts that
+// every answer against the same query on a library Solver, and asserts that
 // identical in-flight queries were computed exactly once.
 func TestServerEndToEnd(t *testing.T) {
 	srv, c := newTestServer(t)
@@ -52,15 +52,15 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// The mixed-algorithm query set: 8 distinct (pattern, algo) keys.
-	queries := []wire.QueryRequest{
-		{Graph: "bowtie", Pattern: "edge", Algo: "exact"},
-		{Graph: "bowtie", Pattern: "edge", Algo: "peel"},
-		{Graph: "bowtie", Pattern: "triangle", Algo: "core-exact"},
-		{Graph: "bowtie", Pattern: "triangle", Algo: "inc"},
-		{Graph: "bowtie", Pattern: "triangle", Algo: "core-app"},
-		{Graph: "bowtie", Pattern: "diamond", Algo: "exact"},
-		{Graph: "bowtie", Pattern: "2-star", Algo: "peel"},
-		{Graph: "bowtie", Pattern: "3-clique", Algo: "nucleus"},
+	queries := []wire.Query{
+		{Pattern: "edge", Algo: "exact"},
+		{Pattern: "edge", Algo: "peel"},
+		{Pattern: "triangle", Algo: "core-exact"},
+		{Pattern: "triangle", Algo: "inc"},
+		{Pattern: "triangle", Algo: "core-app"},
+		{Pattern: "diamond", Algo: "exact"},
+		{Pattern: "2-star", Algo: "peel"},
+		{Pattern: "3-clique", Algo: "nucleus"},
 	}
 	g, err := dsd.FromEdgeList(strings.NewReader(bowtieEdges))
 	if err != nil {
@@ -68,11 +68,11 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	want := make(map[string]*wire.Result, len(queries))
 	for _, q := range queries {
-		p, err := dsd.PatternByName(q.Pattern)
+		dq, err := q.ToQuery()
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := dsd.PatternDensest(g, p, dsd.Algo(q.Algo))
+		res, err := dsd.NewSolver(g).Solve(ctx, dq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,9 +87,9 @@ func TestServerEndToEnd(t *testing.T) {
 	for _, q := range queries {
 		for j := 0; j < repeat; j++ {
 			wg.Add(1)
-			go func(q wire.QueryRequest) {
+			go func(q wire.Query) {
 				defer wg.Done()
-				resp, err := c.Query(ctx, q)
+				resp, err := c.QueryV2(ctx, wire.QueryV2Request{Graph: "bowtie", Query: q})
 				if err != nil {
 					errs <- err
 					return
@@ -152,15 +152,15 @@ func TestServerErrors(t *testing.T) {
 
 	for _, tc := range []struct {
 		name string
-		req  wire.QueryRequest
+		req  wire.QueryV2Request
 		code string
 	}{
-		{"unknown graph", wire.QueryRequest{Graph: "nope", Pattern: "edge"}, "404"},
-		{"unknown pattern", wire.QueryRequest{Graph: "g", Pattern: "heptagon"}, "400"},
-		{"unknown algo", wire.QueryRequest{Graph: "g", Pattern: "edge", Algo: "bogus"}, "400"},
-		{"missing fields", wire.QueryRequest{}, "400"},
+		{"unknown graph", wire.QueryV2Request{Graph: "nope", Query: wire.Query{Pattern: "edge"}}, "404"},
+		{"unknown pattern", wire.QueryV2Request{Graph: "g", Query: wire.Query{Pattern: "heptagon"}}, "400"},
+		{"unknown algo", wire.QueryV2Request{Graph: "g", Query: wire.Query{Pattern: "edge", Algo: "bogus"}}, "400"},
+		{"missing fields", wire.QueryV2Request{}, "400"},
 	} {
-		_, err := c.Query(ctx, tc.req)
+		_, err := c.QueryV2(ctx, tc.req)
 		if err == nil {
 			t.Fatalf("%s: accepted", tc.name)
 		}
@@ -208,18 +208,18 @@ func TestServerMethodAndBodyValidation(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Wrong method on /v1/query.
-	resp, err := http.Get(ts.URL + "/v1/query")
+	// Wrong method on /v2/query.
+	resp, err := http.Get(ts.URL + "/v2/query")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/query status = %d", resp.StatusCode)
+		t.Fatalf("GET /v2/query status = %d", resp.StatusCode)
 	}
 
 	// Unknown fields are rejected.
-	resp, err = http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(`{"grph":"x"}`))
+	resp, err = http.Post(ts.URL+"/v2/query", "application/json", strings.NewReader(`{"grph":"x"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // TestServerV2EndToEnd drives the v2 wire protocol through the Go
 // client: every problem variant travels as a serialized dsd.Query, the
 // response echoes the canonical query and carries the run's QueryStats,
-// and a v2 repeat of a v1 query is served from the shared cache.
+// and a unary repeat of a streamed query is served from the shared cache.
 func TestServerV2EndToEnd(t *testing.T) {
 	_, c := newTestServer(t)
 	ctx := context.Background()
@@ -24,32 +24,27 @@ func TestServerV2EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The variants, each expressed as a wire query.
+	// The variants, each expressed as a wire query and checked against
+	// the same query on a fresh library Solver.
+	triangle, err := dsd.PatternByName("triangle")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name  string
 		query wire.Query
-		want  func() (*dsd.Result, error)
+		want  dsd.Query
 	}{
-		{"core-exact-triangle", wire.Query{Pattern: "triangle"}, func() (*dsd.Result, error) {
-			return dsd.NewSolver(g).Solve(ctx, dsd.Query{H: 3})
-		}},
-		{"anchored", wire.Query{Anchors: []int32{5}}, func() (*dsd.Result, error) {
-			return dsd.QueryDensest(g, []int32{5})
-		}},
-		{"at-least", wire.Query{Pattern: "triangle", AtLeast: 5}, func() (*dsd.Result, error) {
-			p, _ := dsd.PatternByName("triangle")
-			return dsd.DensestAtLeast(g, p, 5)
-		}},
-		{"batch-peel", wire.Query{Pattern: "edge", Eps: 0.5}, func() (*dsd.Result, error) {
-			p, _ := dsd.PatternByName("edge")
-			return dsd.BatchPeelDensest(g, p, 0.5)
-		}},
+		{"core-exact-triangle", wire.Query{Pattern: "triangle"}, dsd.Query{H: 3}},
+		{"anchored", wire.Query{Anchors: []int32{5}}, dsd.Query{Anchors: []int32{5}}},
+		{"at-least", wire.Query{Pattern: "triangle", AtLeast: 5}, dsd.Query{Pattern: triangle, AtLeast: 5}},
+		{"batch-peel", wire.Query{Pattern: "edge", Eps: 0.5}, dsd.Query{Eps: 0.5}},
 		{"pruning-ablation", wire.Query{H: 3, Algo: "core-exact",
 			Pruning: &wire.Pruning{Pruning1: true, Pruning2: true, Pruning3: true, Grouped: true}},
-			func() (*dsd.Result, error) { return dsd.NewSolver(g).Solve(ctx, dsd.Query{H: 3}) }},
+			dsd.Query{H: 3}},
 	}
 	for _, tc := range cases {
-		want, err := tc.want()
+		want, err := dsd.NewSolver(g).Solve(ctx, tc.want)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", tc.name, err)
 		}
@@ -84,21 +79,22 @@ func TestServerV2EndToEnd(t *testing.T) {
 		t.Fatal("identical v2 repeat was not served from cache")
 	}
 
-	// v1 and v2 share one cache: a v1 triple then its v2 form.
-	v1, err := c.Query(ctx, wire.QueryRequest{Graph: "bowtie", Pattern: "diamond", Algo: "peel"})
+	// Streamed and unary queries share one cache: a stream, then its
+	// unary repeat.
+	diamond := wire.QueryV2Request{Graph: "bowtie", Query: wire.Query{Pattern: "diamond"}}
+	final, err := c.StreamQuery(ctx, diamond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1.Cached {
-		t.Fatal("first v1 diamond/peel query reported cached")
+	if final.Cached {
+		t.Fatal("first streamed diamond query reported cached")
 	}
-	v2, err := c.QueryV2(ctx, wire.QueryV2Request{Graph: "bowtie",
-		Query: wire.Query{Pattern: "diamond", Algo: "peel"}})
+	unary, err := c.QueryV2(ctx, diamond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v2.Cached {
-		t.Fatal("v2 repeat of a v1 query missed the shared cache")
+	if !unary.Cached {
+		t.Fatal("unary repeat of a streamed query missed the shared cache")
 	}
 
 	// Decoding edge: unknown algorithm fails fast with the helpful list.

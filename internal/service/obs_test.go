@@ -28,17 +28,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := c.RegisterEdges(ctx, "bowtie", bowtieEdges); err != nil {
 		t.Fatal(err)
 	}
-	q := wire.QueryRequest{Graph: "bowtie", Pattern: "triangle", Algo: "core-exact"}
-	if _, err := c.Query(ctx, q); err != nil {
+	q := wire.QueryV2Request{Graph: "bowtie", Query: wire.Query{Pattern: "triangle", Algo: "core-exact"}}
+	if _, err := c.QueryV2(ctx, q); err != nil {
 		t.Fatal(err)
 	}
 	// The identical query again: a cache hit, a distinct outcome series.
-	if _, err := c.Query(ctx, q); err != nil {
+	if _, err := c.QueryV2(ctx, q); err != nil {
 		t.Fatal(err)
 	}
 	// An unknown graph: an error under the "unknown" label, so hostile
-	// names cannot mint series.
-	if _, err := c.Query(ctx, wire.QueryRequest{Graph: "nope", Pattern: "edge"}); err == nil {
+	// names cannot mint series. (The HTTP handlers reject unknown graphs
+	// before the engine runs, so this one goes to the engine directly.)
+	if _, _, err := srv.Engine().Solve(ctx, "nope", dsd.Query{}, 0); err == nil {
 		t.Fatal("unknown graph accepted")
 	}
 

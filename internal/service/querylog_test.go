@@ -133,9 +133,10 @@ func TestQueryLogShedEvent(t *testing.T) {
 	})
 	defer close(block)
 	ctx := context.Background()
-	go e.Query(ctx, "bowtie", "triangle", dsd.AlgoCoreExact, 0)
+	triangle := patternQuery(t, "triangle", dsd.AlgoCoreExact)
+	go e.Solve(ctx, "bowtie", triangle, 0)
 	<-started
-	go e.Query(ctx, "bowtie", "edge", dsd.AlgoCoreExact, 0)
+	go e.Solve(ctx, "bowtie", patternQuery(t, "edge", dsd.AlgoCoreExact), 0)
 	deadline := time.Now().Add(5 * time.Second)
 	for len(e.admit) < 2 {
 		if time.Now().After(deadline) {
@@ -144,7 +145,7 @@ func TestQueryLogShedEvent(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	if _, _, err := e.Query(ctx, "k4", "triangle", dsd.AlgoCoreExact, 0); !errors.Is(err, ErrOverloaded) {
+	if _, _, err := e.Solve(ctx, "k4", triangle, 0); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("saturated engine returned err=%v, want ErrOverloaded", err)
 	}
 	events := e.QueryLog().Snapshot(0)
@@ -244,7 +245,7 @@ func TestQueryLogDegradedEvent(t *testing.T) {
 // queries still work and the accessor's nil-safe surface reports empty.
 func TestQueryLogDisabled(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1, QueryLog: -1})
-	if _, _, err := e.Query(context.Background(), "bowtie", "triangle", dsd.AlgoCoreExact, 0); err != nil {
+	if _, _, err := e.Solve(context.Background(), "bowtie", dsd.Query{H: 3}, 0); err != nil {
 		t.Fatal(err)
 	}
 	l := e.QueryLog()

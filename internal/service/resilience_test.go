@@ -34,15 +34,16 @@ func TestEngineAdmissionShedsWhenSaturated(t *testing.T) {
 	}
 	ctx := context.Background()
 	ch := make(chan outcome, 2)
-	solve := func(pattern string) {
-		res, _, err := e.Query(ctx, "bowtie", pattern, dsd.AlgoCoreExact, 0)
+	solve := func(q dsd.Query) {
+		res, _, err := e.Solve(ctx, "bowtie", q, 0)
 		ch <- outcome{res, err}
 	}
 	// First query reaches the worker (ComputeHook fires), second sits in
 	// the admission queue.
-	go solve("triangle")
+	triangle := patternQuery(t, "triangle", dsd.AlgoCoreExact)
+	go solve(triangle)
 	<-started
-	go solve("edge")
+	go solve(patternQuery(t, "edge", dsd.AlgoCoreExact))
 	deadline := time.Now().Add(5 * time.Second)
 	for len(e.admit) < 2 {
 		if time.Now().After(deadline) {
@@ -52,7 +53,7 @@ func TestEngineAdmissionShedsWhenSaturated(t *testing.T) {
 	}
 
 	// Capacity is exhausted: a third distinct query is shed, fast.
-	_, _, err := e.Query(ctx, "k4", "triangle", dsd.AlgoCoreExact, 0)
+	_, _, err := e.Solve(ctx, "k4", triangle, 0)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("saturated engine returned err=%v, want ErrOverloaded", err)
 	}
@@ -64,15 +65,14 @@ func TestEngineAdmissionShedsWhenSaturated(t *testing.T) {
 	// the blocked leader attaches to it rather than passing admission.
 	joined := make(chan outcome, 1)
 	go func() {
-		res, _, err := e.Query(ctx, "bowtie", "triangle", dsd.AlgoCoreExact, 0)
+		res, _, err := e.Solve(ctx, "bowtie", triangle, 0)
 		joined <- outcome{res, err}
 	}()
 
 	// Unblock: both admitted queries and the joiner complete correctly;
 	// later computations see the closed channel and run through.
 	close(block)
-	p, _ := dsd.PatternByName("triangle")
-	want, _ := dsd.PatternDensest(bowtie(), p, dsd.AlgoCoreExact)
+	want := librarySolve(t, bowtie(), triangle)
 	for i := 0; i < 2; i++ {
 		o := <-ch
 		if o.err != nil {
@@ -91,11 +91,11 @@ func TestEngineAdmissionShedsWhenSaturated(t *testing.T) {
 	}
 
 	// And with the queue drained, the shed query is admitted on retry.
-	res, _, err := e.Query(ctx, "k4", "triangle", dsd.AlgoCoreExact, 0)
+	res, _, err := e.Solve(ctx, "k4", triangle, 0)
 	if err != nil {
 		t.Fatalf("retry of shed query failed: %v", err)
 	}
-	wantK4, _ := dsd.PatternDensest(dsd.FromEdges(4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}), p, dsd.AlgoCoreExact)
+	wantK4 := librarySolve(t, dsd.FromEdges(4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}), triangle)
 	if res.Density.Cmp(wantK4.Density) != 0 {
 		t.Fatalf("retried query density %v, want %v", res.Density, wantK4.Density)
 	}
@@ -103,7 +103,8 @@ func TestEngineAdmissionShedsWhenSaturated(t *testing.T) {
 
 // TestHTTPShedReturns503RetryAfter saturates a served engine and asserts
 // the HTTP contract of shedding: 503 with a Retry-After header on both
-// API versions, while the admitted in-flight query still answers 200.
+// query endpoints (unary and streamed), while the admitted in-flight
+// query still answers 200.
 func TestHTTPShedReturns503RetryAfter(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 8)
@@ -153,12 +154,8 @@ func TestHTTPShedReturns503RetryAfter(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	for _, path := range []string{"/v2/query", "/v1/query"} {
-		body := `{"graph":"bowtie","query":{"pattern":"2-triangle","algo":"core-exact"}}`
-		if path == "/v1/query" {
-			body = `{"graph":"bowtie","pattern":"2-triangle","algo":"core-exact"}`
-		}
-		resp := post(path, body)
+	for _, path := range []string{"/v2/query", "/v1/stream"} {
+		resp := post(path, `{"graph":"bowtie","query":{"pattern":"2-triangle","algo":"core-exact"}}`)
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("%s on saturated server: status %d, want 503", path, resp.StatusCode)
 		}

@@ -39,7 +39,7 @@ func TestSolveCacheKeying(t *testing.T) {
 		{{H: 3, Eps: 0.5}},
 		{{H: 3, Iterative: -1}},
 		{{H: 3, Workers: 2}},
-		{{H: 3, Core: &dsd.CoreExactOptions{Pruning1: true, Iterative: 16}}},
+		{{H: 3, Core: &dsd.CoreExactOptions{Pruning1: true}}},
 		// The sharding knobs change execution, so they key separately —
 		// and every negative Shards spelling collapses to one key. (No
 		// shards are registered on a test engine, so these still execute
@@ -95,19 +95,21 @@ func TestSolveCacheKeying(t *testing.T) {
 	}
 }
 
-// TestSolveSharesCacheWithV1 pins that a v1 triple and its v2 Query
-// equivalent hit the same entry.
+// TestSolveSharesCacheWithV1 pins that a query streamed on the v1 stream
+// endpoint's pipeline (Engine.Stream) and its unary equivalent, spelled
+// differently, hit the same entry.
 func TestSolveSharesCacheWithV1(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 2})
-	if _, cached, err := e.Query(context.Background(), "bowtie", "triangle", dsd.AlgoCoreExact, 0); err != nil || cached {
-		t.Fatalf("v1 miss: cached=%t err=%v", cached, err)
+	streamed := patternQuery(t, "triangle", dsd.AlgoCoreExact)
+	if _, cached, err := e.Stream(context.Background(), "bowtie", streamed, 0, func(dsd.Answer, bool) {}); err != nil || cached {
+		t.Fatalf("stream miss: cached=%t err=%v", cached, err)
 	}
 	res, cached, err := e.Solve(context.Background(), "bowtie", dsd.Query{H: 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cached {
-		t.Fatal("equivalent v2 query missed the v1 entry")
+		t.Fatal("equivalent unary query missed the streamed entry")
 	}
 	if res == nil || res.Density.IsZero() {
 		t.Fatalf("cached result empty: %+v", res)

@@ -3,12 +3,10 @@
 // one place guarantees that a result printed by the CLI is byte-for-byte
 // the encoding the service returns for the same query.
 //
-// Two request generations coexist. v1 (QueryRequest) is the original
-// (graph, pattern, algo) triple and is preserved verbatim; the server
-// decodes it into a dsd.Query internally. v2 (QueryV2Request) carries a
-// dsd.Query serialized field for field (Query) and returns the run's
-// QueryStats alongside the result, so every problem variant and knob the
-// library supports is reachable over the wire.
+// A query request (QueryV2Request) carries a dsd.Query serialized field
+// for field (Query) and returns the run's QueryStats alongside the
+// result, so every problem variant and knob the library supports is
+// reachable over the wire.
 package wire
 
 import (
@@ -151,9 +149,8 @@ type Query struct {
 	Gap        float64 `json:"gap,omitempty"`
 }
 
-// Pruning is the wire form of the CoreExact pruning ablations. Every
-// switch starts false; the iterative pre-solver keeps its default and is
-// controlled by Query.Iterative alone.
+// Pruning is the wire form of dsd.CoreExactOptions, the CoreExact
+// pruning ablations. Every switch starts false.
 type Pruning struct {
 	Pruning1 bool `json:"pruning1"`
 	Pruning2 bool `json:"pruning2"`
@@ -199,9 +196,6 @@ func (w Query) ToQuery() (dsd.Query, error) {
 			Pruning2: w.Pruning.Pruning2,
 			Pruning3: w.Pruning.Pruning3,
 			Grouped:  w.Pruning.Grouped,
-			// Query.Iterative governs the pre-solver; a zero here would
-			// silently disable it through the Core-override resolution.
-			Iterative: core.DefaultIterativeBudget,
 		}
 	}
 	return q, nil
@@ -324,27 +318,6 @@ type QueryV2Response struct {
 	Cached bool        `json:"cached"`
 	Result *Result     `json:"result"`
 	Stats  *QueryStats `json:"stats,omitempty"`
-}
-
-// QueryRequest asks for the Ψ-densest subgraph of a registered graph.
-type QueryRequest struct {
-	Graph   string `json:"graph"`
-	Pattern string `json:"pattern"`
-	Algo    string `json:"algo"`
-	// TimeoutMs optionally tightens (never loosens) the server's
-	// per-query timeout for this request.
-	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-}
-
-// QueryResponse is the answer to a QueryRequest. Cached reports whether
-// the result was served without running the algorithm for this request —
-// either a cache hit or a single-flight join of an in-flight computation.
-type QueryResponse struct {
-	Graph   string  `json:"graph"`
-	Pattern string  `json:"pattern"`
-	Algo    string  `json:"algo"`
-	Cached  bool    `json:"cached"`
-	Result  *Result `json:"result"`
 }
 
 // RegisterRequest registers a named graph, either from an inline

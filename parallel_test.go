@@ -9,17 +9,17 @@ import (
 	dsd "repro"
 )
 
-// TestCliqueDensestWithWorkers drives the parallel engine through the
-// public Config path: every worker count must return the serial density,
-// and the zero Config must behave like AlgoCoreExact.
+// TestCliqueDensestWithWorkers drives the parallel engine through
+// Query.Workers: every worker count must return the serial density, and
+// a Query with no Algo must behave like AlgoCoreExact.
 func TestCliqueDensestWithWorkers(t *testing.T) {
 	g := dsd.GenerateMultiCommunity(4, 15, 5, 8, 10, 1)
-	serial, err := dsd.CliqueDensest(g, 3, dsd.AlgoCoreExact)
+	serial, err := dsd.NewSolver(g).Solve(context.Background(), dsd.Query{H: 3, Algo: dsd.AlgoCoreExact})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{0, 1, 2, 4} {
-		res, err := dsd.CliqueDensestWith(context.Background(), g, 3, dsd.Config{Workers: w})
+		res, err := dsd.NewSolver(g).Solve(context.Background(), dsd.Query{H: 3, Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -27,12 +27,12 @@ func TestCliqueDensestWithWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: density %v, want %v", w, res.Density, serial.Density)
 		}
 	}
-	// The Config path composes with the pattern API too.
+	// Workers composes with a pattern motif too.
 	p, err := dsd.PatternByName("triangle")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dsd.PatternDensestWith(context.Background(), g, p, dsd.Config{Workers: 3})
+	res, err := dsd.NewSolver(g).Solve(context.Background(), dsd.Query{Pattern: p, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +41,14 @@ func TestCliqueDensestWithWorkers(t *testing.T) {
 	}
 }
 
-// TestCliqueDensestWithBadInput checks the Config path validates like the
-// plain path.
+// TestCliqueDensestWithBadInput checks that a parallel query validates
+// like a serial one.
 func TestCliqueDensestWithBadInput(t *testing.T) {
-	g := dsd.FromEdges(3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
-	if _, err := dsd.CliqueDensestWith(context.Background(), g, 1, dsd.Config{}); err == nil {
+	s := dsd.NewSolver(dsd.FromEdges(3, [][2]int{{0, 1}, {1, 2}, {0, 2}}))
+	if _, err := s.Solve(context.Background(), dsd.Query{H: 1, Workers: 2}); err == nil {
 		t.Fatal("h=1 accepted")
 	}
-	if _, err := dsd.CliqueDensestWith(context.Background(), g, 3, dsd.Config{Algo: "nope"}); err == nil {
+	if _, err := s.Solve(context.Background(), dsd.Query{H: 3, Workers: 2, Algo: "nope"}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -66,7 +66,7 @@ func TestCliqueDensestContextCancelStopsWork(t *testing.T) {
 	start := time.Now()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := dsd.CliqueDensestWith(ctx, g, 3, dsd.Config{Workers: 4})
+		_, err := dsd.NewSolver(g).Solve(ctx, dsd.Query{H: 3, Workers: 4})
 		errc <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -97,11 +97,11 @@ func TestCliqueDensestContextCancelStopsWork(t *testing.T) {
 }
 
 // TestContextVariantsStillServeOtherAlgos pins the await-based fallback:
-// non-preemptible algorithms still answer through the ctx API.
+// non-preemptible algorithms still answer under a ctx.
 func TestContextVariantsStillServeOtherAlgos(t *testing.T) {
 	g := dsd.GenerateChungLu(200, 800, 2.5, 3)
 	for _, algo := range []dsd.Algo{dsd.AlgoPeel, dsd.AlgoCoreApp} {
-		res, err := dsd.CliqueDensestContext(context.Background(), g, 3, algo)
+		res, err := dsd.NewSolver(g).Solve(context.Background(), dsd.Query{H: 3, Algo: algo})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}

@@ -89,10 +89,10 @@ type Query struct {
 	// value disables it, a positive value sets the iteration budget. The
 	// returned density is identical for every value.
 	Iterative int
-	// Core overrides CoreExact's pruning options for ablation (nil =
-	// DefaultOptions). Its Workers field is ignored in favor of
-	// Query.Workers, and its Iterative field yields to a non-zero
-	// Query.Iterative — the same resolution Config applies.
+	// Core overrides CoreExact's pruning switches for ablation (nil =
+	// every pruning and construct+ on). Only the switches change; the
+	// pre-solver, parallelism and budgets stay with the Query fields above
+	// and below.
 	Core *CoreExactOptions
 	// Shards tunes distributed execution for core-exact queries answered
 	// by a sharding-enabled dsdd service: 0 fans the located core's
@@ -248,12 +248,29 @@ func (q Query) normalize() (Query, motif.Oracle, error) {
 	return q, o, nil
 }
 
-// coreOptions resolves the effective CoreExact options, mirroring
-// Config.coreOptions so the legacy wrappers stay bit-compatible.
+// CoreExactOptions holds CoreExact's four Figure-10 switches for
+// ablation. Each one changes only the work done, never the density.
+type CoreExactOptions struct {
+	// Pruning1 locates the answer in the (⌈ρ′⌉,Ψ)-core, ρ′ the best
+	// residual density seen while peeling; off, the weaker Theorem-1
+	// bound ⌈kmax/|VΨ|⌉ locates the core.
+	Pruning1 bool
+	// Pruning2 refines the location per connected component.
+	Pruning2 bool
+	// Pruning3 stops each component's binary search at its own
+	// 1/(|V_C|(|V_C|−1)) gap instead of the global 1/(n(n−1)).
+	Pruning3 bool
+	// Grouped uses the construct+ grouped flow network (Algorithm 7);
+	// meaningful for non-clique patterns only.
+	Grouped bool
+}
+
+// coreOptions resolves the effective CoreExact options: the engine
+// defaults, the Core switches when set, and the Query's own knobs.
 func (q Query) coreOptions() core.Options {
 	opts := core.DefaultOptions()
-	if q.Core != nil {
-		opts = *q.Core
+	if c := q.Core; c != nil {
+		opts.Pruning1, opts.Pruning2, opts.Pruning3, opts.Grouped = c.Pruning1, c.Pruning2, c.Pruning3, c.Grouped
 	}
 	opts.Workers = q.Workers
 	switch {

@@ -256,7 +256,7 @@ func (st *psiState) nucleus(g *Graph) (*psicore.Decomposition, bool) {
 }
 
 // degrees returns the memoized whole-graph Ψ-degree vector. Callers must
-// treat the slice as read-only (the *WithState algorithms copy it).
+// treat the slice as read-only (the algorithms taking it copy it).
 func (st *psiState) degrees(g *Graph) (int64, []int64, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -391,18 +391,11 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 			decTime := time.Since(decStart)
 			opts := q.coreOptions()
 			opts.DecUpperBound = bounded
-			if len(opts.SeedWitness) == 0 {
-				// Warm-start from the previous solve's certificate (carried
-				// across Apply): PlanCoreExact re-evaluates the witness's
-				// exact density on this graph before trusting it.
-				opts.SeedWitness = st.seedWitness()
-			}
-			var res *Result
-			if c, ok := o.(motif.Clique); ok {
-				res, err = core.CoreExactWithState(ctx, g, c.H, opts, dec)
-			} else {
-				res, err = core.CorePExactWithState(ctx, g, q.Pattern, opts, dec)
-			}
+			// Warm-start from the previous solve's certificate (carried
+			// across Apply): PlanCoreExact re-evaluates the witness's
+			// exact density on this graph before trusting it.
+			opts.SeedWitness = st.seedWitness()
+			res, err := core.CoreExact(ctx, g, o, opts, dec)
 			if err != nil {
 				return nil, err
 			}
@@ -412,12 +405,7 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 			return res, nil
 		})
 	case AlgoExact:
-		return await(ctx, func() (*Result, error) {
-			if c, ok := o.(motif.Clique); ok {
-				return core.Exact(g, c.H), nil
-			}
-			return core.PExact(g, q.Pattern), nil
-		})
+		return await(ctx, func() (*Result, error) { return core.Exact(g, o, false), nil })
 	case AlgoPeel:
 		return await(ctx, func() (*Result, error) {
 			st := vs.psiFor(o)
@@ -428,7 +416,7 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 			if err != nil {
 				return nil, err
 			}
-			res := core.PeelAppWithState(g, o, dec)
+			res := core.PeelApp(g, o, dec)
 			stampDecompose(res, reused, time.Since(decStart))
 			return res, nil
 		})
@@ -440,7 +428,7 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 			if err != nil {
 				return nil, err
 			}
-			res := core.IncAppWithState(g, o, dec)
+			res := core.IncApp(g, o, dec)
 			stampDecompose(res, reused, time.Since(decStart))
 			return res, nil
 		})
@@ -454,7 +442,7 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 			st := vs.psiFor(o)
 			decStart := time.Now()
 			dec, reused := st.nucleus(g)
-			res := core.NucleusWithState(g, o, dec)
+			res := core.Nucleus(g, o, dec)
 			stampDecompose(res, reused, time.Since(decStart))
 			return res, nil
 		})
@@ -462,7 +450,7 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 		return await(ctx, func() (*Result, error) {
 			decStart := time.Now()
 			dec, reused := vs.kcoreDec()
-			res, err := core.QueryDensestWithState(g, q.Anchors, dec)
+			res, err := core.QueryDensest(g, q.Anchors, dec)
 			if err != nil {
 				return nil, err
 			}
@@ -473,7 +461,7 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 		return await(ctx, func() (*Result, error) {
 			st := vs.psiFor(o)
 			total, deg, reused := st.degrees(g)
-			res, err := core.BatchPeelWithState(g, o, q.Eps, total, deg)
+			res, err := core.BatchPeel(g, o, q.Eps, total, deg)
 			if err != nil {
 				return nil, err
 			}
@@ -484,7 +472,7 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 		return await(ctx, func() (*Result, error) {
 			st := vs.psiFor(o)
 			total, deg, reused := st.degrees(g)
-			res, err := core.PeelAppAtLeastWithState(g, o, q.AtLeast, total, deg)
+			res, err := core.PeelAppAtLeast(g, o, q.AtLeast, total, deg)
 			if err != nil {
 				return nil, err
 			}

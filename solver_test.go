@@ -30,9 +30,21 @@ func solverEquivalenceGraphs(tb testing.TB) []*dsd.Graph {
 	return gs
 }
 
+// coreExact runs core.CoreExact with default options on a fresh
+// decomposition.
+func coreExact(t testing.TB, g *dsd.Graph, o motif.Oracle) *core.Result {
+	t.Helper()
+	res, err := core.CoreExact(context.Background(), g, o, core.DefaultOptions(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestSolveMatchesCoreAlgorithms is the redesign's proof obligation: for
 // every algorithm, Solve must return bit-identical densities to the
-// underlying core entrypoints the legacy API called directly — cold
+// underlying core entrypoints called directly, each computing its own
+// state — cold
 // (first query computes the Ψ-state) and warm (second query reuses it).
 func TestSolveMatchesCoreAlgorithms(t *testing.T) {
 	ctx := context.Background()
@@ -40,12 +52,12 @@ func TestSolveMatchesCoreAlgorithms(t *testing.T) {
 		for h := 2; h <= 3; h++ {
 			o := motif.Clique{H: h}
 			want := map[dsd.Algo]*core.Result{
-				dsd.AlgoExact:     core.Exact(g, h),
-				dsd.AlgoCoreExact: core.CoreExact(g, h),
-				dsd.AlgoPeel:      core.PeelApp(g, o),
-				dsd.AlgoInc:       core.IncApp(g, o),
+				dsd.AlgoExact:     core.Exact(g, o, false),
+				dsd.AlgoCoreExact: coreExact(t, g, o),
+				dsd.AlgoPeel:      core.PeelApp(g, o, nil),
+				dsd.AlgoInc:       core.IncApp(g, o, nil),
 				dsd.AlgoCoreApp:   core.CoreApp(g, o),
-				dsd.AlgoNucleus:   core.Nucleus(g, o),
+				dsd.AlgoNucleus:   core.Nucleus(g, o, nil),
 			}
 			s := dsd.NewSolver(g)
 			for pass := 0; pass < 2; pass++ {
@@ -91,7 +103,7 @@ func TestSolvePatternsMatchCore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := core.CorePExact(g, p)
+			want := coreExact(t, g, motif.For(p))
 			for pass := 0; pass < 2; pass++ {
 				res, err := s.Solve(ctx, dsd.Query{Pattern: p})
 				if err != nil {
@@ -116,15 +128,15 @@ func TestSolveVariantsMatchCore(t *testing.T) {
 	for gi, g := range gs {
 		s := dsd.NewSolver(g)
 
-		wantAnchored, err := core.QueryDensest(g, []int32{0, 1})
+		wantAnchored, err := core.QueryDensest(g, []int32{0, 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantAtLeast, err := core.PeelAppAtLeast(g, o, 5)
+		wantAtLeast, err := core.PeelAppAtLeast(g, o, 5, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantBatch, err := core.BatchPeel(g, o, 0.25)
+		wantBatch, err := core.BatchPeel(g, o, 0.25, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +374,7 @@ func TestQueryKey(t *testing.T) {
 		{H: 3, Workers: 4},
 		{H: 3, Iterative: -1},
 		{H: 3, Iterative: 8},
-		{H: 3, Core: &dsd.CoreExactOptions{Pruning1: true, Iterative: 16}},
+		{H: 3, Core: &dsd.CoreExactOptions{Pruning1: true}},
 		{Anchors: []int32{1}},
 		{Anchors: []int32{1, 2}},
 		{H: 3, AtLeast: 4},

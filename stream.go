@@ -96,9 +96,7 @@ func streamOn(ctx context.Context, nq Query, o motif.Oracle, vs *verState, fn fu
 	dec, bounded := st.peekDec()
 	opts := nq.coreOptions()
 	opts.DecUpperBound = bounded
-	if len(opts.SeedWitness) == 0 {
-		opts.SeedWitness = st.seedWitness()
-	}
+	opts.SeedWitness = st.seedWitness()
 	res, usedDec, err := plan.Run(ctx, vs.g, o, opts, dec, fn)
 	sp.End()
 	if err != nil {
