@@ -36,9 +36,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The bounded differential fuzz run, exactly as CI's test job runs it.
+# The bounded differential fuzz runs, exactly as CI's test job runs them.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryDensest$$' -fuzztime 30s ./internal/core
 
 # One iteration of each enumeration- and peel-kernel benchmark, exactly
 # as CI's test job runs them: they must keep compiling and running

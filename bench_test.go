@@ -166,8 +166,8 @@ func BenchmarkPDSExactGrouped(b *testing.B) {
 // Serial vs parallel CoreExact on the multi-component stress instance:
 // the located core has ten components whose search order (Pruning 2,
 // densest component first) is the reverse of their optimum order, so the
-// serial engine fully binary-searches component after component while the
-// parallel workers share every density improvement and abort most
+// serial engine fully searches component after component while the
+// parallel workers share every density improvement and end most
 // searches early. The speedup is algorithmic — fewer flow solves, not
 // just more cores — so it shows up even at GOMAXPROCS=1.
 

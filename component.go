@@ -16,7 +16,7 @@ import (
 // let a coordinator plan locally, ship components to shard workers, and
 // let each worker answer through its own per-graph Solver memo. The
 // split is exactly Algorithm 4's: PlanComponents is the location phase
-// (steps 1-4 + Pruning2), SolveComponent one per-component binary search
+// (steps 1-4 + Pruning2), SolveComponent one per-component flow search
 // (lines 5-20), EvaluateWitness the final merge's certificate.
 
 // ComponentPlan is the location phase of one CoreExact query: the
@@ -109,9 +109,9 @@ func (s *Solver) PlanComponents(ctx context.Context, q Query) (*ComponentPlan, e
 // ComponentFloor is the live lower bound of one in-flight component
 // search: a monotone density floor with no witness attached, seeded from
 // the coordinator's global bound at dispatch time and raised through
-// Raise as sibling components report improvements — each raise tightens
-// the running search's probe threshold, shrinks its cores, and arms its
-// can't-beat abort. Safe for concurrent use.
+// Raise as sibling components report improvements — each raise lifts the
+// running search's next probe α and shrinks its cores. Safe for
+// concurrent use.
 type ComponentFloor struct {
 	cell *core.FloorCell
 }
@@ -155,7 +155,7 @@ type ComponentResult struct {
 	Upper float64
 }
 
-// SolveComponent runs one per-component CoreExact binary search (with
+// SolveComponent runs one per-component CoreExact flow search (with
 // the Greed++ pre-solve) for q on the vertex set comp, which must be a
 // component of a ComponentPlan for the same (graph, query) — the shard
 // worker's half of a distributed CoreExact run. kLocate is the plan's
@@ -165,7 +165,7 @@ type ComponentResult struct {
 //
 // Exactness mirrors the in-process engine: the floor is only ever a
 // density of a real subgraph of the same graph, so every use — probe
-// threshold, core shrink, can't-beat abort — is conservative, and the
+// α, core shrink, pre-solve skip — is conservative, and the
 // returned witness is certified by its own recomputed density.
 func (s *Solver) SolveComponent(ctx context.Context, q Query, comp []int32, kLocate int64, floor *ComponentFloor) (*ComponentResult, error) {
 	start := time.Now()

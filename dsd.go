@@ -7,8 +7,9 @@
 // maximizing Ψ-density µ(S,Ψ)/|S| where Ψ is an edge (EDS), an h-clique
 // (CDS), or an arbitrary connected pattern (PDS). Algorithms:
 //
-//   - AlgoExact: flow-network binary search on the whole graph (the
-//     pre-existing state of the art, Algorithms 1 and 8).
+//   - AlgoExact: flow-network probes on the whole graph (the pre-existing
+//     state of the art, Algorithms 1 and 8, with exact Dinkelbach steps
+//     in place of the bisection).
 //   - AlgoCoreExact: the paper's contribution — the search is confined
 //     to (k,Ψ)-cores, with flow networks that shrink as the bound
 //     improves (Algorithm 4, Section 7.2).

@@ -67,49 +67,37 @@ func QueryDensest(g *graph.Graph, query []int32, dec *kcore.Decomposition) (*Res
 		local = append(local, lq)
 	}
 
-	// Binary search with the anchored Goldberg network: query vertices are
-	// pinned to the source side, so the min cut optimizes over supersets
-	// of Q only.
-	var stats Stats
-	l := float64(x) / 2
-	u := float64(sub.MaxDegree())
-	if u < l {
-		u = l
-	}
-	nn := sub.N()
-	stop := 1.0 / (float64(nn) * float64(nn-1))
-	if nn < 2 {
-		res := Evaluate(g, motif.Clique{H: 2}, []int32{query[0]})
-		res.Stats.ReusedDecomposition = reused
-		res.Stats.Total = time.Since(start)
-		return res, nil
-	}
 	// The starting witness is the x-core: it contains Q, and its minimum
-	// degree x gives it density ≥ x/2 = l. The anchored ⌈x/2⌉-core need
-	// not reach l, and when no density above l exists the search never
-	// replaces its starting witness.
+	// degree x gives it density ≥ x/2.
 	var best []int32
 	for _, v := range sub.Orig {
 		if dec.Core[v] >= x {
 			best = append(best, v)
 		}
 	}
-	for u-l >= stop {
-		alpha := (l + u) / 2
-		net := buildAnchoredEDS(sub.Graph, local, alpha)
-		stats.Iterations++
-		stats.FlowNodes = append(stats.FlowNodes, net.N())
-		// The min cut always keeps Q on the source side (the s→q edges are
-		// infinite), so the decision is not "is S empty" but "does the
-		// maximizer of e(S)−α|S| over S ⊇ Q beat density α".
-		vs := net.SolveVertices()
-		cand := sub.Graph.Induced(vs)
-		if rational.New(int64(cand.M()), int64(cand.N())).Float() > alpha {
-			l = alpha
-			best = toOrig(sub, vs)
-		} else {
-			u = alpha
+	// Dinkelbach steps on the anchored network: query vertices are pinned
+	// to the source side, so the min cut maximizes e(S) − ρ(W)·|S| over
+	// supersets S of Q only. The cut side always holds Q, so the decision
+	// is not "is it empty" but "is it strictly denser than the witness W";
+	// when it is not, nothing containing Q beats W.
+	var stats Stats
+	lower, _ := densityOf(g, motif.Clique{H: 2}, best)
+	var net *flow.Network
+	for {
+		nn, err := flownet.BuildEDS(net, sub.Graph, local, lower.Num, lower.Den)
+		if err != nil {
+			return nil, err
 		}
+		net = nn.Network
+		stats.Iterations++
+		stats.FlowNodes = append(stats.FlowNodes, nn.N())
+		vs := nn.SolveVertices()
+		cand := sub.Graph.Induced(vs)
+		d := rational.New(int64(cand.M()), int64(cand.N()))
+		if !d.Greater(lower) {
+			break
+		}
+		lower, best = d, toOrig(sub, vs)
 	}
 	res := Evaluate(g, motif.Clique{H: 2}, best)
 	res.Stats = stats
@@ -156,29 +144,4 @@ func anchoredCore(g *graph.Graph, inQ []bool, k int64) []int32 {
 		}
 	}
 	return keep
-}
-
-// buildAnchoredEDS is Goldberg's EDS network with the query vertices
-// pinned to the source side (s→q with +∞, no q→t edge).
-func buildAnchoredEDS(g *graph.Graph, query []int32, alpha float64) *flownet.Net {
-	n := g.N()
-	m := float64(g.M())
-	f := flow.NewNetwork(2 + n)
-	anchored := make([]bool, n)
-	for _, q := range query {
-		anchored[q] = true
-	}
-	for v := 0; v < n; v++ {
-		if anchored[v] {
-			f.AddEdge(flownet.Source, flownet.VertexNode(v), flow.Inf)
-		} else {
-			f.AddEdge(flownet.Source, flownet.VertexNode(v), m)
-			f.AddEdge(flownet.VertexNode(v), flownet.Sink, m+2*alpha-float64(g.Degree(v)))
-		}
-	}
-	g.Edges(func(u, v int) {
-		f.AddEdge(flownet.VertexNode(u), flownet.VertexNode(v), 1)
-		f.AddEdge(flownet.VertexNode(v), flownet.VertexNode(u), 1)
-	})
-	return &flownet.Net{Network: f, NVertices: n}
 }

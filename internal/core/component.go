@@ -1,6 +1,6 @@
 // Exported component-search entrypoint: one connected component of a
 // located (k,Ψ)-core, searched with the same pre-solve + shrinking-flow
-// binary search the in-process engines run, but against an injectable
+// Dinkelbach search the in-process engines run, but against an injectable
 // BoundSource. This is the execution unit of the distributed sharding
 // layer (internal/shard): a coordinator runs PlanCoreExact locally,
 // ships each plan component to a shard worker, and the worker answers
@@ -41,7 +41,7 @@ type ComponentOutcome struct {
 	PreSolveTime time.Duration
 	// Upper is the search's final certified upper bound on the
 	// component's optimum density (core-number, Greed++ max-load/T, or
-	// infeasible-probe certificate, whichever ended tightest). A
+	// empty-cut probe certificate, whichever ended tightest). A
 	// deadline-degrading coordinator takes the max over surviving Uppers
 	// as its interval top.
 	Upper float64
@@ -50,8 +50,9 @@ type ComponentOutcome struct {
 	GapStop bool
 }
 
-// SearchComponent runs the per-component binary search of Algorithm 4
-// lines 5-20 (pre-solve included) on comp, a connected component of the
+// SearchComponent runs the per-component search of Algorithm 4 lines
+// 5-20 (pre-solve included, Dinkelbach probes at the shared bound in place
+// of the paper's bisection) on comp, a connected component of the
 // ⌈kLocate⌉-located core of g — exactly the searches PlanCoreExact's
 // components receive in-process, with the shared bound abstracted to
 // bounds. The outcome's witness is the best subgraph found inside this
@@ -68,16 +69,16 @@ type ComponentOutcome struct {
 // search's certified upper bound (initially the component's max core
 // number), in monotone decreasing order, on the search's own goroutine.
 // Together with the Improve calls the search makes on bounds, this turns
-// the whole binary search into an emittable stream of certified interval
-// refinements — the anytime planner's substrate.
+// the whole search into an emittable stream of certified interval
+// refinements — the anytime planner's substrate. A search that builds a
+// network ends on an empty min cut at the bound it last probed, and
+// onUpper then receives that bound.
 func SearchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition,
 	opts Options, bounds BoundSource, comp []int32, kLocate int64, onUpper func(float64)) (*ComponentOutcome, error) {
-	n := g.N()
-	globalStop := 1.0 / (float64(n) * float64(n-1))
 	tr := &trackingBounds{inner: bounds}
 	slots := newUpperSlots([]float64{float64(maxCoreOf(comp, dec))})
 	slots[0].notify = onUpper
-	cs, err := searchComponent(ctx, g, o, dec, opts, tr, comp, kLocate, globalStop, int64(o.Size()), &slots[0])
+	cs, err := searchComponent(ctx, g, o, dec, opts, tr, comp, kLocate, int64(o.Size()), &slots[0])
 	if err != nil {
 		return nil, err
 	}
@@ -129,9 +130,9 @@ func (t *trackingBounds) best() (rational.R, []int32) {
 // FloorCell is the shard-side BoundSource: a monotone density floor with
 // no witness attached. A worker seeds it from the coordinator's global
 // lower bound at dispatch time; the coordinator keeps raising it through
-// Raise as sibling shards report improvements, which tightens the probe
-// threshold, shrinks the cores, and arms the can't-beat abort of the
-// in-flight search exactly as the in-process cell would. Witnesses stay
+// Raise as sibling shards report improvements, which raises the probe α
+// and shrinks the cores of the in-flight search exactly as the in-process
+// cell would. Witnesses stay
 // wherever they were found — the search's own best travels back in its
 // ComponentOutcome, and the floor only ever carries densities of real
 // subgraphs, so every use remains conservative.

@@ -12,13 +12,14 @@
 //
 // File guide:
 //
-//	exact.go      Exact: flow-network binary search (Alg. 1, 8)
-//	coreexact.go  CoreExact with Pruning1-3 and construct+
+//	exact.go      Exact: Dinkelbach flow probes on the whole graph (Alg. 1, 8)
+//	coreexact.go  CoreExact: location, Pruning1-2, per-component Dinkelbach
+//	              search on shrinking int64 networks, construct+
 //	parallel.go   worker pool + shared monotone bound for CoreExact
 //	approx.go     PeelApp, IncApp, CoreApp, Nucleus
 //	anchored.go   QueryDensest (§6.3 variant)
 //	batchpeel.go  BatchPeel [6] and PeelAppAtLeast [3]
 //	certify.go    Certify: result certificates
-//	side.go       flow-network side abstraction (EDS / CDS / PDS nets)
+//	side.go       flow-network sides (EDS / CDS / PDS nets) and the probe
 //	result.go     Result and Stats types
 package core

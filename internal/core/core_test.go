@@ -21,6 +21,16 @@ func bruteDensest(g *graph.Graph, o motif.Oracle) rational.R {
 }
 
 // coreExact runs CoreExact to completion on a fresh decomposition.
+// runExact is Exact failing the test on error.
+func runExact(t testing.TB, g *graph.Graph, o motif.Oracle, grouped bool) *Result {
+	t.Helper()
+	res, err := Exact(g, o, grouped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func coreExact(t testing.TB, g *graph.Graph, o motif.Oracle, opts Options) *Result {
 	t.Helper()
 	res, err := CoreExact(context.Background(), g, o, opts, nil)
@@ -43,7 +53,7 @@ func figure1() *graph.Graph {
 
 func TestExactEDSFigure1(t *testing.T) {
 	g := figure1()
-	res := Exact(g, motif.Clique{H: 2}, false)
+	res := runExact(t, g, motif.Clique{H: 2}, false)
 	want := bruteDensest(g, motif.Clique{H: 2})
 	if res.Density.Cmp(want) != 0 {
 		t.Fatalf("Exact EDS density %v, brute force %v", res.Density, want)
@@ -55,7 +65,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 		g := gen.GNM(10, 22, seed)
 		for _, h := range []int{2, 3, 4} {
 			want := bruteDensest(g, motif.Clique{H: h})
-			got := Exact(g, motif.Clique{H: h}, false)
+			got := runExact(t, g, motif.Clique{H: h}, false)
 			if got.Density.Cmp(want) != 0 {
 				t.Logf("seed %d h=%d: Exact %v, brute %v", seed, h, got.Density, want)
 				return false
@@ -80,7 +90,7 @@ func TestCoreExactMatchesExact(t *testing.T) {
 	f := func(seed int64) bool {
 		g := gen.GNM(12, 30, seed)
 		for _, h := range []int{2, 3, 4, 5} {
-			exact := Exact(g, motif.Clique{H: h}, false)
+			exact := runExact(t, g, motif.Clique{H: h}, false)
 			ce := coreExact(t, g, motif.Clique{H: h}, DefaultOptions())
 			if ce.Density.Cmp(exact.Density) != 0 {
 				t.Logf("seed %d h=%d: CoreExact %v, Exact %v", seed, h, ce.Density, exact.Density)
@@ -99,8 +109,8 @@ func TestCoreExactPruningVariants(t *testing.T) {
 		{},               // base
 		{Pruning1: true}, // P1
 		{Pruning2: true}, // P2
-		{Pruning3: true}, // P3
-		{Pruning1: true, Pruning3: true},
+		{Grouped: true},
+		{Pruning1: true, Pruning2: true},
 		DefaultOptions(),
 	}
 	f := func(seed int64) bool {
@@ -129,7 +139,7 @@ func TestPExactAndCorePExactMatchBruteForce(t *testing.T) {
 		for _, p := range pats {
 			o := motif.For(p)
 			want := bruteDensest(g, o)
-			pe := Exact(g, motif.For(p), false)
+			pe := runExact(t, g, motif.For(p), false)
 			if pe.Density.Cmp(want) != 0 {
 				t.Logf("seed %d %s: PExact %v want %v", seed, p.Name(), pe.Density, want)
 				return false
@@ -139,7 +149,7 @@ func TestPExactAndCorePExactMatchBruteForce(t *testing.T) {
 				t.Logf("seed %d %s: CorePExact %v want %v", seed, p.Name(), cpe.Density, want)
 				return false
 			}
-			peg := Exact(g, motif.For(p), true)
+			peg := runExact(t, g, motif.For(p), true)
 			if peg.Density.Cmp(want) != 0 {
 				t.Logf("seed %d %s: PExactGrouped %v want %v", seed, p.Name(), peg.Density, want)
 				return false
@@ -209,7 +219,7 @@ func TestEmptyAndDegenerateInputs(t *testing.T) {
 	if res := coreExact(t, empty, motif.Clique{H: 3}, DefaultOptions()); len(res.Vertices) != 0 || !res.Density.IsZero() {
 		t.Fatalf("empty graph: %+v", res)
 	}
-	if res := Exact(empty, motif.Clique{H: 2}, false); len(res.Vertices) != 0 {
+	if res := runExact(t, empty, motif.Clique{H: 2}, false); len(res.Vertices) != 0 {
 		t.Fatalf("empty graph Exact: %+v", res)
 	}
 	// No triangles at all.
@@ -222,7 +232,7 @@ func TestEmptyAndDegenerateInputs(t *testing.T) {
 	}
 	// Graph smaller than the pattern.
 	tiny := graph.FromEdges(2, [][2]int{{0, 1}})
-	if res := Exact(tiny, motif.For(pattern.Basket()), false); len(res.Vertices) != 0 {
+	if res := runExact(t, tiny, motif.For(pattern.Basket()), false); len(res.Vertices) != 0 {
 		t.Fatalf("tiny PExact: %+v", res)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -27,26 +28,22 @@ type Options struct {
 	// Pruning2 refines the location per connected component: k″ = ⌈ρ″⌉
 	// with ρ″ the maximum component density.
 	Pruning2 bool
-	// Pruning3 stops each component's binary search at gap
-	// 1/(|V_C|(|V_C|−1)) instead of the global 1/(n(n−1)).
-	Pruning3 bool
 	// Grouped uses the construct+ grouped flow network (Algorithm 7);
 	// meaningful for non-clique patterns only.
 	Grouped bool
 	// Iterative is the Greed++ pre-solve iteration budget (0 disables the
-	// pre-solver, restoring the flow-only seed engine). Before a component
+	// pre-solver, restoring the flow-only engine). Before a component
 	// search builds any flow network it runs this many load-balancing
 	// iterations (internal/iterative), yielding a certified lower bound
-	// with witness — published to the shared bound immediately — and a
-	// certified upper bound max-load/T. Components whose upper bound the
-	// shared lower bound dominates, or whose bound gap already beats the
-	// binary-search stop, finish with zero flow solves; the rest binary
-	// search a range narrowed from [l, kmax] to [l, min(kmax_C, maxload/T)].
-	// Solver state is warm-started across the search's core shrinks. The
-	// bounds are conservative certificates, so the returned density is
-	// identical for every budget, including 0.
+	// with witness — published to the shared bound immediately, so the
+	// first Dinkelbach probe starts from it — and a certified upper bound
+	// max-load/T. Components whose upper bound the shared lower bound
+	// reaches finish with zero flow solves. Solver state is warm-started
+	// across a pre-solve core shrink. The bounds are conservative
+	// certificates, so the returned density is identical for every
+	// budget, including 0.
 	Iterative int
-	// Workers bounds how many per-component binary searches (Algorithm 4
+	// Workers bounds how many per-component searches (Algorithm 4
 	// lines 5-20) run concurrently; values ≤ 1 run the engine serially.
 	// Workers > 1 also parallelizes the clique-degree seeding of the
 	// (k,Ψ)-core decomposition and Pruning2's per-component density
@@ -106,7 +103,7 @@ const DefaultIterativeBudget = 16
 // iterative pre-solver on, serial execution.
 func DefaultOptions() Options {
 	return Options{
-		Pruning1: true, Pruning2: true, Pruning3: true, Grouped: true,
+		Pruning1: true, Pruning2: true, Grouped: true,
 		Iterative: DefaultIterativeBudget,
 	}
 }
@@ -338,23 +335,21 @@ func CoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Options
 	if workers < 1 {
 		workers = 1
 	}
-	n := g.N()
-	globalStop := 1.0 / (float64(n) * float64(n-1))
 	p := int64(o.Size())
 
-	// Step 3: per-component binary search with shrinking flow networks
+	// Step 3: per-component Dinkelbach search with shrinking flow networks
 	// (lines 5-20). The searches share the (lower, witness) pair through
 	// a monotone cell: an improvement published by one component
-	// immediately raises the probe threshold, shrinks the cores, and
-	// arms the can't-beat abort of every other component, whether they
-	// run on this goroutine or across the worker pool.
+	// immediately raises the probe α and shrinks the cores of every other
+	// component, whether they run on this goroutine or across the worker
+	// pool.
 	cell := &boundCell{lower: plan.Lower, witness: plan.Witness}
 	perComp := make([]compStats, len(plan.Components))
 	errs := make([]error, len(plan.Components))
 	slots := newUpperSlots(plan.Uppers)
 	runIndexed(workers, len(plan.Components), func(i int) {
 		perComp[i], errs[i] = searchComponent(
-			dctx, g, o, plan.Dec, opts, cell, plan.Components[i], plan.KLocate, globalStop, p, &slots[i])
+			dctx, g, o, plan.Dec, opts, cell, plan.Components[i], plan.KLocate, p, &slots[i])
 	})
 	deadlined := false
 	for _, err := range errs {
@@ -410,7 +405,7 @@ func CoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Options
 
 // upperSlot holds one component's certified upper bound on its optimum
 // density. The owning search lowers it as better certificates appear
-// (solver max-load/T, infeasible probe α, core shrink below p); the
+// (solver max-load/T, empty-cut probe α, core shrink below p); the
 // driver reads the survivors when a degraded run assembles its Bound.
 // Writes are monotone decreasing; the CAS loop makes concurrent readers
 // safe even though each slot has a single writer. notify, when set,
@@ -465,23 +460,23 @@ type compStats struct {
 	preNS  time.Duration
 }
 
-// searchComponent runs the shrinking-flow binary search of Algorithm 4
-// lines 5-20 on one connected component of the located core. It reads the
-// shared bound at every iteration and publishes every witness improvement
-// as soon as its exact density is known.
+// searchComponent runs Algorithm 4's per-component search (lines 5-20)
+// on one connected component of the located core, with the paper's
+// bisection of α replaced by Dinkelbach steps on exact int64 networks.
+// Every probe is at α = p/q, the shared lower bound — the exact density
+// of a real subgraph. An empty min-cut side certifies that nothing in the
+// component beats it, which ends the search; a non-empty side is a
+// strictly denser subgraph, published to the shared bound at once before
+// the core shrinks to ⌈ρ⌉ and the next probe runs at the raised bound.
 //
-// Exactness under sharing: lc is only ever a value at which THIS
-// component produced a witness (the probe or a feasible α), so the
-// Lemma-12 spacing argument that the final witness is the component
-// optimum is untouched. The shared bound is used three ways, each
-// conservative: as the probe threshold (a density of a real subgraph,
-// hence ≤ ρopt), to shrink to a higher core (a subgraph beating density d
-// lies in the ⌈d⌉-core), and to abort when bound ≥ uc (no subgraph of the
-// component exceeds uc, so none strictly beats the bound). The abort
-// comparison is exact — rational vs. dyadic float via R.CmpFloat — never
-// a rounded float compare.
+// The shared bound is used three ways, each conservative: as the probe
+// α, to shrink to a higher core (a subgraph beating density d lies in the
+// ⌈d⌉-core), and, before any network exists, to skip a component whose
+// Greed++ upper bound max-load/T it already reaches — an exact rational
+// comparison, never a rounded float one. Upper bounds from core numbers,
+// Greed++ and empty cuts feed slot for the degraded and anytime paths.
 func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition,
-	opts Options, cell BoundSource, comp []int32, kLocate int64, globalStop float64, p int64,
+	opts Options, cell BoundSource, comp []int32, kLocate int64, p int64,
 	slot *upperSlot) (cs compStats, err error) {
 	if err := ctx.Err(); err != nil {
 		return cs, err
@@ -526,38 +521,27 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 	uc := float64(maxCoreOf(cur, dec))
 	slot.lower(uc)
 
-	// Pruning3's stop is fixed per component, from the component's own
-	// size: every witness and every candidate subgraph of this search —
-	// before or after a core shrink — lives inside comp, so any two
-	// distinct densities compared here differ by more than
-	// 1/(|comp|(|comp|−1)) (Lemma 12 restricted to the component). Sizing
-	// the stop from the current (shrinking) subgraph instead would be
-	// coarser than the spacing of a pre-shrink witness and could end a
-	// search before a strictly denser subgraph is ruled out.
-	stopComp := globalStop
-	if opts.Pruning3 {
-		vc := float64(len(comp))
-		if s := 1.0 / (vc * (vc - 1)); s > stopComp {
-			stopComp = s
-		}
-	}
-
 	// Iterative pre-solve: run the Greed++ load balancer before any
 	// network exists. Its lower bound is a real witness of this component
-	// (published to the shared cell at once); its upper bound narrows or
-	// outright closes the search range. ownLB tracks the best bound
-	// certified by a witness INSIDE this component: Pruning3's coarser
-	// per-component stop is licensed only when the threshold being tested
-	// equals it — bounds from sibling components are only comparable at
-	// the global 1/(n(n−1)) spacing of Lemma 12, no matter when they
-	// arrive in the shared cell.
-	ownLB := rational.Zero
-	var (
-		sub    *graph.Subgraph
-		solver *iterative.Solver
-	)
+	// (published to the shared cell at once), and its upper bound either
+	// closes the component outright or tightens uc.
+	sub := g.Induced(cur)
 	if opts.Iterative > 0 {
-		sub = g.Induced(cur)
+		var solver *iterative.Solver
+		// settle publishes the solver's witness and applies its upper
+		// bound, reporting whether that finished the component.
+		settle := func() bool {
+			publishSolverLower(cell, sub, solver)
+			lower = cell.Bound()
+			if lower.Cmp(solver.Upper()) >= 0 {
+				cs.preSkip = true
+				slot.lower(solver.UpperFloat())
+				return true
+			}
+			uc = min(uc, solver.UpperFloat())
+			slot.lower(uc)
+			return false
+		}
 		solver = iterative.New(sub.Graph, o)
 		// Adaptive budget (see iterative.RunAdaptive): the budget is a
 		// ceiling, and tiny components whose bound gap stalls stop after a
@@ -570,25 +554,9 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 		if err != nil {
 			return cs, err
 		}
-		lb, wit := solver.Lower()
-		if lb.Greater(lower) {
-			cell.Improve(lb, toOrig(sub, wit))
-		}
-		lower = cell.Bound()
-		ownLB = lb
-		// Exact can't-beat on the iterative certificate: nothing in this
-		// component is denser than max-load/T (rational compare, no
-		// rounding), so a shared bound at or above it ends the search
-		// before a single network is built.
-		if lower.Cmp(solver.Upper()) >= 0 {
-			cs.preSkip = true
-			slot.lower(solver.UpperFloat())
+		if settle() {
 			return cs, nil
 		}
-		if f := solver.UpperFloat(); f < uc {
-			uc = f
-		}
-		slot.lower(uc)
 		// Relocate in a higher core while the state is still flow-free,
 		// warm-starting the solver on the shrunken subgraph.
 		if lk := lower.Ceil(); lk > curK {
@@ -599,8 +567,6 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 				slot.lower(lower.Float())
 				return cs, nil
 			}
-			var err error
-			var ran int
 			pt := time.Now()
 			sub, solver, ran, err = shrinkSolver(ctx, g, o, sub, solver, cur, refreshBudget(opts))
 			cs.preNS += time.Since(pt)
@@ -608,165 +574,69 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 			if err != nil {
 				return cs, err
 			}
-			publishSolverLower(cell, sub, solver)
-			if rlb, _ := solver.Lower(); rlb.Greater(ownLB) {
-				ownLB = rlb
-			}
-			lower = cell.Bound()
-			if lower.Cmp(solver.Upper()) >= 0 {
-				cs.preSkip = true
-				slot.lower(solver.UpperFloat())
+			if settle() {
 				return cs, nil
 			}
-			if f := solver.UpperFloat(); f < uc {
-				uc = f
-			}
-			slot.lower(uc)
 		}
-		// Gap already below the binary-search stop: the cell's witness is
-		// provably the best this component can contribute — finished with
-		// zero flow solves. The per-component stop applies only when the
-		// threshold IS this component's own certified bound (a sibling may
-		// have raised the cell past it at any point, including mid-shrink).
-		stop := globalStop
-		if !ownLB.IsZero() && lower.Cmp(ownLB) == 0 {
-			stop = stopComp
-		}
-		if uc-lower.Float() < stop {
-			cs.preSkip = true
-			return cs, nil
-		}
-	} else {
-		sub = g.Induced(cur)
-	}
-	// Accuracy budget (graceful degradation): stop once the certified
-	// interval is within a relative (1+Gap) of the shared lower bound —
-	// the component optimum is at most uc ≤ bound·(1+Gap), which the
-	// driver reports through Result.Bound instead of searching on.
-	if opts.Gap > 0 && !lower.IsZero() && uc <= lower.Float()*(1+opts.Gap) {
-		cs.gapStop = true
-		if opts.Iterative > 0 {
-			cs.preSkip = true
-		}
-		return cs, nil
-	}
-	sd := makeSide(sub.Graph, o, opts.Grouped)
-
-	// Feasibility probe at α = l (lines 7-9): skip the component if
-	// nothing in it beats the current witness.
-	ft := time.Now()
-	fsp := tr.Start(obs.SpanFlow, sp)
-	net := sd.Build(lower.Float())
-	cs.flowNodes = append(cs.flowNodes, sd.Nodes())
-	cs.iterations++
-	vs, ferr := net.SolveVerticesCtx(ctx)
-	fsp.SetInt("nodes", int64(sd.Nodes()))
-	fsp.SetFloat("alpha", lower.Float())
-	fsp.End()
-	cs.flowNS += time.Since(ft)
-	if ferr != nil {
-		return cs, ferr
-	}
-	if len(vs) == 0 {
-		// Infeasible at α = lower: nothing in the component beats it.
-		slot.lower(lower.Float())
-		return cs, nil
-	}
-	best := toOrig(sub, vs)
-	if d, _ := densityOf(g, o, best); d.Greater(lower) {
-		cell.Improve(d, best)
 	}
 
-	lc := lower.Float()
+	var sd side
 	for {
 		if err := ctx.Err(); err != nil {
 			return cs, err
 		}
-		shared := cell.Bound()
-		// Can't-beat abort: everything in this component has density
-		// ≤ uc; once the shared bound reaches uc nothing here can
-		// strictly improve the answer, so drop the remaining iterations.
-		if shared.CmpFloat(uc) >= 0 {
+		alpha := cell.Bound()
+		// Accuracy budget (graceful degradation): stop once the certified
+		// interval is within a relative (1+Gap) of the shared lower bound —
+		// the component optimum is at most uc ≤ bound·(1+Gap), which the
+		// driver reports through Result.Bound instead of searching on.
+		if opts.Gap > 0 && !alpha.IsZero() && uc <= alpha.Float()*(1+opts.Gap) {
+			cs.gapStop = true
+			cs.preSkip = sd == nil && opts.Iterative > 0
 			return cs, nil
 		}
-		// The probe's feasible cut is a witness of this component, so the
-		// per-component stop is licensed from here on.
-		if uc-lc < stopComp {
-			break
-		}
-		// Accuracy budget mid-search: uc ≤ shared·(1+Gap) certifies the
-		// rest of the interval away.
-		if opts.Gap > 0 && uc <= shared.Float()*(1+opts.Gap) {
-			cs.gapStop = true
-			break
-		}
-		alpha := (lc + uc) / 2
-		ft := time.Now()
-		fsp := tr.Start(obs.SpanFlow, sp)
-		net = sd.Build(alpha)
-		cs.flowNodes = append(cs.flowNodes, sd.Nodes())
-		cs.iterations++
-		vs, ferr = net.SolveVerticesCtx(ctx)
-		fsp.SetInt("nodes", int64(sd.Nodes()))
-		fsp.SetFloat("alpha", alpha)
-		fsp.End()
-		cs.flowNS += time.Since(ft)
-		if ferr != nil {
-			// Abandoned mid-flow: nothing was certified at this α — in
-			// particular uc must NOT come down as if the probe were
-			// infeasible.
-			return cs, ferr
-		}
-		if len(vs) == 0 {
-			uc = alpha
-			slot.lower(uc)
-			continue
-		}
-		lc = alpha
-		best = toOrig(sub, vs)
-		// Publish the improvement now, not at component end: its exact
-		// density immediately tightens every sibling search.
-		d, _ := densityOf(g, o, best)
-		cell.Improve(d, best)
-		// Relocate in a higher core once either the local α or the
-		// shared bound crosses an integer boundary (line 17, §6.1 ③):
-		// networks shrink monotonically, and the warm-started solver gets
-		// a refresh on the shrunken subgraph to pull uc down further.
-		lk := int64(math.Ceil(alpha))
-		if sk := shared.Ceil(); sk > lk {
-			lk = sk
-		}
-		if lk > curK {
-			shrunk := filterCore(cur, dec, lk)
-			if int64(len(shrunk)) >= p && len(shrunk) < len(cur) {
-				cur = shrunk
-				curK = lk
-				if solver != nil {
-					var err error
-					var ran int
-					pt := time.Now()
-					sub, solver, ran, err = shrinkSolver(ctx, g, o, sub, solver, cur, refreshBudget(opts))
-					cs.preNS += time.Since(pt)
-					cs.preIters += ran
-					if err != nil {
-						return cs, err
-					}
-					publishSolverLower(cell, sub, solver)
-					if f := solver.UpperFloat(); f < uc {
-						uc = f
-					}
-					slot.lower(uc)
-				} else {
-					sub = g.Induced(cur)
-				}
-				// The old side's network arena is already sized for the
-				// larger pre-shrink graph; hand it to the new side so the
-				// shrink does not restart the allocation reuse.
-				sd = makeSideReusing(sub.Graph, o, opts.Grouped, takeNet(sd))
+		// Relocate in a higher core once the bound — raised by this
+		// search's own witness or a sibling's — crosses an integer boundary
+		// (line 17, §6.1 ③): the optimum, if it beats the bound, lies in
+		// the ⌈bound⌉-core, so networks shrink monotonically. The old
+		// side's network arena is already sized for the larger graph, so
+		// the new side recycles it.
+		shrunk := false
+		if lk := alpha.Ceil(); lk > curK {
+			if keep := filterCore(cur, dec, lk); int64(len(keep)) >= p && len(keep) < len(cur) {
+				cur, curK, shrunk = keep, lk, true
+				sub = g.Induced(cur)
 			}
 		}
+		if sd == nil || shrunk {
+			sd = makeSide(sub.Graph, o, opts.Grouped, takeNet(sd))
+		}
+		ft := time.Now()
+		fsp := tr.Start(obs.SpanFlow, sp)
+		cs.flowNodes = append(cs.flowNodes, sd.Nodes())
+		cs.iterations++
+		vs, err := probe(ctx, sd, alpha)
+		fsp.SetInt("nodes", int64(sd.Nodes()))
+		fsp.SetAttr("alpha", alpha.String())
+		fsp.SetInt("cut", int64(len(vs)))
+		fsp.End()
+		cs.flowNS += time.Since(ft)
+		if err != nil {
+			// Abandoned mid-flow: nothing was certified at this α.
+			return cs, err
+		}
+		if len(vs) == 0 {
+			// The exact certificate: nothing in the component beats α.
+			slot.lower(alpha.Float())
+			return cs, nil
+		}
+		best := toOrig(sub, vs)
+		d, _ := densityOf(g, o, best)
+		if !d.Greater(alpha) {
+			return cs, fmt.Errorf("core: flow probe at α=%v returned a subgraph of density %v", alpha, d)
+		}
+		cell.Improve(d, best)
 	}
-	return cs, nil
 }
 
 // publishSolverLower pushes the solver's current lower bound (a witness

@@ -53,7 +53,7 @@ func TestGapBoundsContainExact(t *testing.T) {
 	f := func(seed int64) bool {
 		g := gen.GNM(14, 34, seed)
 		for _, h := range []int{2, 3} {
-			exact := Exact(g, motif.Clique{H: h}, false)
+			exact := runExact(t, g, motif.Clique{H: h}, false)
 			for _, gap := range []float64{0.05, 0.25, 1.0} {
 				res, err := CoreExact(context.Background(), g, motif.Clique{H: h}, Options{Gap: gap}, nil)
 				if err != nil {
@@ -98,7 +98,7 @@ func TestDeadlineBoundsContainExact(t *testing.T) {
 		500 * time.Microsecond, 5 * time.Millisecond, time.Minute}
 	f := func(seed int64) bool {
 		g := gen.GNM(16, 40, seed)
-		exact := Exact(g, motif.Clique{H: 3}, false)
+		exact := runExact(t, g, motif.Clique{H: 3}, false)
 		for _, d := range deadlines {
 			res, err := CoreExact(context.Background(), g, motif.Clique{H: 3}, Options{Deadline: d}, nil)
 			if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"time"
 
 	"repro/internal/graph"
@@ -10,73 +9,56 @@ import (
 	"repro/internal/motif"
 )
 
-// Exact is the state-of-the-art exact algorithm: binary search on the
-// guess α with a min s-t cut per probe, with the flow network rebuilt on
-// the entire graph every iteration. For h-cliques it is Algorithm 1 (for
-// Ψ = edge, Goldberg's simplified network; otherwise the (h−1)-clique
-// network); for a general pattern it is Algorithm 8, one flow-network
-// node per pattern instance — or, with grouped set, the construct+
-// grouped network (Algorithm 7) without core-based pruning, isolating the
-// effect of grouping for ablations. The binary search is seeded from
-// Greed++ bounds (the same flow-free pre-solver CoreExact uses) instead
-// of (0, max motif degree); the bounds are conservative certificates, so
-// the returned density is unchanged and the seeding only removes probes.
-func Exact(g *graph.Graph, o motif.Oracle, grouped bool) *Result {
+// Exact is the state-of-the-art exact algorithm: a min s-t cut per probe
+// on a flow network rebuilt on the entire graph every time. For h-cliques
+// it is Algorithm 1's network (for Ψ = edge, Goldberg's network);
+// for a general pattern it is Algorithm 8's, one node per pattern
+// instance — or, with grouped set, the construct+ grouped network
+// (Algorithm 7) without core-based pruning, isolating the effect of
+// grouping for ablations.
+//
+// The probes are Dinkelbach steps instead of the paper's bisection: the
+// first is at α = ρ(W) for W the Greed++ pre-solver's witness, and every
+// non-empty cut is a strictly denser subgraph whose exact density is the
+// next α. The first empty cut certifies the current witness optimal, so
+// the answer needs no Lemma-12 spacing argument. When the Greed++ bounds
+// already meet (ρ(W) ≥ max-load/T), no network is built at all. It fails
+// only when a network's capacities would overflow int64.
+func Exact(g *graph.Graph, o motif.Oracle, grouped bool) (*Result, error) {
 	start := time.Now()
-	n := g.N()
-	if n < o.Size() {
+	if g.N() < o.Size() {
 		r := &Result{}
 		r.Stats.Total = time.Since(start)
-		return r
+		return r, nil
 	}
-	s := makeSide(g, o, grouped)
 	var stats Stats
-	l, u := 0.0, float64(s.MaxMotifDeg())
-	var best []int32
-
-	// Greed++ seeding (ROADMAP item): bracket ρ* with certified flow-free
-	// bounds before the first network is built. The lower bound arrives
-	// with a real witness, so even a search whose range closes outright
-	// still returns the optimum; the upper bound is max-load/T rounded up
-	// (UpperFloat), so it can never clip the true density. The lower seed
-	// takes the mirror-image guard: Float rounds to nearest, so one
-	// Nextafter step DOWN keeps l ≤ ρ* even when the witness is the
-	// optimum and its density's ulp exceeds the Lemma-12 spacing —
-	// without it, every probe in (ρ*, l] would fail and a strictly denser
-	// subgraph than the greedy witness could be ruled out by rounding.
 	pre := iterative.New(g, o)
 	ran, _ := pre.RunAdaptive(context.Background(), DefaultIterativeBudget)
 	stats.PreSolveIters += ran
-	if lb, wit := pre.Lower(); len(wit) > 0 {
-		best = append([]int32(nil), wit...) // wit is live solver state
-		l = math.Nextafter(lb.Float(), math.Inf(-1))
-	}
-	if f := pre.UpperFloat(); f < u {
-		u = f
-	}
-
-	stop := 1.0 / (float64(n) * float64(n-1))
-	for u-l >= stop {
-		alpha := (l + u) / 2
-		net := s.Build(alpha)
-		stats.FlowNodes = append(stats.FlowNodes, s.Nodes())
-		stats.Iterations++
-		vs := net.SolveVertices()
-		if len(vs) == 0 {
-			u = alpha
-		} else {
-			l = alpha
-			best = vs
-		}
-	}
-	if stats.Iterations == 0 {
-		// The pre-solve bounds closed the search before any network was
-		// built — the whole-graph analogue of a component finishing
-		// flow-free.
+	lower, wit := pre.Lower()
+	best := append([]int32(nil), wit...) // wit is live solver state
+	if lower.Cmp(pre.Upper()) >= 0 {
+		// The pre-solve bounds closed before any network was built — the
+		// whole-graph analogue of a component finishing flow-free.
 		stats.PreSolveSkips++
+	} else {
+		s := makeSide(g, o, grouped, nil)
+		for {
+			vs, err := probe(context.Background(), s, lower)
+			if err != nil {
+				return nil, err
+			}
+			stats.FlowNodes = append(stats.FlowNodes, s.Nodes())
+			stats.Iterations++
+			if len(vs) == 0 {
+				break
+			}
+			best = vs
+			lower, _ = densityOf(g, o, vs)
+		}
 	}
 	res := Evaluate(g, o, best)
 	res.Stats = stats
 	res.Stats.Total = time.Since(start)
-	return res
+	return res, nil
 }

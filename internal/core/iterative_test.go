@@ -19,7 +19,7 @@ import (
 func TestCoreExactIterativeEquivalence(t *testing.T) {
 	for gi, g := range equivalenceGraphs(t) {
 		for h := 2; h <= 4; h++ {
-			want := Exact(g, motif.Clique{H: h}, false).Density
+			want := runExact(t, g, motif.Clique{H: h}, false).Density
 			serial := DefaultOptions() // pre-solver on by default
 			par := DefaultOptions()
 			par.Workers = 4
@@ -47,7 +47,7 @@ func TestCorePExactIterativeEquivalence(t *testing.T) {
 	gs := equivalenceGraphs(t)[:10]
 	for gi, g := range gs {
 		for _, p := range pats {
-			want := Exact(g, motif.For(p), false).Density
+			want := runExact(t, g, motif.For(p), false).Density
 			opts := DefaultOptions()
 			opts.Workers = 3
 			res := coreExact(t, g, motif.For(p), opts)
@@ -66,7 +66,7 @@ func TestCoreExactIterativeBudgets(t *testing.T) {
 	gs := equivalenceGraphs(t)[:8]
 	for gi, g := range gs {
 		want := coreExact(t, g, motif.Clique{H: 3}, Options{
-			Pruning1: true, Pruning2: true, Pruning3: true, Grouped: true,
+			Pruning1: true, Pruning2: true, Grouped: true,
 		}).Density // Iterative: 0 — the flow-only seed engine
 		for _, budget := range []int{1, 2, DefaultIterativeBudget, 64} {
 			opts := DefaultOptions()
@@ -85,12 +85,12 @@ func TestCoreExactIterativeBudgets(t *testing.T) {
 func TestCoreExactIterativePruningVariants(t *testing.T) {
 	gs := equivalenceGraphs(t)[:6]
 	variants := []Options{
-		{Pruning1: false, Pruning2: true, Pruning3: true, Grouped: true, Iterative: DefaultIterativeBudget},
-		{Pruning1: true, Pruning2: false, Pruning3: true, Grouped: true, Iterative: DefaultIterativeBudget},
-		{Pruning1: true, Pruning2: true, Pruning3: false, Grouped: true, Iterative: DefaultIterativeBudget},
+		{Pruning1: false, Pruning2: true, Grouped: true, Iterative: DefaultIterativeBudget},
+		{Pruning1: true, Pruning2: false, Grouped: true, Iterative: DefaultIterativeBudget},
+		{Pruning1: false, Pruning2: false, Grouped: true, Iterative: DefaultIterativeBudget},
 	}
 	for gi, g := range gs {
-		want := Exact(g, motif.Clique{H: 3}, false).Density
+		want := runExact(t, g, motif.Clique{H: 3}, false).Density
 		for vi, opts := range variants {
 			for _, workers := range []int{0, 3} {
 				opts.Workers = workers
@@ -167,10 +167,10 @@ func TestCoreExactIterativeStats(t *testing.T) {
 // density must agree with the flow-only CoreExact seed engine — two
 // independent algorithms — and the stats must show the pre-solver ran.
 func TestExactPreSolveSeeding(t *testing.T) {
-	seed := Options{Pruning1: true, Pruning2: true, Pruning3: true, Grouped: true}
+	seed := Options{Pruning1: true, Pruning2: true, Grouped: true}
 	for gi, g := range equivalenceGraphs(t)[:10] {
 		for h := 2; h <= 3; h++ {
-			e := Exact(g, motif.Clique{H: h}, false)
+			e := runExact(t, g, motif.Clique{H: h}, false)
 			want := coreExact(t, g, motif.Clique{H: h}, seed)
 			if e.Density.Cmp(want.Density) != 0 {
 				t.Fatalf("graph %d h=%d: seeded Exact density %v != core-exact %v",
@@ -186,7 +186,7 @@ func TestExactPreSolveSeeding(t *testing.T) {
 	}
 	g := equivalenceGraphs(t)[0]
 	p := pattern.Star(2)
-	pe := Exact(g, motif.For(p), false)
+	pe := runExact(t, g, motif.For(p), false)
 	want := coreExact(t, g, motif.For(p), seed)
 	if pe.Density.Cmp(want.Density) != 0 {
 		t.Fatalf("seeded PExact density %v != core-p-exact %v", pe.Density, want.Density)

@@ -1,10 +1,9 @@
 // Parallel execution substrate for the exact hot path: CoreExact's
-// per-component binary searches are independent except for the global
-// lower bound l, so they run on a bounded worker pool that
+// per-component searches are independent except for the global lower
+// bound l, so they run on a bounded worker pool that
 // shares (l, witness) through a mutex-protected monotone cell. A density
-// improvement found in one component immediately raises the probe
-// threshold, shrinks the cores, and arms the can't-beat abort of every
-// other component — the shared-memory design of arXiv:2103.00154 applied
+// improvement found in one component immediately raises the probe α and
+// shrinks the cores of every other component — the shared-memory design of arXiv:2103.00154 applied
 // to Algorithm 4's component loop. Sharing only ever removes work, so the
 // returned density is identical to the serial engine's for any worker
 // count (asserted under -race by TestCoreExactParallelEquivalence).

@@ -170,9 +170,9 @@ func TestTheorem1BoundImpliedByKMaxCore(t *testing.T) {
 func TestCoreExactPruningOffParallel(t *testing.T) {
 	gs := equivalenceGraphs(t)[:6]
 	variants := []Options{
-		{Pruning1: false, Pruning2: true, Pruning3: true, Grouped: true},
-		{Pruning1: true, Pruning2: false, Pruning3: true, Grouped: true},
-		{Pruning1: true, Pruning2: true, Pruning3: false, Grouped: true},
+		{Pruning1: false, Pruning2: true, Grouped: true},
+		{Pruning1: true, Pruning2: false, Grouped: true},
+		{Pruning1: false, Pruning2: false, Grouped: true},
 	}
 	for gi, g := range gs {
 		want := coreExact(t, g, motif.Clique{H: 3}, DefaultOptions()).Density

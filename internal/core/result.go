@@ -29,7 +29,7 @@ type Result struct {
 	// ρopt satisfies Lower ≤ ρopt ≤ Upper, with Lower the returned
 	// witness's exact density and Upper the maximum surviving
 	// per-component upper bound (core-number, Greed++ max-load/T, and
-	// infeasible-probe certificates, whichever is tightest per component).
+	// empty-cut probe certificates, whichever is tightest per component).
 	Bound Bound
 	// Stats carries per-run instrumentation.
 	Stats Stats
@@ -51,19 +51,18 @@ type Stats struct {
 	// Total is the wall-clock time of the whole run.
 	Total time.Duration
 	// FlowNodes records the node count of every flow network built, in
-	// order (Figure 9: networks shrink across binary-search iterations).
+	// order (Figure 9: networks shrink across a search's probes).
 	FlowNodes []int
-	// Iterations counts binary-search iterations, i.e. flow networks built
-	// and min-cut computations performed.
+	// Iterations counts flow probes, i.e. flow networks built and min-cut
+	// computations performed.
 	Iterations int
 	// PreSolveIters counts Greed++ load-balancing iterations run by the
 	// iterative pre-solver across all component searches (0 when the
 	// pre-solver is disabled).
 	PreSolveIters int
 	// PreSolveSkips counts component searches the pre-solver finished
-	// without building a single flow network: the iterative bounds either
-	// proved the component cannot beat the shared lower bound or closed
-	// the binary-search gap outright.
+	// without building a single flow network: the iterative upper bound
+	// proved the component cannot beat the shared lower bound.
 	PreSolveSkips int
 	// ReusedDecomposition reports that the run was handed a precomputed
 	// (k,Ψ)-core (or nucleus, or classical-core) decomposition via a

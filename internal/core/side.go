@@ -1,41 +1,36 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/flow"
 	"repro/internal/flownet"
 	"repro/internal/graph"
 	"repro/internal/motif"
+	"repro/internal/rational"
 )
 
 // side abstracts the flow-network construction for one fixed graph so the
-// binary-search drivers (Exact, CoreExact) are written
-// once. A side is built per graph (or per component) and can then emit
-// networks for any α.
+// Dinkelbach drivers (Exact, CoreExact) are written once. A side is built
+// per graph (or per component) and can then emit networks for any α.
 type side interface {
-	// Build returns the flow network for guess α. The network's arena is
-	// recycled across calls: a Build invalidates every Net the side
-	// returned before, which suits the binary-search drivers' strict
-	// build→solve→discard cadence.
-	Build(alpha float64) *flownet.Net
+	// Build returns the int64 flow network for the probe α = num/den. The
+	// network's arena is recycled across calls: a Build invalidates every
+	// Net the side returned before, which suits the drivers' strict
+	// build→solve→discard cadence. It fails only when the scaled
+	// capacities overflow int64.
+	Build(num, den int64) (*flownet.Net, error)
 	// Nodes returns the network's node count (Figure 9's metric).
 	Nodes() int
-	// MaxMotifDeg is max_v deg(v,Ψ), the initial binary-search upper bound
-	// of Algorithm 1.
-	MaxMotifDeg() int64
 }
 
-// makeSide picks the network family: Goldberg's simplified network for
-// edges, the (h−1)-clique network for h-cliques, and the instance network
-// for patterns (grouped = construct+).
-func makeSide(g *graph.Graph, o motif.Oracle, grouped bool) side {
-	return makeSideReusing(g, o, grouped, nil)
-}
-
-// makeSideReusing is makeSide seeding the new side with a recycled
-// network arena (nil for a fresh one) — CoreExact hands the pre-shrink
-// side's network over when a component relocates to a higher core, so
-// shrinking never restarts the allocation reuse.
-func makeSideReusing(g *graph.Graph, o motif.Oracle, grouped bool, net *flow.Network) side {
+// makeSide picks the network family — Goldberg's network for edges, the
+// (h−1)-clique network for h-cliques, and the instance network for
+// patterns (grouped = construct+) — seeding it with a recycled network
+// arena (nil for a fresh one). CoreExact hands the pre-shrink side's
+// network over when a component relocates to a higher core, so shrinking
+// never restarts the allocation reuse.
+func makeSide(g *graph.Graph, o motif.Oracle, grouped bool, net *flow.Network) side {
 	if c, ok := o.(motif.Clique); ok {
 		if c.H == 2 {
 			return &edsSide{g: g, net: net}
@@ -63,13 +58,14 @@ type edsSide struct {
 	net *flow.Network
 }
 
-func (s *edsSide) Build(alpha float64) *flownet.Net {
-	nn := flownet.BuildEDSInto(s.net, s.g, alpha)
-	s.net = nn.Network
-	return nn
+func (s *edsSide) Build(num, den int64) (*flownet.Net, error) {
+	nn, err := flownet.BuildEDS(s.net, s.g, nil, num, den)
+	if err == nil {
+		s.net = nn.Network
+	}
+	return nn, err
 }
-func (s *edsSide) Nodes() int         { return 2 + s.g.N() }
-func (s *edsSide) MaxMotifDeg() int64 { return int64(s.g.MaxDegree()) }
+func (s *edsSide) Nodes() int { return 2 + s.g.N() }
 
 type cdsSide struct {
 	n   int
@@ -77,21 +73,14 @@ type cdsSide struct {
 	net *flow.Network
 }
 
-func (s *cdsSide) Build(alpha float64) *flownet.Net {
-	nn := flownet.BuildCDSInto(s.net, s.n, s.cs, alpha)
-	s.net = nn.Network
-	return nn
+func (s *cdsSide) Build(num, den int64) (*flownet.Net, error) {
+	nn, err := flownet.BuildCDS(s.net, s.n, s.cs, num, den)
+	if err == nil {
+		s.net = nn.Network
+	}
+	return nn, err
 }
 func (s *cdsSide) Nodes() int { return s.cs.NumNodes(s.n) }
-func (s *cdsSide) MaxMotifDeg() int64 {
-	var d int64
-	for _, x := range s.cs.Deg {
-		if x > d {
-			d = x
-		}
-	}
-	return d
-}
 
 type pdsSide struct {
 	n   int
@@ -99,18 +88,27 @@ type pdsSide struct {
 	net *flow.Network
 }
 
-func (s *pdsSide) Build(alpha float64) *flownet.Net {
-	nn := flownet.BuildPDSInto(s.net, s.n, s.ps, alpha)
-	s.net = nn.Network
-	return nn
+func (s *pdsSide) Build(num, den int64) (*flownet.Net, error) {
+	nn, err := flownet.BuildPDS(s.net, s.n, s.ps, num, den)
+	if err == nil {
+		s.net = nn.Network
+	}
+	return nn, err
 }
 func (s *pdsSide) Nodes() int { return s.ps.NumNodes(s.n) }
-func (s *pdsSide) MaxMotifDeg() int64 {
-	var d int64
-	for _, x := range s.ps.Deg {
-		if x > d {
-			d = x
-		}
+
+// probe builds sd's network at α and returns the vertices, in sd's graph
+// ids, on the minimal source side of its min cut: nil certifies exactly
+// that nothing in the graph is denser than α, and a non-nil set is
+// strictly denser than α. The empty density probes as 0/1.
+func probe(ctx context.Context, sd side, alpha rational.R) ([]int32, error) {
+	num, den := alpha.Num, alpha.Den
+	if den == 0 {
+		num, den = 0, 1
 	}
-	return d
+	net, err := sd.Build(num, den)
+	if err != nil {
+		return nil, err
+	}
+	return net.SolveVerticesCtx(ctx)
 }

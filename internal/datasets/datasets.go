@@ -160,7 +160,7 @@ func (s Spec) loadWith(div int, withEDSPlant bool) *graph.Graph {
 	// The stand-in plants three structures in a contiguous mid-range id
 	// block, reproducing the paper's Figure 1 narrative (the EDS and the
 	// clique-CDS are different subgraphs) and keeping the exact
-	// algorithms' binary search non-trivial:
+	// algorithms' flow search non-trivial:
 	//
 	//  1. A graded near-clique of `plant` vertices (~93% edge fill): the
 	//     CDS for every h ≥ 3, as in §8.1 ④ (CDS ≈ large near-clique).

@@ -85,7 +85,7 @@ func TestLoadDivScalesDown(t *testing.T) {
 // TestPlantedStructure verifies the three planted regions exist and play
 // their roles: the near-clique is the triangle-CDS, the bipartite block
 // is the EDS, and greedy peeling underestimates ρopt for edges (which is
-// what keeps CoreExact's binary search honest).
+// what keeps CoreExact's flow search honest).
 func TestPlantedStructure(t *testing.T) {
 	spec, _ := Get("Yeast")
 	g := spec.Load()

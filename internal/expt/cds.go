@@ -44,7 +44,10 @@ func RunFig8Exact(cfg Config) error {
 			exactCell := "t/o"
 			_, _, within := cliqueNetworkCost(g, h, cfg.LinkBudget)
 			if within {
-				exact = core.Exact(g, motif.Clique{H: h}, false)
+				var err error
+				if exact, err = core.Exact(g, motif.Clique{H: h}, false); err != nil {
+					return err
+				}
 				exactCell = secs(exact.Stats.Total)
 			}
 			coreExact = seedCoreExact(g, motif.Clique{H: h})
@@ -92,7 +95,7 @@ func RunFig8Approx(cfg Config) error {
 }
 
 // RunFig9 regenerates Figure 9: the flow-network sizes across CoreExact's
-// binary-search iterations on Ca-HepTh and As-Caida. Iteration −1 is the
+// flow probes on Ca-HepTh and As-Caida. Iteration −1 is the
 // network Exact would build on the entire graph; iteration 0 onwards are
 // the networks CoreExact actually builds.
 func RunFig9(cfg Config) error {
@@ -134,13 +137,12 @@ func RunFig9(cfg Config) error {
 // RunFig10 regenerates Figure 10: CoreExact variants that enable only one
 // pruning each, against the no-pruning base and the full algorithm.
 func RunFig10(cfg Config) error {
-	t := newTable(cfg.Out, "dataset", "h", "base", "P1", "P2", "P3", "CoreExact")
+	t := newTable(cfg.Out, "dataset", "h", "base", "P1", "P2", "CoreExact")
 	variants := []core.Options{
 		{},
 		{Pruning1: true},
 		{Pruning2: true},
-		{Pruning3: true},
-		{Pruning1: true, Pruning2: true, Pruning3: true},
+		{Pruning1: true, Pruning2: true},
 	}
 	for _, name := range []string{"As-733", "Ca-HepTh"} {
 		spec, err := datasets.Get(name)
@@ -274,7 +276,10 @@ func RunFig13(cfg Config) error {
 			_, _, ok := cliqueNetworkCost(g, h, budget)
 			exactCell, coreCell := "t/o", "t/o"
 			if ok {
-				r := core.Exact(g, motif.Clique{H: h}, false)
+				r, err := core.Exact(g, motif.Clique{H: h}, false)
+				if err != nil {
+					return err
+				}
 				exactCell = secs(r.Stats.Total)
 			}
 			// CoreExact's networks live on the located core; on SSCA that

@@ -201,7 +201,7 @@ func timeIt(fn func()) time.Duration {
 // seedCoreExact runs the core engine in its paper configuration — flow-only, Greed++ pre-solver off. The reproduction
 // experiments (Figures 8-16, Tables 3-5) must keep measuring the paper's
 // algorithm even though the library default now pre-solves; Figure 9 in
-// particular plots the networks the flow binary search builds, which the
+// particular plots the networks the flow search builds, which the
 // pre-solver exists to skip. The perf suite measures the pre-solved
 // engine separately, against these as its seed arms.
 func seedCoreExact(g *graph.Graph, o motif.Oracle) *core.Result {

@@ -100,7 +100,10 @@ func RunFig15(cfg Config) error {
 			var pexact *core.Result
 			pexactCell := "t/o"
 			if total <= cfg.InstanceBudget {
-				pexact = core.Exact(g, motif.For(p), false)
+				var err error
+				if pexact, err = core.Exact(g, motif.For(p), false); err != nil {
+					return err
+				}
 				pexactCell = secs(pexact.Stats.Total)
 			}
 			cpe := seedCoreExact(g, motif.For(p))

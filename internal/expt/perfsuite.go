@@ -67,7 +67,7 @@ type BenchCase struct {
 	ParallelNsOp int64   `json:"parallel_ns_op,omitempty"`
 	Workers      int     `json:"workers,omitempty"`
 	Speedup      float64 `json:"speedup,omitempty"`
-	// SerialIters/ParallelIters count binary-search flow solves for the
+	// SerialIters/ParallelIters count flow solves for the
 	// exact algorithms: the parallel engine's speedup is algorithmic
 	// (shared-bound aborts remove work), and these make it visible in
 	// the artifact rather than only in wall time.

@@ -1,8 +1,9 @@
 // Package flow implements maximum flow / minimum s-t cut with Dinic's
-// algorithm over float64 capacities. The densest-subgraph flow networks of
-// the paper mix integer capacities (clique degrees, instance arities) with
-// fractional ones (α·|VΨ|) and +∞ edges, so capacities are float64 with an
-// explicit residual tolerance.
+// algorithm over int64 capacities. The densest-subgraph networks of the
+// paper probe a rational guess α = p/q; internal/flownet scales every
+// capacity by q, so the networks are integral and every residual test is
+// an exact comparison with zero — there is no tolerance to tune, and a
+// min cut at α equal to a density ties exactly.
 package flow
 
 import (
@@ -10,24 +11,17 @@ import (
 	"math"
 )
 
-// Eps is the residual-capacity tolerance: edges with residual ≤ Eps are
-// treated as saturated.
-const Eps = 1e-9
-
-// Inf is the capacity used for the paper's +∞ edges.
-var Inf = math.Inf(1)
-
 // Network is a directed flow network under construction or after a
 // max-flow run. Nodes are dense ints; add edges with AddEdge, then call
 // MaxFlow once. Reset recycles a solved network's allocations for the
-// next build — the binary-search engines build one network per probe on
+// next build — the Dinkelbach searches build one network per probe on
 // the same (shrinking) graph, so steady-state probes reuse the edge
 // arrays, per-node adjacency lists and BFS/DFS working state instead of
 // reallocating them.
 type Network struct {
 	head [][]int32 // per node: indices into the edge arrays
 	to   []int32
-	cap  []float64 // residual capacity
+	cap  []int64 // residual capacity
 	// iter/level/queue are Dinic working state, kept across runs.
 	level []int32
 	iter  []int32
@@ -63,9 +57,11 @@ func (f *Network) N() int { return len(f.head) }
 // implicit reverse edges).
 func (f *Network) NumEdges() int { return len(f.to) / 2 }
 
-// AddEdge adds a directed edge u→v with the given capacity (and the
-// implicit residual reverse edge of capacity 0).
-func (f *Network) AddEdge(u, v int, capacity float64) {
+// AddEdge adds a directed edge u→v with the given non-negative capacity
+// (and the implicit residual reverse edge of capacity 0). The caller
+// keeps the total of all source capacities within int64: it bounds every
+// flow value the run computes.
+func (f *Network) AddEdge(u, v int, capacity int64) {
 	f.head[u] = append(f.head[u], int32(len(f.to)))
 	f.to = append(f.to, int32(v))
 	f.cap = append(f.cap, capacity)
@@ -86,7 +82,7 @@ func (f *Network) bfs(s, t int) bool {
 		v := queue[head]
 		for _, ei := range f.head[v] {
 			w := f.to[ei]
-			if f.cap[ei] > Eps && f.level[w] < 0 {
+			if f.cap[ei] > 0 && f.level[w] < 0 {
 				f.level[w] = f.level[v] + 1
 				queue = append(queue, w)
 			}
@@ -96,18 +92,17 @@ func (f *Network) bfs(s, t int) bool {
 	return f.level[t] >= 0
 }
 
-func (f *Network) dfs(v, t int, pushed float64) float64 {
+func (f *Network) dfs(v, t int, pushed int64) int64 {
 	if v == t {
 		return pushed
 	}
 	for ; f.iter[v] < int32(len(f.head[v])); f.iter[v]++ {
 		ei := f.head[v][f.iter[v]]
 		w := f.to[ei]
-		if f.cap[ei] <= Eps || f.level[w] != f.level[v]+1 {
+		if f.cap[ei] == 0 || f.level[w] != f.level[v]+1 {
 			continue
 		}
-		d := f.dfs(int(w), t, math.Min(pushed, f.cap[ei]))
-		if d > Eps {
+		if d := f.dfs(int(w), t, min(pushed, f.cap[ei])); d > 0 {
 			f.cap[ei] -= d
 			f.cap[ei^1] += d
 			return d
@@ -117,7 +112,7 @@ func (f *Network) dfs(v, t int, pushed float64) float64 {
 }
 
 // MaxFlow computes the maximum s-t flow, mutating residual capacities.
-func (f *Network) MaxFlow(s, t int) float64 {
+func (f *Network) MaxFlow(s, t int) int64 {
 	total, _ := f.MaxFlowCtx(context.Background(), s, t)
 	return total
 }
@@ -128,10 +123,10 @@ func (f *Network) MaxFlow(s, t int) float64 {
 // run instead of waiting out the whole min-cut. On cancellation the
 // partial flow is abandoned (the network's residual state is
 // meaningless) and the context's error is returned.
-func (f *Network) MaxFlowCtx(ctx context.Context, s, t int) (float64, error) {
+func (f *Network) MaxFlowCtx(ctx context.Context, s, t int) (int64, error) {
 	f.level = grow(f.level, f.N())
 	f.iter = grow(f.iter, f.N())
-	var total float64
+	var total int64
 	paths := 0
 	for f.bfs(s, t) {
 		if err := ctx.Err(); err != nil {
@@ -141,8 +136,8 @@ func (f *Network) MaxFlowCtx(ctx context.Context, s, t int) (float64, error) {
 			f.iter[i] = 0
 		}
 		for {
-			d := f.dfs(s, t, Inf)
-			if d <= Eps {
+			d := f.dfs(s, t, math.MaxInt64)
+			if d == 0 {
 				break
 			}
 			total += d
@@ -166,7 +161,9 @@ func grow(s []int32, n int) []int32 {
 }
 
 // MinCutSource returns, after MaxFlow, the source side S of a minimum
-// s-t cut: all nodes reachable from s in the residual network.
+// s-t cut: all nodes reachable from s in the residual network. It is the
+// smallest source side of any minimum cut (the intersection of them
+// all), so a cut that ties with the trivial cut {s} returns {s}.
 func (f *Network) MinCutSource(s int) []bool {
 	inS := make([]bool, f.N())
 	inS[s] = true
@@ -176,7 +173,7 @@ func (f *Network) MinCutSource(s int) []bool {
 		stack = stack[:len(stack)-1]
 		for _, ei := range f.head[v] {
 			w := f.to[ei]
-			if f.cap[ei] > Eps && !inS[w] {
+			if f.cap[ei] > 0 && !inS[w] {
 				inS[w] = true
 				stack = append(stack, w)
 			}

@@ -10,8 +10,8 @@ func TestSimplePath(t *testing.T) {
 	f := NewNetwork(3)
 	f.AddEdge(0, 1, 3)
 	f.AddEdge(1, 2, 2)
-	if got := f.MaxFlow(0, 2); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("max flow = %f, want 2", got)
+	if got := f.MaxFlow(0, 2); got != 2 {
+		t.Fatalf("max flow = %d, want 2", got)
 	}
 }
 
@@ -24,8 +24,8 @@ func TestClassicDiamond(t *testing.T) {
 	f.AddEdge(1, 2, 1)
 	f.AddEdge(1, 3, 10)
 	f.AddEdge(2, 3, 10)
-	if got := f.MaxFlow(0, 3); math.Abs(got-20) > 1e-9 {
-		t.Fatalf("max flow = %f, want 20", got)
+	if got := f.MaxFlow(0, 3); got != 20 {
+		t.Fatalf("max flow = %d, want 20", got)
 	}
 }
 
@@ -35,8 +35,8 @@ func TestBottleneck(t *testing.T) {
 	f.AddEdge(0, 1, 5)
 	f.AddEdge(1, 2, 1)
 	f.AddEdge(2, 3, 5)
-	if got := f.MaxFlow(0, 3); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("max flow = %f, want 1", got)
+	if got := f.MaxFlow(0, 3); got != 1 {
+		t.Fatalf("max flow = %d, want 1", got)
 	}
 	inS := f.MinCutSource(0)
 	if !inS[0] || !inS[1] || inS[2] || inS[3] {
@@ -45,22 +45,25 @@ func TestBottleneck(t *testing.T) {
 }
 
 func TestInfiniteEdges(t *testing.T) {
-	// s->1 (4), 1->2 (+inf), 2->t (3): max flow 3.
+	// s->1 (4), 1->2 (+inf: the largest capacity), 2->t (3): max flow 3.
 	f := NewNetwork(4)
 	f.AddEdge(0, 1, 4)
-	f.AddEdge(1, 2, Inf)
+	f.AddEdge(1, 2, math.MaxInt64)
 	f.AddEdge(2, 3, 3)
-	if got := f.MaxFlow(0, 3); math.Abs(got-3) > 1e-9 {
-		t.Fatalf("max flow = %f, want 3", got)
+	if got := f.MaxFlow(0, 3); got != 3 {
+		t.Fatalf("max flow = %d, want 3", got)
 	}
 }
 
+// TestFractionalCapacities: fractional capacities (2.5, 1.75) run as
+// integers scaled by their common denominator 4, the way the flownet
+// builders scale a probe α = p/q by q; the flow scales back exactly.
 func TestFractionalCapacities(t *testing.T) {
 	f := NewNetwork(3)
-	f.AddEdge(0, 1, 2.5)
-	f.AddEdge(1, 2, 1.75)
-	if got := f.MaxFlow(0, 2); math.Abs(got-1.75) > 1e-9 {
-		t.Fatalf("max flow = %f, want 1.75", got)
+	f.AddEdge(0, 1, 10)
+	f.AddEdge(1, 2, 7)
+	if got := f.MaxFlow(0, 2); got != 7 {
+		t.Fatalf("max flow = %d, want 7 (1.75 scaled by 4)", got)
 	}
 }
 
@@ -68,8 +71,8 @@ func TestDisconnected(t *testing.T) {
 	f := NewNetwork(4)
 	f.AddEdge(0, 1, 5)
 	f.AddEdge(2, 3, 5)
-	if got := f.MaxFlow(0, 3); got > Eps {
-		t.Fatalf("max flow = %f, want 0", got)
+	if got := f.MaxFlow(0, 3); got != 0 {
+		t.Fatalf("max flow = %d, want 0", got)
 	}
 	inS := f.MinCutSource(0)
 	if !inS[0] || !inS[1] || inS[2] || inS[3] {
@@ -83,25 +86,25 @@ func TestMaxFlowEqualsMinCutCapacity(t *testing.T) {
 	f := NewNetwork(6)
 	type e struct {
 		u, v int
-		c    float64
+		c    int64
 	}
 	edges := []e{
-		{0, 1, 3}, {0, 2, 7}, {1, 3, 2.5}, {2, 3, 2}, {1, 4, 4},
-		{2, 4, 1}, {3, 5, 8}, {4, 5, 3.5}, {3, 4, 1.5},
+		{0, 1, 6}, {0, 2, 14}, {1, 3, 5}, {2, 3, 4}, {1, 4, 8},
+		{2, 4, 2}, {3, 5, 16}, {4, 5, 7}, {3, 4, 3},
 	}
 	for _, ed := range edges {
 		f.AddEdge(ed.u, ed.v, ed.c)
 	}
 	got := f.MaxFlow(0, 5)
 	inS := f.MinCutSource(0)
-	var cut float64
+	var cut int64
 	for _, ed := range edges {
 		if inS[ed.u] && !inS[ed.v] {
 			cut += ed.c
 		}
 	}
-	if math.Abs(got-cut) > 1e-6 {
-		t.Fatalf("flow %f != cut capacity %f", got, cut)
+	if got != cut {
+		t.Fatalf("flow %d != cut capacity %d", got, cut)
 	}
 }
 
@@ -119,15 +122,15 @@ func TestResetReusesArena(t *testing.T) {
 	}
 	f := NewNetwork(4)
 	build(f)
-	if got := f.MaxFlow(0, 3); math.Abs(got-20) > 1e-9 {
-		t.Fatalf("fresh max flow = %f, want 20", got)
+	if got := f.MaxFlow(0, 3); got != 20 {
+		t.Fatalf("fresh max flow = %d, want 20", got)
 	}
 
 	// Same size again: residual state from the previous solve must be gone.
 	f.Reset(4)
 	build(f)
-	if got := f.MaxFlow(0, 3); math.Abs(got-20) > 1e-9 {
-		t.Fatalf("reset max flow = %f, want 20", got)
+	if got := f.MaxFlow(0, 3); got != 20 {
+		t.Fatalf("reset max flow = %d, want 20", got)
 	}
 
 	// Smaller, with a different topology and a cut check.
@@ -135,8 +138,8 @@ func TestResetReusesArena(t *testing.T) {
 	f.AddEdge(0, 1, 5)
 	f.AddEdge(1, 2, 1)
 	f.AddEdge(2, 3, 5)
-	if got := f.MaxFlow(0, 3); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("reset bottleneck = %f, want 1", got)
+	if got := f.MaxFlow(0, 3); got != 1 {
+		t.Fatalf("reset bottleneck = %d, want 1", got)
 	}
 	inS := f.MinCutSource(0)
 	if !inS[0] || !inS[1] || inS[2] || inS[3] {
@@ -151,8 +154,8 @@ func TestResetReusesArena(t *testing.T) {
 	if f.N() != 6 {
 		t.Fatalf("N after growing reset = %d, want 6", f.N())
 	}
-	if got := f.MaxFlow(0, 3); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("grown reset max flow = %f, want 2", got)
+	if got := f.MaxFlow(0, 3); got != 2 {
+		t.Fatalf("grown reset max flow = %d, want 2", got)
 	}
 	if f.NumEdges() != 3 {
 		t.Fatalf("NumEdges after reset = %d, want 3", f.NumEdges())

@@ -1,19 +1,27 @@
 // Package flownet builds the densest-subgraph flow networks of the paper:
-// Goldberg's simplified network for edge density (§4.1 remark), the
-// (h−1)-clique network of Algorithm 1 for h-clique density, the
+// Goldberg's network for edge density (§4.1 remark, in its degree form),
+// the (h−1)-clique network of Algorithm 1 for h-clique density, the
 // pattern-instance network of PExact (Algorithm 8), and the grouped
 // construct+ network of Algorithm 7 used by CorePExact.
 //
+// Every builder takes the probe α as an exact rational num/den and
+// scales all capacities by den, so the networks are int64 and exact. The
+// +∞ edges become one more than the total of the finite capacities, and
+// a builder whose capacities would overflow int64 returns an error.
+//
 // All builders share the node layout: node 0 = source s, node 1 = sink t,
 // node 2+i = graph vertex i, nodes after that = instance (or group) nodes.
-// The decision they encode: the min s-t cut's source side contains a
-// non-source node iff the graph has a subgraph of Ψ-density ≥ α (strictly
-// greater in the generic position); the vertex part of the source side
-// induces such a subgraph.
+// The decision they encode: the minimal min s-t cut's source side holds a
+// vertex iff the graph has a subgraph of Ψ-density strictly greater than
+// α, and its vertices then induce such a subgraph. At α equal to the
+// optimum density the cut is exactly {s}: an empty side certifies that
+// nothing beats α, which is what the Dinkelbach searches stop on.
 package flownet
 
 import (
 	"context"
+	"fmt"
+	"math"
 
 	"repro/internal/clique"
 	"repro/internal/flow"
@@ -39,7 +47,8 @@ type Net struct {
 func VertexNode(v int) int { return VertexBase + v }
 
 // SolveVertices runs max-flow/min-cut and returns the graph vertices on
-// the source side, or nil when the cut is {s} (no subgraph denser than α).
+// the minimal source side, or nil when the cut is {s} (no subgraph denser
+// than α).
 func (n *Net) SolveVertices() []int32 {
 	vs, _ := n.SolveVerticesCtx(context.Background())
 	return vs
@@ -48,7 +57,7 @@ func (n *Net) SolveVertices() []int32 {
 // SolveVerticesCtx is SolveVertices with cancellation points inside the
 // max-flow run (see flow.MaxFlowCtx). On cancellation nothing is
 // certified: the cut is not computed and the context's error returns —
-// callers must not read an "infeasible at α" out of the nil slice.
+// callers must not read an "nothing beats α" out of the nil slice.
 func (n *Net) SolveVerticesCtx(ctx context.Context) ([]int32, error) {
 	if _, err := n.MaxFlowCtx(ctx, Source, Sink); err != nil {
 		return nil, err
@@ -64,7 +73,7 @@ func (n *Net) SolveVerticesCtx(ctx context.Context) ([]int32, error) {
 }
 
 // recycle returns f reset to n nodes, or a fresh network when f is nil:
-// the shared allocation-reuse entry of the Build*Into builders.
+// the shared allocation-reuse entry of the builders.
 func recycle(f *flow.Network, n int) *flow.Network {
 	if f == nil {
 		return flow.NewNetwork(n)
@@ -73,29 +82,99 @@ func recycle(f *flow.Network, n int) *flow.Network {
 	return f
 }
 
-// BuildEDS builds Goldberg's simplified network for edge density (h = 2):
-// s→v with capacity m, v→t with capacity m + 2α − deg(v), and u↔v with
-// capacity 1 per direction for every edge.
-func BuildEDS(g *graph.Graph, alpha float64) *Net {
-	return BuildEDSInto(nil, g, alpha)
+// scale validates the probe α = num/den and reduces it to lowest terms,
+// keeping the scaled capacities as small as the probe allows.
+func scale(num, den int64) (int64, int64, error) {
+	if num < 0 || den <= 0 {
+		return 0, 0, fmt.Errorf("flownet: invalid probe density %d/%d", num, den)
+	}
+	a, b := num, den
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return num / a, den / a, nil
 }
 
-// BuildEDSInto is BuildEDS recycling the allocations of f (which may be a
-// previously solved network, or nil for a fresh one). The caller must be
-// done with any Net previously built over f.
-func BuildEDSInto(f *flow.Network, g *graph.Graph, alpha float64) *Net {
-	n := g.N()
-	m := float64(g.M())
-	f = recycle(f, 2+n)
-	for v := 0; v < n; v++ {
-		f.AddEdge(Source, VertexNode(v), m)
-		f.AddEdge(VertexNode(v), Sink, m+2*alpha-float64(g.Degree(v)))
+// total sums the finite capacities a builder is about to add, as a sum of
+// products, remembering whether any step overflowed int64.
+type total struct {
+	sum      int64
+	overflow bool
+}
+
+// add adds the product of the (non-negative) factors to the sum.
+func (t *total) add(factors ...int64) {
+	p := int64(1)
+	for _, f := range factors {
+		if f != 0 && p > math.MaxInt64/f {
+			t.overflow = true
+			return
+		}
+		p *= f
+	}
+	if p > math.MaxInt64-t.sum {
+		t.overflow = true
+		return
+	}
+	t.sum += p
+}
+
+// inf returns the capacity that stands in for the paper's +∞ edges: one
+// more than the total of every finite capacity, so no minimum cut can
+// afford it, and every flow value stays below it. It fails when that
+// total does not fit int64 — the network is refused instead of wrapping.
+func (t *total) inf(family string) (int64, error) {
+	t.add(1)
+	if t.overflow {
+		return 0, fmt.Errorf("flownet: %s network capacities overflow int64", family)
+	}
+	return t.sum, nil
+}
+
+// BuildEDS builds the edge-density network at α = num/den, with every
+// capacity scaled by den so that it is integral: s→v with capacity
+// deg(v)·den, v→t with 2·num, and u↔v with den per direction for every
+// edge. A source side S costs 2m·den − 2(den·e(S) − num·|S|), so the cut
+// is the trivial {s} exactly when no subgraph is denser than α. This is
+// the degree form of Goldberg's network: its total source capacity is
+// 2m·den rather than n·m·den.
+//
+// Vertices in anchors (nil for none) are pinned to the source side by
+// an s→v edge no cut can afford, so the source side ⊇ anchors maximizes
+// den·e(S) − num·|S| over those supersets only (the §6.3 query network).
+// f is a network arena to recycle (nil for a fresh one); the caller must
+// be done with any Net previously built over it.
+func BuildEDS(f *flow.Network, g *graph.Graph, anchors []int32, num, den int64) (*Net, error) {
+	num, den, err := scale(num, den)
+	if err != nil {
+		return nil, err
+	}
+	n, m := int64(g.N()), int64(g.M())
+	var t total
+	t.add(4, m, den)
+	t.add(2, n, num)
+	inf, err := t.inf("EDS")
+	if err != nil {
+		return nil, err
+	}
+	f = recycle(f, 2+g.N())
+	pinned := make([]bool, g.N())
+	for _, q := range anchors {
+		pinned[q] = true
+	}
+	for v := 0; v < g.N(); v++ {
+		c := int64(g.Degree(v)) * den
+		if pinned[v] {
+			c = inf
+		}
+		f.AddEdge(Source, VertexNode(v), c)
+		f.AddEdge(VertexNode(v), Sink, 2*num)
 	}
 	g.Edges(func(u, v int) {
-		f.AddEdge(VertexNode(u), VertexNode(v), 1)
-		f.AddEdge(VertexNode(v), VertexNode(u), 1)
+		f.AddEdge(VertexNode(u), VertexNode(v), den)
+		f.AddEdge(VertexNode(v), VertexNode(u), den)
 	})
-	return &Net{Network: f, NVertices: n}
+	return &Net{Network: f, NVertices: g.N()}, nil
 }
 
 // CliqueSide is the precomputed clique structure reused across the binary
@@ -155,32 +234,41 @@ func NewCliqueSide(g *graph.Graph, h int) *CliqueSide {
 // (2 + n + |Λ|), the quantity plotted in Figure 9.
 func (cs *CliqueSide) NumNodes(n int) int { return 2 + n + len(cs.Lambda) }
 
-// BuildCDS builds the Algorithm-1 network for h-clique density (h ≥ 3) on
-// the graph cs was computed from: s→v with capacity deg(v,Ψ), v→t with
-// capacity α·h, ψ→u with capacity +∞ for every member u of (h−1)-clique
-// ψ, and v→ψ with capacity 1 whenever ψ∪{v} is an h-clique.
-func BuildCDS(n int, cs *CliqueSide, alpha float64) *Net {
-	return BuildCDSInto(nil, n, cs, alpha)
-}
-
-// BuildCDSInto is BuildCDS recycling the allocations of f (nil for a
-// fresh network).
-func BuildCDSInto(f *flow.Network, n int, cs *CliqueSide, alpha float64) *Net {
+// BuildCDS builds the Algorithm-1 network for h-clique density (h ≥ 3)
+// at α = num/den on the graph cs was computed from, every capacity scaled
+// by den: s→v with capacity deg(v,Ψ)·den, v→t with num·h, v→ψ with den
+// whenever ψ∪{v} is an h-clique, and ψ→u with an unaffordable capacity
+// (the paper's +∞) for every member u of (h−1)-clique ψ. f is a network
+// arena to recycle (nil for a fresh one).
+func BuildCDS(f *flow.Network, n int, cs *CliqueSide, num, den int64) (*Net, error) {
+	num, den, err := scale(num, den)
+	if err != nil {
+		return nil, err
+	}
+	var t total
+	for _, d := range cs.Deg {
+		t.add(2, d, den) // s→v, plus the d links leaving v
+	}
+	t.add(int64(n), num, int64(cs.H))
+	inf, err := t.inf("CDS")
+	if err != nil {
+		return nil, err
+	}
 	f = recycle(f, 2+n+len(cs.Lambda))
 	lambdaNode := func(j int32) int { return 2 + n + int(j) }
 	for v := 0; v < n; v++ {
-		f.AddEdge(Source, VertexNode(v), float64(cs.Deg[v]))
-		f.AddEdge(VertexNode(v), Sink, alpha*float64(cs.H))
+		f.AddEdge(Source, VertexNode(v), cs.Deg[v]*den)
+		f.AddEdge(VertexNode(v), Sink, num*int64(cs.H))
 	}
 	for j, psi := range cs.Lambda {
 		for _, u := range psi {
-			f.AddEdge(lambdaNode(int32(j)), VertexNode(int(u)), flow.Inf)
+			f.AddEdge(lambdaNode(int32(j)), VertexNode(int(u)), inf)
 		}
 	}
 	for k := range cs.LinkV {
-		f.AddEdge(VertexNode(int(cs.LinkV[k])), lambdaNode(cs.LinkL[k]), 1)
+		f.AddEdge(VertexNode(int(cs.LinkV[k])), lambdaNode(cs.LinkL[k]), den)
 	}
-	return &Net{Network: f, NVertices: n}
+	return &Net{Network: f, NVertices: n}, nil
 }
 
 // PatternSide is the precomputed instance structure for PDS networks:
@@ -232,30 +320,42 @@ func NewPatternSide(g *graph.Graph, o motif.Oracle, grouped bool) *PatternSide {
 // NumNodes returns 2 + n + |Λ′|.
 func (ps *PatternSide) NumNodes(n int) int { return 2 + n + len(ps.Groups) }
 
-// BuildPDS builds the PDS network on the graph ps was computed from.
-// For each vertex: s→v with capacity deg(v,Ψ) and v→t with capacity
-// α·|VΨ|. For each group g of |g| instances over a shared vertex set:
-// v→g with capacity |g| and g→v with capacity |g|·(|VΨ|−1) — with |g|=1
-// this is exactly Algorithm 8's per-instance construction.
-func BuildPDS(n int, ps *PatternSide, alpha float64) *Net {
-	return BuildPDSInto(nil, n, ps, alpha)
-}
-
-// BuildPDSInto is BuildPDS recycling the allocations of f (nil for a
-// fresh network).
-func BuildPDSInto(f *flow.Network, n int, ps *PatternSide, alpha float64) *Net {
+// BuildPDS builds the PDS network at α = num/den on the graph ps was
+// computed from, every capacity scaled by den. For each vertex: s→v with
+// capacity deg(v,Ψ)·den and v→t with num·|VΨ|. For each group g of |g|
+// instances over a shared vertex set: v→g with capacity |g|·den and g→v
+// with |g|·(|VΨ|−1)·den — with |g|=1 this is exactly Algorithm 8's
+// per-instance construction. f is a network arena to recycle (nil for a
+// fresh one).
+func BuildPDS(f *flow.Network, n int, ps *PatternSide, num, den int64) (*Net, error) {
+	num, den, err := scale(num, den)
+	if err != nil {
+		return nil, err
+	}
+	p := int64(ps.P)
+	var t total
+	for _, d := range ps.Deg {
+		t.add(d, den)
+	}
+	t.add(int64(n), num, p)
+	for j, vs := range ps.Groups {
+		t.add(int64(len(vs)), ps.Count[j], p, den)
+	}
+	if _, err := t.inf("PDS"); err != nil {
+		return nil, err
+	}
 	f = recycle(f, 2+n+len(ps.Groups))
 	groupNode := func(j int) int { return 2 + n + j }
 	for v := 0; v < n; v++ {
-		f.AddEdge(Source, VertexNode(v), float64(ps.Deg[v]))
-		f.AddEdge(VertexNode(v), Sink, alpha*float64(ps.P))
+		f.AddEdge(Source, VertexNode(v), ps.Deg[v]*den)
+		f.AddEdge(VertexNode(v), Sink, num*p)
 	}
 	for j, vs := range ps.Groups {
-		c := float64(ps.Count[j])
+		c := ps.Count[j] * den
 		for _, v := range vs {
 			f.AddEdge(VertexNode(int(v)), groupNode(j), c)
-			f.AddEdge(groupNode(j), VertexNode(int(v)), c*float64(ps.P-1))
+			f.AddEdge(groupNode(j), VertexNode(int(v)), c*(p-1))
 		}
 	}
-	return &Net{Network: f, NVertices: n}
+	return &Net{Network: f, NVertices: n}, nil
 }

@@ -1,6 +1,7 @@
 package flownet
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -13,8 +14,6 @@ import (
 	"repro/internal/testutil"
 )
 
-// densestVia solves the binary-search densest subgraph problem with the
-// given network builder, for cross-checking the decision procedure.
 func maxDensity(g *graph.Graph, o motif.Oracle) rational.R {
 	d, _ := testutil.BruteForceDensest(g, func(sub *graph.Graph) int64 {
 		return motif.Count(o, sub)
@@ -22,46 +21,62 @@ func maxDensity(g *graph.Graph, o motif.Oracle) rational.R {
 	return d
 }
 
-// decision reports whether the network for guess alpha finds a non-empty
-// source side.
-type builder func(alpha float64) *Net
+// nextBelow returns the largest fraction a/b < r with 1 ≤ b ≤ n. No
+// subgraph of an n-vertex graph has a density strictly between it and r.
+func nextBelow(r rational.R, n int) rational.R {
+	best := rational.New(0, 1)
+	for b := int64(1); b <= int64(n); b++ {
+		if a := (r.Num*b - 1) / r.Den; a >= 0 && rational.New(a, b).Greater(best) {
+			best = rational.New(a, b)
+		}
+	}
+	return best
+}
 
+// builder builds a network for the probe α = num/den.
+type builder func(num, den int64) (*Net, error)
+
+// cut builds and solves the network at α and returns the source side's
+// vertices with their exact Ψ-density.
+func cut(t *testing.T, g *graph.Graph, o motif.Oracle, build builder, alpha rational.R) ([]int32, rational.R) {
+	t.Helper()
+	net, err := build(alpha.Num, alpha.Den)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := net.SolveVertices()
+	if len(vs) == 0 {
+		return nil, rational.Zero
+	}
+	return vs, rational.New(motif.Count(o, g.Induced(vs).Graph), int64(len(vs)))
+}
+
+// checkDecision checks the exact decision the Dinkelbach searches rely
+// on, against the brute-force optimum ρ*: at α = ρ* the cut's vertex side
+// is empty (the tie is exact); at the next-lower rational it is a densest
+// subgraph; below that it is a subgraph strictly denser than α; above ρ*
+// it is empty.
 func checkDecision(t *testing.T, name string, g *graph.Graph, o motif.Oracle, build builder, seed int64) bool {
 	t.Helper()
 	opt := maxDensity(g, o)
-	// Probe below the optimum: must find a witness; the witness itself
-	// must have density ≥ alpha.
-	probes := []float64{opt.Float() - 0.1, opt.Float() / 2, opt.Float() + 0.1, opt.Float() + 1}
-	for i, alpha := range probes {
-		if alpha < 0 {
-			continue
-		}
-		vs := build(alpha).SolveVertices()
-		wantFound := alpha < opt.Float()
-		if wantFound && len(vs) == 0 {
-			t.Logf("seed %d %s: alpha=%f below opt=%v but no witness", seed, name, alpha, opt)
+	if vs, _ := cut(t, g, o, build, opt); len(vs) != 0 {
+		t.Logf("seed %d %s: α = ρ* = %v left %v on the source side", seed, name, opt, vs)
+		return false
+	}
+	if vs, d := cut(t, g, o, build, nextBelow(opt, g.N())); d.Cmp(opt) != 0 {
+		t.Logf("seed %d %s: α just below ρ* = %v gave %v of density %v", seed, name, opt, vs, d)
+		return false
+	}
+	for _, alpha := range []rational.R{rational.New(0, 1), rational.New(opt.Num, 2*opt.Den)} {
+		if _, d := cut(t, g, o, build, alpha); !d.Greater(alpha) {
+			t.Logf("seed %d %s: α = %v below ρ* = %v gave density %v", seed, name, alpha, opt, d)
 			return false
 		}
-		if !wantFound && len(vs) > 0 {
-			// A witness at alpha ≥ opt must still have density ≥ alpha −
-			// only possible when alpha == opt exactly; for alpha > opt it
-			// is a failure.
-			sub := g.Induced(vs)
-			mu := motif.Count(o, sub.Graph)
-			den := rational.New(mu, int64(len(vs)))
-			if den.Float() < alpha-1e-6 {
-				t.Logf("seed %d %s probe %d: witness density %v below alpha %f", seed, name, i, den, alpha)
-				return false
-			}
-		}
-		if len(vs) > 0 {
-			sub := g.Induced(vs)
-			mu := motif.Count(o, sub.Graph)
-			den := rational.New(mu, int64(len(vs)))
-			if den.Float() < alpha-1e-6 {
-				t.Logf("seed %d %s: witness density %v < alpha %f", seed, name, den, alpha)
-				return false
-			}
+	}
+	for _, alpha := range []rational.R{rational.New(opt.Num+1, opt.Den), rational.New(opt.Num+opt.Den, opt.Den)} {
+		if vs, _ := cut(t, g, o, build, alpha); len(vs) != 0 {
+			t.Logf("seed %d %s: α = %v above ρ* = %v left %v", seed, name, alpha, opt, vs)
+			return false
 		}
 	}
 	return true
@@ -74,7 +89,9 @@ func TestEDSDecision(t *testing.T) {
 			return true
 		}
 		o := motif.Clique{H: 2}
-		return checkDecision(t, "EDS", g, o, func(a float64) *Net { return BuildEDS(g, a) }, seed)
+		return checkDecision(t, "EDS", g, o, func(num, den int64) (*Net, error) {
+			return BuildEDS(nil, g, nil, num, den)
+		}, seed)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -90,7 +107,9 @@ func TestCDSDecision(t *testing.T) {
 				continue
 			}
 			cs := NewCliqueSide(g, h)
-			ok := checkDecision(t, "CDS", g, o, func(a float64) *Net { return BuildCDS(g.N(), cs, a) }, seed)
+			ok := checkDecision(t, "CDS", g, o, func(num, den int64) (*Net, error) {
+				return BuildCDS(nil, g.N(), cs, num, den)
+			}, seed)
 			if !ok {
 				return false
 			}
@@ -113,8 +132,9 @@ func TestPDSDecisionGroupedAndUngrouped(t *testing.T) {
 			}
 			for _, grouped := range []bool{false, true} {
 				ps := NewPatternSide(g, o, grouped)
-				ok := checkDecision(t, p.Name(), g, o,
-					func(a float64) *Net { return BuildPDS(g.N(), ps, a) }, seed)
+				ok := checkDecision(t, p.Name(), g, o, func(num, den int64) (*Net, error) {
+					return BuildPDS(nil, g.N(), ps, num, den)
+				}, seed)
 				if !ok {
 					return false
 				}
@@ -136,11 +156,19 @@ func TestGroupedMinCutMatchesUngrouped(t *testing.T) {
 		o := motif.For(p)
 		grouped := NewPatternSide(g, o, true)
 		plain := NewPatternSide(g, o, false)
-		for _, alpha := range []float64{0.1, 0.5, 1, 1.5, 2.5} {
-			a := BuildPDS(g.N(), grouped, alpha).SolveVertices()
-			b := BuildPDS(g.N(), plain, alpha).SolveVertices()
-			if (len(a) == 0) != (len(b) == 0) {
-				t.Logf("seed %d alpha %f: grouped found=%v plain found=%v", seed, alpha, len(a) > 0, len(b) > 0)
+		for _, alpha := range []rational.R{
+			rational.New(1, 10), rational.New(1, 2), rational.New(1, 1), rational.New(3, 2), rational.New(5, 2),
+		} {
+			a, err := BuildPDS(nil, g.N(), grouped, alpha.Num, alpha.Den)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := BuildPDS(nil, g.N(), plain, alpha.Num, alpha.Den)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fa, fb := len(a.SolveVertices()) > 0, len(b.SolveVertices()) > 0; fa != fb {
+				t.Logf("seed %d alpha %v: grouped found=%v plain found=%v", seed, alpha, fa, fb)
 				return false
 			}
 		}
@@ -174,7 +202,7 @@ func TestGroupingCollapsesSharedVertexSets(t *testing.T) {
 
 // TestBuildIntoMatchesFresh sweeps α rebuilding every network family into
 // one recycled arena, checking the decision (and witness) against a fresh
-// build at each step — the allocation-reuse contract the binary-search
+// build at each step — the allocation-reuse contract the flow-search
 // sides depend on.
 func TestBuildIntoMatchesFresh(t *testing.T) {
 	sameVerts := func(a, b []int32) bool {
@@ -188,60 +216,54 @@ func TestBuildIntoMatchesFresh(t *testing.T) {
 		}
 		return true
 	}
-	alphas := []float64{0.1, 0.4, 0.9, 1.5, 2.5, 4}
-	for seed := int64(1); seed <= 5; seed++ {
-		g := gen.GNM(10, 24, seed)
-
+	alphas := []rational.R{
+		rational.New(1, 10), rational.New(2, 5), rational.New(9, 10),
+		rational.New(3, 2), rational.New(5, 2), rational.New(4, 1),
+	}
+	// sweep rebuilds one family through one recycled arena, comparing
+	// each build's cut with a fresh build's.
+	sweep := func(seed int64, name string, build func(f *flow.Network, a rational.R) (*Net, error)) {
 		var f *flow.Network
 		for _, a := range alphas {
-			reused := BuildEDSInto(f, g, a)
+			reused, err := build(f, a)
+			if err != nil {
+				t.Fatal(err)
+			}
 			f = reused.Network
-			fresh := BuildEDS(g, a)
+			fresh, err := build(nil, a)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !sameVerts(reused.SolveVertices(), fresh.SolveVertices()) {
-				t.Fatalf("seed %d EDS alpha %f: reused build diverges from fresh", seed, a)
+				t.Fatalf("seed %d %s alpha %v: reused build diverges from fresh", seed, name, a)
 			}
 		}
-
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		g := gen.GNM(10, 24, seed)
+		sweep(seed, "EDS", func(f *flow.Network, a rational.R) (*Net, error) {
+			return BuildEDS(f, g, nil, a.Num, a.Den)
+		})
 		cs := NewCliqueSide(g, 3)
-		f = nil
-		for _, a := range alphas {
-			reused := BuildCDSInto(f, g.N(), cs, a)
-			f = reused.Network
-			fresh := BuildCDS(g.N(), cs, a)
-			if !sameVerts(reused.SolveVertices(), fresh.SolveVertices()) {
-				t.Fatalf("seed %d CDS alpha %f: reused build diverges from fresh", seed, a)
-			}
-		}
-
+		sweep(seed, "CDS", func(f *flow.Network, a rational.R) (*Net, error) {
+			return BuildCDS(f, g.N(), cs, a.Num, a.Den)
+		})
 		ps := NewPatternSide(g, motif.Diamond{}, true)
-		f = nil
-		for _, a := range alphas {
-			reused := BuildPDSInto(f, g.N(), ps, a)
-			f = reused.Network
-			fresh := BuildPDS(g.N(), ps, a)
-			if !sameVerts(reused.SolveVertices(), fresh.SolveVertices()) {
-				t.Fatalf("seed %d PDS alpha %f: reused build diverges from fresh", seed, a)
-			}
-		}
-
+		sweep(seed, "PDS", func(f *flow.Network, a rational.R) (*Net, error) {
+			return BuildPDS(f, g.N(), ps, a.Num, a.Den)
+		})
 		// Shrinking graphs through one arena, as a component search does.
-		f = nil
 		cur := g
-		for _, a := range alphas[:3] {
-			reused := BuildEDSInto(f, cur, a)
-			f = reused.Network
-			fresh := BuildEDS(cur, a)
-			if !sameVerts(reused.SolveVertices(), fresh.SolveVertices()) {
-				t.Fatalf("seed %d shrink alpha %f: reused build diverges", seed, a)
-			}
-			if cur.N() > 4 {
+		sweep(seed, "shrink", func(f *flow.Network, a rational.R) (*Net, error) {
+			if cur.N() > 4 && f != nil {
 				keep := make([]int32, 0, cur.N()-2)
 				for v := 0; v < cur.N()-2; v++ {
 					keep = append(keep, int32(v))
 				}
 				cur = cur.Induced(keep).Graph
 			}
-		}
+			return BuildEDS(f, cur, nil, a.Num, a.Den)
+		})
 	}
 }
 
@@ -264,5 +286,104 @@ func TestNumNodesAccounting(t *testing.T) {
 	// 2 + n + #edges (Λ for triangles is the edge set).
 	if got, want := cs.NumNodes(g.N()), 2+g.N()+g.M(); got != want {
 		t.Fatalf("NumNodes = %d, want %d", got, want)
+	}
+}
+
+// anchoredBrute is the densest edge density over supersets of q
+// (brute force, n ≤ 12).
+func anchoredBrute(g *graph.Graph, q []int32) rational.R {
+	var must int
+	for _, v := range q {
+		must |= 1 << v
+	}
+	best := rational.Zero
+	for mask := 1; mask < 1<<g.N(); mask++ {
+		if mask&must != must {
+			continue
+		}
+		var vs []int32
+		for v := 0; v < g.N(); v++ {
+			if mask&(1<<v) != 0 {
+				vs = append(vs, int32(v))
+			}
+		}
+		if d := rational.New(int64(g.Induced(vs).M()), int64(len(vs))); d.Greater(best) {
+			best = d
+		}
+	}
+	return best
+}
+
+// TestAnchoredEDSDecision: with anchors pinned, the cut side always holds
+// them, and the exact tie moves from "empty" to "not strictly denser": at
+// α = ρ*_Q the side is no denser than ρ*_Q, at the next-lower rational it
+// is a densest superset of Q, and below that it is strictly denser than α.
+func TestAnchoredEDSDecision(t *testing.T) {
+	o := motif.Clique{H: 2}
+	f := func(seed int64) bool {
+		g := gen.GNM(10, 18, seed)
+		for _, q := range [][]int32{{0}, {1, 7}, {2, 5, 9}} {
+			build := func(num, den int64) (*Net, error) { return BuildEDS(nil, g, q, num, den) }
+			opt := anchoredBrute(g, q)
+			holdsQ := func(vs []int32) bool {
+				in := map[int32]bool{}
+				for _, v := range vs {
+					in[v] = true
+				}
+				for _, v := range q {
+					if !in[v] {
+						return false
+					}
+				}
+				return true
+			}
+			for _, c := range []struct {
+				alpha rational.R
+				ok    func(d rational.R) bool
+			}{
+				{opt, func(d rational.R) bool { return d.Cmp(opt) == 0 }},
+				{nextBelow(opt, g.N()), func(d rational.R) bool { return d.Cmp(opt) == 0 }},
+				{rational.New(opt.Num, 3*opt.Den), func(d rational.R) bool { return d.Greater(rational.New(opt.Num, 3*opt.Den)) }},
+			} {
+				vs, d := cut(t, g, o, build, c.alpha)
+				if !holdsQ(vs) || !c.ok(d) {
+					t.Logf("seed %d q=%v α=%v (ρ*_Q %v): side %v density %v", seed, q, c.alpha, opt, vs, d)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCapacityOverflowRefused: a probe whose scaled capacities cannot be
+// summed in int64 is refused with an error instead of wrapping, and so is
+// an invalid probe.
+func TestCapacityOverflowRefused(t *testing.T) {
+	g := gen.GNM(10, 24, 1)
+	cs := NewCliqueSide(g, 3)
+	ps := NewPatternSide(g, motif.Diamond{}, false)
+	const huge = math.MaxInt64 / 3
+	for name, build := range map[string]builder{
+		"EDS":      func(num, den int64) (*Net, error) { return BuildEDS(nil, g, nil, num, den) },
+		"anchored": func(num, den int64) (*Net, error) { return BuildEDS(nil, g, []int32{0}, num, den) },
+		"CDS":      func(num, den int64) (*Net, error) { return BuildCDS(nil, g.N(), cs, num, den) },
+		"PDS":      func(num, den int64) (*Net, error) { return BuildPDS(nil, g.N(), ps, num, den) },
+	} {
+		if _, err := build(1, huge); err == nil {
+			t.Errorf("%s: α = 1/%d accepted", name, int64(huge))
+		}
+		if _, err := build(huge, 1); err == nil {
+			t.Errorf("%s: α = %d accepted", name, int64(huge))
+		}
+		if _, err := build(1, 0); err == nil {
+			t.Errorf("%s: α = 1/0 accepted", name)
+		}
+		if _, err := build(3, 2); err != nil {
+			t.Errorf("%s: α = 3/2 refused: %v", name, err)
+		}
 	}
 }

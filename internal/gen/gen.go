@@ -193,7 +193,7 @@ func ChungLu(n, m int, alpha float64, seed int64) *graph.Graph {
 }
 
 // MultiCommunity generates a deterministic multi-component stress
-// instance for CoreExact's per-component binary search (triangle density,
+// instance for CoreExact's per-component flow search (triangle density,
 // h = 3): k disjoint communities, where community i is
 //
 //   - a "kernel" clique K_cliqueSize,
@@ -213,11 +213,10 @@ func ChungLu(n, m int, alpha float64, seed int64) *graph.Graph {
 // core number is C(padSize−1,2)) but sparser than any kernel, and
 // stronger communities carry more of it, so the whole-component density
 // order — the order Pruning 2 searches components in — is the reverse of
-// the optimum order, and the serial engine must fully binary-search
-// community after community, each marginally raising l. The parallel
-// engine searches them concurrently and shares every improvement, so
-// most of those searches abort early: same exact answer, a fraction of
-// the flow solves.
+// the optimum order, and the serial engine must fully search community
+// after community, each marginally raising l. The parallel engine
+// searches them concurrently and shares every improvement, so most of
+// those searches end early: same exact answer, fewer flow solves.
 //
 // Callers should keep fringeBase+k−1 < cliqueSize and
 // C(fringeBase,2) > C(cliqueSize,3)/cliqueSize (fringe improves the

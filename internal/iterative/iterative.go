@@ -2,7 +2,7 @@
 // for densest-subgraph search, generalized from edges to the Ψ-hypergraph
 // (h-cliques, pattern instances) behind motif.Oracle — the flow-free
 // iterative scheme of "Flowless: Extracting Densest Subgraphs Without Flow
-// Computations" (Boob et al., WWW 2020) applied to the binary-search hot
+// Computations" (Boob et al., WWW 2020) applied to the flow-search hot
 // path of this repository's CoreExact engines.
 //
 // The solver materializes the instance hypergraph once — the same µ·|VΨ|
@@ -17,7 +17,7 @@
 // prefix of every peel is a real vertex set whose exact rational density
 // lower-bounds ρ*. The solver therefore produces, without a single flow
 // computation, a certified (lower, witness, upper) triple that the flow
-// engines use to seed, shrink, or entirely skip their binary searches; the
+// engines use to seed, shrink, or entirely skip their flow searches; the
 // bounds tighten monotonically with more iterations (iteration one is
 // exactly Algorithm 2's greedy peel).
 //
@@ -356,7 +356,7 @@ func (s *Solver) Upper() rational.R {
 }
 
 // UpperFloat returns Upper rounded up to the next float64, so using it as
-// a binary-search uc can never clip the true optimum by a rounding error:
+// a float upper bound can never clip the true optimum by a rounding error:
 // big.Rat.Float64 rounds to nearest (error ≤ ½ ulp), and one Nextafter
 // step clears it.
 func (s *Solver) UpperFloat() float64 {

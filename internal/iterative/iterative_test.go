@@ -37,7 +37,7 @@ func TestSolverBoundsBracketOptimum(t *testing.T) {
 			if err := s.Run(context.Background(), 8); err != nil {
 				t.Fatal(err)
 			}
-			opt := core.Exact(g, motif.Clique{H: h}, false).Density
+			opt := exactDensity(t, g, motif.Clique{H: h})
 			lb, wit := s.Lower()
 			ub := s.Upper()
 			if lb.Greater(opt) {
@@ -69,7 +69,7 @@ func TestSolverBoundsPatterns(t *testing.T) {
 			if err := s.Run(context.Background(), 6); err != nil {
 				t.Fatal(err)
 			}
-			opt := core.Exact(g, motif.For(p), false).Density
+			opt := exactDensity(t, g, motif.For(p))
 			lb, wit := s.Lower()
 			if lb.Greater(opt) {
 				t.Fatalf("seed %d %s: lower %v above optimum %v", seed, p.Name(), lb, opt)
@@ -136,7 +136,7 @@ func TestSolverWarmStartCertificate(t *testing.T) {
 			warmLoads[i] = loads[v]
 		}
 		ws := iterative.NewWarm(sub.Graph, o, warmLoads, s.Iterations())
-		opt := core.Exact(sub.Graph, motif.Clique{H: 3}, false).Density
+		opt := exactDensity(t, sub.Graph, motif.Clique{H: 3})
 		if opt.Greater(ws.Upper()) {
 			t.Fatalf("seed %d: warm upper %v below subgraph optimum %v", seed, ws.Upper(), opt)
 		}
@@ -221,7 +221,7 @@ func TestRunAdaptiveCertificates(t *testing.T) {
 			if s.Iterations() != ran {
 				t.Fatalf("seed %d h=%d: Iterations() = %d, ran = %d", seed, h, s.Iterations(), ran)
 			}
-			opt := core.Exact(g, motif.Clique{H: h}, false).Density
+			opt := exactDensity(t, g, motif.Clique{H: h})
 			lb, wit := s.Lower()
 			if lb.Greater(opt) {
 				t.Fatalf("seed %d h=%d: adaptive lower %v above optimum %v", seed, h, lb, opt)
@@ -275,4 +275,14 @@ func TestRunAdaptiveCancellation(t *testing.T) {
 	if ran != 0 {
 		t.Fatalf("cancelled run reported %d iterations", ran)
 	}
+}
+
+// exactDensity is core.Exact's optimum density, failing the test on error.
+func exactDensity(t *testing.T, g *graph.Graph, o motif.Oracle) rational.R {
+	t.Helper()
+	res, err := core.Exact(g, o, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Density
 }

@@ -33,7 +33,7 @@ const (
 	SpanLocate = "locate"
 	// SpanPreSolve is one Greed++ iterative pre-solve run.
 	SpanPreSolve = "presolve"
-	// SpanComponent is one per-component binary search.
+	// SpanComponent is one per-component flow search.
 	SpanComponent = "component"
 	// SpanFlow is one flow-network build plus min-cut computation.
 	SpanFlow = "flow"

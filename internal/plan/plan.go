@@ -1,6 +1,6 @@
 // Package plan is the anytime query planner: it runs one CoreExact-class
 // query as a refinement ladder — memo hit, CoreApp approximation,
-// adaptive Greed++ tightening, per-component binary search — and emits a
+// adaptive Greed++ tightening, per-component flow search — and emits a
 // monotone stream of certified answers while doing so. Every emitted
 // Answer carries a witness whose exact density is the interval's lower
 // end and a certified upper bound as its top; consecutive answers only
@@ -41,7 +41,7 @@ const (
 	// StageIterative is the adaptive Greed++ rung on the densest
 	// component.
 	StageIterative Stage = "iterative"
-	// StageSearch is the per-component shrinking-flow binary search.
+	// StageSearch is the per-component shrinking-flow Dinkelbach search.
 	StageSearch Stage = "search"
 	// StageShard is a coordinator merge of a shard worker's bound report.
 	StageShard Stage = "shard"

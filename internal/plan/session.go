@@ -135,9 +135,9 @@ func Run(ctx context.Context, g *graph.Graph, o motif.Oracle, opts core.Options,
 		rungs = append(rungs, "iterative")
 	}
 
-	// Rung 5 — exact per-component binary searches, sharing the emitter
+	// Rung 5 — exact per-component flow searches, sharing the emitter
 	// as their monotone cell: every witness improvement and every upper
-	// certificate (solver max-load/T, infeasible probe α, core shrink)
+	// certificate (solver max-load/T, empty-cut probe α, core shrink)
 	// becomes a stream event the moment it is known.
 	outs := make([]*core.ComponentOutcome, len(plan.Components))
 	errs := make([]error, len(plan.Components))

@@ -101,11 +101,10 @@ func (r R) Cmp(s R) int {
 // CmpFloat compares r with the exact real value of f, returning -1, 0 or
 // +1. A float64 is a dyadic rational, so the comparison is performed
 // exactly via math/big; no rounding of r to float64 is involved. The
-// parallel CoreExact engine relies on this to abort a component search
-// only when the shared lower bound provably dominates the component's
-// remaining range (comparing r.Float() ≥ f could err by an ulp and
-// discard a strictly better optimum). NaN compares as +Inf would: above
-// every finite density.
+// degraded CoreExact paths rely on this to call an answer degraded only
+// when a float upper bound provably exceeds its exact density (comparing
+// r.Float() < f could err by an ulp either way). NaN compares as +Inf
+// would: above every finite density.
 func (r R) CmpFloat(f float64) int {
 	if math.IsNaN(f) || math.IsInf(f, 1) {
 		return -1

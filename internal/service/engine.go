@@ -314,6 +314,15 @@ func (e *Engine) AlgoIterative() int { return e.algoIterative }
 // the answer was served without running the algorithm on this request's
 // behalf (a cache hit or a single-flight join).
 func (e *Engine) Solve(ctx context.Context, graphName string, q dsd.Query, timeout time.Duration) (res *core.Result, cached bool, err error) {
+	_, res, cached, err = e.solveCounted(ctx, graphName, q, timeout)
+	return res, cached, err
+}
+
+// solveCounted is Solve also returning the canonical query it answered —
+// defaults applied, algorithm inferred, version pinned — which the HTTP
+// handler echoes. Every failure, an unknown graph included, passes
+// through the engine's accounting on the way out.
+func (e *Engine) solveCounted(ctx context.Context, graphName string, q dsd.Query, timeout time.Duration) (nq dsd.Query, res *core.Result, cached bool, err error) {
 	e.queries.Add(1)
 	defer func() {
 		if err != nil {
@@ -363,13 +372,14 @@ func (e *Engine) ResolveFor(graphName string, q dsd.Query) (dsd.Query, error) {
 // solve is the shared pipeline behind Solve and Stream (counters
 // are the callers' concern): resolve the graph, apply engine defaults,
 // normalize, and run through the single-flight cache on the canonical
-// query key. A non-nil sink turns the computation into a refinement
+// query, which it returns beside the result (zero when resolution
+// failed). A non-nil sink turns the computation into a refinement
 // stream: the single-flight LEADER pushes every certified answer through
 // it while computing (joiners and cache hits get nothing here — their
 // one synthesized final event is the caller's concern), and only the
 // terminal result enters the cache, so intermediate answers can never be
 // served to anyone as a cached exact value.
-func (e *Engine) solve(ctx context.Context, graphName string, q dsd.Query, timeout time.Duration, sink func(dsd.Answer), emit func(*obs.QueryEvent)) (res *core.Result, cached bool, err error) {
+func (e *Engine) solve(ctx context.Context, graphName string, q dsd.Query, timeout time.Duration, sink func(dsd.Answer), emit func(*obs.QueryEvent)) (canon dsd.Query, res *core.Result, cached bool, err error) {
 	// Per-request accounting: one counter increment per (graph, algo,
 	// outcome) and one end-to-end latency observation per (graph, algo) —
 	// cache hits included, since the caller's latency is what the
@@ -435,16 +445,16 @@ func (e *Engine) solve(ctx context.Context, graphName string, q dsd.Query, timeo
 		}
 	}()
 	if err := ctx.Err(); err != nil {
-		return nil, false, err
+		return canon, nil, false, err
 	}
 	entry, ok := e.reg.Get(graphName)
 	if !ok {
-		return nil, false, fmt.Errorf("service: unknown graph %q", graphName)
+		return canon, nil, false, fmt.Errorf("service: unknown graph %q", graphName)
 	}
 	glabel = graphName
 	nq, err := e.Resolve(q)
 	if err != nil {
-		return nil, false, err
+		return canon, nil, false, err
 	}
 	// Pin the version as a Snapshot, not a bare number: a burst of
 	// mutations that evicts it from the retention window before a worker
@@ -613,7 +623,7 @@ func (e *Engine) solve(ctx context.Context, graphName string, q dsd.Query, timeo
 	if cached && err == nil {
 		e.hits.Add(1)
 	}
-	return res, cached, err
+	return nq, res, cached, err
 }
 
 // Mutate applies an edge-mutation batch to the graph registered under

@@ -330,7 +330,7 @@ func TestEngineShardRouting(t *testing.T) {
 // at admission, and a burst of mutations longer than the retention window
 // that lands before a worker picks the query up must not evict its
 // version out from under it — for unary queries and streams alike, and
-// for a query the HTTP handlers pinned with ResolveFor first.
+// for a query its caller pinned with ResolveFor first.
 func TestFloatingQuerySurvivesEviction(t *testing.T) {
 	ctx := context.Background()
 	want, err := dsd.NewSolver(bowtie()).Solve(ctx, dsd.Query{H: 3})

@@ -99,15 +99,10 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Resolve before solving so the response echoes the canonical query
-	// — defaults applied, algorithm inferred, version pinned to the
-	// concrete head — the cache actually keyed.
-	nq, err := s.engine.ResolveFor(req.Graph, q)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	res, cached, err := s.engine.Solve(r.Context(), req.Graph, nq,
+	// The response echoes the canonical query — defaults applied,
+	// algorithm inferred, version pinned to the concrete head — the cache
+	// actually keyed.
+	nq, res, cached, err := s.engine.solveCounted(r.Context(), req.Graph, q,
 		time.Duration(req.TimeoutMs)*time.Millisecond)
 	if err != nil {
 		s.writeQueryError(w, err)

@@ -40,7 +40,7 @@ func TestServerV2EndToEnd(t *testing.T) {
 		{"at-least", wire.Query{Pattern: "triangle", AtLeast: 5}, dsd.Query{Pattern: triangle, AtLeast: 5}},
 		{"batch-peel", wire.Query{Pattern: "edge", Eps: 0.5}, dsd.Query{Eps: 0.5}},
 		{"pruning-ablation", wire.Query{H: 3, Algo: "core-exact",
-			Pruning: &wire.Pruning{Pruning1: true, Pruning2: true, Pruning3: true, Grouped: true}},
+			Pruning: &wire.Pruning{Pruning1: true, Pruning2: true, Grouped: true}},
 			dsd.Query{H: 3}},
 	}
 	for _, tc := range cases {

@@ -36,11 +36,35 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := c.QueryV2(ctx, q); err != nil {
 		t.Fatal(err)
 	}
-	// An unknown graph: an error under the "unknown" label, so hostile
-	// names cannot mint series. (The HTTP handlers reject unknown graphs
-	// before the engine runs, so this one goes to the engine directly.)
-	if _, _, err := srv.Engine().Solve(ctx, "nope", dsd.Query{}, 0); err == nil {
-		t.Fatal("unknown graph accepted")
+	// An unknown graph on both query routes: a 404 to the caller, and an
+	// error under the "unknown" label — so hostile names cannot mint
+	// series — that /v1/stats and the query log count like any other.
+	for _, route := range []string{"/v2/query", "/v1/stream"} {
+		resp, err := http.Post(ts.URL+route, "application/json",
+			strings.NewReader(`{"graph":"nope","query":{"pattern":"triangle"}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s on an unknown graph: status %d, want 404", route, resp.StatusCode)
+		}
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Errors != 2 {
+		t.Errorf("/v1/stats errors = %d, want 2 (one per unknown-graph request)", st.Errors)
+	}
+	unknown := 0
+	for _, ev := range srv.Engine().QueryLog().Snapshot(0) {
+		if ev.Graph == "unknown" && ev.Outcome == "error" {
+			unknown++
+		}
+	}
+	if unknown != 2 {
+		t.Errorf("query log holds %d unknown-graph error events, want 2", unknown)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -65,7 +89,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		`dsd_queries_total{algo="core-exact",graph="bowtie",outcome="ok"} 1`,
 		`dsd_queries_total{algo="core-exact",graph="bowtie",outcome="cache_hit"} 1`,
-		`dsd_queries_total{algo="unknown",graph="unknown",outcome="error"} 1`,
+		`dsd_queries_total{algo="unknown",graph="unknown",outcome="error"} 2`,
+		`dsd_streams_total{outcome="error"} 1`,
 		`dsd_query_seconds_bucket{algo="core-exact",graph="bowtie",le="+Inf"} 2`,
 		`dsd_query_seconds_count{algo="core-exact",graph="bowtie"} 2`,
 		`dsd_computes_total{algo="core-exact",graph="bowtie"} 1`,

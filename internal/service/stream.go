@@ -143,7 +143,7 @@ func (e *Engine) Stream(ctx context.Context, graphName string, q dsd.Query, time
 			e.recordEvent(wideEv)
 		}
 	}()
-	res, cached, err = e.solve(ctx, graphName, q, timeout, relay.push,
+	_, res, cached, err = e.solve(ctx, graphName, q, timeout, relay.push,
 		func(ev *obs.QueryEvent) { wideEv = ev })
 	relay.stop()
 	if err != nil {
@@ -193,11 +193,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	nq, err := s.engine.ResolveFor(req.Graph, q)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError,
@@ -225,7 +220,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	// Stream serializes sink calls and never invokes the sink after it
 	// returns, so the event writes below need no extra locking.
-	_, _, err = s.engine.Stream(r.Context(), req.Graph, nq,
+	_, _, err = s.engine.Stream(r.Context(), req.Graph, q,
 		time.Duration(req.TimeoutMs)*time.Millisecond, func(a dsd.Answer, cached bool) {
 			name := "answer"
 			if a.Final {

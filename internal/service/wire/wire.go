@@ -154,7 +154,6 @@ type Query struct {
 type Pruning struct {
 	Pruning1 bool `json:"pruning1"`
 	Pruning2 bool `json:"pruning2"`
-	Pruning3 bool `json:"pruning3"`
 	Grouped  bool `json:"grouped"`
 }
 
@@ -194,7 +193,6 @@ func (w Query) ToQuery() (dsd.Query, error) {
 		q.Core = &dsd.CoreExactOptions{
 			Pruning1: w.Pruning.Pruning1,
 			Pruning2: w.Pruning.Pruning2,
-			Pruning3: w.Pruning.Pruning3,
 			Grouped:  w.Pruning.Grouped,
 		}
 	}
@@ -227,7 +225,6 @@ func FromQuery(q dsd.Query) Query {
 		w.Pruning = &Pruning{
 			Pruning1: q.Core.Pruning1,
 			Pruning2: q.Core.Pruning2,
-			Pruning3: q.Core.Pruning3,
 			Grouped:  q.Core.Grouped,
 		}
 	}

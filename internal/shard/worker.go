@@ -16,7 +16,7 @@ import (
 )
 
 // Worker is the shard-side half of the v3 protocol: it answers
-// ComponentRequests by running the per-component binary search through
+// ComponentRequests by running the per-component flow search through
 // the named graph's Solver — so every component of every query on a hot
 // graph reuses one memoized (k,Ψ)-core decomposition — and keeps the
 // floors of in-flight searches addressable by SearchID so coordinator

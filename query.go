@@ -248,8 +248,7 @@ func (q Query) normalize() (Query, motif.Oracle, error) {
 	return q, o, nil
 }
 
-// CoreExactOptions holds CoreExact's four Figure-10 switches for
-// ablation. Each one changes only the work done, never the density.
+// CoreExactOptions holds CoreExact's Figure-10 switches for ablation. Each one changes only the work done, never the density.
 type CoreExactOptions struct {
 	// Pruning1 locates the answer in the (⌈ρ′⌉,Ψ)-core, ρ′ the best
 	// residual density seen while peeling; off, the weaker Theorem-1
@@ -257,9 +256,6 @@ type CoreExactOptions struct {
 	Pruning1 bool
 	// Pruning2 refines the location per connected component.
 	Pruning2 bool
-	// Pruning3 stops each component's binary search at its own
-	// 1/(|V_C|(|V_C|−1)) gap instead of the global 1/(n(n−1)).
-	Pruning3 bool
 	// Grouped uses the construct+ grouped flow network (Algorithm 7);
 	// meaningful for non-clique patterns only.
 	Grouped bool
@@ -270,7 +266,7 @@ type CoreExactOptions struct {
 func (q Query) coreOptions() core.Options {
 	opts := core.DefaultOptions()
 	if c := q.Core; c != nil {
-		opts.Pruning1, opts.Pruning2, opts.Pruning3, opts.Grouped = c.Pruning1, c.Pruning2, c.Pruning3, c.Grouped
+		opts.Pruning1, opts.Pruning2, opts.Grouped = c.Pruning1, c.Pruning2, c.Grouped
 	}
 	opts.Workers = q.Workers
 	switch {
@@ -313,8 +309,8 @@ func (q Query) Key() string {
 		if workers < 1 {
 			workers = 1
 		}
-		fmt.Fprintf(&b, "|workers=%d|iter=%d|p1=%t|p2=%t|p3=%t|grouped=%t",
-			workers, opts.Iterative, opts.Pruning1, opts.Pruning2, opts.Pruning3, opts.Grouped)
+		fmt.Fprintf(&b, "|workers=%d|iter=%d|p1=%t|p2=%t|grouped=%t",
+			workers, opts.Iterative, opts.Pruning1, opts.Pruning2, opts.Grouped)
 		// The sharding knobs change where the components run, never the
 		// answer — but like Workers they change the observable stats, so
 		// spellings that request different executions never share a

@@ -405,7 +405,7 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 			return res, nil
 		})
 	case AlgoExact:
-		return await(ctx, func() (*Result, error) { return core.Exact(g, o, false), nil })
+		return await(ctx, func() (*Result, error) { return core.Exact(g, o, false) })
 	case AlgoPeel:
 		return await(ctx, func() (*Result, error) {
 			st := vs.psiFor(o)

@@ -1,6 +1,6 @@
 // Anytime streaming: Solve as a refinement session instead of a single
 // terminal answer. Stream/StreamFunc run the internal/plan ladder — memo
-// hit, CoreApp, adaptive Greed++, per-component binary search — over the
+// hit, CoreApp, adaptive Greed++, per-component flow search — over the
 // same memoized state Solve uses, emitting every certified interval
 // tightening on the way to a final answer that is bit-identical to
 // Solve's for the same query.
