@@ -95,7 +95,7 @@ func BenchmarkCoreAppTriangle(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		psicore.CoreApp(g, motif.Clique{H: 3})
+		psicore.CoreApp(g, motif.Clique{H: 3}, nil)
 	}
 }
 
@@ -224,7 +224,7 @@ func BenchmarkKMaxCoreTopDown(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.CoreApp(g, motif.Clique{H: 3})
+		core.CoreApp(g, motif.Clique{H: 3}, nil)
 	}
 }
 

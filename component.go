@@ -73,23 +73,29 @@ func (s *Solver) PlanComponents(ctx context.Context, q Query) (*ComponentPlan, e
 	}
 	decStart := time.Now()
 	dsp := obs.StartFromContext(ctx, obs.SpanDecompose)
-	dec, reused, err := st.decomposition(ctx, vs.g, workers)
+	dec, reused, bounded, err := st.coreExactDec(ctx, vs, workers)
 	if reused {
 		dsp.SetAttr("reused", "true")
 	}
-	dsp.End()
+	if bounded {
+		dsp.SetAttr("bounded", "true")
+	}
 	if err != nil {
+		dsp.End()
 		return nil, err
 	}
+	core.TraceRestriction(dsp, dec)
+	dsp.End()
 	decTime := time.Since(decStart)
 	if reused {
 		decTime = 0
 	}
 	opts := nq.coreOptions()
+	opts.DecUpperBound = bounded
 	// Same warm start Solve's core-exact path gets: the carried witness's
 	// density is re-evaluated by PlanCoreExact before use.
 	opts.SeedWitness = st.seedWitness()
-	plan, err := core.PlanCoreExact(ctx, vs.g, o, opts, dec)
+	plan, err := core.PlanCoreExact(ctx, vs.g, o, opts, dec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -187,11 +193,19 @@ func (s *Solver) SolveComponent(ctx context.Context, q Query, comp []int32, kLoc
 		return nil, err
 	}
 	st := vs.psiFor(o)
-	dec, _, err := st.decomposition(ctx, vs.g, 1)
+	dec, _, bounded, err := st.coreExactDec(ctx, vs, 1)
+	if err == nil && dec.Floor > kLocate {
+		// The plan was located below the levels this restricted
+		// decomposition holds exactly (another Solver planned it on other
+		// memo state), so search on the whole-graph peel.
+		bounded = false
+		dec, _, err = st.decomposition(ctx, vs.g, 1)
+	}
 	if err != nil {
 		return nil, err
 	}
 	opts := nq.coreOptions()
+	opts.DecUpperBound = bounded
 	// Degradation budgets are a whole-query policy the coordinator owns:
 	// a worker degrading its own slice independently would break the
 	// merged certificate, so component searches always run exact.

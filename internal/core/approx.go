@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/kcore"
 	"repro/internal/motif"
 	"repro/internal/psicore"
 )
@@ -59,10 +60,12 @@ func IncApp(g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition) *Result 
 }
 
 // CoreApp is Algorithm 6: extract the (kmax,Ψ)-core top-down from windows
-// of high-γ vertices, skipping the computation of lower cores.
-func CoreApp(g *graph.Graph, o motif.Oracle) *Result {
+// of high-γ vertices, skipping the computation of lower cores. kc is g's
+// classical core decomposition when the caller holds one (nil computes it
+// where γ needs it; see psicore.CoreApp).
+func CoreApp(g *graph.Graph, o motif.Oracle, kc *kcore.Decomposition) *Result {
 	start := time.Now()
-	ca := psicore.CoreApp(g, o)
+	ca := psicore.CoreApp(g, o, kc)
 	res := Evaluate(g, o, ca.Vertices)
 	res.Stats.Total = time.Since(start)
 	return res

@@ -21,7 +21,7 @@ func TestCertifyAcceptsExactResults(t *testing.T) {
 				return false
 			}
 			// Approximations pass the consistency-only check.
-			for _, ares := range []*Result{PeelApp(g, o, nil), CoreApp(g, o)} {
+			for _, ares := range []*Result{PeelApp(g, o, nil), CoreApp(g, o, nil)} {
 				if err := Certify(g, o, ares, false); err != nil {
 					t.Logf("seed %d h=%d approx: %v", seed, h, err)
 					return false

@@ -179,7 +179,7 @@ func TestApproximationGuarantee(t *testing.T) {
 			for name, res := range map[string]*Result{
 				"PeelApp": PeelApp(g, o, nil),
 				"IncApp":  IncApp(g, o, nil),
-				"CoreApp": CoreApp(g, o),
+				"CoreApp": CoreApp(g, o, nil),
 				"Nucleus": Nucleus(g, o, nil),
 			} {
 				// ρ(S*) ≥ ρopt/|VΨ| ⟺ ρ(S*)·|VΨ|·den(opt) ≥ num(opt)·den(S*).
@@ -203,7 +203,7 @@ func TestIncCoreNucleusAgree(t *testing.T) {
 	g := gen.GNM(30, 110, 5)
 	for _, o := range []motif.Oracle{motif.Clique{H: 2}, motif.Clique{H: 3}, motif.Diamond{}} {
 		a := IncApp(g, o, nil)
-		b := CoreApp(g, o)
+		b := CoreApp(g, o, nil)
 		c := Nucleus(g, o, nil)
 		if a.Density.Cmp(b.Density) != 0 || a.Density.Cmp(c.Density) != 0 {
 			t.Fatalf("%s: IncApp %v CoreApp %v Nucleus %v", o.Name(), a.Density, b.Density, c.Density)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/iterative"
+	"repro/internal/kcore"
 	"repro/internal/motif"
 	"repro/internal/obs"
 	"repro/internal/psicore"
@@ -148,7 +149,15 @@ func (p *Plan) Empty() bool { return p.Dec.TotalInstances == 0 }
 // Pruning2's per-component refinement. The returned plan's components
 // can then be searched in any order, in any process, as long as every
 // search shares one monotone BoundSource seeded from (Lower, Witness).
-func PlanCoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Options, dec *psicore.Decomposition) (*Plan, error) {
+//
+// With dec nil and Ψ an h-clique with h ≥ 3, the decomposition counts
+// and peels only the classical core that can hold the answer
+// (psicore.DecomposeWithin, reading kc, g's classical core decomposition,
+// when non-nil). A restricted dec (Floor > 0) brings its counted
+// classical kmax-core as a starting witness, so the located level is at
+// least Floor and every core number the plan and its searches read is
+// exact.
+func PlanCoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Options, dec *psicore.Decomposition, kc *kcore.Decomposition) (*Plan, error) {
 	start := time.Now()
 	var stats Stats
 	workers := opts.Workers
@@ -162,7 +171,13 @@ func PlanCoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Opt
 	if dec == nil {
 		dsp := obs.StartFromContext(ctx, obs.SpanDecompose)
 		var err error
-		dec, err = psicore.DecomposeContext(ctx, g, o, workers)
+		dec, err = psicore.DecomposeWithin(ctx, g, o, kc, workers)
+		if err == nil && dec == nil {
+			dec, err = psicore.DecomposeContext(ctx, g, o, workers)
+		}
+		if err == nil {
+			TraceRestriction(dsp, dec)
+		}
 		dsp.End()
 		if err != nil {
 			return nil, err
@@ -202,6 +217,12 @@ func PlanCoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Opt
 		// exact density already dominates the kmax/p bound: witness and
 		// lower stay consistent by construction (asserted by
 		// TestTheorem1BoundImpliedByKMaxCore).
+	}
+	if dec.Floor > 0 && dec.FloorDensity.Greater(lower) {
+		// A restricted decomposition is exact only at levels ≥ Floor =
+		// ⌈ρ(K)⌉; starting from K's density keeps kLocate there.
+		lower = dec.FloorDensity
+		witness = append([]int32(nil), dec.FloorWitness...)
 	}
 	if len(opts.SeedWitness) > 0 && witnessValid(g, opts.SeedWitness) {
 		// Warm-start seed: never trusted, always re-evaluated. The seed's
@@ -292,15 +313,26 @@ func PlanCoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Opt
 	}, nil
 }
 
+// TraceRestriction records on a decompose span how much of the graph a
+// restricted decomposition (Floor > 0) counted: the classical level x
+// and |X|. It does nothing for a whole-graph decomposition.
+func TraceRestriction(sp *obs.Span, dec *psicore.Decomposition) {
+	if dec.Floor > 0 {
+		sp.SetInt("classical_level", int64(dec.Level))
+		sp.SetInt("counted_vertices", int64(len(dec.Order)))
+	}
+}
+
 // CoreExact is the paper's core-based exact algorithm (Algorithm 4) over
 // any motif oracle: h-clique density (CDS), or a general pattern with the
 // construct+ network (PDS, Section 7.2). It reuses dec, a precomputed
 // (k,Ψ)-core decomposition of g for o, when non-nil — step 1 of Algorithm
 // 4, the dominant fixed cost on dense-motif graphs, is then skipped, which
 // is how a warm dsd.Solver answers a repeat-Ψ query. dec must be exactly
-// psicore.Decompose(g, o)'s result (or an upper bound on it, flagged by
-// Options.DecUpperBound); it is only read, so one decomposition may serve
-// any number of concurrent searches; nil computes one.
+// psicore.Decompose(g, o)'s result, a psicore.DecomposeWithin result, or
+// an upper bound on the former flagged by Options.DecUpperBound; it is
+// only read, so one decomposition may serve any number of concurrent
+// searches; nil computes one (see PlanCoreExact).
 //
 // The decomposition and every component search poll ctx and return
 // (nil, ctx.Err()) once it is cancelled. Cancellation is cooperative at
@@ -319,7 +351,7 @@ func CoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Options
 		dctx, cancel = resilience.WallDeadline(ctx, start.Add(opts.Deadline))
 		defer cancel()
 	}
-	plan, err := PlanCoreExact(dctx, g, o, opts, dec)
+	plan, err := PlanCoreExact(dctx, g, o, opts, dec, nil)
 	if err != nil {
 		// A deadline mid-plan leaves nothing certified to return.
 		return nil, err

@@ -20,7 +20,7 @@ func RunTable2(cfg Config) error {
 	for _, spec := range datasets.All() {
 		g := load(cfg, spec)
 		s := g.ComputeStats()
-		ca := psicore.CoreApp(g, motif.Clique{H: 3})
+		ca := psicore.CoreApp(g, motif.Clique{H: 3}, nil)
 		t.row(spec.Name,
 			fmt.Sprintf("%d", s.N), fmt.Sprintf("%d", s.M),
 			fmt.Sprintf("%d", s.Components), fmt.Sprintf("%d", s.Diameter),
@@ -81,7 +81,7 @@ func RunFig8Approx(cfg Config) error {
 			}
 			peel := core.PeelApp(g, o, nil)
 			inc := core.IncApp(g, o, nil)
-			capp := core.CoreApp(g, o)
+			capp := core.CoreApp(g, o, nil)
 			if inc.Density.Cmp(capp.Density) != 0 {
 				return fmt.Errorf("fig8approx: %s h=%d: IncApp %v != CoreApp %v",
 					spec.Name, h, inc.Density, capp.Density)
@@ -199,7 +199,7 @@ func RunTable4(cfg Config) error {
 		var emK int32
 		emT := timeIt(func() { _, emK = psicore.EMcore(g) })
 		var ca *psicore.CoreAppResult
-		caT := timeIt(func() { ca = psicore.CoreApp(g, motif.Clique{H: 2}) })
+		caT := timeIt(func() { ca = psicore.CoreApp(g, motif.Clique{H: 2}, nil) })
 		agree := "yes"
 		if int64(emK) != ca.KMax {
 			agree = fmt.Sprintf("NO (%d vs %d)", emK, ca.KMax)
@@ -229,7 +229,7 @@ func RunFig11(cfg Config) error {
 				continue
 			}
 			peel := core.PeelApp(g, o, nil)
-			capp := core.CoreApp(g, o)
+			capp := core.CoreApp(g, o, nil)
 			t.row(name, fmt.Sprintf("%d", h),
 				fmt.Sprintf("%.3f", 1/float64(h)),
 				fmt.Sprintf("%.3f", peel.Density.Float()/opt.Density.Float()),
@@ -251,7 +251,7 @@ func RunFig12(cfg Config) error {
 		g := load(cfg, spec)
 		for _, h := range hRange(cfg) {
 			ce := seedCoreExact(g, motif.Clique{H: h})
-			ca := core.CoreApp(g, motif.Clique{H: h})
+			ca := core.CoreApp(g, motif.Clique{H: h}, nil)
 			t.row(name, fmt.Sprintf("%d", h), secs(ce.Stats.Total), secs(ca.Stats.Total),
 				fmt.Sprintf("%.1fx", ce.Stats.Total.Seconds()/ca.Stats.Total.Seconds()))
 		}
@@ -306,7 +306,7 @@ func RunFig14(cfg Config) error {
 			o := motif.Clique{H: h}
 			peel := core.PeelApp(g, o, nil)
 			inc := core.IncApp(g, o, nil)
-			capp := core.CoreApp(g, o)
+			capp := core.CoreApp(g, o, nil)
 			t.row(spec.Name, fmt.Sprintf("%d", h),
 				secs(peel.Stats.Total), secs(inc.Stats.Total), secs(capp.Stats.Total))
 		}

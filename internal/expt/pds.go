@@ -155,7 +155,7 @@ func RunFig16(cfg Config) error {
 			}
 			peel := core.PeelApp(g, o, nil)
 			inc := core.IncApp(g, o, nil)
-			capp := core.CoreApp(g, o)
+			capp := core.CoreApp(g, o, nil)
 			if inc.Density.Cmp(capp.Density) != 0 {
 				return fmt.Errorf("fig16: %s %s: IncApp %v != CoreApp %v",
 					name, p.Name(), inc.Density, capp.Density)
@@ -177,7 +177,7 @@ func RunFig20(cfg Config) error {
 			o := motif.Clique{H: h}
 			peel := core.PeelApp(g, o, nil)
 			inc := core.IncApp(g, o, nil)
-			capp := core.CoreApp(g, o)
+			capp := core.CoreApp(g, o, nil)
 			t.row(spec.Name, fmt.Sprintf("%d", h),
 				secs(peel.Stats.Total), secs(inc.Stats.Total), secs(capp.Stats.Total))
 		}

@@ -557,7 +557,7 @@ func PerfSuiteReport(cfg Config) (*BenchReport, error) {
 		coreExactCase("coreexact-chunglu-edge", cl, 2),
 		coreExactCase("coreexact-chunglu-triangle", cl, 3),
 		serialCase("coreapp-chunglu-triangle", "core-app", cl, 3, func() *core.Result {
-			return core.CoreApp(cl, motif.Clique{H: 3})
+			return core.CoreApp(cl, motif.Clique{H: 3}, nil)
 		}),
 		serialCase("peel-chunglu-triangle", "peel", cl, 3, func() *core.Result {
 			return core.PeelApp(cl, motif.Clique{H: 3}, nil)

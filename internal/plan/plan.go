@@ -5,8 +5,11 @@
 // Answer carries a witness whose exact density is the interval's lower
 // end and a certified upper bound as its top; consecutive answers only
 // ever tighten the interval, and the last one is the exact (or
-// deadline/gap-degraded) result, bit-identical to what the plain solver
-// returns for the same query.
+// deadline/gap-degraded) result, equal in value to what the plain solver
+// returns for the same query. The optimal witness, and with it the
+// density's Num/Den, may differ where several subgraphs attain the
+// optimum (the root package's FuzzSolve corpus entry
+// equal-density-witnesses is one such graph).
 //
 // The unified-framework view (Zhou et al.) is what makes the ladder
 // sound: CoreApp, Greed++ and CoreExact are points on one

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/iterative"
+	"repro/internal/kcore"
 	"repro/internal/motif"
 	"repro/internal/obs"
 	"repro/internal/psicore"
@@ -19,7 +20,7 @@ import (
 
 // Run executes one CoreExact-class query as an anytime refinement
 // session, pushing every certified tightening to sink and returning the
-// terminal result — bit-identical in density to what the plain CoreExact
+// terminal result — equal in density value to what the plain CoreExact
 // driver returns for the same (g, o, opts), because the ladder only ever
 // ADDS certified lower bounds to the shared cell (memo witnesses, the
 // CoreApp subgraph, Greed++ prefixes are all real subgraphs) and extra
@@ -28,16 +29,20 @@ import (
 // dec is the memoized (k,Ψ)-core decomposition when the caller holds one
 // (the warm path: planning is nearly free, so the approximation rung is
 // skipped); nil on the cold path, where the ladder runs CoreApp first to
-// put a certified interval on the wire before paying for the full
-// decomposition. The decomposition actually used is returned so callers
-// can memoize it.
+// put a certified interval on the wire before paying for the
+// decomposition. kc is g's classical core decomposition when the caller
+// holds one: the cold path's CoreApp rung and its restricted
+// decomposition (core.PlanCoreExact) both read it for h-cliques with
+// h ≥ 3, and nil computes it where needed. The decomposition actually
+// used is returned so callers can memoize it; it may be restricted
+// (Floor > 0).
 //
 // The ladder choice is traced as one SpanPlan span (rungs, components,
 // budgets). Cancellation and Deadline/Gap degradation follow the
 // CoreExact driver contract exactly: a deadline mid-plan returns an
 // error, a deadline mid-search returns a Degraded final with a certified
 // interval, and a cancelled ctx returns ctx.Err().
-func Run(ctx context.Context, g *graph.Graph, o motif.Oracle, opts core.Options, dec *psicore.Decomposition, sink func(Answer)) (*core.Result, *psicore.Decomposition, error) {
+func Run(ctx context.Context, g *graph.Graph, o motif.Oracle, opts core.Options, dec *psicore.Decomposition, kc *kcore.Decomposition, sink func(Answer)) (*core.Result, *psicore.Decomposition, error) {
 	start := time.Now()
 	em := NewEmitter(sink)
 	sp := obs.StartFromContext(ctx, obs.SpanPlan)
@@ -69,7 +74,7 @@ func Run(ctx context.Context, g *graph.Graph, o motif.Oracle, opts core.Options,
 	// is paid for. The upper end is inflated by a couple of ulps so the
 	// float product can never round below the true p·ρ bound.
 	if dec == nil {
-		if ca := core.CoreApp(g, o); ca.Mu > 0 {
+		if ca := core.CoreApp(g, o, kc); ca.Mu > 0 {
 			em.Improve(ca.Density, ca.Vertices, StageApprox)
 			u := float64(o.Size()) * ca.Density.Float()
 			em.Tighten(math.Nextafter(u*(1+1e-12), math.Inf(1)), StageApprox)
@@ -82,7 +87,7 @@ func Run(ctx context.Context, g *graph.Graph, o motif.Oracle, opts core.Options,
 
 	// Rung 3 — location: decomposition (unless memoized), Pruning1/2, the
 	// component split, and the per-component core-number upper bounds.
-	plan, err := core.PlanCoreExact(dctx, g, o, opts, dec)
+	plan, err := core.PlanCoreExact(dctx, g, o, opts, dec, kc)
 	if err != nil {
 		// A deadline mid-plan leaves nothing certified to return — the
 		// same contract as the CoreExact driver.

@@ -32,13 +32,15 @@ const initialWindow = 64
 // For h-cliques, γ(v,Ψ) = C(x, h−1) with x the classical core number of v
 // (see DESIGN.md for the proof this bounds the Ψ-core number). For
 // non-clique patterns γ is the exact pattern degree, computed with the
-// Appendix-D fast counters where available.
-func CoreApp(g *graph.Graph, o motif.Oracle) *CoreAppResult {
+// Appendix-D fast counters where available. kc is g's classical core
+// decomposition when the caller holds one; it is read only for h-cliques
+// with h ≥ 3, and nil computes it then.
+func CoreApp(g *graph.Graph, o motif.Oracle, kc *kcore.Decomposition) *CoreAppResult {
 	n := g.N()
 	if n == 0 {
 		return &CoreAppResult{}
 	}
-	gamma := gammaBounds(g, o)
+	gamma := gammaBounds(g, o, kc)
 	order := make([]int32, n)
 	for i := range order {
 		order[i] = int32(i)
@@ -82,12 +84,14 @@ func CoreApp(g *graph.Graph, o motif.Oracle) *CoreAppResult {
 }
 
 // gammaBounds returns the per-vertex upper bound γ(v,Ψ) on Ψ-core numbers.
-func gammaBounds(g *graph.Graph, o motif.Oracle) []int64 {
-	if c, ok := o.(motif.Clique); ok && c.H >= 3 {
-		d := kcore.Decompose(g)
+func gammaBounds(g *graph.Graph, o motif.Oracle, kc *kcore.Decomposition) []int64 {
+	if UsesClassicalCores(o) {
+		if kc == nil {
+			kc = kcore.Decompose(g)
+		}
 		gamma := make([]int64, g.N())
 		for v := range gamma {
-			gamma[v] = combin.Binom(int64(d.Core[v]), int64(c.H-1))
+			gamma[v] = combin.Binom(int64(kc.Core[v]), int64(o.Size()-1))
 		}
 		return gamma
 	}

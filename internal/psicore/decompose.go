@@ -34,6 +34,19 @@ type Decomposition struct {
 	BestResidualStart int
 	// BestResidualMu is µ of the best residual subgraph.
 	BestResidualMu int64
+	// Floor is 0 when every core number is exact. DecomposeWithin sets it
+	// to ⌈ρ(K)⌉ ≥ 1 when it peels only the classical Level-core X: core
+	// numbers ≥ Floor are exact, smaller ones are not (vertices outside X
+	// read 0), and Order, TotalInstances and the best residual describe
+	// G[X]. Only a core-exact search may read such a decomposition, and
+	// only at core levels ≥ Floor.
+	Floor int64
+	Level int32
+	// FloorWitness is the classical kmax-core K a restricted peel counted
+	// and FloorDensity its exact density ρ(K): the certified lower bound
+	// the restriction rests on.
+	FloorWitness []int32
+	FloorDensity rational.R
 }
 
 // Decompose peels g with respect to the motif oracle o and returns core
@@ -62,16 +75,17 @@ const ctxCheckStride = 1024
 // polls ctx every ctxCheckStride removals and returns (nil, ctx.Err())
 // once it is cancelled. The seeding count itself is not interruptible.
 func DecomposeContext(ctx context.Context, g *graph.Graph, o motif.Oracle, workers int) (*Decomposition, error) {
-	var (
-		total int64
-		deg   []int64
-	)
-	if pc, ok := o.(motif.ParallelCounter); ok && workers > 1 {
-		total, deg = pc.CountAndDegreesParallel(g, workers)
-	} else {
-		total, deg = o.CountAndDegrees(g)
-	}
+	total, deg := countDegrees(g, o, workers)
 	return peel(ctx, g, o, total, deg)
+}
+
+// countDegrees is o.CountAndDegrees(g), striped across workers when the
+// oracle has a parallel form.
+func countDegrees(g *graph.Graph, o motif.Oracle, workers int) (int64, []int64) {
+	if pc, ok := o.(motif.ParallelCounter); ok && workers > 1 {
+		return pc.CountAndDegreesParallel(g, workers)
+	}
+	return o.CountAndDegrees(g)
 }
 
 // DecomposeSeeded is DecomposeContext with the Ψ-degree seeding supplied

@@ -174,7 +174,7 @@ func TestCoreAppMatchesIncApp(t *testing.T) {
 		g := gen.GNM(40, 140, seed)
 		for _, o := range testOracles {
 			d := Decompose(g, o)
-			ca := CoreApp(g, o)
+			ca := CoreApp(g, o, nil)
 			if ca.KMax != d.KMax {
 				t.Logf("seed %d %s: CoreApp kmax %d, want %d", seed, o.Name(), ca.KMax, d.KMax)
 				return false
@@ -269,7 +269,7 @@ func TestDecomposeEmptyAndNoInstances(t *testing.T) {
 	if d.KMax != 0 {
 		t.Fatalf("tree triangle kmax = %d, want 0", d.KMax)
 	}
-	ca := CoreApp(tree, motif.Clique{H: 3})
+	ca := CoreApp(tree, motif.Clique{H: 3}, nil)
 	if ca.KMax != 0 {
 		t.Fatalf("CoreApp on tree: kmax = %d", ca.KMax)
 	}

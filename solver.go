@@ -80,11 +80,17 @@ type verState struct {
 type psiState struct {
 	o motif.Oracle
 
-	mu      sync.Mutex
-	dec     *psicore.Decomposition // peel (k,Ψ)-core decomposition
-	nuc     *psicore.Decomposition // nucleus decomposition (AlgoNucleus)
-	total   int64                  // µ(G,Ψ)
-	deg     []int64                // whole-graph Ψ-degrees
+	mu  sync.Mutex
+	dec *psicore.Decomposition // peel (k,Ψ)-core decomposition of the whole graph
+	nuc *psicore.Decomposition // nucleus decomposition (AlgoNucleus)
+	// within is the (k,Ψ)-core decomposition restricted to the classical
+	// core that can hold a core-exact answer (psicore.DecomposeWithin,
+	// Floor > 0). Its core numbers below Floor are not exact, so only
+	// core-exact reads it; the peel-order family and Apply's upper-bound
+	// carry read dec alone.
+	within  *psicore.Decomposition
+	total   int64   // µ(G,Ψ)
+	deg     []int64 // whole-graph Ψ-degrees
 	haveDeg bool
 	// ub is an upper-bound core decomposition carried across Apply
 	// (psicore.UpperBound over the parent version's cores): core-exact
@@ -200,6 +206,11 @@ func (vs *verState) psiFor(o motif.Oracle) *psiState {
 func (st *psiState) decomposition(ctx context.Context, g *Graph, workers int) (*psicore.Decomposition, bool, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	return st.decomposeLocked(ctx, g, workers)
+}
+
+// decomposeLocked is decomposition with st.mu held.
+func (st *psiState) decomposeLocked(ctx context.Context, g *Graph, workers int) (*psicore.Decomposition, bool, error) {
 	if st.dec != nil {
 		return st.dec, true, nil
 	}
@@ -223,24 +234,40 @@ func (st *psiState) decomposition(ctx context.Context, g *Graph, workers int) (*
 	return d, false, nil
 }
 
-// coreExactDec returns the best decomposition available for a core-exact
-// plan without forcing a peel: the exact memoized decomposition when the
-// version holds one; else the upper-bound decomposition carried across
-// Apply (bounded=true — the caller must set core.Options.DecUpperBound);
-// else it peels this version, memoizing the result exactly like
-// decomposition does.
-func (st *psiState) coreExactDec(ctx context.Context, g *Graph, workers int) (dec *psicore.Decomposition, reused, bounded bool, err error) {
+// coreExactDec returns the decomposition a core-exact query on version
+// vs locates in — Solve, PlanComponents and SolveComponent all take it
+// from here. In order of preference: the exact memoized decomposition;
+// else the upper-bound decomposition carried across Apply (bounded=true —
+// the caller must set core.Options.DecUpperBound); else the memoized
+// restricted decomposition; else, for an h-clique with h ≥ 3 whose
+// whole-graph Ψ-degree vector is not yet known, a new decomposition
+// restricted to the classical core that can hold the answer
+// (psicore.DecomposeWithin, on the classical cores of classical); else
+// a peel of the whole version, memoized exactly like decomposition does.
+// Counting is what the restriction saves: once the degree vector is in
+// hand (memoized, or maintained across Apply), the seeded whole-graph
+// peel is cheap, and it is what the peel family reuses and Apply carries
+// as upper bounds. The restricted result is kept in within, never in
+// dec.
+func (st *psiState) coreExactDec(ctx context.Context, vs *verState, workers int) (dec *psicore.Decomposition, reused, bounded bool, err error) {
 	st.mu.Lock()
-	if st.dec != nil {
-		defer st.mu.Unlock()
+	defer st.mu.Unlock()
+	switch {
+	case st.dec != nil:
 		return st.dec, true, false, nil
-	}
-	if st.ub != nil {
-		defer st.mu.Unlock()
+	case st.ub != nil:
 		return st.ub, true, true, nil
+	case st.within != nil:
+		return st.within, true, false, nil
 	}
-	st.mu.Unlock()
-	dec, reused, err = st.decomposition(ctx, g, workers)
+	if psicore.UsesClassicalCores(st.o) && !st.haveDeg {
+		d, err := psicore.DecomposeWithin(ctx, vs.g, st.o, vs.classical(st.o), workers)
+		if err != nil || d != nil {
+			st.within = d
+			return d, false, false, err
+		}
+	}
+	dec, reused, err = st.decomposeLocked(ctx, vs.g, workers)
 	return dec, reused, false, err
 }
 
@@ -298,6 +325,26 @@ func (vs *verState) kcoreDec() (*kcore.Decomposition, bool) {
 	}
 	vs.kc = kcore.Decompose(vs.g)
 	return vs.kc, false
+}
+
+// classical returns g's classical core decomposition when Ψ's
+// algorithms read one (h-cliques with h ≥ 3, see
+// psicore.UsesClassicalCores), and nil otherwise: the version's memoized
+// one when an anchored query computed it, else a fresh one left out of
+// the memo. A memoized decomposition is repaired edge by edge on every
+// later Apply (see Mutate), which costs more than computing it again
+// where a clique solve needs it.
+func (vs *verState) classical(o motif.Oracle) *kcore.Decomposition {
+	if !psicore.UsesClassicalCores(o) {
+		return nil
+	}
+	vs.kmu.Lock()
+	kc := vs.kc
+	vs.kmu.Unlock()
+	if kc == nil {
+		kc = kcore.Decompose(vs.g)
+	}
+	return kc
 }
 
 // Solve answers q on the Solver's graph: the one entrypoint behind which
@@ -377,17 +424,19 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 			}
 			decStart := time.Now()
 			dsp := obs.StartFromContext(ctx, obs.SpanDecompose)
-			dec, reused, bounded, err := st.coreExactDec(ctx, g, workers)
+			dec, reused, bounded, err := st.coreExactDec(ctx, vs, workers)
 			if reused {
 				dsp.SetAttr("reused", "true")
 			}
 			if bounded {
 				dsp.SetAttr("bounded", "true")
 			}
-			dsp.End()
 			if err != nil {
+				dsp.End()
 				return nil, err
 			}
+			core.TraceRestriction(dsp, dec)
+			dsp.End()
 			decTime := time.Since(decStart)
 			opts := q.coreOptions()
 			opts.DecUpperBound = bounded
@@ -435,8 +484,9 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 	case AlgoCoreApp:
 		// CoreApp's whole point is extracting the kmax-core top-down
 		// without the full decomposition, so there is no per-Ψ state
-		// worth memoizing for it.
-		return await(ctx, func() (*Result, error) { return core.CoreApp(g, o), nil })
+		// worth memoizing for it; its clique γ bounds read the classical
+		// cores (see classical).
+		return await(ctx, func() (*Result, error) { return core.CoreApp(g, o, vs.classical(o)), nil })
 	case AlgoNucleus:
 		return await(ctx, func() (*Result, error) {
 			st := vs.psiFor(o)

@@ -60,7 +60,7 @@ func TestSolveMatchesCoreAlgorithms(t *testing.T) {
 				dsd.AlgoCoreExact: coreExact(t, g, o),
 				dsd.AlgoPeel:      core.PeelApp(g, o, nil),
 				dsd.AlgoInc:       core.IncApp(g, o, nil),
-				dsd.AlgoCoreApp:   core.CoreApp(g, o),
+				dsd.AlgoCoreApp:   core.CoreApp(g, o, nil),
 				dsd.AlgoNucleus:   core.Nucleus(g, o, nil),
 			}
 			s := dsd.NewSolver(g)

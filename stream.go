@@ -2,8 +2,11 @@
 // terminal answer. Stream/StreamFunc run the internal/plan ladder — memo
 // hit, CoreApp, adaptive Greed++, per-component flow search — over the
 // same memoized state Solve uses, emitting every certified interval
-// tightening on the way to a final answer that is bit-identical to
-// Solve's for the same query.
+// tightening on the way to a final answer whose density equals Solve's
+// in value for the same query. Where several subgraphs attain the
+// optimum the two may return different optimal witnesses, so Num/Den
+// can differ (testdata/fuzz/FuzzSolve/equal-density-witnesses: 60/10
+// from Solve, 42/7 from the stream).
 package dsd
 
 import (
@@ -11,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/kcore"
 	"repro/internal/motif"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -45,11 +49,13 @@ const (
 // fan-out belongs in Stream, which wraps this with a conflating relay.
 //
 // Only Algo=core-exact queries stream (the ladder refines toward that
-// exact answer); everything else returns an error. The final Result —
-// density, witness quality, Degraded/Bound on deadline or gap budgets —
-// is bit-identical to Solve's for the same query, because the ladder
-// only adds certified lower bounds to the search's shared cell, which
-// can only prune, never change an optimum.
+// exact answer); everything else returns an error. The final Result's
+// density equals Solve's in value (Cmp) for the same query, and so does
+// an exact answer's optimality, because the ladder only adds certified
+// lower bounds to the search's shared cell, which can only prune, never
+// change an optimum. Those extra bounds can steer the search to another
+// optimal witness, so the witness, and with it Density.Num/Den, may
+// differ from Solve's (see the package comment).
 func (s *Solver) StreamFunc(ctx context.Context, q Query, fn func(Answer)) (*Result, error) {
 	nq, o, err := q.normalize()
 	if err != nil {
@@ -92,12 +98,17 @@ func streamOn(ctx context.Context, nq Query, o motif.Oracle, vs *verState, fn fu
 	// Peek the memoized decomposition WITHOUT forcing a peel: on a cold
 	// graph the planner wants to put a certified CoreApp interval on the
 	// stream before paying for the decomposition, so the peel happens
-	// inside the ladder, not here.
+	// inside the ladder, not here. The ladder's CoreApp rung and its
+	// restricted decomposition share one classical decomposition.
 	dec, bounded := st.peekDec()
+	var kc *kcore.Decomposition
+	if dec == nil {
+		kc = vs.classical(o)
+	}
 	opts := nq.coreOptions()
 	opts.DecUpperBound = bounded
 	opts.SeedWitness = st.seedWitness()
-	res, usedDec, err := plan.Run(ctx, vs.g, o, opts, dec, fn)
+	res, usedDec, err := plan.Run(ctx, vs.g, o, opts, dec, kc, fn)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -150,29 +161,37 @@ func (s *Solver) Stream(ctx context.Context, q Query) (<-chan Answer, error) {
 }
 
 // peekDec returns the version's memoized decomposition when one exists —
-// the exact peel, or the upper-bound peel carried across Apply
-// (bounded=true) — without computing anything.
+// in coreExactDec's order: the exact peel, the upper-bound peel carried
+// across Apply (bounded=true), the restricted peel — without computing
+// anything.
 func (st *psiState) peekDec() (dec *psicore.Decomposition, bounded bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.dec != nil {
+	switch {
+	case st.dec != nil:
 		return st.dec, false
-	}
-	if st.ub != nil {
+	case st.ub != nil:
 		return st.ub, true
 	}
-	return nil, false
+	return st.within, false
 }
 
-// adoptDec memoizes an exact decomposition computed elsewhere (a cold
-// stream's in-ladder peel), unless one landed in the meantime.
+// adoptDec memoizes a decomposition computed elsewhere (a cold stream's
+// in-ladder peel), unless one of its kind landed in the meantime: a
+// restricted one (Floor > 0) only ever in within, so the peel-order
+// family never reads it.
 func (st *psiState) adoptDec(dec *psicore.Decomposition) {
 	if dec == nil {
 		return
 	}
 	st.mu.Lock()
-	if st.dec == nil {
+	defer st.mu.Unlock()
+	switch {
+	case dec.Floor > 0:
+		if st.within == nil {
+			st.within = dec
+		}
+	case st.dec == nil:
 		st.dec = dec
 	}
-	st.mu.Unlock()
 }
