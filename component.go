@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/rational"
 )
 
@@ -67,35 +66,20 @@ func (s *Solver) PlanComponents(ctx context.Context, q Query) (*ComponentPlan, e
 		return nil, err
 	}
 	st := vs.psiFor(o)
-	workers := nq.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	opts := nq.coreOptions()
 	decStart := time.Now()
-	dsp := obs.StartFromContext(ctx, obs.SpanDecompose)
-	dec, reused, bounded, err := st.coreExactDec(ctx, vs, workers)
-	if reused {
-		dsp.SetAttr("reused", "true")
-	}
-	if bounded {
-		dsp.SetAttr("bounded", "true")
-	}
+	dec, reused, _, err := st.tracedCoreExactDec(ctx, vs, coreExactRequest(opts, false))
 	if err != nil {
-		dsp.End()
 		return nil, err
 	}
-	core.TraceRestriction(dsp, dec)
-	dsp.End()
 	decTime := time.Since(decStart)
 	if reused {
 		decTime = 0
 	}
-	opts := nq.coreOptions()
-	opts.DecUpperBound = bounded
 	// Same warm start Solve's core-exact path gets: the carried witness's
 	// density is re-evaluated by PlanCoreExact before use.
 	opts.SeedWitness = st.seedWitness()
-	plan, err := core.PlanCoreExact(ctx, vs.g, o, opts, dec, nil)
+	plan, err := core.PlanCoreExact(ctx, vs.g, o, opts, dec)
 	if err != nil {
 		return nil, err
 	}
@@ -193,19 +177,17 @@ func (s *Solver) SolveComponent(ctx context.Context, q Query, comp []int32, kLoc
 		return nil, err
 	}
 	st := vs.psiFor(o)
-	dec, _, bounded, err := st.coreExactDec(ctx, vs, 1)
+	opts := nq.coreOptions()
+	dec, _, _, err := st.coreExactDec(ctx, vs, decRequest{workers: 1, restrict: opts.Pruning1})
 	if err == nil && dec.Floor > kLocate {
 		// The plan was located below the levels this restricted
 		// decomposition holds exactly (another Solver planned it on other
 		// memo state), so search on the whole-graph peel.
-		bounded = false
 		dec, _, err = st.decomposition(ctx, vs.g, 1)
 	}
 	if err != nil {
 		return nil, err
 	}
-	opts := nq.coreOptions()
-	opts.DecUpperBound = bounded
 	// Degradation budgets are a whole-query policy the coordinator owns:
 	// a worker degrading its own slice independently would break the
 	// merged certificate, so component searches always run exact.

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/iterative"
-	"repro/internal/kcore"
 	"repro/internal/motif"
 	"repro/internal/obs"
 	"repro/internal/psicore"
@@ -150,14 +149,11 @@ func (p *Plan) Empty() bool { return p.Dec.TotalInstances == 0 }
 // can then be searched in any order, in any process, as long as every
 // search shares one monotone BoundSource seeded from (Lower, Witness).
 //
-// With dec nil and Ψ an h-clique with h ≥ 3, the decomposition counts
-// and peels only the classical core that can hold the answer
-// (psicore.DecomposeWithin, reading kc, g's classical core decomposition,
-// when non-nil). A restricted dec (Floor > 0) brings its counted
-// classical kmax-core as a starting witness, so the located level is at
-// least Floor and every core number the plan and its searches read is
-// exact.
-func PlanCoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Options, dec *psicore.Decomposition, kc *kcore.Decomposition) (*Plan, error) {
+// dec may be restricted (psicore.DecomposeWithin, Floor > 0): its
+// counted classical kmax-core then starts the lower bound, so the
+// located level is at least Floor and every core number the plan and
+// its searches read is exact. With dec nil the whole graph is peeled.
+func PlanCoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Options, dec *psicore.Decomposition) (*Plan, error) {
 	start := time.Now()
 	var stats Stats
 	workers := opts.Workers
@@ -171,13 +167,7 @@ func PlanCoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Opt
 	if dec == nil {
 		dsp := obs.StartFromContext(ctx, obs.SpanDecompose)
 		var err error
-		dec, err = psicore.DecomposeWithin(ctx, g, o, kc, workers)
-		if err == nil && dec == nil {
-			dec, err = psicore.DecomposeContext(ctx, g, o, workers)
-		}
-		if err == nil {
-			TraceRestriction(dsp, dec)
-		}
+		dec, err = psicore.DecomposeContext(ctx, g, o, workers)
 		dsp.End()
 		if err != nil {
 			return nil, err
@@ -313,16 +303,6 @@ func PlanCoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Opt
 	}, nil
 }
 
-// TraceRestriction records on a decompose span how much of the graph a
-// restricted decomposition (Floor > 0) counted: the classical level x
-// and |X|. It does nothing for a whole-graph decomposition.
-func TraceRestriction(sp *obs.Span, dec *psicore.Decomposition) {
-	if dec.Floor > 0 {
-		sp.SetInt("classical_level", int64(dec.Level))
-		sp.SetInt("counted_vertices", int64(len(dec.Order)))
-	}
-}
-
 // CoreExact is the paper's core-based exact algorithm (Algorithm 4) over
 // any motif oracle: h-clique density (CDS), or a general pattern with the
 // construct+ network (PDS, Section 7.2). It reuses dec, a precomputed
@@ -351,7 +331,7 @@ func CoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Options
 		dctx, cancel = resilience.WallDeadline(ctx, start.Add(opts.Deadline))
 		defer cancel()
 	}
-	plan, err := PlanCoreExact(dctx, g, o, opts, dec, nil)
+	plan, err := PlanCoreExact(dctx, g, o, opts, dec)
 	if err != nil {
 		// A deadline mid-plan leaves nothing certified to return.
 		return nil, err

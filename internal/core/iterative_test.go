@@ -203,7 +203,7 @@ func TestSearchComponentFloorCell(t *testing.T) {
 	g := gen.MultiCommunity(5, 14, 6, 9, 10, 1)
 	o := motif.Clique{H: 3}
 	opts := DefaultOptions()
-	plan, err := PlanCoreExact(context.Background(), g, o, opts, nil, nil)
+	plan, err := PlanCoreExact(context.Background(), g, o, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

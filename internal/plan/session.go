@@ -18,6 +18,17 @@ import (
 	"repro/internal/resilience"
 )
 
+// Cold is what a session without a memoized decomposition reads.
+type Cold struct {
+	// Classical is g's classical core decomposition, which the
+	// approximation rung reads for h-cliques with h ≥ 3; nil computes it.
+	Classical *kcore.Decomposition
+	// Decompose returns the decomposition the session locates in; the
+	// ladder calls it once the approximation rung has answered. It may
+	// be restricted (Floor > 0). nil peels the whole graph.
+	Decompose func(context.Context) (*psicore.Decomposition, error)
+}
+
 // Run executes one CoreExact-class query as an anytime refinement
 // session, pushing every certified tightening to sink and returning the
 // terminal result — equal in density value to what the plain CoreExact
@@ -30,19 +41,14 @@ import (
 // (the warm path: planning is nearly free, so the approximation rung is
 // skipped); nil on the cold path, where the ladder runs CoreApp first to
 // put a certified interval on the wire before paying for the
-// decomposition. kc is g's classical core decomposition when the caller
-// holds one: the cold path's CoreApp rung and its restricted
-// decomposition (core.PlanCoreExact) both read it for h-cliques with
-// h ≥ 3, and nil computes it where needed. The decomposition actually
-// used is returned so callers can memoize it; it may be restricted
-// (Floor > 0).
+// decomposition, which cold supplies.
 //
 // The ladder choice is traced as one SpanPlan span (rungs, components,
 // budgets). Cancellation and Deadline/Gap degradation follow the
 // CoreExact driver contract exactly: a deadline mid-plan returns an
 // error, a deadline mid-search returns a Degraded final with a certified
 // interval, and a cancelled ctx returns ctx.Err().
-func Run(ctx context.Context, g *graph.Graph, o motif.Oracle, opts core.Options, dec *psicore.Decomposition, kc *kcore.Decomposition, sink func(Answer)) (*core.Result, *psicore.Decomposition, error) {
+func Run(ctx context.Context, g *graph.Graph, o motif.Oracle, opts core.Options, dec *psicore.Decomposition, cold Cold, sink func(Answer)) (*core.Result, error) {
 	start := time.Now()
 	em := NewEmitter(sink)
 	sp := obs.StartFromContext(ctx, obs.SpanPlan)
@@ -74,24 +80,30 @@ func Run(ctx context.Context, g *graph.Graph, o motif.Oracle, opts core.Options,
 	// is paid for. The upper end is inflated by a couple of ulps so the
 	// float product can never round below the true p·ρ bound.
 	if dec == nil {
-		if ca := core.CoreApp(g, o, kc); ca.Mu > 0 {
+		if ca := core.CoreApp(g, o, cold.Classical); ca.Mu > 0 {
 			em.Improve(ca.Density, ca.Vertices, StageApprox)
 			u := float64(o.Size()) * ca.Density.Float()
 			em.Tighten(math.Nextafter(u*(1+1e-12), math.Inf(1)), StageApprox)
 			rungs = append(rungs, "approx")
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 
 	// Rung 3 — location: decomposition (unless memoized), Pruning1/2, the
 	// component split, and the per-component core-number upper bounds.
-	plan, err := core.PlanCoreExact(dctx, g, o, opts, dec, kc)
+	// A deadline mid-plan leaves nothing certified to return — the same
+	// contract as the CoreExact driver.
+	if dec == nil && cold.Decompose != nil {
+		var err error
+		if dec, err = cold.Decompose(dctx); err != nil {
+			return nil, err
+		}
+	}
+	plan, err := core.PlanCoreExact(dctx, g, o, opts, dec)
 	if err != nil {
-		// A deadline mid-plan leaves nothing certified to return — the
-		// same contract as the CoreExact driver.
-		return nil, nil, err
+		return nil, err
 	}
 	stats := plan.Stats
 	sp.SetInt("components", int64(len(plan.Components)))
@@ -100,7 +112,7 @@ func Run(ctx context.Context, g *graph.Graph, o motif.Oracle, opts core.Options,
 		r.Stats = stats
 		r.Stats.Total = time.Since(start)
 		em.Final(r)
-		return r, plan.Dec, nil
+		return r, nil
 	}
 	em.Install(plan.Lower, plan.Witness, plan.Uppers, StagePlan)
 	rungs = append(rungs, "plan")
@@ -134,7 +146,7 @@ func Run(ctx context.Context, g *graph.Graph, o motif.Oracle, opts core.Options,
 			if opts.Deadline > 0 && ctx.Err() == nil && dctx.Err() != nil {
 				deadlined = true
 			} else {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		rungs = append(rungs, "iterative")
@@ -161,7 +173,7 @@ func Run(ctx context.Context, g *graph.Graph, o motif.Oracle, opts core.Options,
 				deadlined = true
 				break
 			}
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	gapped := false
@@ -198,7 +210,7 @@ func Run(ctx context.Context, g *graph.Graph, o motif.Oracle, opts core.Options,
 		}
 	}
 	em.Final(res)
-	return res, plan.Dec, nil
+	return res, nil
 }
 
 // witnessInRange guards a memoized witness against graphs that shrank

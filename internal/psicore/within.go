@@ -50,22 +50,41 @@ func UsesClassicalCores(o motif.Oracle) bool {
 //
 // It returns nil and no error when the restriction does not pay: Ψ is
 // not an h-clique with h ≥ 3, K holds no instance (ρ_lo = 0), or X holds
-// more than half of g's adjacency entries. Counting G[X] then saves
-// little, while a whole-graph peel, with its Ψ-degree vector, is what a
-// caller can repair incrementally across edge mutations (see
-// UpperBound). The caller peels the whole graph, which is exact
-// everywhere. The rule is fixed, not settable. The peel polls ctx like
+// more than half of g's adjacency entries. The caller then peels the
+// whole graph, which is exact everywhere. Where X holds that much,
+// counting G[X] costs about what counting g does, and the whole-graph
+// peel leaves a Ψ-degree vector and core numbers that a caller can
+// repair across edge mutations (see UpperBound); a restricted one leaves
+// neither. The rule is fixed, not settable. The peel polls ctx like
 // DecomposeContext's.
 func DecomposeWithin(ctx context.Context, g *graph.Graph, o motif.Oracle, kc *kcore.Decomposition, workers int) (*Decomposition, error) {
-	return decomposeWithin(ctx, g, o, kc, workers, false)
+	r := classicalRestriction(g, o, kc)
+	if r == nil || r.adj > g.M() {
+		return nil, nil
+	}
+	return r.decompose(ctx, g, o, workers)
 }
 
-// decomposeWithin is DecomposeWithin; with anySize set it restricts
-// whenever X is a strict subset of g, whatever share of the adjacency X
-// holds, so that tests can check the restriction on small graphs.
-func decomposeWithin(ctx context.Context, g *graph.Graph, o motif.Oracle, kc *kcore.Decomposition, workers int, anySize bool) (*Decomposition, error) {
+// restriction is the classical x-core X that a restricted decomposition
+// counts and peels.
+type restriction struct {
+	kc    *kcore.Decomposition
+	x     int32
+	floor int64
+	// k is the classical kmax-core K in g's ids and lo its density ρ(K).
+	k  []int32
+	lo rational.R
+	// adj is the number of g's adjacency entries at X's vertices.
+	adj int
+}
+
+// classicalRestriction returns the restriction of g's (k,Ψ)-core
+// decomposition, or nil when Ψ is not an h-clique with h ≥ 3, K holds
+// no instance, or X is all of g. kc is g's classical core
+// decomposition; nil computes one.
+func classicalRestriction(g *graph.Graph, o motif.Oracle, kc *kcore.Decomposition) *restriction {
 	if !UsesClassicalCores(o) || g.N() == 0 {
-		return nil, nil
+		return nil
 	}
 	if kc == nil {
 		kc = kcore.Decompose(g)
@@ -73,28 +92,32 @@ func decomposeWithin(ctx context.Context, g *graph.Graph, o motif.Oracle, kc *kc
 	k := g.InducedKeep(func(v int) bool { return kc.Core[v] == kc.KMax })
 	muK := motif.Count(o, k.Graph)
 	if muK == 0 {
-		return nil, nil
+		return nil
 	}
-	lo := rational.New(muK, int64(k.N()))
-	floor := lo.Ceil()
+	r := &restriction{kc: kc, k: k.Orig, lo: rational.New(muK, int64(k.N()))}
+	r.floor = r.lo.Ceil()
 	// K lies in the classical kmax-core, so x never needs to exceed kmax;
 	// capping it there only keeps more of g.
 	h1 := int64(o.Size() - 1)
-	x := int32(0)
-	for x < kc.KMax && combin.Binom(int64(x), h1) < floor {
-		x++
+	for r.x < kc.KMax && combin.Binom(int64(r.x), h1) < r.floor {
+		r.x++
 	}
-	kept, adj := 0, 0
+	kept := 0
 	for v, c := range kc.Core {
-		if c >= x {
+		if c >= r.x {
 			kept++
-			adj += g.Degree(v)
+			r.adj += g.Degree(v)
 		}
 	}
-	if kept == g.N() || !anySize && adj > g.M() {
-		return nil, nil
+	if kept == g.N() {
+		return nil
 	}
-	sub := g.InducedKeep(func(v int) bool { return kc.Core[v] >= x })
+	return r
+}
+
+// decompose counts and peels G[X] and maps the result back to g's ids.
+func (r *restriction) decompose(ctx context.Context, g *graph.Graph, o motif.Oracle, workers int) (*Decomposition, error) {
+	sub := g.InducedKeep(func(v int) bool { return r.kc.Core[v] >= r.x })
 	total, deg := countDegrees(sub.Graph, o, workers)
 	d, err := peel(ctx, sub.Graph, o, total, deg)
 	if err != nil {
@@ -108,7 +131,7 @@ func decomposeWithin(ctx context.Context, g *graph.Graph, o motif.Oracle, kc *kc
 		d.Order[i] = sub.Orig[lv]
 	}
 	d.Core = core
-	d.Floor, d.Level = floor, x
-	d.FloorWitness, d.FloorDensity = k.Orig, lo
+	d.Floor, d.Level = r.floor, r.x
+	d.FloorWitness, d.FloorDensity = r.k, r.lo
 	return d, nil
 }

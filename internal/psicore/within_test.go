@@ -94,7 +94,8 @@ func checkWithin(t *testing.T, what string, g *graph.Graph, o motif.Oracle, kc *
 
 // TestDecomposeWithinMatchesDecompose checks the restricted decomposition
 // against the full peel for h ∈ {3, 4, 5}, serial and with striped
-// counting, and that DecomposeWithin declines exactly where it should.
+// counting, wherever the classical x-core is a strict subset of the
+// graph, and that DecomposeWithin declines exactly where it should.
 func TestDecomposeWithinMatchesDecompose(t *testing.T) {
 	cases := []struct {
 		name string
@@ -125,21 +126,22 @@ func TestDecomposeWithinMatchesDecompose(t *testing.T) {
 			if (d != nil) != tc.restricted[i] {
 				t.Fatalf("%s: restricted=%v, want %v", what, d != nil, tc.restricted[i])
 			}
-			dx, err := decomposeWithin(context.Background(), tc.g, o, kc, 1, true)
+			r := classicalRestriction(tc.g, o, kc)
+			if (r != nil) != tc.strict[i] {
+				t.Fatalf("%s: X strict=%v, want %v", what, r != nil, tc.strict[i])
+			}
+			if r == nil {
+				continue
+			}
+			dx, err := r.decompose(context.Background(), tc.g, o, 1)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
-			}
-			if (dx != nil) != tc.strict[i] {
-				t.Fatalf("%s: X strict=%v, want %v", what, dx != nil, tc.strict[i])
-			}
-			if dx == nil {
-				continue
 			}
 			checkWithin(t, what, tc.g, o, kc, dx)
 			if d != nil && decompositionFingerprint(d) != decompositionFingerprint(dx) {
 				t.Fatalf("%s: the size rule changed the restricted peel", what)
 			}
-			par, err := decomposeWithin(context.Background(), tc.g, o, nil, 2, true)
+			par, err := classicalRestriction(tc.g, o, nil).decompose(context.Background(), tc.g, o, 2)
 			if err != nil {
 				t.Fatalf("%s: workers=2: %v", what, err)
 			}
@@ -171,10 +173,10 @@ func TestDecomposeWithinCancelled(t *testing.T) {
 // full peel on graphs of at most 11 vertices (an edge bitmask over the
 // vertex pairs) for h ∈ {3, 4, 5}: wherever X is a strict subset, every
 // core number at or above Floor must be exact and both tracked densities
-// real. The size rule is off, since it would decline most small graphs. The
-// committed corpus (testdata/fuzz/FuzzDecomposeWithin) holds graphs whose
-// classical x-core is a strict subset for h = 3, 4 and 5, and one whose
-// x-core is the whole graph.
+// real. It skips the size rule, which would decline most small graphs.
+// The committed corpus (testdata/fuzz/FuzzDecomposeWithin) holds
+// graphs whose classical x-core is a strict subset for h = 3, 4 and 5,
+// and one whose x-core is the whole graph.
 func FuzzDecomposeWithin(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n uint8, mask uint64, hsel uint8) {
 		nv := 1 + int(n)%11
@@ -191,12 +193,14 @@ func FuzzDecomposeWithin(f *testing.F) {
 		g := graph.FromEdges(nv, edges)
 		o := motif.Clique{H: 3 + int(hsel)%3}
 		kc := kcore.Decompose(g)
-		d, err := decomposeWithin(context.Background(), g, o, kc, 1, true)
+		r := classicalRestriction(g, o, kc)
+		if r == nil {
+			return
+		}
+		d, err := r.decompose(context.Background(), g, o, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d != nil {
-			checkWithin(t, o.Name(), g, o, kc, d)
-		}
+		checkWithin(t, o.Name(), g, o, kc, d)
 	})
 }

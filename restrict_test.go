@@ -88,7 +88,7 @@ func TestRestrictedDecompositionStaysOutOfPeelMemo(t *testing.T) {
 
 // TestRestrictedDecompositionConcurrent races the readers and writers of
 // the restricted memo on one cold Solver (run under -race): core-exact
-// solves, streams and component plans, which compute or adopt it, beside
+// solves, streams and component plans, which compute or read it, beside
 // peel queries, which must not read it. Every answer must match a fresh
 // Solver's in value.
 func TestRestrictedDecompositionConcurrent(t *testing.T) {
@@ -141,4 +141,98 @@ func TestRestrictedDecompositionConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// decomposeAttrs runs fn under a fresh trace and returns the attributes
+// of the one decompose span it records.
+func decomposeAttrs(t *testing.T, what string, fn func(ctx context.Context) error) map[string]string {
+	t.Helper()
+	tr := obs.New()
+	if err := fn(obs.WithSpan(context.Background(), tr, nil)); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	decs := tr.Snapshot().Named(obs.SpanDecompose)
+	if len(decs) != 1 {
+		t.Fatalf("%s: %d decompose spans, want 1", what, len(decs))
+	}
+	return decs[0].Attrs
+}
+
+// TestRestrictionFollowsPruning1 pins which core-exact runs restrict: the
+// restriction rests on a lower bound, as Pruning1 does, so a Query.Core
+// ablation with Pruning1 off peels the whole graph like the paper's
+// variants without it, by Solve and by StreamFunc alike, and still
+// answers the optimum.
+func TestRestrictionFollowsPruning1(t *testing.T) {
+	g := plantedCliqueGraph(10, 10)
+	want, err := dsd.NewSolver(g).Solve(context.Background(), dsd.Query{H: 3, Algo: dsd.AlgoExact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		core       *dsd.CoreExactOptions
+		restricted bool
+	}{
+		{"default", nil, true},
+		{"base", &dsd.CoreExactOptions{}, false},
+		{"P1", &dsd.CoreExactOptions{Pruning1: true}, true},
+		{"P2", &dsd.CoreExactOptions{Pruning2: true}, false},
+	} {
+		q := dsd.Query{H: 3, Algo: dsd.AlgoCoreExact, Core: tc.core}
+		for _, stream := range []bool{false, true} {
+			what := tc.name + " solve"
+			if stream {
+				what = tc.name + " stream"
+			}
+			s := dsd.NewSolver(g)
+			var res *dsd.Result
+			attrs := decomposeAttrs(t, what, func(ctx context.Context) (err error) {
+				if stream {
+					res, err = s.StreamFunc(ctx, q, func(dsd.Answer) {})
+				} else {
+					res, err = s.Solve(ctx, q)
+				}
+				return err
+			})
+			if _, ok := attrs["counted_vertices"]; ok != tc.restricted {
+				t.Fatalf("%s: decompose span %v, want restricted=%v", what, attrs, tc.restricted)
+			}
+			if res.Density.Cmp(want.Density) != 0 {
+				t.Fatalf("%s: density %v, optimum %v", what, res.Density, want.Density)
+			}
+		}
+	}
+}
+
+// TestComponentPlanPeelsAfterApply pins which decomposition each
+// core-exact entry point takes on a version made by Apply, which carries
+// the parent's core numbers as upper bounds: Solve locates on those, and
+// PlanComponents peels the version, because the bound loosens with every
+// batch and a plan ships its components to other processes. The peel
+// then serves Solve too.
+func TestComponentPlanPeelsAfterApply(t *testing.T) {
+	g := dsd.GenerateMultiCommunity(6, 18, 8, 11, 12, 1)
+	s := dsd.NewSolver(g)
+	q := dsd.Query{H: 3}
+	if _, err := s.Solve(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Apply(context.Background(), dsd.Mutation{Insert: [][2]int{{0, g.N()}, {1, g.N()}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		what            string
+		run             func(ctx context.Context) error
+		reused, bounded bool
+	}{
+		{"solve", func(ctx context.Context) error { _, err := s.Solve(ctx, q); return err }, true, true},
+		{"plan", func(ctx context.Context) error { _, err := s.PlanComponents(ctx, q); return err }, false, false},
+		{"solve again", func(ctx context.Context) error { _, err := s.Solve(ctx, q); return err }, true, false},
+	} {
+		attrs := decomposeAttrs(t, step.what, step.run)
+		if (attrs["reused"] == "true") != step.reused || (attrs["bounded"] == "true") != step.bounded {
+			t.Fatalf("%s: decompose span %v, want reused=%v bounded=%v", step.what, attrs, step.reused, step.bounded)
+		}
+	}
 }

@@ -234,41 +234,105 @@ func (st *psiState) decomposeLocked(ctx context.Context, g *Graph, workers int) 
 	return d, false, nil
 }
 
-// coreExactDec returns the decomposition a core-exact query on version
-// vs locates in — Solve, PlanComponents and SolveComponent all take it
-// from here. In order of preference: the exact memoized decomposition;
-// else the upper-bound decomposition carried across Apply (bounded=true —
-// the caller must set core.Options.DecUpperBound); else the memoized
-// restricted decomposition; else, for an h-clique with h ≥ 3 whose
-// whole-graph Ψ-degree vector is not yet known, a new decomposition
-// restricted to the classical core that can hold the answer
-// (psicore.DecomposeWithin, on the classical cores of classical); else
-// a peel of the whole version, memoized exactly like decomposition does.
-// Counting is what the restriction saves: once the degree vector is in
-// hand (memoized, or maintained across Apply), the seeded whole-graph
-// peel is cheap, and it is what the peel family reuses and Apply carries
-// as upper bounds. The restricted result is kept in within, never in
-// dec.
-func (st *psiState) coreExactDec(ctx context.Context, vs *verState, workers int) (dec *psicore.Decomposition, reused, bounded bool, err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// decRequest says which decompositions a core-exact caller may locate
+// in (see coreExactDec).
+type decRequest struct {
+	workers int
+	// restrict admits a decomposition restricted to the classical core
+	// that can hold the answer. It follows Pruning1, the paper's pruning
+	// by a lower bound, so the ablations without it peel the whole graph.
+	restrict bool
+	// bound admits the upper-bound decomposition carried across Apply.
+	bound bool
+	// classical is g's classical core decomposition when the caller
+	// already holds one; nil computes one where a restriction needs it.
+	classical *kcore.Decomposition
+}
+
+// coreExactRequest is the decRequest of a core-exact query run with
+// opts. Solve and the stream take the carried upper bound (bound); the
+// component surface does not, because the bound loosens with every
+// batch applied since the last peel and a plan located on it ships
+// larger components to every worker.
+func coreExactRequest(opts core.Options, bound bool) decRequest {
+	workers := opts.Workers
+	if workers < 1 {
+		workers = 1
+	}
+	return decRequest{workers: workers, restrict: opts.Pruning1, bound: bound}
+}
+
+// memoDecLocked returns the memoized decomposition req admits, in
+// coreExactDec's order, or nil. Caller holds st.mu.
+func (st *psiState) memoDecLocked(req decRequest) (dec *psicore.Decomposition, bounded bool) {
 	switch {
 	case st.dec != nil:
-		return st.dec, true, false, nil
-	case st.ub != nil:
-		return st.ub, true, true, nil
-	case st.within != nil:
-		return st.within, true, false, nil
+		return st.dec, false
+	case req.bound && st.ub != nil:
+		return st.ub, true
+	case req.restrict && st.within != nil:
+		return st.within, false
 	}
-	if psicore.UsesClassicalCores(st.o) && !st.haveDeg {
-		d, err := psicore.DecomposeWithin(ctx, vs.g, st.o, vs.classical(st.o), workers)
-		if err != nil || d != nil {
+	return nil, false
+}
+
+// coreExactDec returns the decomposition a core-exact query on version
+// vs locates in; Solve, the stream, PlanComponents and SolveComponent
+// all take it from here. In order of preference: the exact memoized
+// decomposition; else, if req.bound, the upper-bound decomposition
+// carried across Apply (bounded=true — the caller must set
+// core.Options.DecUpperBound); else, if req.restrict, the memoized
+// restricted decomposition, or for an h-clique with h ≥ 3 whose
+// whole-graph Ψ-degree vector is not yet known, a new one
+// (psicore.DecomposeWithin); else a peel of the whole version, memoized
+// exactly like decomposition does. Counting is what the restriction
+// saves: once the degree vector is in hand (memoized, or maintained
+// across Apply), the seeded whole-graph peel is cheap, and it is what
+// the peel family reuses and Apply carries as upper bounds. The
+// restricted result is kept in within, never in dec.
+func (st *psiState) coreExactDec(ctx context.Context, vs *verState, req decRequest) (dec *psicore.Decomposition, reused, bounded bool, err error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if dec, bounded := st.memoDecLocked(req); dec != nil {
+		return dec, true, bounded, nil
+	}
+	if req.restrict && psicore.UsesClassicalCores(st.o) && !st.haveDeg {
+		kc := req.classical
+		if kc == nil {
+			kc = vs.classical(st.o)
+		}
+		d, err := psicore.DecomposeWithin(ctx, vs.g, st.o, kc, req.workers)
+		if err != nil {
+			return nil, false, false, err
+		}
+		if d != nil {
 			st.within = d
-			return d, false, false, err
+			return d, false, false, nil
 		}
 	}
-	dec, reused, err = st.decomposeLocked(ctx, vs.g, workers)
+	dec, reused, err = st.decomposeLocked(ctx, vs.g, req.workers)
 	return dec, reused, false, err
+}
+
+// tracedCoreExactDec is coreExactDec under a decompose span, which
+// records whether the memo served it, whether it is the carried upper
+// bound, and how much of the graph a restricted decomposition counted:
+// the classical level x and |X|.
+func (st *psiState) tracedCoreExactDec(ctx context.Context, vs *verState, req decRequest) (dec *psicore.Decomposition, reused, bounded bool, err error) {
+	dsp := obs.StartFromContext(ctx, obs.SpanDecompose)
+	defer dsp.End()
+	dec, reused, bounded, err = st.coreExactDec(ctx, vs, req)
+	if reused {
+		dsp.SetAttr("reused", "true")
+	}
+	if bounded {
+		dsp.SetAttr("bounded", "true")
+	}
+	if err == nil && dec.Floor > 0 {
+		dsp.SetInt("classical_level", int64(dec.Level))
+		dsp.SetInt("counted_vertices", int64(len(dec.Order)))
+	}
+	return dec, reused, bounded, err
 }
 
 // nucleus returns the memoized nucleus decomposition.
@@ -418,27 +482,13 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 	case AlgoCoreExact:
 		return await(ctx, func() (*Result, error) {
 			st := vs.psiFor(o)
-			workers := q.Workers
-			if workers < 1 {
-				workers = 1
-			}
+			opts := q.coreOptions()
 			decStart := time.Now()
-			dsp := obs.StartFromContext(ctx, obs.SpanDecompose)
-			dec, reused, bounded, err := st.coreExactDec(ctx, vs, workers)
-			if reused {
-				dsp.SetAttr("reused", "true")
-			}
-			if bounded {
-				dsp.SetAttr("bounded", "true")
-			}
+			dec, reused, bounded, err := st.tracedCoreExactDec(ctx, vs, coreExactRequest(opts, true))
 			if err != nil {
-				dsp.End()
 				return nil, err
 			}
-			core.TraceRestriction(dsp, dec)
-			dsp.End()
 			decTime := time.Since(decStart)
-			opts := q.coreOptions()
 			opts.DecUpperBound = bounded
 			// Warm-start from the previous solve's certificate (carried
 			// across Apply): PlanCoreExact re-evaluates the witness's

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/kcore"
 	"repro/internal/motif"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -95,29 +94,35 @@ func streamOn(ctx context.Context, nq Query, o motif.Oracle, vs *verState, fn fu
 	}
 	start := time.Now()
 	st := vs.psiFor(o)
+	opts := nq.coreOptions()
+	req := coreExactRequest(opts, true)
 	// Peek the memoized decomposition WITHOUT forcing a peel: on a cold
 	// graph the planner wants to put a certified CoreApp interval on the
-	// stream before paying for the decomposition, so the peel happens
-	// inside the ladder, not here. The ladder's CoreApp rung and its
-	// restricted decomposition share one classical decomposition.
-	dec, bounded := st.peekDec()
-	var kc *kcore.Decomposition
+	// stream before paying for the decomposition, so the decomposition
+	// happens inside the ladder, from coreExactDec as Solve's does. The
+	// ladder's CoreApp rung and a restriction share one classical
+	// decomposition.
+	dec, bounded := st.peekDec(req)
+	var cold plan.Cold
+	decReused, decTime := dec != nil, time.Duration(0)
 	if dec == nil {
-		kc = vs.classical(o)
+		req.classical = vs.classical(o)
+		cold.Classical = req.classical
+		cold.Decompose = func(ctx context.Context) (*psicore.Decomposition, error) {
+			decStart := time.Now()
+			d, reused, _, err := st.tracedCoreExactDec(ctx, vs, req)
+			decReused, decTime = reused, time.Since(decStart)
+			return d, err
+		}
 	}
-	opts := nq.coreOptions()
 	opts.DecUpperBound = bounded
 	opts.SeedWitness = st.seedWitness()
-	res, usedDec, err := plan.Run(ctx, vs.g, o, opts, dec, kc, fn)
+	res, err := plan.Run(ctx, vs.g, o, opts, dec, cold, fn)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	if dec == nil {
-		// Memoize the ladder's exact peel so the next query — streamed or
-		// not — starts warm, exactly as a cold Solve would have left it.
-		st.adoptDec(usedDec)
-	}
+	stampDecompose(res, decReused, decTime)
 	st.recordWitness(res.Vertices)
 	res.Stats.BoundedCores = bounded
 	res.Stats.Total = time.Since(start)
@@ -160,38 +165,11 @@ func (s *Solver) Stream(ctx context.Context, q Query) (<-chan Answer, error) {
 	return ch, nil
 }
 
-// peekDec returns the version's memoized decomposition when one exists —
-// in coreExactDec's order: the exact peel, the upper-bound peel carried
-// across Apply (bounded=true), the restricted peel — without computing
-// anything.
-func (st *psiState) peekDec() (dec *psicore.Decomposition, bounded bool) {
+// peekDec returns the memoized decomposition req admits, in
+// coreExactDec's order (bounded=true for the upper-bound peel carried
+// across Apply), without computing anything.
+func (st *psiState) peekDec(req decRequest) (dec *psicore.Decomposition, bounded bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	switch {
-	case st.dec != nil:
-		return st.dec, false
-	case st.ub != nil:
-		return st.ub, true
-	}
-	return st.within, false
-}
-
-// adoptDec memoizes a decomposition computed elsewhere (a cold stream's
-// in-ladder peel), unless one of its kind landed in the meantime: a
-// restricted one (Floor > 0) only ever in within, so the peel-order
-// family never reads it.
-func (st *psiState) adoptDec(dec *psicore.Decomposition) {
-	if dec == nil {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	switch {
-	case dec.Floor > 0:
-		if st.within == nil {
-			st.within = dec
-		}
-	case st.dec == nil:
-		st.dec = dec
-	}
+	return st.memoDecLocked(req)
 }
