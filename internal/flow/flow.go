@@ -50,6 +50,25 @@ func (f *Network) Reset(n int) {
 	f.cap = f.cap[:0]
 }
 
+// Reserve makes room for arcs more AddEdge calls, so that a builder
+// that knows its edge count fills the edge arrays without growing them.
+// A recycled network that already has the room keeps its arrays.
+func (f *Network) Reserve(arcs int) {
+	need := len(f.to) + 2*arcs
+	if need <= cap(f.to) && need <= cap(f.cap) {
+		return
+	}
+	to := make([]int32, len(f.to), need)
+	copy(to, f.to)
+	c := make([]int64, len(f.cap), need)
+	copy(c, f.cap)
+	f.to, f.cap = to, c
+}
+
+// EdgeCap returns how many directed edges the network holds room for
+// before its edge arrays grow.
+func (f *Network) EdgeCap() int { return min(cap(f.to), cap(f.cap)) / 2 }
+
 // N returns the number of nodes.
 func (f *Network) N() int { return len(f.head) }
 

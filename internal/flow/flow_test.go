@@ -173,3 +173,29 @@ func TestNumEdges(t *testing.T) {
 		t.Fatalf("N = %d, want 3", f.N())
 	}
 }
+
+// TestReserveKeepsEdgeArrays checks that the edges a Reserve made room
+// for fill the arrays in place, and that flows are unchanged by it.
+func TestReserveKeepsEdgeArrays(t *testing.T) {
+	f := NewNetwork(4)
+	f.AddEdge(0, 1, 3)
+	f.Reserve(4)
+	to, c := &f.to[0], &f.cap[0]
+	if f.EdgeCap() != 5 {
+		t.Fatalf("room for %d edges, want 5", f.EdgeCap())
+	}
+	f.AddEdge(0, 2, 2)
+	f.AddEdge(1, 3, 2)
+	f.AddEdge(2, 3, 3)
+	f.AddEdge(1, 2, 1)
+	if &f.to[0] != to || &f.cap[0] != c || f.EdgeCap() != 5 {
+		t.Fatal("reserved edges grew the edge arrays")
+	}
+	if got := f.MaxFlow(0, 3); got != 5 {
+		t.Fatalf("max flow = %d, want 5", got)
+	}
+	f.Reserve(0)
+	if &f.to[0] != to {
+		t.Fatal("an empty reservation moved the edge arrays")
+	}
+}

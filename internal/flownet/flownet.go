@@ -158,6 +158,7 @@ func BuildEDS(f *flow.Network, g *graph.Graph, anchors []int32, num, den int64) 
 		return nil, err
 	}
 	f = recycle(f, 2+g.N())
+	f.Reserve(2*g.N() + 2*g.M())
 	pinned := make([]bool, g.N())
 	for _, q := range anchors {
 		pinned[q] = true
@@ -255,6 +256,11 @@ func BuildCDS(f *flow.Network, n int, cs *CliqueSide, num, den int64) (*Net, err
 		return nil, err
 	}
 	f = recycle(f, 2+n+len(cs.Lambda))
+	arcs := 2*n + len(cs.LinkV)
+	for _, psi := range cs.Lambda {
+		arcs += len(psi)
+	}
+	f.Reserve(arcs)
 	lambdaNode := func(j int32) int { return 2 + n + int(j) }
 	for v := 0; v < n; v++ {
 		f.AddEdge(Source, VertexNode(v), cs.Deg[v]*den)
@@ -345,6 +351,11 @@ func BuildPDS(f *flow.Network, n int, ps *PatternSide, num, den int64) (*Net, er
 		return nil, err
 	}
 	f = recycle(f, 2+n+len(ps.Groups))
+	arcs := 2 * n
+	for _, vs := range ps.Groups {
+		arcs += 2 * len(vs)
+	}
+	f.Reserve(arcs)
 	groupNode := func(j int) int { return 2 + n + j }
 	for v := 0; v < n; v++ {
 		f.AddEdge(Source, VertexNode(v), ps.Deg[v]*den)

@@ -387,3 +387,42 @@ func TestCapacityOverflowRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildReservesExactArcs checks that every builder reserves exactly
+// the edges it adds: a build on a fresh arena never grows the edge
+// arrays, and a rebuild into a larger arena keeps them.
+func TestBuildReservesExactArcs(t *testing.T) {
+	g := gen.GNM(14, 40, 5)
+	cs3, cs4 := NewCliqueSide(g, 3), NewCliqueSide(g, 4)
+	builds := map[string]func(f *flow.Network) (*Net, error){
+		"EDS":          func(f *flow.Network) (*Net, error) { return BuildEDS(f, g, nil, 3, 2) },
+		"EDS/anchored": func(f *flow.Network) (*Net, error) { return BuildEDS(f, g, []int32{0, 5}, 3, 2) },
+		"CDS/h=3":      func(f *flow.Network) (*Net, error) { return BuildCDS(f, g.N(), cs3, 3, 2) },
+		"CDS/h=4":      func(f *flow.Network) (*Net, error) { return BuildCDS(f, g.N(), cs4, 1, 2) },
+		"PDS/grouped": func(f *flow.Network) (*Net, error) {
+			return BuildPDS(f, g.N(), NewPatternSide(g, motif.Diamond{}, true), 3, 2)
+		},
+		"PDS/instances": func(f *flow.Network) (*Net, error) {
+			return BuildPDS(f, g.N(), NewPatternSide(g, motif.Star{X: 2}, false), 3, 2)
+		},
+	}
+	for name, build := range builds {
+		net, err := build(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if net.NumEdges() == 0 || net.EdgeCap() != net.NumEdges() {
+			t.Fatalf("%s: %d edges in room for %d", name, net.NumEdges(), net.EdgeCap())
+		}
+		big := flow.NewNetwork(1)
+		big.Reserve(4 * net.NumEdges())
+		room := big.EdgeCap()
+		again, err := build(big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.EdgeCap() != room || again.NumEdges() != net.NumEdges() {
+			t.Fatalf("%s: recycled arena room %d → %d for %d edges", name, room, again.EdgeCap(), again.NumEdges())
+		}
+	}
+}

@@ -191,34 +191,42 @@ func (g *Graph) Induced(vs []int32) *Subgraph {
 }
 
 // InducedKeep returns the subgraph induced by the vertices for which keep
-// returns true, numbered like Induced's: in increasing original id. It
-// scans every vertex anyway, so it maps ids through a dense index rather
-// than Induced's map and fills all adjacency lists, in one pass, into one
-// backing array sized by the kept vertices' parent degrees.
+// returns true, numbered like Induced's: in increasing original id.
 func (g *Graph) InducedKeep(keep func(v int) bool) *Subgraph {
-	local := make([]int32, g.N())
 	var orig []int32
-	size := 0
 	for v := range g.adj {
-		local[v] = -1
 		if keep(v) {
-			local[v] = int32(len(orig))
 			orig = append(orig, int32(v))
-			size += len(g.adj[v])
 		}
 	}
+	return g.InducedSorted(orig)
+}
+
+// InducedSorted returns the subgraph induced by vs, which must be sorted
+// by increasing id without duplicates and becomes the result's Orig. It
+// maps ids through a dense index rather than Induced's map, visits only
+// the vertices of vs, and fills all adjacency lists into one backing
+// array sized by their parent degrees.
+func (g *Graph) InducedSorted(vs []int32) *Subgraph {
+	// local[v] is v's local id plus one; 0 marks a vertex outside vs.
+	local := make([]int32, g.N())
+	size := 0
+	for i, v := range vs {
+		local[v] = int32(i) + 1
+		size += len(g.adj[v])
+	}
 	backing := make([]int32, 0, size)
-	adj := make([][]int32, len(orig))
-	for i, v := range orig {
+	adj := make([][]int32, len(vs))
+	for i, v := range vs {
 		start := len(backing)
 		for _, w := range g.adj[v] {
-			if lw := local[w]; lw >= 0 {
-				backing = append(backing, lw)
+			if lw := local[w]; lw > 0 {
+				backing = append(backing, lw-1)
 			}
 		}
 		adj[i] = backing[start:len(backing):len(backing)]
 	}
-	return &Subgraph{Graph: &Graph{adj: adj, m: len(backing) / 2}, Orig: orig}
+	return &Subgraph{Graph: &Graph{adj: adj, m: len(backing) / 2}, Orig: vs}
 }
 
 // ConnectedComponents returns the vertex sets of the connected components,

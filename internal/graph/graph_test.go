@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -95,8 +96,9 @@ func TestInducedDedupesInput(t *testing.T) {
 	}
 }
 
-// TestInducedKeepMatchesInduced: the dense-index InducedKeep must build
-// exactly the subgraph Induced builds from the kept vertex list.
+// TestInducedKeepMatchesInduced: the dense-index InducedKeep and
+// InducedSorted must build exactly the subgraph Induced builds from the
+// kept vertex list.
 func TestInducedKeepMatchesInduced(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -113,21 +115,21 @@ func TestInducedKeepMatchesInduced(t *testing.T) {
 				vs = append(vs, int32(v))
 			}
 		}
-		got, want := g.InducedKeep(func(v int) bool { return keep[v] }), g.Induced(vs)
-		if got.N() != want.N() || got.M() != want.M() || !reflect.DeepEqual(got.Orig, want.Orig) {
-			return false
-		}
-		for v := 0; v < want.N(); v++ {
-			if len(got.Neighbors(v)) != len(want.Neighbors(v)) {
+		want := g.Induced(vs)
+		for _, got := range []*Subgraph{g.InducedKeep(func(v int) bool { return keep[v] }), g.InducedSorted(vs)} {
+			if got.N() != want.N() || got.M() != want.M() || !reflect.DeepEqual(got.Orig, want.Orig) {
 				return false
 			}
-			for i, w := range want.Neighbors(v) {
-				if got.Neighbors(v)[i] != w {
+			for v := 0; v < want.N(); v++ {
+				if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
 					return false
 				}
 			}
+			if got.Validate() != nil {
+				return false
+			}
 		}
-		return got.Validate() == nil
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/kcore"
 	"repro/internal/motif"
 	"repro/internal/obs"
 	"repro/internal/psicore"
@@ -73,9 +72,6 @@ func (s *Solver) Apply(ctx context.Context, m Mutation) (Version, error) {
 // consistent view at no copying cost — and the per-graph memo is
 // repaired incrementally rather than discarded:
 //
-//   - Classical k-core numbers (anchored queries) are maintained
-//     shell-locally per edge (internal/kcore's TRAVERSAL-family repair),
-//     touching only the subcore of min(core(u), core(v)).
 //   - For every h-clique Ψ whose whole-graph degree vector the memo
 //     holds, the vector and µ(G,Ψ) are updated in O(touched instances)
 //     per edge: the cliques through {u,v} are enumerated inside the
@@ -97,7 +93,10 @@ func (s *Solver) Apply(ctx context.Context, m Mutation) (Version, error) {
 //
 // Pattern (non-clique) Ψ state carries only the witness: there is no
 // edge-local delta rule for general patterns, so their degree vectors
-// are recomputed on first use.
+// are recomputed on first use. Classical k-core numbers (anchored
+// queries) are not carried either: a version peels them once, on its
+// first anchored query, which costs less than repairing them edge by
+// edge on every batch.
 //
 // Mutations are serialized (a total order of versions is the point);
 // queries never block on a mutation and a mutation never blocks on
@@ -123,7 +122,6 @@ func (s *Solver) Mutate(ctx context.Context, m Mutation) (*MutationDelta, error)
 	// mutate these copies, never the old version's state (readers of the
 	// old version keep exact answers).
 	carries := head.carryState()
-	core := head.carryCore()
 
 	mut := graph.NewMutator(head.g)
 	oldN := head.g.N()
@@ -145,11 +143,6 @@ func (s *Solver) Mutate(ctx context.Context, m Mutation) (*MutationDelta, error)
 		}
 		mut.Delete(u, v)
 		d.Deleted++
-		if core != nil {
-			// DeleteEdge wants the post-deletion graph and pre-deletion
-			// core numbers.
-			kcore.DeleteEdge(mut.Graph(), core, u, v)
-		}
 	}
 	for _, e := range m.Insert {
 		if err := ctx.Err(); err != nil {
@@ -162,16 +155,8 @@ func (s *Solver) Mutate(ctx context.Context, m Mutation) (*MutationDelta, error)
 		}
 		d.Inserted++
 		g := mut.Graph()
-		if n := g.N(); core != nil && n > len(core) {
-			core = append(core, make([]int32, n-len(core))...)
-		}
 		for _, c := range carries {
 			c.grow(g.N())
-		}
-		if core != nil {
-			// InsertEdge wants the post-insertion graph and pre-insertion
-			// core numbers.
-			kcore.InsertEdge(g, core, u, v)
 		}
 		// Ψ-deltas on the graph that now contains the edge.
 		for _, c := range carries {
@@ -206,10 +191,6 @@ func (s *Solver) Mutate(ctx context.Context, m Mutation) (*MutationDelta, error)
 		}
 		nv.psi[c.o.Name()] = st
 	}
-	if core != nil {
-		nv.kc = &kcore.Decomposition{Core: core, KMax: kcore.MaxCore(core)}
-	}
-
 	s.vmu.Lock()
 	s.head = nv
 	s.hist[nv.ver] = nv
@@ -274,18 +255,6 @@ func (vs *verState) carryState() []*psiCarry {
 		}
 	}
 	return carries
-}
-
-// carryCore snapshots the version's classical k-core numbers for
-// incremental repair (nil when the version never computed them — the new
-// version will compute lazily like a cold Solver).
-func (vs *verState) carryCore() []int32 {
-	vs.kmu.Lock()
-	defer vs.kmu.Unlock()
-	if vs.kc == nil {
-		return nil
-	}
-	return append([]int32(nil), vs.kc.Core...)
 }
 
 // grow pads the carried degree vector for vertices added by inserts.

@@ -3,6 +3,7 @@ package dsd_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -141,6 +142,52 @@ func TestMutateSequenceMatchesRebuild(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		sameDensity(t, "sequence step", warm, cold)
+	}
+	if solver.Version() != 6 {
+		t.Fatalf("head version = %d, want 6", solver.Version())
+	}
+}
+
+// TestAnchoredAfterApplyMatchesRebuild chains Apply batches on a Solver
+// whose every version answered an anchored query first (so each parent
+// memoized its classical cores), and checks each head's anchored answer
+// against a cold rebuild: a version computes its own classical cores
+// instead of inheriting its parent's.
+func TestAnchoredAfterApplyMatchesRebuild(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(7))
+	solver := dsd.NewSolver(dsd.GenerateGNM(40, 150, 7))
+	q := dsd.Query{Anchors: []int32{0, 3}}
+	for step := 0; step <= 5; step++ {
+		if step > 0 {
+			if _, err := solver.Apply(ctx, randomBatch(solver.Graph(), rng)); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+		warm, err := solver.Solve(ctx, q)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		ref := rebuild(solver.Graph())
+		cold, err := dsd.NewSolver(ref).Solve(ctx, q)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		sameDensity(t, "anchored after Apply", warm, cold)
+		if warm.Stats.ReusedDecomposition {
+			t.Fatalf("step %d: the first anchored query on a version reused classical cores", step)
+		}
+		if again, err := solver.Solve(ctx, q); err != nil || !again.Stats.ReusedDecomposition {
+			t.Fatalf("step %d: a second anchored query did not reuse the version's cores (err %v)", step, err)
+		}
+		if err := dsd.VerifyResult(solver.Graph(), dsd.Clique(2), warm, true); err != nil {
+			t.Fatalf("step %d: witness: %v", step, err)
+		}
+		for _, a := range q.Anchors {
+			if !slices.Contains(warm.Vertices, a) {
+				t.Fatalf("step %d: witness %v misses anchor %d", step, warm.Vertices, a)
+			}
+		}
 	}
 	if solver.Version() != 6 {
 		t.Fatalf("head version = %d, want 6", solver.Version())

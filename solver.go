@@ -245,7 +245,9 @@ type decRequest struct {
 	// bound admits the upper-bound decomposition carried across Apply.
 	bound bool
 	// classical is g's classical core decomposition when the caller
-	// already holds one; nil computes one where a restriction needs it.
+	// already holds one; with nil a restriction reads the version's
+	// memoized one, or finds the high cores it needs without peeling all
+	// of g (psicore.DecomposeWithin).
 	classical *kcore.Decomposition
 }
 
@@ -299,7 +301,7 @@ func (st *psiState) coreExactDec(ctx context.Context, vs *verState, req decReque
 	if req.restrict && psicore.UsesClassicalCores(st.o) && !st.haveDeg {
 		kc := req.classical
 		if kc == nil {
-			kc = vs.classical(st.o)
+			kc = vs.memoKcore()
 		}
 		d, err := psicore.DecomposeWithin(ctx, vs.g, st.o, kc, req.workers)
 		if err != nil {
@@ -391,24 +393,30 @@ func (vs *verState) kcoreDec() (*kcore.Decomposition, bool) {
 	return vs.kc, false
 }
 
+// memoKcore returns the version's memoized classical k-core
+// decomposition, or nil when no anchored query has computed it.
+func (vs *verState) memoKcore() *kcore.Decomposition {
+	vs.kmu.Lock()
+	defer vs.kmu.Unlock()
+	return vs.kc
+}
+
 // classical returns g's classical core decomposition when Ψ's
-// algorithms read one (h-cliques with h ≥ 3, see
+// algorithms read all of it (h-cliques with h ≥ 3, see
 // psicore.UsesClassicalCores), and nil otherwise: the version's memoized
 // one when an anchored query computed it, else a fresh one left out of
-// the memo. A memoized decomposition is repaired edge by edge on every
-// later Apply (see Mutate), which costs more than computing it again
-// where a clique solve needs it.
+// the memo. CoreApp's γ bounds read every vertex's core number, so
+// CoreApp and the stream's CoreApp rung take it from here; a core-exact
+// restriction needs only the high cores and finds them itself when the
+// memo holds none (psicore.DecomposeWithin).
 func (vs *verState) classical(o motif.Oracle) *kcore.Decomposition {
 	if !psicore.UsesClassicalCores(o) {
 		return nil
 	}
-	vs.kmu.Lock()
-	kc := vs.kc
-	vs.kmu.Unlock()
-	if kc == nil {
-		kc = kcore.Decompose(vs.g)
+	if kc := vs.memoKcore(); kc != nil {
+		return kc
 	}
-	return kc
+	return kcore.Decompose(vs.g)
 }
 
 // Solve answers q on the Solver's graph: the one entrypoint behind which
