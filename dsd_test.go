@@ -241,3 +241,47 @@ func TestFigure7Patterns(t *testing.T) {
 		}
 	}
 }
+
+// TestLargePatternCoreExact: a pattern of more than eight vertices (a
+// 9-vertex path) solves under core-exact, on the grouped and the
+// ungrouped instance network, to the density AlgoExact finds — on a
+// 20-cycle, and on a 9-cycle with a chord, whose instances share vertex
+// sets and so collapse into groups.
+func TestLargePatternCoreExact(t *testing.T) {
+	var path [][2]int
+	for v := 0; v+1 < 9; v++ {
+		path = append(path, [2]int{v, v + 1})
+	}
+	p, err := dsd.NewPattern("9-path", 9, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func(n int, extra ...[2]int) *dsd.Graph {
+		edges := extra
+		for v := 0; v < n; v++ {
+			edges = append(edges, [2]int{v, (v + 1) % n})
+		}
+		return dsd.FromEdges(n, edges)
+	}
+	ctx := context.Background()
+	for name, g := range map[string]*dsd.Graph{"C20": cycle(20), "C9+chord": cycle(9, [2]int{0, 4})} {
+		s := dsd.NewSolver(g)
+		want, err := s.Solve(ctx, dsd.Query{Pattern: p, Algo: dsd.AlgoExact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Density.Num == 0 {
+			t.Fatalf("%s: exact density 0, the graph holds instances", name)
+		}
+		for _, grouped := range []bool{false, true} {
+			res, err := s.Solve(ctx, dsd.Query{Pattern: p, Algo: dsd.AlgoCoreExact,
+				Core: &dsd.CoreExactOptions{Pruning1: true, Pruning2: true, Grouped: grouped}})
+			if err != nil {
+				t.Fatalf("%s grouped=%v: %v", name, grouped, err)
+			}
+			if res.Density.Cmp(want.Density) != 0 {
+				t.Fatalf("%s grouped=%v: core-exact %v, exact %v", name, grouped, res.Density, want.Density)
+			}
+		}
+	}
+}

@@ -28,10 +28,6 @@ import (
 	"repro/internal/kcore"
 )
 
-// MaxH is the largest clique size supported by the fixed-size keys used to
-// index (h−1)-cliques in flow networks. The paper evaluates h ∈ [2,6].
-const MaxH = 8
-
 // Lister enumerates h-cliques of a fixed graph. Building a Lister computes
 // the degeneracy orientation once, as the rank-space CSR DAG of the
 // package comment, in two linear passes; the enumeration methods can
@@ -219,25 +215,4 @@ func ForEachContaining(g *graph.Graph, v int, h int, alive []bool, fn func(other
 		}
 	}
 	rec(0, cand)
-}
-
-// Key is a canonical fixed-size identifier for a clique of up to MaxH
-// vertices: the member ids in increasing order, padded with -1. It is used
-// to index (h−1)-cliques when building flow networks.
-type Key [MaxH]int32
-
-// MakeKey builds the canonical key of a clique given in any order.
-func MakeKey(members []int32) Key {
-	var k Key
-	for i := range k {
-		k[i] = -1
-	}
-	copy(k[:], members)
-	// Insertion sort: cliques have at most MaxH members.
-	for i := 1; i < len(members); i++ {
-		for j := i; j > 0 && k[j-1] > k[j]; j-- {
-			k[j-1], k[j] = k[j], k[j-1]
-		}
-	}
-	return k
 }

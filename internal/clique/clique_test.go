@@ -1,6 +1,7 @@
 package clique
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -89,9 +90,9 @@ func TestDegreesMatchBruteForce(t *testing.T) {
 func TestForEachVisitsDistinctCliques(t *testing.T) {
 	g := gen.GNM(15, 40, 3)
 	l := NewLister(g)
-	seen := map[Key]bool{}
+	seen := map[key]bool{}
 	l.ForEach(3, func(c []int32) {
-		k := MakeKey(c)
+		k := cliqueKey(c)
 		if seen[k] {
 			t.Fatalf("clique %v visited twice", c)
 		}
@@ -156,16 +157,15 @@ func TestForEachContainingRespectsAlive(t *testing.T) {
 	}
 }
 
-func TestMakeKeyCanonical(t *testing.T) {
-	a := MakeKey([]int32{3, 1, 2})
-	b := MakeKey([]int32{2, 3, 1})
-	if a != b {
-		t.Fatalf("keys differ: %v vs %v", a, b)
-	}
-	c := MakeKey([]int32{1, 2})
-	if a == c {
-		t.Fatal("different cliques share a key")
-	}
+// key identifies a clique of up to 8 members: its member ids in
+// increasing order, padded with -1.
+type key [8]int32
+
+// cliqueKey returns the key of a clique given in any member order.
+func cliqueKey(members []int32) key {
+	k := key{-1, -1, -1, -1, -1, -1, -1, -1}
+	copy(k[:], slices.Sorted(slices.Values(members)))
+	return k
 }
 
 func TestEmptyAndTinyGraphs(t *testing.T) {

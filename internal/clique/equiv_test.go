@@ -12,13 +12,13 @@ import (
 
 // bruteCliques lists every h-clique of g by extending id-increasing
 // chains of pairwise-adjacent vertices.
-func bruteCliques(g *graph.Graph, h int) map[Key]bool {
-	set := map[Key]bool{}
+func bruteCliques(g *graph.Graph, h int) map[key]bool {
+	set := map[key]bool{}
 	cur := make([]int32, 0, h)
 	var rec func(next int)
 	rec = func(next int) {
 		if len(cur) == h {
-			set[MakeKey(cur)] = true
+			set[cliqueKey(cur)] = true
 			return
 		}
 		for v := next; v < g.N(); v++ {
@@ -60,7 +60,7 @@ func TestListerMatchesBruteForce(t *testing.T) {
 			for h := 1; h <= 6; h++ {
 				t.Run(fmt.Sprintf("%s/seed%d/h%d", name, seed, h), func(t *testing.T) {
 					want := bruteCliques(g, h)
-					got := map[Key]bool{}
+					got := map[key]bool{}
 					l.ForEach(h, func(c []int32) {
 						if len(c) != h {
 							t.Fatalf("clique %v has %d members, want %d", c, len(c), h)
@@ -70,7 +70,7 @@ func TestListerMatchesBruteForce(t *testing.T) {
 								t.Fatalf("clique %v not in increasing rank", c)
 							}
 						}
-						k := MakeKey(c)
+						k := cliqueKey(c)
 						if got[k] {
 							t.Fatalf("clique %v visited twice", c)
 						}

@@ -4,6 +4,13 @@
 // capacity by q, so the networks are integral and every residual test is
 // an exact comparison with zero — there is no tolerance to tune, and a
 // min cut at α equal to a density ties exactly.
+//
+// Layout. A network is an arena of flat arrays: the arc arrays to and
+// cap, where arc 2i is the i-th added edge and arc 2i+1 its residual
+// reverse (so arc e's tail is to[e^1]), and a CSR index over them —
+// off[v]..off[v+1] delimits v's slice of adj, the ids of the arcs
+// leaving v in insertion order. Adding an edge only appends to the arc
+// arrays; the index is rebuilt by one counting pass when a run needs it.
 package flow
 
 import (
@@ -11,43 +18,50 @@ import (
 	"math"
 )
 
+// pollEvery is how many DFS node visits a max-flow run makes between two
+// polls of its context.
+const pollEvery = 1 << 14
+
 // Network is a directed flow network under construction or after a
 // max-flow run. Nodes are dense ints; add edges with AddEdge, then call
-// MaxFlow once. Reset recycles a solved network's allocations for the
-// next build — the Dinkelbach searches build one network per probe on
-// the same (shrinking) graph, so steady-state probes reuse the edge
-// arrays, per-node adjacency lists and BFS/DFS working state instead of
-// reallocating them.
+// MaxFlow. Reset recycles a solved network's arena for the next
+// build — the Dinkelbach searches build one network per probe on the
+// same (shrinking) graph, so steady-state probes reuse the arc arrays,
+// the CSR index and the BFS/DFS working state instead of reallocating
+// them.
 type Network struct {
-	head [][]int32 // per node: indices into the edge arrays
-	to   []int32
-	cap  []int64 // residual capacity
+	n   int
+	to  []int32
+	cap []int64 // residual capacity
+	// off/adj are the CSR index over the arcs, valid while indexed
+	// equals len(to); -1 marks it stale after a Reset.
+	off     []int32
+	adj     []int32
+	indexed int
 	// iter/level/queue are Dinic working state, kept across runs.
 	level []int32
 	iter  []int32
 	queue []int32
+	// ctx, err and budget drive the context polls of a running DFS.
+	ctx    context.Context
+	err    error
+	budget int
 }
 
 // NewNetwork creates a network with n nodes.
 func NewNetwork(n int) *Network {
-	return &Network{head: make([][]int32, n)}
+	return &Network{n: n, indexed: -1}
 }
 
 // Reset re-dimensions f to n nodes and zero edges, retaining every prior
-// allocation it can: the edge arrays, each node's adjacency list, and the
-// Dinic working state. After Reset the network is indistinguishable from
-// NewNetwork(n) to callers.
+// allocation: the arc arrays, the CSR index and the Dinic working state.
+// After Reset the network is indistinguishable from NewNetwork(n) to
+// callers.
 func (f *Network) Reset(n int) {
-	if n <= cap(f.head) {
-		f.head = f.head[:n]
-	} else {
-		f.head = append(f.head[:cap(f.head)], make([][]int32, n-cap(f.head))...)
-	}
-	for i := range f.head {
-		f.head[i] = f.head[i][:0]
-	}
+	f.n = n
 	f.to = f.to[:0]
 	f.cap = f.cap[:0]
+	f.indexed = -1
 }
 
 // Reserve makes room for arcs more AddEdge calls, so that a builder
@@ -70,7 +84,7 @@ func (f *Network) Reserve(arcs int) {
 func (f *Network) EdgeCap() int { return min(cap(f.to), cap(f.cap)) / 2 }
 
 // N returns the number of nodes.
-func (f *Network) N() int { return len(f.head) }
+func (f *Network) N() int { return f.n }
 
 // NumEdges returns the number of directed edges added (excluding the
 // implicit reverse edges).
@@ -79,14 +93,39 @@ func (f *Network) NumEdges() int { return len(f.to) / 2 }
 // AddEdge adds a directed edge u→v with the given non-negative capacity
 // (and the implicit residual reverse edge of capacity 0). The caller
 // keeps the total of all source capacities within int64: it bounds every
-// flow value the run computes.
+// flow value the run computes. An edge added after a run is part of the
+// next run, which starts from the residual state the last one left.
 func (f *Network) AddEdge(u, v int, capacity int64) {
-	f.head[u] = append(f.head[u], int32(len(f.to)))
-	f.to = append(f.to, int32(v))
-	f.cap = append(f.cap, capacity)
-	f.head[v] = append(f.head[v], int32(len(f.to)))
-	f.to = append(f.to, int32(u))
-	f.cap = append(f.cap, 0)
+	f.to = append(f.to, int32(v), int32(u))
+	f.cap = append(f.cap, capacity, 0)
+}
+
+// index builds the CSR index over the arcs unless it is current: one
+// pass counts the arcs leaving each node, a second places every arc id
+// after the earlier arcs of its tail, so each node lists its arcs in the
+// order they were added.
+func (f *Network) index() {
+	if f.indexed == len(f.to) {
+		return
+	}
+	n := f.n
+	f.off = grow(f.off, n+1)
+	clear(f.off)
+	for e := range f.to {
+		f.off[f.to[e^1]+1]++
+	}
+	for v := 0; v < n; v++ {
+		f.off[v+1] += f.off[v]
+	}
+	f.adj = grow(f.adj, len(f.to))
+	f.iter = grow(f.iter, n) // the fill cursors; a run resets them
+	copy(f.iter, f.off[:n])
+	for e := range f.to {
+		tail := f.to[e^1]
+		f.adj[f.iter[tail]] = int32(e)
+		f.iter[tail]++
+	}
+	f.indexed = len(f.to)
 }
 
 func (f *Network) bfs(s, t int) bool {
@@ -99,9 +138,22 @@ func (f *Network) bfs(s, t int) bool {
 	queue := append(f.queue[:0], int32(s))
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for _, ei := range f.head[v] {
-			w := f.to[ei]
-			if f.cap[ei] > 0 && f.level[w] < 0 {
+		if lt := f.level[t]; lt >= 0 && f.level[v] >= lt {
+			// Every shortest path is found. The nodes at t's level
+			// lead nowhere in this phase: unlabel them so that the
+			// DFS does not enter them.
+			for _, w := range queue[head:] {
+				if int(w) != t {
+					f.level[w] = -1
+				}
+			}
+			break
+		}
+		for _, e := range f.adj[f.off[v]:f.off[v+1]] {
+			// The level array is small and the arcs are many: test it
+			// first, so that most arcs cost no load of their capacity.
+			w := f.to[e]
+			if f.level[w] < 0 && f.cap[e] > 0 {
 				f.level[w] = f.level[v] + 1
 				queue = append(queue, w)
 			}
@@ -111,23 +163,46 @@ func (f *Network) bfs(s, t int) bool {
 	return f.level[t] >= 0
 }
 
-func (f *Network) dfs(v, t int, pushed int64) int64 {
+// dfs pushes up to limit units from v towards t along the level graph
+// and returns how much it pushed. One visit sends flow through every
+// admissible arc of v in turn until limit is met, and iter[v] stays on
+// the last arc that may still carry more; every other arc it passes is
+// saturated or leads to a blocked node. Every pollEvery visits it polls
+// the run's context, and once that reports an error it only unwinds.
+func (f *Network) dfs(v, t int32, limit int64) int64 {
 	if v == t {
-		return pushed
+		return limit
 	}
-	for ; f.iter[v] < int32(len(f.head[v])); f.iter[v]++ {
-		ei := f.head[v][f.iter[v]]
-		w := f.to[ei]
-		if f.cap[ei] == 0 || f.level[w] != f.level[v]+1 {
+	if f.budget--; f.budget == 0 {
+		f.budget = pollEvery
+		if f.err = f.ctx.Err(); f.err != nil {
+			return 0
+		}
+	}
+	next := f.level[v] + 1
+	var pushed int64
+	end := f.off[v+1]
+	for i := f.iter[v]; i < end; i++ {
+		e := f.adj[i]
+		w := f.to[e]
+		if f.level[w] != next || f.cap[e] == 0 {
 			continue
 		}
-		if d := f.dfs(int(w), t, min(pushed, f.cap[ei])); d > 0 {
-			f.cap[ei] -= d
-			f.cap[ei^1] += d
-			return d
+		d := f.dfs(w, t, min(limit-pushed, f.cap[e]))
+		if d > 0 {
+			f.cap[e] -= d
+			f.cap[e^1] += d
+			if pushed += d; pushed == limit {
+				f.iter[v] = i
+				return pushed
+			}
+		}
+		if f.err != nil {
+			return pushed
 		}
 	}
-	return 0
+	f.iter[v] = end
+	return pushed
 }
 
 // MaxFlow computes the maximum s-t flow, mutating residual capacities.
@@ -137,33 +212,30 @@ func (f *Network) MaxFlow(s, t int) int64 {
 }
 
 // MaxFlowCtx is MaxFlow with cancellation points: the context is polled
-// at every Dinic phase and every 64 augmenting paths, so a
+// at every Dinic phase and every pollEvery node visits inside one, so a
 // deadline-budgeted caller regains control within a fraction of a full
 // run instead of waiting out the whole min-cut. On cancellation the
 // partial flow is abandoned (the network's residual state is
 // meaningless) and the context's error is returned.
 func (f *Network) MaxFlowCtx(ctx context.Context, s, t int) (int64, error) {
-	f.level = grow(f.level, f.N())
-	f.iter = grow(f.iter, f.N())
+	f.index()
+	f.level = grow(f.level, f.n)
+	f.ctx, f.err, f.budget = ctx, nil, pollEvery
+	defer func() { f.ctx = nil }()
 	var total int64
-	paths := 0
 	for f.bfs(s, t) {
 		if err := ctx.Err(); err != nil {
 			return total, err
 		}
-		for i := range f.iter {
-			f.iter[i] = 0
-		}
+		copy(f.iter, f.off[:f.n])
 		for {
-			d := f.dfs(s, t, math.MaxInt64)
+			d := f.dfs(int32(s), int32(t), math.MaxInt64)
+			total += d
+			if f.err != nil {
+				return total, f.err
+			}
 			if d == 0 {
 				break
-			}
-			total += d
-			if paths++; paths%64 == 0 {
-				if err := ctx.Err(); err != nil {
-					return total, err
-				}
 			}
 		}
 	}
@@ -184,19 +256,21 @@ func grow(s []int32, n int) []int32 {
 // smallest source side of any minimum cut (the intersection of them
 // all), so a cut that ties with the trivial cut {s} returns {s}.
 func (f *Network) MinCutSource(s int) []bool {
-	inS := make([]bool, f.N())
+	f.index()
+	inS := make([]bool, f.n)
 	inS[s] = true
-	stack := []int32{int32(s)}
+	stack := append(f.queue[:0], int32(s))
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, ei := range f.head[v] {
-			w := f.to[ei]
-			if f.cap[ei] > 0 && !inS[w] {
+		for _, e := range f.adj[f.off[v]:f.off[v+1]] {
+			w := f.to[e]
+			if f.cap[e] > 0 && !inS[w] {
 				inS[w] = true
 				stack = append(stack, w)
 			}
 		}
 	}
+	f.queue = stack[:0]
 	return inS
 }

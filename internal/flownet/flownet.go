@@ -22,8 +22,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
-	"repro/internal/clique"
 	"repro/internal/flow"
 	"repro/internal/graph"
 	"repro/internal/motif"
@@ -178,68 +178,80 @@ func BuildEDS(f *flow.Network, g *graph.Graph, anchors []int32, num, den int64) 
 	return &Net{Network: f, NVertices: g.N()}, nil
 }
 
-// CliqueSide is the precomputed clique structure reused across the binary
-// search iterations of Exact/CoreExact: the (h−1)-clique instances of the
-// graph and, for each h-clique, its membership links.
+// CliqueSide is the precomputed clique structure reused across the
+// Dinkelbach probes of Exact/CoreExact: the (h−1)-cliques Λ of the graph
+// and, for each ψ ∈ Λ, its links — the vertices v such that ψ ∪ {v} is
+// an h-clique. Each h-clique appears as h links, one per facet. Λ is
+// stored flat, in lexicographic order of the member ids.
 type CliqueSide struct {
 	H int
 	// Deg[v] = deg(v,Ψ) in the graph the side was computed on.
 	Deg []int64
-	// Lambda[j] holds the members of (h−1)-clique j.
-	Lambda [][]int32
-	// Links[k] = (vertex v, lambda index j) meaning v completes (h−1)-clique
-	// j into an h-clique.
-	LinkV []int32
-	LinkL []int32
+	// Members holds the h−1 members of each ψ ∈ Λ back to back, in
+	// increasing id: ψ_j is Members[j(h−1) : (j+1)(h−1)].
+	Members []int32
+	// Links[LinkOff[j]:LinkOff[j+1]] are the links of ψ_j, in increasing
+	// id; an (h−1)-clique in no h-clique has none.
+	LinkOff []int
+	Links   []int32
 }
 
-// NewCliqueSide enumerates the (h−1)-cliques and h-cliques of g (h ≥ 3).
+// NewCliqueSide enumerates the (h−1)-cliques of g (h ≥ 3) with their
+// links. It walks g's sorted adjacency, choosing members in increasing
+// id while carrying C, the common neighbours of the members chosen so
+// far: the next member comes from the part of C above the last one, and
+// C ∩ N(u) is the C of the longer prefix. At depth h−1, C is exactly the
+// set of vertices completing ψ into an h-clique — its links — so no
+// clique is looked up. Deg[v] counts the links naming v: each h-clique
+// holding v has exactly one facet without v.
 func NewCliqueSide(g *graph.Graph, h int) *CliqueSide {
-	cs := &CliqueSide{H: h, Deg: make([]int64, g.N())}
-	l := clique.NewLister(g)
-	index := make(map[clique.Key]int32)
-	l.ForEach(h-1, func(c []int32) {
-		k := clique.MakeKey(c)
-		if _, ok := index[k]; !ok {
-			index[k] = int32(len(cs.Lambda))
-			cs.Lambda = append(cs.Lambda, append([]int32(nil), c...))
-		}
-	})
-	sub := make([]int32, h-1)
-	l.ForEach(h, func(c []int32) {
-		for _, v := range c {
-			cs.Deg[v]++
-		}
-		for i := range c {
-			// sub = c without c[i].
-			sub = sub[:0]
-			for j, u := range c {
-				if j != i {
-					sub = append(sub, u)
-				}
+	k := h - 1
+	cs := &CliqueSide{H: h, Deg: make([]int64, g.N()), LinkOff: []int{0}}
+	psi := make([]int32, k)
+	bufs := make([][]int32, k+1)
+	// rec extends psi[:d], whose common neighbours are c.
+	var rec func(d int, c []int32)
+	rec = func(d int, c []int32) {
+		if d == k {
+			cs.Members = append(cs.Members, psi...)
+			cs.Links = append(cs.Links, c...)
+			cs.LinkOff = append(cs.LinkOff, len(cs.Links))
+			for _, v := range c {
+				cs.Deg[v]++
 			}
-			j, ok := index[clique.MakeKey(sub)]
-			if !ok {
-				// Cannot happen: every (h−1)-subset of an h-clique is an
-				// (h−1)-clique and was enumerated above.
-				panic("flownet: missing (h-1)-clique")
-			}
-			cs.LinkV = append(cs.LinkV, c[i])
-			cs.LinkL = append(cs.LinkL, j)
+			return
 		}
-	})
+		// psi[d-1] is not its own neighbour, so the search lands on the
+		// first candidate above it; the last k−d−1 candidates cannot
+		// lead a clique that needs k−d−1 more members above them.
+		lo, _ := slices.BinarySearch(c, psi[d-1])
+		for i := lo; i < len(c)-(k-d-1); i++ {
+			u := c[i]
+			psi[d] = u
+			next := graph.IntersectSorted(c, g.Neighbors(int(u)), bufs[d+1])
+			rec(d+1, next)
+			bufs[d+1] = next[:0]
+		}
+	}
+	for u := 0; u < g.N(); u++ {
+		psi[0] = int32(u)
+		rec(1, g.Neighbors(u))
+	}
 	return cs
 }
 
+// NumLambda returns |Λ|, the number of (h−1)-cliques.
+func (cs *CliqueSide) NumLambda() int { return len(cs.LinkOff) - 1 }
+
 // NumNodes returns the node count of the network this side produces
 // (2 + n + |Λ|), the quantity plotted in Figure 9.
-func (cs *CliqueSide) NumNodes(n int) int { return 2 + n + len(cs.Lambda) }
+func (cs *CliqueSide) NumNodes(n int) int { return 2 + n + cs.NumLambda() }
 
 // BuildCDS builds the Algorithm-1 network for h-clique density (h ≥ 3)
 // at α = num/den on the graph cs was computed from, every capacity scaled
 // by den: s→v with capacity deg(v,Ψ)·den, v→t with num·h, v→ψ with den
-// whenever ψ∪{v} is an h-clique, and ψ→u with an unaffordable capacity
-// (the paper's +∞) for every member u of (h−1)-clique ψ. f is a network
+// for every link v of (h−1)-clique ψ, and ψ→u with an unaffordable
+// capacity (the paper's +∞) for every member u of ψ. f is a network
 // arena to recycle (nil for a fresh one).
 func BuildCDS(f *flow.Network, n int, cs *CliqueSide, num, den int64) (*Net, error) {
 	num, den, err := scale(num, den)
@@ -255,24 +267,22 @@ func BuildCDS(f *flow.Network, n int, cs *CliqueSide, num, den int64) (*Net, err
 	if err != nil {
 		return nil, err
 	}
-	f = recycle(f, 2+n+len(cs.Lambda))
-	arcs := 2*n + len(cs.LinkV)
-	for _, psi := range cs.Lambda {
-		arcs += len(psi)
-	}
-	f.Reserve(arcs)
-	lambdaNode := func(j int32) int { return 2 + n + int(j) }
+	f = recycle(f, cs.NumNodes(n))
+	f.Reserve(2*n + len(cs.Members) + len(cs.Links))
 	for v := 0; v < n; v++ {
 		f.AddEdge(Source, VertexNode(v), cs.Deg[v]*den)
 		f.AddEdge(VertexNode(v), Sink, num*int64(cs.H))
 	}
-	for j, psi := range cs.Lambda {
-		for _, u := range psi {
-			f.AddEdge(lambdaNode(int32(j)), VertexNode(int(u)), inf)
+	k := cs.H - 1
+	for j := range cs.NumLambda() {
+		for _, u := range cs.Members[j*k : (j+1)*k] {
+			f.AddEdge(2+n+j, VertexNode(int(u)), inf)
 		}
 	}
-	for k := range cs.LinkV {
-		f.AddEdge(VertexNode(int(cs.LinkV[k])), lambdaNode(cs.LinkL[k]), den)
+	for j := range cs.NumLambda() {
+		for _, v := range cs.Links[cs.LinkOff[j]:cs.LinkOff[j+1]] {
+			f.AddEdge(VertexNode(int(v)), 2+n+j, den)
+		}
 	}
 	return &Net{Network: f, NVertices: n}, nil
 }
@@ -294,32 +304,43 @@ type PatternSide struct {
 // NewPatternSide enumerates the instances of o in g. When grouped is true,
 // instances sharing a vertex set collapse into one node (construct+);
 // otherwise each instance is its own node (PExact, Algorithm 8).
+//
+// Grouping sorts each instance's vertex ids, sorts the instances as
+// tuples and collapses runs of equal tuples, so it holds for patterns of
+// any size; groups come out in lexicographic order of their vertex sets.
 func NewPatternSide(g *graph.Graph, o motif.Oracle, grouped bool) *PatternSide {
-	ps := &PatternSide{P: o.Size(), Deg: make([]int64, g.N())}
-	if grouped {
-		index := make(map[clique.Key]int32)
-		motif.ForEachInstance(g, o, func(vs []int32) {
-			for _, v := range vs {
-				ps.Deg[v]++
-			}
-			k := clique.MakeKey(vs)
-			if j, ok := index[k]; ok {
-				ps.Count[j]++
-				return
-			}
-			index[k] = int32(len(ps.Groups))
-			ps.Groups = append(ps.Groups, append([]int32(nil), vs...))
-			ps.Count = append(ps.Count, 1)
-		})
-		return ps
-	}
+	p := o.Size()
+	ps := &PatternSide{P: p, Deg: make([]int64, g.N())}
+	var flat []int32
 	motif.ForEachInstance(g, o, func(vs []int32) {
 		for _, v := range vs {
 			ps.Deg[v]++
 		}
-		ps.Groups = append(ps.Groups, append([]int32(nil), vs...))
-		ps.Count = append(ps.Count, 1)
+		flat = append(flat, vs...)
 	})
+	m := len(flat) / p
+	tuple := func(i int) []int32 { return flat[i*p : (i+1)*p : (i+1)*p] }
+	if !grouped {
+		ps.Groups, ps.Count = make([][]int32, m), make([]int64, m)
+		for i := range m {
+			ps.Groups[i], ps.Count[i] = tuple(i), 1
+		}
+		return ps
+	}
+	order := make([]int, m)
+	for i := range m {
+		slices.Sort(tuple(i))
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return slices.Compare(tuple(a), tuple(b)) })
+	for i, j := range order {
+		if i > 0 && slices.Equal(tuple(order[i-1]), tuple(j)) {
+			ps.Count[len(ps.Count)-1]++
+			continue
+		}
+		ps.Groups = append(ps.Groups, tuple(j))
+		ps.Count = append(ps.Count, 1)
+	}
 	return ps
 }
 

@@ -1,10 +1,14 @@
 package flownet
 
 import (
+	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/clique"
 	"repro/internal/flow"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -424,5 +428,171 @@ func TestBuildReservesExactArcs(t *testing.T) {
 		if again.EdgeCap() != room || again.NumEdges() != net.NumEdges() {
 			t.Fatalf("%s: recycled arena room %d → %d for %d edges", name, room, again.EdgeCap(), again.NumEdges())
 		}
+	}
+}
+
+// oracleCliqueSide is the map-based construction NewCliqueSide replaced:
+// it lists the (h−1)-cliques and the h-cliques with a clique.Lister and
+// finds every facet of every h-clique in a map of the (h−1)-cliques. It
+// returns the side in CliqueSide's layout, Λ in first-listed order.
+func oracleCliqueSide(g *graph.Graph, h int) *CliqueSide {
+	type key [8]int32
+	makeKey := func(c []int32) key {
+		k := key{-1, -1, -1, -1, -1, -1, -1, -1}
+		copy(k[:], slices.Sorted(slices.Values(c)))
+		return k
+	}
+	l := clique.NewLister(g)
+	index := make(map[key]int32)
+	var lambda [][]int32
+	l.ForEach(h-1, func(c []int32) {
+		k := makeKey(c)
+		if _, ok := index[k]; !ok {
+			index[k] = int32(len(lambda))
+			lambda = append(lambda, slices.Sorted(slices.Values(c)))
+		}
+	})
+	links := make([][]int32, len(lambda))
+	deg := make([]int64, g.N())
+	sub := make([]int32, h-1)
+	l.ForEach(h, func(c []int32) {
+		for _, v := range c {
+			deg[v]++
+		}
+		for i := range c {
+			sub = sub[:0]
+			for j, u := range c {
+				if j != i {
+					sub = append(sub, u)
+				}
+			}
+			j, ok := index[makeKey(sub)]
+			if !ok {
+				panic("oracle: missing (h-1)-clique")
+			}
+			links[j] = append(links[j], c[i])
+		}
+	})
+	cs := &CliqueSide{H: h, Deg: deg, LinkOff: []int{0}}
+	for j, psi := range lambda {
+		cs.Members = append(cs.Members, psi...)
+		cs.Links = append(cs.Links, links[j]...)
+		cs.LinkOff = append(cs.LinkOff, len(cs.Links))
+	}
+	return cs
+}
+
+// sideLinks maps each (h−1)-clique of cs, by its sorted members, to its
+// sorted links: equal maps mean the same Λ and the same multiset of
+// (vertex, facet) links.
+func sideLinks(cs *CliqueSide) map[string][]int32 {
+	k := cs.H - 1
+	m := make(map[string][]int32, cs.NumLambda())
+	for j := range cs.NumLambda() {
+		psi := fmt.Sprint(cs.Members[j*k : (j+1)*k])
+		m[psi] = slices.Sorted(slices.Values(cs.Links[cs.LinkOff[j]:cs.LinkOff[j+1]]))
+	}
+	return m
+}
+
+// nearClique is a 48-vertex graph holding each of the 1,128 possible
+// edges with probability 0.93, the shape of the densest component of a
+// 4-clique solve on the DBLP stand-in (1,048 edges).
+func nearClique(seed int64) *graph.Graph { return gen.ER(48, 0.93, seed) }
+
+// TestCliqueSideMatchesOracle checks NewCliqueSide against the map-based
+// construction: the same (h−1)-cliques, each with its members in
+// increasing id and Λ in lexicographic order, the same links, the same
+// Ψ-degrees, and the same minimal min-cut source side at several probes.
+// The 48-vertex near-clique runs at h ∈ {3, 4}; at h = 5, where it holds
+// about 800k 5-cliques, a sparser 48-vertex graph stands in.
+func TestCliqueSideMatchesOracle(t *testing.T) {
+	type tc struct {
+		name string
+		g    *graph.Graph
+		hs   []int
+	}
+	cases := []tc{
+		{"near-clique", nearClique(1), []int{3, 4}},
+		{"ER(48, 0.6)", gen.ER(48, 0.6, 2), []int{5}},
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		cases = append(cases, tc{fmt.Sprintf("gnm/seed%d", seed), gen.GNM(16, 60, seed), []int{3, 4, 5}})
+	}
+	for _, c := range cases {
+		for _, h := range c.hs {
+			got, want := NewCliqueSide(c.g, h), oracleCliqueSide(c.g, h)
+			k := h - 1
+			for j := range got.NumLambda() {
+				psi := got.Members[j*k : (j+1)*k]
+				if !slices.IsSorted(psi) || j > 0 && slices.Compare(got.Members[(j-1)*k:j*k], psi) >= 0 {
+					t.Fatalf("%s h=%d: (h-1)-clique %d %v out of order", c.name, h, j, psi)
+				}
+			}
+			if got.NumLambda() != want.NumLambda() || !maps.EqualFunc(sideLinks(got), sideLinks(want), slices.Equal) {
+				t.Fatalf("%s h=%d: %d (h-1)-cliques and links differ from the oracle's %d", c.name, h, got.NumLambda(), want.NumLambda())
+			}
+			if !slices.Equal(got.Deg, want.Deg) {
+				t.Fatalf("%s h=%d: Deg %v, oracle %v", c.name, h, got.Deg, want.Deg)
+			}
+			var sum int64
+			for _, d := range got.Deg {
+				sum += d
+			}
+			if sum == 0 {
+				continue
+			}
+			// Probe around ρ(G) = (Σ deg / h) / n, where the cuts are
+			// nontrivial.
+			rho := rational.New(sum, int64(h*c.g.N()))
+			for _, a := range []rational.R{
+				rational.New(rho.Num, 2*rho.Den), rho, rational.New(3*rho.Num, 2*rho.Den),
+				rational.New(2*rho.Num, rho.Den), rational.New(4*rho.Num, rho.Den),
+			} {
+				gn, err := BuildCDS(nil, c.g.N(), got, a.Num, a.Den)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wn, err := BuildCDS(nil, c.g.N(), want, a.Num, a.Den)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gv, wv := gn.SolveVertices(), wn.SolveVertices(); !slices.Equal(gv, wv) {
+					t.Fatalf("%s h=%d α=%v: source side %v, oracle %v", c.name, h, a, gv, wv)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkCliqueSide times NewCliqueSide on a 48-vertex near-clique at
+// h = 4.
+func BenchmarkCliqueSide(b *testing.B) {
+	g := nearClique(1)
+	b.ReportAllocs()
+	for b.Loop() {
+		NewCliqueSide(g, 4)
+	}
+}
+
+// BenchmarkCDSProbe times one probe of a 4-clique search on a 48-vertex
+// near-clique at α = ρ(G): building the network into a recycled arena
+// and solving it to its minimal min cut.
+func BenchmarkCDSProbe(b *testing.B) {
+	g := nearClique(1)
+	cs := NewCliqueSide(g, 4)
+	var sum int64
+	for _, d := range cs.Deg {
+		sum += d
+	}
+	var f *flow.Network
+	b.ReportAllocs()
+	for b.Loop() {
+		net, err := BuildCDS(f, g.N(), cs, sum, int64(4*g.N()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		net.SolveVertices()
+		f = net.Network
 	}
 }
