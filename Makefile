@@ -62,10 +62,11 @@ bench-compare: bench
 # policies (backoff, breaker) and the injection harness in full, the
 # deterministic chaos schedules against a live coordinator, and the
 # degradation-certification tests — all under -race, because the whole
-# point is correctness under concurrent faults.
+# point is correctness under concurrent faults. The shard chaos tests run
+# ten times, so a race that fails one run in ten still shows.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos ./internal/resilience
-	$(GO) test -race -count=1 -run Chaos ./internal/shard
+	$(GO) test -race -count=10 -run Chaos ./internal/shard
 	$(GO) test -race -count=1 -run 'Gap|Deadline|GenerousBudgets' ./internal/core
 	$(GO) test -race -count=1 -run 'TestEngineAdmission|TestHTTPShed|TestUnboundedQueue' ./internal/service
 

@@ -84,7 +84,7 @@ func run(args []string, out io.Writer) error {
 	b.Motif(fs, "motif", "edge")
 	b.Algo(fs, "algo", "")
 	b.Workers(fs, "workers", "parallel workers for core-exact (0 or 1 = serial, -1 = GOMAXPROCS)")
-	b.Iterative(fs, "iterative", "Greed++ pre-solve iterations for core-exact (0 = engine default, -1 = off)")
+	b.Iterative(fs, "iterative", "Greed++ iterations of the anytime stream's Greed++ rung (0 = default, -1 = skip the rung); core-exact solves ignore it")
 	b.Shards(fs, "shards", "cap on how many shard workers a -shard-addrs run fans across (0 = all)")
 	b.ShardAddrs(fs, "shard-addrs", "comma-separated dsdd worker base URLs; non-empty runs the query as a one-shot sharding coordinator")
 	b.Anchors(fs, "anchors")

@@ -64,7 +64,7 @@ func run(args []string, out io.Writer) error {
 	// semantics (-1 = GOMAXPROCS workers) match the other CLIs.
 	b := qflag.New()
 	b.Workers(fs, "workers", "perf-suite parallel arm worker count (0 = the reference arm of 4, -1 = GOMAXPROCS)")
-	b.Iterative(fs, "iterative", "perf-suite iterative arm pre-solve budget, > 0 (0 = the engine default)")
+	b.Iterative(fs, "iterative", "perf-suite iterative arm Options.Iterative budget, > 0 (0 = the engine default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -190,7 +190,7 @@ func newServer(args []string) (*service.Server, serverOpts, error) {
 	)
 	b := qflag.New()
 	b.Workers(fs, "algo-workers", "default parallel workers inside each core-exact query (0 = GOMAXPROCS/workers, 1 = serial, -1 = GOMAXPROCS)")
-	b.Iterative(fs, "algo-iterative", "default Greed++ pre-solve iterations inside each core-exact query (0 = engine default, -1 = off)")
+	b.Iterative(fs, "algo-iterative", "default Greed++ iterations of a core-exact stream's Greed++ rung (0 = default, -1 = skip the rung); core-exact solves ignore it")
 	fs.Var(&graphs, "graph", "preload a graph as name=edge-list-path (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return nil, serverOpts{}, err

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/motif"
 	"repro/internal/rational"
 )
 
@@ -16,7 +17,9 @@ import (
 // let each worker answer through its own per-graph Solver memo. The
 // split is exactly Algorithm 4's: PlanComponents is the location phase
 // (steps 1-4 + Pruning2), SolveComponent one per-component flow search
-// (lines 5-20), EvaluateWitness the final merge's certificate.
+// (lines 5-20), EvaluateWitness the final merge's certificate. Each is
+// also a Snapshot method, so a coordinator can pin one version for all
+// three steps of a query.
 
 // ComponentPlan is the location phase of one CoreExact query: the
 // connected components of the located (k,Ψ)-core (original vertex ids,
@@ -58,12 +61,25 @@ func (s *Solver) PlanComponents(ctx context.Context, q Query) (*ComponentPlan, e
 	if err != nil {
 		return nil, err
 	}
-	if nq.Algo != AlgoCoreExact {
-		return nil, fmt.Errorf("dsd: component plans exist only for %s queries (got %s)", AlgoCoreExact, nq.Algo)
-	}
 	vs, err := s.state(nq.Version)
 	if err != nil {
 		return nil, err
+	}
+	return planComponents(ctx, nq, o, vs)
+}
+
+// PlanComponents is Solver.PlanComponents on the snapshot's version.
+func (sn *Snapshot) PlanComponents(ctx context.Context, q Query) (*ComponentPlan, error) {
+	nq, o, err := sn.normalize(q)
+	if err != nil {
+		return nil, err
+	}
+	return planComponents(ctx, nq, o, sn.vs)
+}
+
+func planComponents(ctx context.Context, nq Query, o motif.Oracle, vs *verState) (*ComponentPlan, error) {
+	if nq.Algo != AlgoCoreExact {
+		return nil, fmt.Errorf("dsd: component plans exist only for %s queries (got %s)", AlgoCoreExact, nq.Algo)
 	}
 	st := vs.psiFor(o)
 	opts := nq.coreOptions()
@@ -129,14 +145,15 @@ type ComponentResult struct {
 	DensityNum int64
 	DensityDen int64
 	Witness    []int32
-	// FlowSolves counts min-cut computations; PreSolveIters the Greed++
-	// iterations run; PreSolveSkipped that the search concluded without
-	// building a single flow network.
+	// FlowSolves counts min-cut computations. A component search runs no
+	// Greed++ pre-solve, so PreSolveIters, PreSolveSkipped and
+	// PreSolveTime are always zero; they remain so existing callers keep
+	// compiling.
 	FlowSolves      int
 	PreSolveIters   int
 	PreSolveSkipped bool
-	// Elapsed is the search's wall-clock time; FlowTime and PreSolveTime
-	// its flow-solve and Greed++ pre-solve shares (see QueryStats).
+	// Elapsed is the search's wall-clock time; FlowTime its flow-solve
+	// share (see QueryStats).
 	Elapsed      time.Duration
 	FlowTime     time.Duration
 	PreSolveTime time.Duration
@@ -145,24 +162,43 @@ type ComponentResult struct {
 	Upper float64
 }
 
-// SolveComponent runs one per-component CoreExact flow search (with
-// the Greed++ pre-solve) for q on the vertex set comp, which must be a
-// component of a ComponentPlan for the same (graph, query) — the shard
-// worker's half of a distributed CoreExact run. kLocate is the plan's
-// core level, floor the search's live lower bound (nil starts from the
-// empty density). The decomposition comes from the Solver's memo, so a
-// worker answering many components of one query pays for it once.
+// SolveComponent runs one per-component CoreExact flow search for q on
+// the vertex set comp, which must be a component of a ComponentPlan for
+// the same (graph, query) — the shard worker's half of a distributed
+// CoreExact run. kLocate is the plan's core level, floor the search's
+// live lower bound (nil starts from the empty density). The
+// decomposition comes from the Solver's memo, so a worker answering many
+// components of one query pays for it once.
 //
 // Exactness mirrors the in-process engine: the floor is only ever a
 // density of a real subgraph of the same graph, so every use — probe
-// α, core shrink, pre-solve skip — is conservative, and the
-// returned witness is certified by its own recomputed density.
+// α, core shrink — is conservative, and the returned witness is
+// certified by its own recomputed density.
 func (s *Solver) SolveComponent(ctx context.Context, q Query, comp []int32, kLocate int64, floor *ComponentFloor) (*ComponentResult, error) {
 	start := time.Now()
 	nq, o, err := q.normalize()
 	if err != nil {
 		return nil, err
 	}
+	vs, err := s.state(nq.Version)
+	if err != nil {
+		return nil, err
+	}
+	return solveComponent(ctx, nq, o, vs, comp, kLocate, floor, start)
+}
+
+// SolveComponent is Solver.SolveComponent on the snapshot's version.
+func (sn *Snapshot) SolveComponent(ctx context.Context, q Query, comp []int32, kLocate int64, floor *ComponentFloor) (*ComponentResult, error) {
+	start := time.Now()
+	nq, o, err := sn.normalize(q)
+	if err != nil {
+		return nil, err
+	}
+	return solveComponent(ctx, nq, o, sn.vs, comp, kLocate, floor, start)
+}
+
+func solveComponent(ctx context.Context, nq Query, o motif.Oracle, vs *verState,
+	comp []int32, kLocate int64, floor *ComponentFloor, start time.Time) (*ComponentResult, error) {
 	if nq.Algo != AlgoCoreExact {
 		return nil, fmt.Errorf("dsd: component searches exist only for %s queries (got %s)", AlgoCoreExact, nq.Algo)
 	}
@@ -171,10 +207,6 @@ func (s *Solver) SolveComponent(ctx context.Context, q Query, comp []int32, kLoc
 	}
 	if floor == nil {
 		floor = NewComponentFloor(0, 0)
-	}
-	vs, err := s.state(nq.Version)
-	if err != nil {
-		return nil, err
 	}
 	st := vs.psiFor(o)
 	opts := nq.coreOptions()
@@ -198,16 +230,13 @@ func (s *Solver) SolveComponent(ctx context.Context, q Query, comp []int32, kLoc
 		return nil, err
 	}
 	return &ComponentResult{
-		DensityNum:      out.Density.Num,
-		DensityDen:      out.Density.Den,
-		Witness:         out.Witness,
-		FlowSolves:      out.FlowSolves,
-		PreSolveIters:   out.PreSolveIters,
-		PreSolveSkipped: out.PreSolveSkip,
-		Elapsed:         time.Since(start),
-		FlowTime:        out.FlowTime,
-		PreSolveTime:    out.PreSolveTime,
-		Upper:           out.Upper,
+		DensityNum: out.Density.Num,
+		DensityDen: out.Density.Den,
+		Witness:    out.Witness,
+		FlowSolves: out.FlowSolves,
+		Elapsed:    time.Since(start),
+		FlowTime:   out.FlowTime,
+		Upper:      out.Upper,
 	}, nil
 }
 
@@ -225,6 +254,19 @@ func (s *Solver) EvaluateWitness(q Query, vs []int32) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return evaluateWitness(nq, o, st, vs), nil
+}
+
+// EvaluateWitness is Solver.EvaluateWitness on the snapshot's version.
+func (sn *Snapshot) EvaluateWitness(q Query, vs []int32) (*Result, error) {
+	nq, o, err := sn.normalize(q)
+	if err != nil {
+		return nil, err
+	}
+	return evaluateWitness(nq, o, sn.vs, vs), nil
+}
+
+func evaluateWitness(nq Query, o motif.Oracle, st *verState, vs []int32) *Result {
 	res := core.Evaluate(st.g, o, vs)
 	if nq.Algo == AlgoCoreExact {
 		// The coordinator's merged answer is this version's best known
@@ -232,5 +274,5 @@ func (s *Solver) EvaluateWitness(q Query, vs []int32) (*Result, error) {
 		// the in-process core-exact path does.
 		st.psiFor(o).recordWitness(res.Vertices)
 	}
-	return res, nil
+	return res
 }

@@ -213,19 +213,22 @@ func TestPublicAPIGenerators(t *testing.T) {
 }
 
 // TestCoreExactOptionsExposed: a Query.Core ablation changes only the
-// pruning switches — the density stays exact and the pre-solver, which
-// Query.Iterative alone governs, keeps running.
+// pruning switches — the density stays exact, the Greed++ budget stays
+// with Query.Iterative (and its cache-key term), and no Greed++ runs.
 func TestCoreExactOptionsExposed(t *testing.T) {
-	res, err := dsd.NewSolver(triangleBowtie()).Solve(context.Background(),
-		dsd.Query{H: 3, Core: &dsd.CoreExactOptions{Pruning1: true}})
+	q := dsd.Query{H: 3, Core: &dsd.CoreExactOptions{Pruning1: true}}
+	res, err := dsd.NewSolver(triangleBowtie()).Solve(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Density.Float() != 0.4 {
 		t.Fatalf("P1-only density %v, want 0.4", res.Density)
 	}
-	if res.Stats.PreSolveIters == 0 {
-		t.Fatal("a Core ablation turned the pre-solver off")
+	if res.Stats.PreSolveIters != 0 {
+		t.Fatalf("core-exact ran %d Greed++ iterations", res.Stats.PreSolveIters)
+	}
+	if key := q.Key(); !strings.Contains(key, "|iter=16|") {
+		t.Fatalf("a Core ablation dropped the default Iterative budget from its key %q", key)
 	}
 }
 

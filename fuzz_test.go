@@ -2,6 +2,8 @@ package dsd_test
 
 import (
 	"context"
+	"fmt"
+	"math/bits"
 	"testing"
 
 	dsd "repro"
@@ -40,8 +42,8 @@ func fuzzEdges(n int, mask uint64) [][2]int {
 // pattern, the core-exact density must equal brute force, and must be
 // the same exact rational on every other exact path: core-exact at 1 and
 // 3 workers, exact, the final answer of a stream at the fuzzed worker
-// count, and — after an edge batch flips the pairs in flip — a Solver
-// mutated in place against a fresh Solver on the mutated graph. Paths
+// count, and — after each of two edge batches derived from flip — a
+// Solver mutated in place against a fresh Solver on the mutated graph. Paths
 // may return different optimal witnesses, so densities compare by value
 // (6 = 42/7 = 60/10; see testdata/fuzz/FuzzSolve/equal-density-witnesses),
 // not by numerator and denominator.
@@ -97,25 +99,32 @@ func FuzzSolve(f *testing.F) {
 		}
 		same("stream final", final.Density)
 
-		// Flip the pairs set in flip: present edges are deleted, absent
-		// ones inserted, in one batch on the warm Solver.
-		var m dsd.Mutation
-		for _, e := range fuzzEdges(nv, flip) {
-			if g.HasEdge(e[0], e[1]) {
-				m.Delete = append(m.Delete, e)
-			} else {
-				m.Insert = append(m.Insert, e)
+		// Two edge batches on the warm Solver: the pairs set in flip, then
+		// those set in flip rotated by 17 bits. A batch deletes its present
+		// pairs and inserts its absent ones. After each, the mutated Solver
+		// must agree with a fresh Solver and with brute force.
+		cur := mask
+		for i, batch := range []uint64{flip, bits.RotateLeft64(flip, 17)} {
+			before := dsd.FromEdges(nv, fuzzEdges(nv, cur))
+			var m dsd.Mutation
+			for _, e := range fuzzEdges(nv, batch) {
+				if before.HasEdge(e[0], e[1]) {
+					m.Delete = append(m.Delete, e)
+				} else {
+					m.Insert = append(m.Insert, e)
+				}
 			}
+			if _, err := s.Mutate(ctx, m); err != nil {
+				t.Fatalf("mutate batch %d: %v", i+1, err)
+			}
+			cur ^= batch
+			mutated := dsd.FromEdges(nv, fuzzEdges(nv, cur))
+			want = solve(dsd.NewSolver(mutated), dsd.AlgoCoreExact, w)
+			if brute := bruteDensity(mutated, base); want.Cmp(brute) != 0 {
+				t.Fatalf("%s: core-exact after batch %d %v, brute force %v", base.Psi(), i+1, want, brute)
+			}
+			same(fmt.Sprintf("mutated solver after batch %d", i+1), solve(s, dsd.AlgoCoreExact, w))
 		}
-		if _, err := s.Mutate(ctx, m); err != nil {
-			t.Fatalf("mutate: %v", err)
-		}
-		mutated := dsd.FromEdges(nv, fuzzEdges(nv, mask^flip))
-		want = solve(dsd.NewSolver(mutated), dsd.AlgoCoreExact, w)
-		if brute := bruteDensity(mutated, base); want.Cmp(brute) != 0 {
-			t.Fatalf("%s: core-exact on the mutated graph %v, brute force %v", base.Psi(), want, brute)
-		}
-		same("mutated solver", solve(s, dsd.AlgoCoreExact, w))
 	})
 }
 

@@ -1,6 +1,6 @@
 // Exported component-search entrypoint: one connected component of a
-// located (k,Ψ)-core, searched with the same pre-solve + shrinking-flow
-// Dinkelbach search the in-process engines run, but against an injectable
+// located (k,Ψ)-core, searched with the same shrinking-flow Dinkelbach
+// search the in-process engines run, but against an injectable
 // BoundSource. This is the execution unit of the distributed sharding
 // layer (internal/shard): a coordinator runs PlanCoreExact locally,
 // ships each plan component to a shard worker, and the worker answers
@@ -31,17 +31,12 @@ type ComponentOutcome struct {
 	// FlowNodes their node counts in order.
 	FlowSolves int
 	FlowNodes  []int
-	// PreSolveIters counts Greed++ iterations run; PreSolveSkip reports
-	// the search concluded without building a single flow network.
-	PreSolveIters int
-	PreSolveSkip  bool
-	// FlowTime / PreSolveTime attribute the search's wall time to flow
-	// solves and Greed++ pre-solve runs (see Stats.FlowTime).
-	FlowTime     time.Duration
-	PreSolveTime time.Duration
+	// FlowTime attributes the search's wall time to flow solves (see
+	// Stats.FlowTime).
+	FlowTime time.Duration
 	// Upper is the search's final certified upper bound on the
-	// component's optimum density (core-number, Greed++ max-load/T, or
-	// empty-cut probe certificate, whichever ended tightest). A
+	// component's optimum density (core-number or empty-cut probe
+	// certificate, whichever ended tightest). A
 	// deadline-degrading coordinator takes the max over surviving Uppers
 	// as its interval top.
 	Upper float64
@@ -51,8 +46,8 @@ type ComponentOutcome struct {
 }
 
 // SearchComponent runs the per-component search of Algorithm 4 lines
-// 5-20 (pre-solve included, Dinkelbach probes at the shared bound in place
-// of the paper's bisection) on comp, a connected component of the
+// 5-20 (Dinkelbach probes at the shared bound in place of the paper's
+// bisection) on comp, a connected component of the
 // ⌈kLocate⌉-located core of g — exactly the searches PlanCoreExact's
 // components receive in-process, with the shared bound abstracted to
 // bounds. The outcome's witness is the best subgraph found inside this
@@ -84,16 +79,13 @@ func SearchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 	}
 	d, w := tr.best()
 	return &ComponentOutcome{
-		Density:       d,
-		Witness:       w,
-		FlowSolves:    cs.iterations,
-		FlowNodes:     cs.flowNodes,
-		PreSolveIters: cs.preIters,
-		PreSolveSkip:  cs.preSkip,
-		FlowTime:      cs.flowNS,
-		PreSolveTime:  cs.preNS,
-		Upper:         slots[0].get(),
-		GapStop:       cs.gapStop,
+		Density:    d,
+		Witness:    w,
+		FlowSolves: cs.iterations,
+		FlowNodes:  cs.flowNodes,
+		FlowTime:   cs.flowNS,
+		Upper:      slots[0].get(),
+		GapStop:    cs.gapStop,
 	}, nil
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/iterative"
 	"repro/internal/motif"
 	"repro/internal/obs"
 	"repro/internal/psicore"
@@ -31,17 +30,13 @@ type Options struct {
 	// Grouped uses the construct+ grouped flow network (Algorithm 7);
 	// meaningful for non-clique patterns only.
 	Grouped bool
-	// Iterative is the Greed++ pre-solve iteration budget (0 disables the
-	// pre-solver, restoring the flow-only engine). Before a component
-	// search builds any flow network it runs this many load-balancing
-	// iterations (internal/iterative), yielding a certified lower bound
-	// with witness — published to the shared bound immediately, so the
-	// first Dinkelbach probe starts from it — and a certified upper bound
-	// max-load/T. Components whose upper bound the shared lower bound
-	// reaches finish with zero flow solves. Solver state is warm-started
-	// across a pre-solve core shrink. The bounds are conservative
-	// certificates, so the returned density is identical for every
-	// budget, including 0.
+	// Iterative is the Greed++ iteration budget (internal/iterative) of
+	// the anytime ladder's StageIterative rung (internal/plan), which runs
+	// it on the densest component and streams its certified bounds; 0 or
+	// less skips the rung. CoreExact and SearchComponent ignore it: a
+	// component search goes straight from the located core to flow
+	// probes, so the search, its answer and its stats are identical for
+	// every budget.
 	Iterative int
 	// Workers bounds how many per-component searches (Algorithm 4
 	// lines 5-20) run concurrently; values ≤ 1 run the engine serially.
@@ -89,18 +84,15 @@ type Options struct {
 	DecUpperBound bool
 }
 
-// DefaultIterativeBudget is DefaultOptions' Greed++ pre-solve budget. An
-// iteration is one bucket-queue peel over the materialized instance links
-// — far cheaper than a min-cut on the same component — and typically
-// replaces several flow solves; iteration one is exactly the greedy peel,
-// and the bounds tighten as O(1/T) beyond it. 16 balances the dense-motif
-// regime (a handful of iterations already collapses the search range)
-// against edge density, whose networks are cheap enough that a large
-// budget must earn its keep.
+// DefaultIterativeBudget is DefaultOptions' Greed++ budget: the iteration
+// ceiling of the anytime ladder's StageIterative rung and of Exact's
+// starting witness. An iteration is one bucket-queue peel over the
+// materialized instance links; iteration one is exactly the greedy peel,
+// and the bounds tighten as O(1/T) beyond it.
 const DefaultIterativeBudget = 16
 
 // DefaultOptions is full CoreExact: all prunings on, construct+ on, the
-// iterative pre-solver on, serial execution.
+// stream's Greed++ rung on, serial execution.
 func DefaultOptions() Options {
 	return Options{
 		Pruning1: true, Pruning2: true, Grouped: true,
@@ -230,11 +222,12 @@ func PlanCoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Opt
 		// fall back to the kmax-core.
 		coreVerts = dec.KMaxCoreVertices()
 	}
-	coreSub := g.Induced(coreVerts)
+	coreSub := g.InducedSorted(coreVerts) // CoreVertices ascend
 	comps := coreSub.ConnectedComponents()
 
-	// components in original ids.
+	// components in original ids; local keeps their coreSub ids.
 	components := make([][]int32, 0, len(comps))
+	local := comps[:0]
 	for _, c := range comps {
 		if int64(len(c)) < p {
 			continue
@@ -244,18 +237,26 @@ func PlanCoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Opt
 			orig[i] = coreSub.Orig[lv]
 		}
 		components = append(components, orig)
+		local = append(local, c)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Pruning2: per-component densities refine k″ and the witness. The
-	// densities are independent Ψ-counts, evaluated across the pool.
+	// Pruning2: per-component densities refine k″ and the witness. A
+	// Ψ-instance of the core lies inside one component, so one count over
+	// the core (striped across the pool) gives each component's µ: the
+	// Ψ-degree sum of its members over |VΨ|.
 	if opts.Pruning2 {
+		_, deg := motif.CountAndDegreesWorkers(o, coreSub.Graph, workers)
 		dens := make([]rational.R, len(components))
-		runIndexed(workers, len(components), func(i int) {
-			dens[i], _ = densityOf(g, o, components[i])
-		})
+		for i, c := range local {
+			var sum int64
+			for _, lv := range c {
+				sum += deg[lv]
+			}
+			dens[i] = rational.New(sum/p, int64(len(c)))
+		}
 		for i, c := range components {
 			if dens[i].Greater(lower) {
 				lower = dens[i]
@@ -380,15 +381,10 @@ func CoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Options
 	for _, cs := range perComp {
 		stats.FlowNodes = append(stats.FlowNodes, cs.flowNodes...)
 		stats.Iterations += cs.iterations
-		stats.PreSolveIters += cs.preIters
-		if cs.preSkip {
-			stats.PreSolveSkips++
-		}
 		if cs.gapStop {
 			gapped = true
 		}
 		stats.FlowTime += cs.flowNS
-		stats.PreSolveTime += cs.preNS
 	}
 
 	_, witness := cell.snapshot()
@@ -417,8 +413,8 @@ func CoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Options
 
 // upperSlot holds one component's certified upper bound on its optimum
 // density. The owning search lowers it as better certificates appear
-// (solver max-load/T, empty-cut probe α, core shrink below p); the
-// driver reads the survivors when a degraded run assembles its Bound.
+// (empty-cut probe α, core shrink below p); CoreExact reads the
+// survivors when a degraded run assembles its Bound.
 // Writes are monotone decreasing; the CAS loop makes concurrent readers
 // safe even though each slot has a single writer. notify, when set,
 // observes each successful tightening (single writer ⇒ the calls are
@@ -463,13 +459,10 @@ func (s *upperSlot) get() float64 { return math.Float64frombits(s.bits.Load()) }
 type compStats struct {
 	flowNodes  []int
 	iterations int
-	preIters   int
-	preSkip    bool // search concluded without building a flow network
 	gapStop    bool // search stopped at the Options.Gap accuracy budget
-	// flowNS / preNS attribute the component's wall time to flow solves
-	// and Greed++ pre-solve runs (Stats.FlowTime / Stats.PreSolveTime).
+	// flowNS attributes the component's wall time to flow solves
+	// (Stats.FlowTime).
 	flowNS time.Duration
-	preNS  time.Duration
 }
 
 // searchComponent runs Algorithm 4's per-component search (lines 5-20)
@@ -481,20 +474,20 @@ type compStats struct {
 // strictly denser subgraph, published to the shared bound at once before
 // the core shrinks to ⌈ρ⌉ and the next probe runs at the raised bound.
 //
-// The shared bound is used three ways, each conservative: as the probe
-// α, to shrink to a higher core (a subgraph beating density d lies in the
-// ⌈d⌉-core), and, before any network exists, to skip a component whose
-// Greed++ upper bound max-load/T it already reaches — an exact rational
-// comparison, never a rounded float one. Upper bounds from core numbers,
-// Greed++ and empty cuts feed slot for the degraded and anytime paths.
+// The shared bound is used two ways, each conservative: as the probe α,
+// and to shrink to a higher core (a subgraph beating density d lies in
+// the ⌈d⌉-core), before the first network as well as between probes.
+// Upper bounds from core numbers and empty cuts feed slot for the
+// degraded and anytime paths. As in the paper, the search goes straight
+// from the located core to flow probes: no Greed++ pre-solve runs here.
 func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition,
 	opts Options, cell BoundSource, comp []int32, kLocate int64, p int64,
 	slot *upperSlot) (cs compStats, err error) {
 	if err := ctx.Err(); err != nil {
 		return cs, err
 	}
-	// Trace scope: one span per component search, presolve/flow children
-	// under it. tr is nil on untraced runs, making every span call below
+	// Trace scope: one span per component search, flow children under
+	// it. tr is nil on untraced runs, making every span call below
 	// a no-op — the hot loop stays allocation-free with tracing off.
 	tr, parent := obs.FromContext(ctx)
 	sp := tr.Start(obs.SpanComponent, parent)
@@ -503,10 +496,6 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 		sp.SetInt("size", int64(len(comp)))
 		defer func() {
 			sp.SetInt("flow_solves", int64(cs.iterations))
-			sp.SetInt("presolve_iters", int64(cs.preIters))
-			if cs.preSkip {
-				sp.SetAttr("presolve_skip", "true")
-			}
 			sp.End()
 		}()
 	}
@@ -533,66 +522,10 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 	uc := float64(maxCoreOf(cur, dec))
 	slot.lower(uc)
 
-	// Iterative pre-solve: run the Greed++ load balancer before any
-	// network exists. Its lower bound is a real witness of this component
-	// (published to the shared cell at once), and its upper bound either
-	// closes the component outright or tightens uc.
-	sub := g.Induced(cur)
-	if opts.Iterative > 0 {
-		var solver *iterative.Solver
-		// settle publishes the solver's witness and applies its upper
-		// bound, reporting whether that finished the component.
-		settle := func() bool {
-			publishSolverLower(cell, sub, solver)
-			lower = cell.Bound()
-			if lower.Cmp(solver.Upper()) >= 0 {
-				cs.preSkip = true
-				slot.lower(solver.UpperFloat())
-				return true
-			}
-			uc = min(uc, solver.UpperFloat())
-			slot.lower(uc)
-			return false
-		}
-		solver = iterative.New(sub.Graph, o)
-		// Adaptive budget (see iterative.RunAdaptive): the budget is a
-		// ceiling, and tiny components whose bound gap stalls stop after a
-		// chunk or two — the bounds stay conservative certificates either
-		// way, so the density is identical for every stopping point.
-		pt := time.Now()
-		ran, err := solver.RunAdaptive(ctx, opts.Iterative)
-		cs.preNS += time.Since(pt)
-		cs.preIters += ran
-		if err != nil {
-			return cs, err
-		}
-		if settle() {
-			return cs, nil
-		}
-		// Relocate in a higher core while the state is still flow-free,
-		// warm-starting the solver on the shrunken subgraph.
-		if lk := lower.Ceil(); lk > curK {
-			cur = filterCore(cur, dec, lk)
-			curK = lk
-			if int64(len(cur)) < p {
-				cs.preSkip = true
-				slot.lower(lower.Float())
-				return cs, nil
-			}
-			pt := time.Now()
-			sub, solver, ran, err = shrinkSolver(ctx, g, o, sub, solver, cur, refreshBudget(opts))
-			cs.preNS += time.Since(pt)
-			cs.preIters += ran
-			if err != nil {
-				return cs, err
-			}
-			if settle() {
-				return cs, nil
-			}
-		}
-	}
-
-	var sd side
+	var (
+		sd  side
+		sub *graph.Subgraph // cur's induced subgraph, built with sd
+	)
 	for {
 		if err := ctx.Err(); err != nil {
 			return cs, err
@@ -604,7 +537,6 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 		// driver reports through Result.Bound instead of searching on.
 		if opts.Gap > 0 && !alpha.IsZero() && uc <= alpha.Float()*(1+opts.Gap) {
 			cs.gapStop = true
-			cs.preSkip = sd == nil && opts.Iterative > 0
 			return cs, nil
 		}
 		// Relocate in a higher core once the bound — raised by this
@@ -613,14 +545,13 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 		// the ⌈bound⌉-core, so networks shrink monotonically. The old
 		// side's network arena is already sized for the larger graph, so
 		// the new side recycles it.
-		shrunk := false
 		if lk := alpha.Ceil(); lk > curK {
 			if keep := filterCore(cur, dec, lk); int64(len(keep)) >= p && len(keep) < len(cur) {
-				cur, curK, shrunk = keep, lk, true
-				sub = g.Induced(cur)
+				cur, curK, sub = keep, lk, nil
 			}
 		}
-		if sd == nil || shrunk {
+		if sub == nil {
+			sub = g.Induced(cur)
 			sd = makeSide(sub.Graph, o, opts.Grouped, takeNet(sd))
 		}
 		ft := time.Now()
@@ -649,56 +580,6 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 		}
 		cell.Improve(d, best)
 	}
-}
-
-// publishSolverLower pushes the solver's current lower bound (a witness
-// of sub, in local ids) into the shared cell when it improves on it —
-// refresh iterations after a core shrink would otherwise pay for a better
-// witness and then drop it.
-func publishSolverLower(cell BoundSource, sub *graph.Subgraph, solver *iterative.Solver) {
-	if lb, wit := solver.Lower(); lb.Greater(cell.Bound()) {
-		cell.Improve(lb, toOrig(sub, wit))
-	}
-}
-
-// refreshBudget is the warm-start iteration budget spent after each core
-// shrink: a quarter of the pre-solve budget, at least one iteration.
-func refreshBudget(opts Options) int {
-	if r := opts.Iterative / 4; r > 1 {
-		return r
-	}
-	return 1
-}
-
-// shrinkSolver carries the Greed++ loads accumulated on oldSub over to the
-// shrunken vertex set cur (original ids, a subset of oldSub's) and runs a
-// refresh on the new subgraph. Restricting loads to surviving vertices
-// keeps the max-load/T certificate valid — surviving instances charged all
-// their units to surviving vertices, lost instances only inflate loads —
-// so the warm solver's upper bound is immediately trustworthy and the
-// refresh tightens it instead of starting from scratch. It also returns
-// the number of refresh iterations actually run (the adaptive stop may
-// spend fewer than the budget).
-func shrinkSolver(ctx context.Context, g *graph.Graph, o motif.Oracle, oldSub *graph.Subgraph,
-	s *iterative.Solver, cur []int32, refresh int) (*graph.Subgraph, *iterative.Solver, int, error) {
-	sub := g.Induced(cur)
-	loads := make([]int64, sub.N())
-	oldLoads := s.Loads()
-	// Both Orig slices ascend (Induced sorts) and sub's set is contained
-	// in oldSub's, so one merge pass remaps the loads.
-	j := 0
-	for i, v := range sub.Orig {
-		for oldSub.Orig[j] != v {
-			j++
-		}
-		loads[i] = oldLoads[j]
-	}
-	ns := iterative.NewWarm(sub.Graph, o, loads, s.Iterations())
-	ran, err := ns.RunAdaptive(ctx, refresh)
-	if err != nil {
-		return nil, nil, ran, err
-	}
-	return sub, ns, ran, nil
 }
 
 // maxCoreOf returns the maximum Ψ-core number among vs.

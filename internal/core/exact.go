@@ -34,7 +34,8 @@ func Exact(g *graph.Graph, o motif.Oracle, grouped bool) (*Result, error) {
 	var stats Stats
 	pre := iterative.New(g, o)
 	ran, _ := pre.RunAdaptive(context.Background(), DefaultIterativeBudget)
-	stats.PreSolveIters += ran
+	stats.PreSolveIters = ran
+	stats.PreSolveTime = time.Since(start)
 	lower, wit := pre.Lower()
 	best := append([]int32(nil), wit...) // wit is live solver state
 	if lower.Cmp(pre.Upper()) >= 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -10,23 +11,23 @@ import (
 	"repro/internal/rational"
 )
 
-// TestCoreExactIterativeEquivalence is the exactness proof obligation of
-// the Greed++ pre-solver: across ~50 random graphs and h ∈ {2,3,4}, the
-// pre-solved engine — serial and on a worker pool — must return exactly
-// the density of the seed Exact path (rational comparison, not float),
-// with a witness whose recomputed density matches. Run under -race this
-// also exercises pre-solve publications racing into the shared bound cell.
+// TestCoreExactIterativeEquivalence: across ~50 random graphs and
+// h ∈ {2,3,4}, the default engine — serial and on a worker pool — must
+// return exactly the density of the Exact baseline, whose first probe
+// starts from a Greed++ witness (rational comparison, not float), with a
+// witness whose recomputed density matches. Run under -race this also
+// exercises publications racing into the shared bound cell.
 func TestCoreExactIterativeEquivalence(t *testing.T) {
 	for gi, g := range equivalenceGraphs(t) {
 		for h := 2; h <= 4; h++ {
 			want := runExact(t, g, motif.Clique{H: h}, false).Density
-			serial := DefaultOptions() // pre-solver on by default
+			serial := DefaultOptions()
 			par := DefaultOptions()
 			par.Workers = 4
 			for mode, opts := range map[string]Options{"serial": serial, "parallel": par} {
 				res := coreExact(t, g, motif.Clique{H: h}, opts)
 				if res.Density.Cmp(want) != 0 {
-					t.Fatalf("graph %d h=%d %s: pre-solved density %v != exact %v",
+					t.Fatalf("graph %d h=%d %s: density %v != exact %v",
 						gi, h, mode, res.Density, want)
 				}
 				if len(res.Vertices) > 0 {
@@ -41,7 +42,7 @@ func TestCoreExactIterativeEquivalence(t *testing.T) {
 }
 
 // TestCorePExactIterativeEquivalence extends the obligation to pattern
-// cores: pre-solved CorePExact against the seed PExact path.
+// cores: CorePExact against the PExact baseline.
 func TestCorePExactIterativeEquivalence(t *testing.T) {
 	pats := []*pattern.Pattern{pattern.Star(2), pattern.Diamond()}
 	gs := equivalenceGraphs(t)[:10]
@@ -52,7 +53,7 @@ func TestCorePExactIterativeEquivalence(t *testing.T) {
 			opts.Workers = 3
 			res := coreExact(t, g, motif.For(p), opts)
 			if res.Density.Cmp(want) != 0 {
-				t.Fatalf("graph %d pattern %s: pre-solved density %v != exact %v",
+				t.Fatalf("graph %d pattern %s: density %v != exact %v",
 					gi, p.Name(), res.Density, want)
 			}
 		}
@@ -60,14 +61,14 @@ func TestCorePExactIterativeEquivalence(t *testing.T) {
 }
 
 // TestCoreExactIterativeBudgets: the budget knob must be answer-invariant
-// — tiny budgets (bounds barely help), the default, and budgets past
-// convergence all return the seed density.
+// — tiny budgets, the default, and budgets past convergence all return
+// the Iterative-0 density.
 func TestCoreExactIterativeBudgets(t *testing.T) {
 	gs := equivalenceGraphs(t)[:8]
 	for gi, g := range gs {
 		want := coreExact(t, g, motif.Clique{H: 3}, Options{
 			Pruning1: true, Pruning2: true, Grouped: true,
-		}).Density // Iterative: 0 — the flow-only seed engine
+		}).Density // Iterative: 0
 		for _, budget := range []int{1, 2, DefaultIterativeBudget, 64} {
 			opts := DefaultOptions()
 			opts.Iterative = budget
@@ -80,8 +81,8 @@ func TestCoreExactIterativeBudgets(t *testing.T) {
 }
 
 // TestCoreExactIterativePruningVariants runs the Figure-10 pruning
-// ablations with the pre-solver on: the answer must not depend on which
-// prunings accompany it, serial or parallel.
+// ablations at the default Iterative budget: the answer must not depend
+// on which prunings accompany it, serial or parallel.
 func TestCoreExactIterativePruningVariants(t *testing.T) {
 	gs := equivalenceGraphs(t)[:6]
 	variants := []Options{
@@ -104,10 +105,10 @@ func TestCoreExactIterativePruningVariants(t *testing.T) {
 	}
 }
 
-// TestCoreExactIterativeMultiCommunity pins the stress instance with the
-// pre-solver on: the known optimum must come back for every worker count,
-// and the pre-solver must actually relieve the flow engine (fewer min-cut
-// solves than the seed configuration, with flow-free component finishes).
+// TestCoreExactIterativeMultiCommunity pins the stress instance across
+// Iterative budgets: the known optimum must come back for every worker
+// count, and the serial search must be the Iterative-0 search exactly —
+// the same flow probes and networks, with no Greed++ work at all.
 func TestCoreExactIterativeMultiCommunity(t *testing.T) {
 	const k, clique, fringe, fringeBase = 6, 20, 8, 12
 	g := gen.MultiCommunity(k, clique, fringe, fringeBase, 14, 1)
@@ -128,34 +129,30 @@ func TestCoreExactIterativeMultiCommunity(t *testing.T) {
 		if res.Density.Cmp(want) != 0 {
 			t.Fatalf("workers=%d: density %v, want %v", w, res.Density, want)
 		}
-		if res.Stats.Iterations > seedRes.Stats.Iterations {
-			t.Fatalf("workers=%d: pre-solved engine spent %d flow solves, seed %d",
-				w, res.Stats.Iterations, seedRes.Stats.Iterations)
+		if res.Stats.PreSolveIters != 0 || res.Stats.PreSolveSkips != 0 {
+			t.Fatalf("workers=%d: component searches ran Greed++: %+v", w, res.Stats)
 		}
-		if res.Stats.PreSolveIters == 0 {
-			t.Fatalf("workers=%d: pre-solver did not run", w)
-		}
-		if w <= 1 && res.Stats.PreSolveSkips == 0 {
-			t.Fatalf("workers=%d: no component finished flow-free on the stress instance", w)
+		if w <= 1 && (res.Stats.Iterations != seedRes.Stats.Iterations ||
+			!slices.Equal(res.Stats.FlowNodes, seedRes.Stats.FlowNodes)) {
+			t.Fatalf("workers=%d: flow networks %v, Iterative 0 built %v",
+				w, res.Stats.FlowNodes, seedRes.Stats.FlowNodes)
 		}
 	}
 }
 
-// TestCoreExactIterativeStats: the seed configuration must report zero
-// pre-solve work, and the default configuration must report it without
-// perturbing the density — the counters the BENCH artifact and the wire
-// encoding surface.
+// TestCoreExactIterativeStats: every Iterative budget must report zero
+// pre-solve work and the same density — the counters the BENCH artifact
+// and the wire encoding surface.
 func TestCoreExactIterativeStats(t *testing.T) {
 	g := gen.ChungLu(80, 320, 2.3, 5)
 	seed := DefaultOptions()
 	seed.Iterative = 0
 	rs := coreExact(t, g, motif.Clique{H: 3}, seed)
-	if rs.Stats.PreSolveIters != 0 || rs.Stats.PreSolveSkips != 0 {
-		t.Fatalf("seed engine reports pre-solve work: %+v", rs.Stats)
-	}
 	ri := coreExact(t, g, motif.Clique{H: 3}, DefaultOptions())
-	if ri.Stats.PreSolveIters == 0 {
-		t.Fatal("default engine reports no pre-solve iterations")
+	for _, r := range []*Result{rs, ri} {
+		if r.Stats.PreSolveIters != 0 || r.Stats.PreSolveSkips != 0 || r.Stats.PreSolveTime != 0 {
+			t.Fatalf("core-exact reports pre-solve work: %+v", r.Stats)
+		}
 	}
 	if rs.Density.Cmp(ri.Density) != 0 {
 		t.Fatalf("density changed: %v vs %v", rs.Density, ri.Density)

@@ -56,13 +56,11 @@ type Stats struct {
 	// Iterations counts flow probes, i.e. flow networks built and min-cut
 	// computations performed.
 	Iterations int
-	// PreSolveIters counts Greed++ load-balancing iterations run by the
-	// iterative pre-solver across all component searches (0 when the
-	// pre-solver is disabled).
+	// PreSolveIters counts the Greed++ load-balancing iterations Exact
+	// runs for its starting witness; PreSolveSkips is 1 when those bounds
+	// met and Exact built no flow network. CoreExact's component searches
+	// run no Greed++, so both read 0 on core-exact runs.
 	PreSolveIters int
-	// PreSolveSkips counts component searches the pre-solver finished
-	// without building a single flow network: the iterative upper bound
-	// proved the component cannot beat the shared lower bound.
 	PreSolveSkips int
 	// ReusedDecomposition reports that the run was handed a precomputed
 	// (k,Ψ)-core (or nucleus, or classical-core) decomposition via a
@@ -89,8 +87,8 @@ type Stats struct {
 	ShardFallbacks  int
 	ShardHedges     int
 	// FlowTime is the wall time summed over every flow-network build plus
-	// min-cut solve; PreSolveTime over every Greed++ pre-solve run,
-	// including post-shrink refreshes. On parallel runs the phases overlap
+	// min-cut solve; PreSolveTime over Greed++ pre-solve runs (0 on
+	// core-exact runs, as PreSolveIters). On parallel runs the phases overlap
 	// across workers, so the sums can exceed Total — they are CPU-style
 	// attribution ("where the work went"), the paper's flow-vs-peel split.
 	FlowTime     time.Duration

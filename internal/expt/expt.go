@@ -41,7 +41,7 @@ type Config struct {
 	// Workers is the parallel arm measured by the perf suite against the
 	// serial engine (0 = the reference arm of 4, matching the CI gate).
 	Workers int
-	// Iterative is the Greed++ pre-solve budget of the perf suite's
+	// Iterative is the Query.Iterative budget of the perf suite's
 	// iterative arm (0 = the engine default).
 	Iterative int
 }
@@ -198,12 +198,10 @@ func timeIt(fn func()) time.Duration {
 	return time.Since(start)
 }
 
-// seedCoreExact runs the core engine in its paper configuration — flow-only, Greed++ pre-solver off. The reproduction
-// experiments (Figures 8-16, Tables 3-5) must keep measuring the paper's
-// algorithm even though the library default now pre-solves; Figure 9 in
-// particular plots the networks the flow search builds, which the
-// pre-solver exists to skip. The perf suite measures the pre-solved
-// engine separately, against these as its seed arms.
+// seedCoreExact runs the core engine in its paper configuration: the
+// located core straight to flow probes, Figure 9's networks included.
+// The reproduction experiments (Figures 8-16, Tables 3-5) read it, and
+// the perf suite uses it as its seed arm.
 func seedCoreExact(g *graph.Graph, o motif.Oracle) *core.Result {
 	opts := core.DefaultOptions()
 	opts.Iterative = 0

@@ -27,7 +27,7 @@ const BenchSchema = "dsd-bench/v1"
 
 // BenchReport is the JSON artifact of the perf suite (BENCH_*.json): one
 // entry per measured case, serial ns/op always, plus the parallel and
-// iterative-pre-solve arms for the algorithms that have them.
+// iterative arms for the algorithms that have them.
 type BenchReport struct {
 	Schema     string      `json:"schema"`
 	Suite      string      `json:"suite"`
@@ -38,8 +38,9 @@ type BenchReport struct {
 	Cases      []BenchCase `json:"cases"`
 	// FlowSolveReduction is Σ serial_iters / Σ iterative_flow_solves over
 	// the cases with an iterative arm: how many fewer min-cut computations
-	// the Greed++ pre-solver leaves the suite with, the headline the
-	// BENCH_3 trajectory point measures.
+	// the Greed++ pre-solver left the suite with, the headline of the
+	// BENCH_3 trajectory point. Core-exact runs no pre-solve any more, so
+	// it now reads 1.
 	FlowSolveReduction float64 `json:"flow_solve_reduction,omitempty"`
 	// ObsOverhead is the median, over every interleaved pair of runs of
 	// the cases with an obs arm, of traced / untraced wall time: the cost
@@ -73,11 +74,11 @@ type BenchCase struct {
 	// the artifact rather than only in wall time.
 	SerialIters   int `json:"serial_iters,omitempty"`
 	ParallelIters int `json:"parallel_iters,omitempty"`
-	// The iterative arm: the serial engine with the Greed++ pre-solver at
-	// IterativeBudget iterations. IterativeFlowSolves counts the min-cut
-	// computations left after the flow-free bounds did their work (CI
-	// gates it against SerialIters), PreSolveIters/PreSolveSkips the
-	// pre-solver's own effort and the components it finished flow-free.
+	// The iterative arm: the serial engine at Options.Iterative =
+	// IterativeBudget. Core-exact ignores that budget, so the arm repeats
+	// the serial configuration: IterativeFlowSolves (gated ≤ SerialIters)
+	// equals SerialIters, and PreSolveIters/PreSolveSkips read 0. The
+	// fields keep the BENCH trajectory comparable.
 	IterativeNsOp       int64   `json:"iterative_ns_op,omitempty"`
 	IterativeBudget     int     `json:"iterative_budget,omitempty"`
 	IterativeFlowSolves int     `json:"iterative_flow_solves,omitempty"`
@@ -195,7 +196,7 @@ func perfWorkers(cfg Config) int {
 	return 4
 }
 
-// perfIterBudget resolves the iterative arm's pre-solve budget.
+// perfIterBudget resolves the iterative arm's Options.Iterative budget.
 func perfIterBudget(cfg Config) int {
 	if cfg.Iterative > 0 {
 		return cfg.Iterative
@@ -426,12 +427,11 @@ func quartiles(xs []float64) (q1, med, q3 float64) {
 // PerfSuiteReport measures the suite and returns the report. The cases
 // cover the exact hot path this repository optimizes (CoreExact on the
 // multi-component stress instance and a power-law graph, h ∈ {2,3},
-// measured serial, parallel, and with the Greed++ iterative pre-solver),
-// the parallel clique-degree seeding, and the approximation baselines
-// that frame them. The serial and parallel arms run with the pre-solver
-// off — the flow-only seed engine — so they stay comparable with earlier
-// BENCH_*.json trajectory points; the iterative arm is the same serial
-// engine with flow-free pre-solve bounds.
+// measured serial, parallel, and at an Iterative budget), the parallel
+// clique-degree seeding, and the approximation baselines that frame
+// them. The serial and parallel arms run at Iterative 0, as earlier
+// BENCH_*.json trajectory points did; the iterative arm is the same
+// serial engine at the budget, which core-exact ignores.
 func PerfSuiteReport(cfg Config) (*BenchReport, error) {
 	reps := 3
 	if cfg.Quick {
@@ -498,7 +498,7 @@ func PerfSuiteReport(cfg Config) (*BenchReport, error) {
 		peakRSS, allocBytes, allocs := measureMem(func() { core.CoreExact(context.Background(), g, o, iopts, nil) })
 
 		// Warm-solver arm: the same Ψ through one dsd.Solver, default
-		// engine configuration (pre-solver on).
+		// engine configuration.
 		cold, warm, coldRes, warmRes := warmSolverArm(g, h, iterBudget, reps)
 		warmMatch := coldRes != nil && warmRes != nil &&
 			serialRes.Density.Cmp(coldRes.Density) == 0 &&

@@ -9,7 +9,9 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Graph is an immutable undirected simple graph. The zero value is the
@@ -161,33 +163,9 @@ type Subgraph struct {
 // set may be in any order and may contain duplicates (ignored). Local
 // vertices are numbered in the sorted order of their original ids.
 func (g *Graph) Induced(vs []int32) *Subgraph {
-	orig := append([]int32(nil), vs...)
-	sort.Slice(orig, func(i, j int) bool { return orig[i] < orig[j] })
-	k := 0
-	for i := range orig {
-		if i == 0 || orig[i] != orig[i-1] {
-			orig[k] = orig[i]
-			k++
-		}
-	}
-	orig = orig[:k]
-	local := make(map[int32]int32, len(orig))
-	for i, v := range orig {
-		local[v] = int32(i)
-	}
-	adj := make([][]int32, len(orig))
-	m := 0
-	for i, v := range orig {
-		for _, w := range g.adj[v] {
-			if lw, ok := local[w]; ok {
-				adj[i] = append(adj[i], lw)
-			}
-		}
-		m += len(adj[i])
-		// Parent adjacency was sorted by original id, and local ids are
-		// assigned in sorted original order, so adj[i] is already sorted.
-	}
-	return &Subgraph{Graph: &Graph{adj: adj, m: m / 2}, Orig: orig}
+	orig := slices.Clone(vs)
+	slices.Sort(orig)
+	return g.InducedSorted(slices.Compact(orig))
 }
 
 // InducedKeep returns the subgraph induced by the vertices for which keep
@@ -204,12 +182,17 @@ func (g *Graph) InducedKeep(keep func(v int) bool) *Subgraph {
 
 // InducedSorted returns the subgraph induced by vs, which must be sorted
 // by increasing id without duplicates and becomes the result's Orig. It
-// maps ids through a dense index rather than Induced's map, visits only
-// the vertices of vs, and fills all adjacency lists into one backing
-// array sized by their parent degrees.
+// maps ids through a dense index, visits only the vertices of vs, and
+// fills all adjacency lists into one backing array sized by their parent
+// degrees.
 func (g *Graph) InducedSorted(vs []int32) *Subgraph {
 	// local[v] is v's local id plus one; 0 marks a vertex outside vs.
-	local := make([]int32, g.N())
+	lp, _ := localIDs.Get().(*[]int32)
+	if lp == nil || len(*lp) < g.N() {
+		fresh := make([]int32, g.N())
+		lp = &fresh
+	}
+	local := (*lp)[:g.N()]
 	size := 0
 	for i, v := range vs {
 		local[v] = int32(i) + 1
@@ -226,8 +209,17 @@ func (g *Graph) InducedSorted(vs []int32) *Subgraph {
 		}
 		adj[i] = backing[start:len(backing):len(backing)]
 	}
+	for _, v := range vs {
+		local[v] = 0
+	}
+	localIDs.Put(lp)
 	return &Subgraph{Graph: &Graph{adj: adj, m: len(backing) / 2}, Orig: vs}
 }
+
+// localIDs recycles InducedSorted's dense index, all zero between calls:
+// each call clears only the entries it set, so a subgraph costs O(|vs| +
+// its parent degrees) rather than a fresh index as long as the graph.
+var localIDs sync.Pool
 
 // ConnectedComponents returns the vertex sets of the connected components,
 // largest first.

@@ -96,10 +96,33 @@ func TestInducedDedupesInput(t *testing.T) {
 	}
 }
 
-// TestInducedKeepMatchesInduced: the dense-index InducedKeep and
-// InducedSorted must build exactly the subgraph Induced builds from the
-// kept vertex list.
+// TestInducedKeepMatchesInduced: Induced (on shuffled input with
+// duplicates), InducedKeep and InducedSorted must all build the subgraph
+// a pairwise HasEdge reference builds — on random vertex sets, the empty
+// set and the full vertex set, over graphs of varying size, so the
+// recycled dense index is reused across graphs.
 func TestInducedKeepMatchesInduced(t *testing.T) {
+	// matches reports whether sub is the subgraph of g induced by vs
+	// (sorted, without duplicates), by the reference.
+	matches := func(g *Graph, vs []int32, sub *Subgraph) bool {
+		if !slices.Equal(sub.Orig, vs) || sub.N() != len(vs) || sub.Validate() != nil {
+			return false
+		}
+		m := 0
+		for i, u := range vs {
+			var want []int32
+			for j, v := range vs {
+				if g.HasEdge(int(u), int(v)) {
+					want = append(want, int32(j))
+				}
+			}
+			if !slices.Equal(sub.Neighbors(i), want) {
+				return false
+			}
+			m += len(want)
+		}
+		return sub.M() == m/2
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(40)
@@ -108,31 +131,65 @@ func TestInducedKeepMatchesInduced(t *testing.T) {
 			b.AddEdge(rng.Intn(n), rng.Intn(n))
 		}
 		g := b.Build()
-		keep := make([]bool, n)
-		var vs []int32
-		for v := range keep {
-			if keep[v] = rng.Intn(3) != 0; keep[v] {
-				vs = append(vs, int32(v))
-			}
-		}
-		want := g.Induced(vs)
-		for _, got := range []*Subgraph{g.InducedKeep(func(v int) bool { return keep[v] }), g.InducedSorted(vs)} {
-			if got.N() != want.N() || got.M() != want.M() || !reflect.DeepEqual(got.Orig, want.Orig) {
-				return false
-			}
-			for v := 0; v < want.N(); v++ {
-				if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
-					return false
+		random := func(int) bool { return rng.Intn(3) != 0 }
+		for _, keep := range []func(int) bool{random, func(int) bool { return false }, func(int) bool { return true }} {
+			in := make([]bool, n)
+			var vs []int32
+			for v := range in {
+				if in[v] = keep(v); in[v] {
+					vs = append(vs, int32(v))
 				}
 			}
-			if got.Validate() != nil {
-				return false
+			// Induced's input: vs shuffled, with about a third repeated.
+			mixed := slices.Clone(vs)
+			for _, v := range vs {
+				if rng.Intn(3) == 0 {
+					mixed = append(mixed, v)
+				}
+			}
+			rng.Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
+			for _, got := range []*Subgraph{
+				g.Induced(mixed),
+				g.InducedKeep(func(v int) bool { return in[v] }),
+				g.InducedSorted(slices.Clone(vs)),
+			} {
+				if !matches(g, vs, got) {
+					return false
+				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkInduced measures Induced on a 50k-vertex random graph for the
+// two shapes core-exact builds: a few thousand unsorted vertices (one
+// component search or density evaluation) and half the graph (the
+// located core).
+func BenchmarkInduced(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 50000
+	bld := NewBuilder(n)
+	for i := 0; i < 4*n; i++ {
+		bld.AddEdge(rng.Intn(n), rng.Intn(n))
+	}
+	g := bld.Build()
+	for _, c := range []struct {
+		name string
+		size int
+	}{{"component", 2000}, {"core", n / 2}} {
+		vs := make([]int32, c.size)
+		for i, v := range rng.Perm(n)[:c.size] {
+			vs[i] = int32(v)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			for b.Loop() {
+				g.Induced(vs)
+			}
+		})
 	}
 }
 

@@ -2,8 +2,7 @@
 // for densest-subgraph search, generalized from edges to the Ψ-hypergraph
 // (h-cliques, pattern instances) behind motif.Oracle — the flow-free
 // iterative scheme of "Flowless: Extracting Densest Subgraphs Without Flow
-// Computations" (Boob et al., WWW 2020) applied to the flow-search hot
-// path of this repository's CoreExact engines.
+// Computations" (Boob et al., WWW 2020).
 //
 // The solver materializes the instance hypergraph once — the same µ·|VΨ|
 // membership links the flow-network side materializes — so an iteration is
@@ -16,18 +15,11 @@
 // upper-bounds the optimum: ρ* ≤ max_v load(v)/T. Dually, every residual
 // prefix of every peel is a real vertex set whose exact rational density
 // lower-bounds ρ*. The solver therefore produces, without a single flow
-// computation, a certified (lower, witness, upper) triple that the flow
-// engines use to seed, shrink, or entirely skip their flow searches; the
-// bounds tighten monotonically with more iterations (iteration one is
-// exactly Algorithm 2's greedy peel).
-//
-// State is warm-startable: NewWarm seeds a solver on a shrunken subgraph
-// with the loads accumulated on its supergraph. The carried loads only
-// overcount (instances lost in the shrink charged their units to surviving
-// vertices at most), so max_v load(v)/T remains a valid upper bound for the
-// shrunken graph and further iterations keep tightening it — the property
-// CoreExact relies on when a component relocates into a higher core
-// mid-search.
+// computation, a certified (lower, witness, upper) triple; the bounds
+// tighten monotonically with more iterations (iteration one is exactly
+// Algorithm 2's greedy peel). Exact takes its starting witness from it,
+// and the anytime planner streams it as its StageIterative rung; the
+// CoreExact component searches do not use it.
 package iterative
 
 import (
@@ -47,8 +39,7 @@ import (
 const ctxCheckStride = 1024
 
 // Solver accumulates Greed++ load-balancing state for one fixed graph and
-// motif. It is not safe for concurrent use; CoreExact creates one per
-// component search.
+// motif. It is not safe for concurrent use.
 type Solver struct {
 	n int
 	p int // |VΨ|, the instance arity
@@ -63,8 +54,7 @@ type Solver struct {
 	deg0 []int64
 
 	// loads[v] is the total number of instance-units charged to v across
-	// all iterations (including any warm-started carry); iters counts the
-	// completed iterations that accumulated it.
+	// all iterations; iters counts the completed iterations.
 	loads []int64
 	iters int
 
@@ -133,33 +123,11 @@ func New(g *graph.Graph, o motif.Oracle) *Solver {
 	return s
 }
 
-// NewWarm builds a solver for (g, o) seeded with loads carried over from a
-// supergraph peel: loads[v] must be the carried load of local vertex v and
-// iters the number of iterations that accumulated it. The carried loads
-// keep the Upper certificate valid (they can only overcount instances of
-// g), so the warm solver's bounds are immediately usable and further Run
-// calls tighten them. The loads slice is adopted, not copied.
-func NewWarm(g *graph.Graph, o motif.Oracle, loads []int64, iters int) *Solver {
-	s := New(g, o)
-	if len(loads) != g.N() {
-		panic("iterative: warm loads length does not match graph")
-	}
-	s.loads = loads
-	s.iters = iters
-	return s
-}
-
-// Iterations returns the number of completed iterations, including any
-// warm-started carry.
+// Iterations returns the number of completed iterations.
 func (s *Solver) Iterations() int { return s.iters }
 
 // Total returns µ(g,Ψ) for the solver's graph.
 func (s *Solver) Total() int64 { return s.total }
-
-// Loads exposes the accumulated per-vertex loads for warm-starting a
-// shrunken solver. The slice is live solver state: callers must copy (or
-// remap) it and must not mutate it.
-func (s *Solver) Loads() []int64 { return s.loads }
 
 // Run executes up to budget additional iterations, polling ctx between
 // peel strides and returning ctx.Err() once it is cancelled. Bounds only

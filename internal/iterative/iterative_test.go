@@ -106,52 +106,6 @@ func TestSolverLowerMonotone(t *testing.T) {
 	}
 }
 
-// TestSolverWarmStartCertificate checks the shrink contract: loads carried
-// from a supergraph peel onto an induced subgraph must keep the upper
-// bound valid for the subgraph — immediately, and after further
-// iterations.
-func TestSolverWarmStartCertificate(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		g := gen.GNM(60, 260, seed)
-		o := motif.Clique{H: 3}
-		s := iterative.New(g, o)
-		if err := s.Run(context.Background(), 4); err != nil {
-			t.Fatal(err)
-		}
-		// Shrink to the upper half of the load distribution (any subset is
-		// a legal shrink; this one mirrors a core relocation).
-		loads := s.Loads()
-		var keep []int32
-		for v := 0; v < g.N(); v++ {
-			if loads[v] > 0 {
-				keep = append(keep, int32(v))
-			}
-		}
-		if len(keep) < 4 {
-			continue
-		}
-		sub := g.Induced(keep)
-		warmLoads := make([]int64, sub.N())
-		for i, v := range sub.Orig {
-			warmLoads[i] = loads[v]
-		}
-		ws := iterative.NewWarm(sub.Graph, o, warmLoads, s.Iterations())
-		opt := exactDensity(t, sub.Graph, motif.Clique{H: 3})
-		if opt.Greater(ws.Upper()) {
-			t.Fatalf("seed %d: warm upper %v below subgraph optimum %v", seed, ws.Upper(), opt)
-		}
-		if err := ws.Run(context.Background(), 4); err != nil {
-			t.Fatal(err)
-		}
-		if opt.Greater(ws.Upper()) {
-			t.Fatalf("seed %d: refreshed warm upper %v below subgraph optimum %v", seed, ws.Upper(), opt)
-		}
-		if lb, _ := ws.Lower(); lb.Greater(opt) {
-			t.Fatalf("seed %d: warm lower %v above subgraph optimum %v", seed, lb, opt)
-		}
-	}
-}
-
 // TestSolverCancellation: a cancelled context stops Run with its error and
 // leaves the solver usable (bounds from completed iterations intact).
 func TestSolverCancellation(t *testing.T) {

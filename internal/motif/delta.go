@@ -35,7 +35,7 @@ func CliqueEdgeDelta(g *graph.Graph, u, v, h int) (int64, map[int32]int64) {
 			delta[w] = 1
 		}
 	} else {
-		sub := g.Induced(common)
+		sub := g.InducedSorted(common)
 		clique.NewLister(sub.Graph).ForEach(h-2, func(c []int32) {
 			total++
 			for _, lv := range c {

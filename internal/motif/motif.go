@@ -343,6 +343,15 @@ func (o Generic) OnRemove(st *State, v int, dec func(u int, delta int64)) int64 
 	return destroyed
 }
 
+// CountAndDegreesWorkers is o.CountAndDegrees(g), striped across workers
+// when the oracle has a parallel form.
+func CountAndDegreesWorkers(o Oracle, g *graph.Graph, workers int) (int64, []int64) {
+	if pc, ok := o.(ParallelCounter); ok && workers > 1 {
+		return pc.CountAndDegreesParallel(g, workers)
+	}
+	return o.CountAndDegrees(g)
+}
+
 // Count returns µ(g,Ψ) for oracle o.
 func Count(o Oracle, g *graph.Graph) int64 {
 	total, _ := o.CountAndDegrees(g)

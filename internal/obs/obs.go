@@ -17,9 +17,10 @@ import "context"
 
 // Span names used across the engine, service, and shard layers. One
 // query's trace is a tree: query → solve → {decompose, locate,
-// component…} with presolve and flow children under each component, and
-// dispatch spans (coordinator side) adopting the remote worker's
-// component subtree on sharded runs.
+// component…} with flow children under each component (presolve spans
+// come from Exact and the stream's Greed++ rung), and dispatch spans
+// (coordinator side) adopting the remote worker's component subtree on
+// sharded runs.
 const (
 	// SpanQuery is the service engine's root: one computed query,
 	// queue wait included.
@@ -31,7 +32,8 @@ const (
 	// SpanLocate is CoreExact's location phase: Pruning1's bound, the
 	// component split, and Pruning2's refinement.
 	SpanLocate = "locate"
-	// SpanPreSolve is one Greed++ iterative pre-solve run.
+	// SpanPreSolve is one Greed++ run (Exact's starting witness, or the
+	// anytime stream's Greed++ rung).
 	SpanPreSolve = "presolve"
 	// SpanComponent is one per-component flow search.
 	SpanComponent = "component"

@@ -322,8 +322,7 @@ func (tr *Trace) ByID(id string) (TraceSpan, bool) {
 // PhaseTotals sums span durations by name — the per-phase breakdown
 // behind the slow-query log and the Figure-8-style flow-vs-peel plots.
 // Nested spans are summed as recorded: a component's total includes its
-// presolve and flow children, which are also reported under their own
-// names.
+// flow children, which are also reported under their own names.
 func (tr *Trace) PhaseTotals() map[string]time.Duration {
 	if tr == nil {
 		return nil
@@ -338,8 +337,8 @@ func (tr *Trace) PhaseTotals() map[string]time.Duration {
 // PhaseCost is the aggregate resource cost of one span name across a
 // trace: how many times the phase ran, its summed wall time, and its
 // summed heap allocation. The same nesting caveat as PhaseTotals
-// applies: a component's cost includes its presolve and flow children,
-// which also appear under their own names.
+// applies: a component's cost includes its flow children, which also
+// appear under their own names.
 type PhaseCost struct {
 	Name       string `json:"name"`
 	Count      int    `json:"count"`

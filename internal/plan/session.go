@@ -126,8 +126,9 @@ func Run(ctx context.Context, g *graph.Graph, o motif.Oracle, opts core.Options,
 	// Rung 4 — adaptive Greed++ on the densest component: chunked
 	// iterations whose (prefix density, max-load/T) certificates tighten
 	// both ends between chunks, long before the first flow network is
-	// built. The searches below redo their own pre-solve, so this rung
-	// only ever adds bounds — it cannot change the final answer.
+	// built. Its bounds reach the searches below only through the shared
+	// emitter cell, so this rung only ever adds bounds — it cannot change
+	// the final answer.
 	if opts.Iterative > 0 && len(plan.Components) > 0 {
 		comp := plan.Components[0]
 		sub := g.Induced(comp)
@@ -154,8 +155,8 @@ func Run(ctx context.Context, g *graph.Graph, o motif.Oracle, opts core.Options,
 
 	// Rung 5 — exact per-component flow searches, sharing the emitter
 	// as their monotone cell: every witness improvement and every upper
-	// certificate (solver max-load/T, empty-cut probe α, core shrink)
-	// becomes a stream event the moment it is known.
+	// certificate (empty-cut probe α, core shrink) becomes a stream event
+	// the moment it is known.
 	outs := make([]*core.ComponentOutcome, len(plan.Components))
 	errs := make([]error, len(plan.Components))
 	if !deadlined {
@@ -183,15 +184,10 @@ func Run(ctx context.Context, g *graph.Graph, o motif.Oracle, opts core.Options,
 		}
 		stats.FlowNodes = append(stats.FlowNodes, out.FlowNodes...)
 		stats.Iterations += out.FlowSolves
-		stats.PreSolveIters += out.PreSolveIters
-		if out.PreSolveSkip {
-			stats.PreSolveSkips++
-		}
 		if out.GapStop {
 			gapped = true
 		}
 		stats.FlowTime += out.FlowTime
-		stats.PreSolveTime += out.PreSolveTime
 	}
 
 	_, witness, _ := em.Snapshot()
@@ -200,7 +196,7 @@ func Run(ctx context.Context, g *graph.Graph, o motif.Oracle, opts core.Options,
 	res.Stats.Total = time.Since(start)
 	if deadlined || gapped {
 		// The emitter's upper end already folds every certificate the
-		// session saw (plan slots, solver loads, probe αs), so it IS the
+		// session saw (plan slots, Greed++ loads, probe αs), so it IS the
 		// degraded interval top; when it does not exceed the density the
 		// searches proved exactness after all.
 		upper := em.Upper()

@@ -75,17 +75,8 @@ const ctxCheckStride = 1024
 // polls ctx every ctxCheckStride removals and returns (nil, ctx.Err())
 // once it is cancelled. The seeding count itself is not interruptible.
 func DecomposeContext(ctx context.Context, g *graph.Graph, o motif.Oracle, workers int) (*Decomposition, error) {
-	total, deg := countDegrees(g, o, workers)
+	total, deg := motif.CountAndDegreesWorkers(o, g, workers)
 	return peel(ctx, g, o, total, deg)
-}
-
-// countDegrees is o.CountAndDegrees(g), striped across workers when the
-// oracle has a parallel form.
-func countDegrees(g *graph.Graph, o motif.Oracle, workers int) (int64, []int64) {
-	if pc, ok := o.(motif.ParallelCounter); ok && workers > 1 {
-		return pc.CountAndDegreesParallel(g, workers)
-	}
-	return o.CountAndDegrees(g)
 }
 
 // DecomposeSeeded is DecomposeContext with the Ψ-degree seeding supplied

@@ -141,7 +141,7 @@ func classicalRestriction(g *graph.Graph, o motif.Oracle, kc *kcore.Decompositio
 // decompose counts and peels G[X] and maps the result back to g's ids.
 func (r *restriction) decompose(ctx context.Context, g *graph.Graph, o motif.Oracle, workers int) (*Decomposition, error) {
 	sub := r.cores.keep(r.x)
-	total, deg := countDegrees(sub.Graph, o, workers)
+	total, deg := motif.CountAndDegreesWorkers(o, sub.Graph, workers)
 	d, err := peel(ctx, sub.Graph, o, total, deg)
 	if err != nil {
 		return nil, err

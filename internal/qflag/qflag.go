@@ -62,8 +62,8 @@ func (b *Builder) Workers(fs *flag.FlagSet, name, usage string) {
 	b.workers = fs.Int(name, 0, usage)
 }
 
-// Iterative registers the Greed++ pre-solve budget flag (0 = engine
-// default, negative = off, positive = iteration budget).
+// Iterative registers the budget flag of the stream's Greed++ rung
+// (0 = default, negative = skip the rung, positive = iteration budget).
 func (b *Builder) Iterative(fs *flag.FlagSet, name, usage string) {
 	b.iterative = fs.Int(name, 0, usage)
 }

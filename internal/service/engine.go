@@ -43,10 +43,9 @@ type Config struct {
 	// forces serial algorithms regardless of pool size.
 	AlgoWorkers int
 	// AlgoIterative is the default Query.Iterative for queries that leave
-	// it zero: 0 keeps the library default (on), negative disables the
-	// Greed++ pre-solver, positive sets the iteration budget. Identical
-	// answers either way; the knob trades pre-solve peeling against
-	// per-α flow solves.
+	// it zero: 0 keeps the library default, negative skips a stream's
+	// Greed++ rung, positive sets its iteration budget. Only /v1/stream
+	// reads it; core-exact solves run no Greed++.
 	AlgoIterative int
 	// ShardAddrs seeds the distributed coordinator's worker set with
 	// shard dsdd base URLs; workers may also self-register at runtime
@@ -302,7 +301,7 @@ func (e *Engine) Workers() int { return cap(e.sem) }
 // AlgoWorkers returns the per-query intra-algorithm worker budget.
 func (e *Engine) AlgoWorkers() int { return e.algoWorkers }
 
-// AlgoIterative returns the per-query iterative pre-solve setting
+// AlgoIterative returns the per-query Greed++ rung setting
 // (0 = library default, negative = off, positive = iteration budget).
 func (e *Engine) AlgoIterative() int { return e.algoIterative }
 

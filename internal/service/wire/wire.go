@@ -31,8 +31,8 @@ type Result struct {
 	DensityDen int64   `json:"density_den"`
 	Density    float64 `json:"density"`
 	// Iterations counts flow networks built and solved; PreSolveIters and
-	// PreSolveSkips instrument the Greed++ pre-solver (iterations run, and
-	// component searches that finished without any flow solve).
+	// PreSolveSkips are Exact's Greed++ counters (0 on core-exact runs,
+	// see dsd.QueryStats).
 	Iterations    int     `json:"iterations,omitempty"`
 	PreSolveIters int     `json:"pre_solve_iters,omitempty"`
 	PreSolveSkips int     `json:"pre_solve_skips,omitempty"`
@@ -255,8 +255,9 @@ type QueryStats struct {
 	ShardFallbacks  int `json:"shard_fallbacks,omitempty"`
 	ShardHedges     int `json:"shard_hedges,omitempty"`
 	// FlowMs / PreSolveMs attribute the run's wall time to flow solves
-	// and Greed++ pre-solve runs; on parallel runs the phases overlap
-	// across workers, so the sums can exceed TotalMs.
+	// and Exact's Greed++ pre-solve (0 on core-exact runs); on parallel
+	// runs the phases overlap across workers, so the sums can exceed
+	// TotalMs.
 	FlowMs     float64 `json:"flow_ms,omitempty"`
 	PreSolveMs float64 `json:"pre_solve_ms,omitempty"`
 	// AllocBytes / Allocs are the heap allocation attributed to the run
@@ -392,7 +393,7 @@ type GraphDetail struct {
 // StatsResponse is the service's operational counters. Workers is the
 // query-pool bound; AlgoWorkers is the per-query intra-algorithm budget
 // (the two compose to the service's total parallelism). AlgoIterative is
-// the per-query Greed++ pre-solve setting (0 = library default,
+// the per-query budget of a stream's Greed++ rung (0 = library default,
 // negative = off, positive = iteration budget).
 type StatsResponse struct {
 	Graphs        int   `json:"graphs"`
@@ -482,25 +483,21 @@ type ComponentRequest struct {
 // its exact density, plus the search's counters for the coordinator's
 // stats merge.
 type ComponentResponse struct {
-	Graph           string  `json:"graph"`
-	SearchID        string  `json:"search_id,omitempty"`
-	DensityNum      int64   `json:"density_num"`
-	DensityDen      int64   `json:"density_den"`
-	Density         float64 `json:"density"`
-	Witness         []int32 `json:"witness,omitempty"`
-	FlowSolves      int     `json:"flow_solves"`
-	PreSolveIters   int     `json:"pre_solve_iters"`
-	PreSolveSkipped bool    `json:"pre_solve_skipped,omitempty"`
+	Graph      string  `json:"graph"`
+	SearchID   string  `json:"search_id,omitempty"`
+	DensityNum int64   `json:"density_num"`
+	DensityDen int64   `json:"density_den"`
+	Density    float64 `json:"density"`
+	Witness    []int32 `json:"witness,omitempty"`
+	FlowSolves int     `json:"flow_solves"`
 	// Upper is the search's certified upper bound on the component's
 	// optimum density — the coordinator's degraded-answer substrate
 	// (0 from workers predating it; the coordinator then keeps its own
 	// planning bound).
 	Upper   float64 `json:"upper,omitempty"`
 	TotalMs float64 `json:"total_ms"`
-	// FlowMs / PreSolveMs split TotalMs into its flow-solve and Greed++
-	// pre-solve shares.
-	FlowMs     float64 `json:"flow_ms,omitempty"`
-	PreSolveMs float64 `json:"pre_solve_ms,omitempty"`
+	// FlowMs is TotalMs's flow-solve share.
+	FlowMs float64 `json:"flow_ms,omitempty"`
 	// AllocBytes / Allocs are the worker-side heap allocation counter
 	// deltas over the search — the per-component cost the coordinator
 	// accumulates into its per-worker accounting. Reported even when the

@@ -282,21 +282,13 @@ type shardStats struct {
 
 	mu         sync.Mutex
 	flowSolves int
-	preIters   int
-	preSkips   int
 	flowTime   time.Duration
-	preTime    time.Duration
 }
 
-func (st *shardStats) addSearch(flow, pre int, skip bool, flowT, preT time.Duration) {
+func (st *shardStats) addSearch(flow int, flowT time.Duration) {
 	st.mu.Lock()
 	st.flowSolves += flow
-	st.preIters += pre
-	if skip {
-		st.preSkips++
-	}
 	st.flowTime += flowT
-	st.preTime += preT
 	st.mu.Unlock()
 }
 
@@ -369,13 +361,21 @@ func (c *Coordinator) solve(ctx context.Context, graphName string, q dsd.Query, 
 		defer dcancel()
 	}
 
-	plan, err := solver.PlanComponents(dctx, nq)
+	// One version answers the whole query: the plan, every local search
+	// and the final certificate read the snapshot, so mutations that
+	// evict the query's version from the retention window mid-query
+	// cannot fail it.
+	snap, err := solver.At(nq.Version)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := snap.PlanComponents(dctx, nq)
 	if err != nil {
 		return nil, err
 	}
 	st := &shardStats{}
 	if plan.Empty {
-		res, err := c.finish(solver, nq, nil, plan, st, start)
+		res, err := c.finish(snap, nq, nil, plan, st, start)
 		if err == nil && em != nil {
 			em.Final(res)
 		}
@@ -447,7 +447,7 @@ func (c *Coordinator) solve(ctx context.Context, graphName string, q dsd.Query, 
 					// its lane keeps draining components locally.
 					useAddr = ""
 				}
-				failed, err := c.runComponent(dctx, solver, graphName, wireQ, nq, plan, i, runID, useAddr, cell, st, uppers, em)
+				failed, err := c.runComponent(dctx, snap, graphName, wireQ, nq, plan, i, runID, useAddr, cell, st, uppers, em)
 				errs[i] = err
 				if failed {
 					remoteFails++
@@ -470,7 +470,7 @@ func (c *Coordinator) solve(ctx context.Context, graphName string, q dsd.Query, 
 		}
 	}
 	_, witness := cell.snapshot()
-	res, err := c.finish(solver, nq, witness, plan, st, start)
+	res, err := c.finish(snap, nq, witness, plan, st, start)
 	if err != nil {
 		return nil, err
 	}
@@ -499,17 +499,14 @@ func (c *Coordinator) solve(ctx context.Context, graphName string, q dsd.Query, 
 
 // finish re-certifies the winning witness against the local graph and
 // stamps the merged stats.
-func (c *Coordinator) finish(solver *dsd.Solver, nq dsd.Query, witness []int32, plan *dsd.ComponentPlan, st *shardStats, start time.Time) (*dsd.Result, error) {
-	res, err := solver.EvaluateWitness(nq, witness)
+func (c *Coordinator) finish(snap *dsd.Snapshot, nq dsd.Query, witness []int32, plan *dsd.ComponentPlan, st *shardStats, start time.Time) (*dsd.Result, error) {
+	res, err := snap.EvaluateWitness(nq, witness)
 	if err != nil {
 		return nil, err
 	}
 	st.mu.Lock()
 	res.Stats.Iterations = st.flowSolves
-	res.Stats.PreSolveIters = st.preIters
-	res.Stats.PreSolveSkips = st.preSkips
 	res.Stats.FlowTime = st.flowTime
-	res.Stats.PreSolveTime = st.preTime
 	st.mu.Unlock()
 	res.Stats.Decompose = plan.Decompose
 	res.Stats.ReusedDecomposition = plan.ReusedDecomposition
@@ -527,10 +524,7 @@ type answer struct {
 	w     []int32
 	upper float64
 	flow  int
-	pre   int
-	skip  bool
 	flowT time.Duration
-	preT  time.Duration
 
 	remote bool
 	err    error
@@ -542,7 +536,7 @@ type answer struct {
 // remote attempt failed — the lane's failure accounting — and the
 // component's terminal error, which is nil whenever any attempt
 // succeeded.
-func (c *Coordinator) runComponent(ctx context.Context, solver *dsd.Solver, graphName string,
+func (c *Coordinator) runComponent(ctx context.Context, snap *dsd.Snapshot, graphName string,
 	wireQ wire.Query, nq dsd.Query, plan *dsd.ComponentPlan, i int, runID, addr string,
 	cell *mergeCell, st *shardStats, uppers []float64, em *planner.Emitter) (bool, error) {
 	comp := plan.Components[i]
@@ -583,7 +577,7 @@ func (c *Coordinator) runComponent(ctx context.Context, solver *dsd.Solver, grap
 			// Later sibling improvements keep tightening the local search.
 			fsub := cell.subscribe(func(d rational.R) { floor.Raise(d.Num, d.Den) })
 			defer cell.unsubscribe(fsub)
-			res, err := solver.SolveComponent(rctx, nq, comp, plan.KLocate, floor)
+			res, err := snap.SolveComponent(rctx, nq, comp, plan.KLocate, floor)
 			if err != nil {
 				ch <- answer{err: err}
 				return
@@ -592,8 +586,8 @@ func (c *Coordinator) runComponent(ctx context.Context, solver *dsd.Solver, grap
 				d:     ratio(res.DensityNum, res.DensityDen),
 				w:     res.Witness,
 				upper: res.Upper,
-				flow:  res.FlowSolves, pre: res.PreSolveIters, skip: res.PreSolveSkipped,
-				flowT: res.FlowTime, preT: res.PreSolveTime,
+				flow:  res.FlowSolves,
+				flowT: res.FlowTime,
 			}
 		}()
 	}
@@ -621,7 +615,7 @@ func (c *Coordinator) runComponent(ctx context.Context, solver *dsd.Solver, grap
 				return false, a.err
 			}
 			settle(a)
-			c.merge(solver, nq, a, -1, cell, st)
+			c.merge(snap, nq, a, -1, cell, st)
 			return false, nil
 		case <-ctx.Done():
 			return false, ctx.Err()
@@ -735,9 +729,8 @@ func (c *Coordinator) runComponent(ctx context.Context, solver *dsd.Solver, grap
 			d:      ratio(resp.DensityNum, resp.DensityDen),
 			w:      resp.Witness,
 			upper:  resp.Upper,
-			flow:   resp.FlowSolves, pre: resp.PreSolveIters, skip: resp.PreSolveSkipped,
-			flowT: time.Duration(resp.FlowMs * float64(time.Millisecond)),
-			preT:  time.Duration(resp.PreSolveMs * float64(time.Millisecond)),
+			flow:   resp.FlowSolves,
+			flowT:  time.Duration(resp.FlowMs * float64(time.Millisecond)),
 		}
 	}()
 
@@ -756,7 +749,7 @@ func (c *Coordinator) runComponent(ctx context.Context, solver *dsd.Solver, grap
 			pending--
 			if a.err == nil {
 				settle(a)
-				c.merge(solver, nq, a, sub, cell, st)
+				c.merge(snap, nq, a, sub, cell, st)
 				if a.remote {
 					st.remote.Add(1)
 				}
@@ -813,14 +806,14 @@ func (c *Coordinator) runComponent(ctx context.Context, solver *dsd.Solver, grap
 // A remote witness's density is re-certified against the local graph
 // before it can raise the shared bound: wire-carried numbers are never
 // trusted to prune sibling searches.
-func (c *Coordinator) merge(solver *dsd.Solver, nq dsd.Query, a answer, self int, cell *mergeCell, st *shardStats) {
-	st.addSearch(a.flow, a.pre, a.skip, a.flowT, a.preT)
+func (c *Coordinator) merge(snap *dsd.Snapshot, nq dsd.Query, a answer, self int, cell *mergeCell, st *shardStats) {
+	st.addSearch(a.flow, a.flowT)
 	if len(a.w) == 0 {
 		return
 	}
 	d := a.d
 	if a.remote {
-		if ev, err := solver.EvaluateWitness(nq, a.w); err == nil {
+		if ev, err := snap.EvaluateWitness(nq, a.w); err == nil {
 			d = ev.Density
 		} else {
 			return

@@ -167,19 +167,16 @@ func (w *Worker) HandleComponent(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := wire.ComponentResponse{
-		Graph:           req.Graph,
-		SearchID:        req.SearchID,
-		DensityNum:      res.DensityNum,
-		DensityDen:      res.DensityDen,
-		Density:         ratioFloat(res.DensityNum, res.DensityDen),
-		Witness:         res.Witness,
-		FlowSolves:      res.FlowSolves,
-		PreSolveIters:   res.PreSolveIters,
-		PreSolveSkipped: res.PreSolveSkipped,
-		TotalMs:         float64(res.Elapsed) / float64(time.Millisecond),
-		FlowMs:          float64(res.FlowTime) / float64(time.Millisecond),
-		PreSolveMs:      float64(res.PreSolveTime) / float64(time.Millisecond),
-		Upper:           res.Upper,
+		Graph:      req.Graph,
+		SearchID:   req.SearchID,
+		DensityNum: res.DensityNum,
+		DensityDen: res.DensityDen,
+		Density:    ratioFloat(res.DensityNum, res.DensityDen),
+		Witness:    res.Witness,
+		FlowSolves: res.FlowSolves,
+		TotalMs:    float64(res.Elapsed) / float64(time.Millisecond),
+		FlowMs:     float64(res.FlowTime) / float64(time.Millisecond),
+		Upper:      res.Upper,
 	}
 	if memOK {
 		if b1, o1, ok := obs.HeapAllocCounters(); ok {

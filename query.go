@@ -84,15 +84,17 @@ type Query struct {
 	// engine (currently core-exact). Values ≤ 1 run serially. The
 	// returned density is identical for every value.
 	Workers int
-	// Iterative tunes core-exact's Greed++ pre-solver: 0 keeps the engine
-	// default (on, core.DefaultIterativeBudget iterations), a negative
-	// value disables it, a positive value sets the iteration budget. The
-	// returned density is identical for every value.
+	// Iterative tunes the Greed++ rung of a core-exact stream
+	// (StreamFunc's StageIterative answers): 0 keeps the default
+	// (core.DefaultIterativeBudget iterations), a negative value skips the
+	// rung, a positive value sets the iteration budget. Solve ignores it —
+	// core-exact runs no Greed++ pre-solve — so its answer, witness and
+	// stats are identical for every value. It is still part of Key.
 	Iterative int
 	// Core overrides CoreExact's pruning switches for ablation (nil =
 	// every pruning and construct+ on). Only the switches change; the
-	// pre-solver, parallelism and budgets stay with the Query fields above
-	// and below.
+	// Greed++ rung, parallelism and budgets stay with the Query fields
+	// above and below.
 	Core *CoreExactOptions
 	// Shards tunes distributed execution for core-exact queries answered
 	// by a sharding-enabled dsdd service: 0 fans the located core's
@@ -309,6 +311,8 @@ func (q Query) Key() string {
 		if workers < 1 {
 			workers = 1
 		}
+		// iter stays although Solve ignores it: the stream's Greed++ rung
+		// reads it, and existing keys keep their meaning.
 		fmt.Fprintf(&b, "|workers=%d|iter=%d|p1=%t|p2=%t|grouped=%t",
 			workers, opts.Iterative, opts.Pruning1, opts.Pruning2, opts.Grouped)
 		// The sharding knobs change where the components run, never the

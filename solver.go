@@ -17,8 +17,8 @@ import (
 
 // QueryStats is the per-run instrumentation Solve returns on
 // Result.Stats: phase timings (Decompose, Total), flow-solve counts
-// (Iterations, FlowNodes), the Greed++ pre-solver's counters
-// (PreSolveIters, PreSolveSkips), and the reuse flags
+// (Iterations, FlowNodes), Exact's Greed++ counters (PreSolveIters,
+// PreSolveSkips; 0 on core-exact runs), and the reuse flags
 // (ReusedDecomposition, ReusedDegrees) that prove a warm query skipped
 // recomputation. The dsdd v2 wire encoding serializes it verbatim.
 type QueryStats = core.Stats
@@ -459,7 +459,7 @@ func (s *Solver) Solve(ctx context.Context, q Query) (*Result, error) {
 func (s *Solver) solveOn(ctx context.Context, nq Query, o motif.Oracle, vs *verState) (*Result, error) {
 	// Root the run's trace (a no-op chain when ctx carries no tracer; see
 	// internal/obs). Child phases — decompose, locate, per-component
-	// search, pre-solve, flow — attach under this span, and the finished
+	// search, flow — attach under this span, and the finished
 	// tree rides out on Stats.Trace.
 	tr, parent := obs.FromContext(ctx)
 	sp := tr.Start(obs.SpanSolve, parent)

@@ -2,7 +2,9 @@ package dsd_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +12,8 @@ import (
 
 	dsd "repro"
 	"repro/internal/core"
+	"repro/internal/datasets"
+	"repro/internal/gen"
 	"repro/internal/motif"
 )
 
@@ -438,5 +442,75 @@ func TestQueryValidation(t *testing.T) {
 	}
 	if nq.Algo != dsd.AlgoCoreExact || nq.H != 2 || nq.Psi() != "edge" {
 		t.Fatalf("zero query normalized to %+v", nq)
+	}
+}
+
+// TestIterativeBudgetDoesNotChangeSearch: core-exact runs no Greed++
+// pre-solve, so on TestFlowProbeCounts' corpus every Iterative budget
+// gives Solve the same answer, witness and flow networks as Iterative 0,
+// with no Greed++ work reported. The budget still drives the stream's
+// Greed++ rung: a positive one emits a StageIterative answer, and a
+// negative one skips the rung.
+func TestIterativeBudgetDoesNotChangeSearch(t *testing.T) {
+	ctx := context.Background()
+	stand := func(name string) *dsd.Graph {
+		spec, err := datasets.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec.LoadDiv(8)
+	}
+	multi := gen.MultiCommunity(8, 25, 10, 15, 18, 1)
+	hepth, caida := stand("Ca-HepTh"), stand("As-Caida")
+	cases := []struct {
+		name string
+		g    *dsd.Graph
+		h    int
+	}{
+		{"multicommunity", multi, 2}, {"multicommunity", multi, 3},
+		{"Ca-HepTh/8", hepth, 2}, {"Ca-HepTh/8", hepth, 3},
+		{"As-Caida/8", caida, 2}, {"As-Caida/8", caida, 3},
+	}
+	for _, c := range cases {
+		want, err := dsd.NewSolver(c.g).Solve(ctx, dsd.Query{H: c.h, Iterative: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, iter := range []int{-1, 0, 1, 16, 64} {
+			key := fmt.Sprintf("%s h=%d iter=%d", c.name, c.h, iter)
+			got, err := dsd.NewSolver(c.g).Solve(ctx, dsd.Query{H: c.h, Iterative: iter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Density != want.Density || !slices.Equal(got.Vertices, want.Vertices) {
+				t.Errorf("%s: density %v on %d vertices, want %v on %d",
+					key, got.Density, len(got.Vertices), want.Density, len(want.Vertices))
+			}
+			if got.Stats.Iterations != want.Stats.Iterations || !slices.Equal(got.Stats.FlowNodes, want.Stats.FlowNodes) {
+				t.Errorf("%s: flow networks %v, want %v", key, got.Stats.FlowNodes, want.Stats.FlowNodes)
+			}
+			if got.Stats.PreSolveIters != 0 || got.Stats.PreSolveSkips != 0 {
+				t.Errorf("%s: %d Greed++ iterations, %d skips", key, got.Stats.PreSolveIters, got.Stats.PreSolveSkips)
+			}
+		}
+	}
+
+	stages := func(iter int) int {
+		n := 0
+		_, err := dsd.NewSolver(hepth).StreamFunc(ctx, dsd.Query{H: 3, Iterative: iter}, func(a dsd.Answer) {
+			if a.Stage == dsd.StageIterative {
+				n++
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if n := stages(16); n == 0 {
+		t.Error("a stream at Iterative 16 emitted no StageIterative answer")
+	}
+	if n := stages(-1); n != 0 {
+		t.Errorf("a stream at Iterative -1 emitted %d StageIterative answers", n)
 	}
 }
