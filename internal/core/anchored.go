@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/flow"
 	"repro/internal/flownet"
 	"repro/internal/graph"
 	"repro/internal/kcore"
@@ -79,16 +78,16 @@ func QueryDensest(g *graph.Graph, query []int32, dec *kcore.Decomposition) (*Res
 	// to the source side, so the min cut maximizes e(S) − ρ(W)·|S| over
 	// supersets S of Q only. The cut side always holds Q, so the decision
 	// is not "is it empty" but "is it strictly denser than the witness W";
-	// when it is not, nothing containing Q beats W.
+	// when it is not, nothing containing Q beats W. Every step
+	// re-capacitates the one network of the anchored core.
 	var stats Stats
 	lower, _ := densityOf(g, motif.Clique{H: 2}, best)
-	var net *flow.Network
+	sd := flownet.NewEDSSide(nil, sub.Graph, local)
 	for {
-		nn, err := flownet.BuildEDS(net, sub.Graph, local, lower.Num, lower.Den)
+		nn, err := sd.Build(lower.Num, lower.Den)
 		if err != nil {
 			return nil, err
 		}
-		net = nn.Network
 		stats.Iterations++
 		stats.FlowNodes = append(stats.FlowNodes, nn.N())
 		vs := nn.SolveVertices()

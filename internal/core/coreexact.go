@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/flownet"
 	"repro/internal/graph"
 	"repro/internal/motif"
 	"repro/internal/obs"
@@ -523,7 +524,7 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 	slot.lower(uc)
 
 	var (
-		sd  side
+		sd  *flownet.Side
 		sub *graph.Subgraph // cur's induced subgraph, built with sd
 	)
 	for {
@@ -544,7 +545,8 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 		// (line 17, §6.1 ③): the optimum, if it beats the bound, lies in
 		// the ⌈bound⌉-core, so networks shrink monotonically. The old
 		// side's network arena is already sized for the larger graph, so
-		// the new side recycles it.
+		// the new side recycles it; between relocations every probe only
+		// re-capacitates the side's one network.
 		if lk := alpha.Ceil(); lk > curK {
 			if keep := filterCore(cur, dec, lk); int64(len(keep)) >= p && len(keep) < len(cur) {
 				cur, curK, sub = keep, lk, nil
@@ -552,7 +554,7 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 		}
 		if sub == nil {
 			sub = g.Induced(cur)
-			sd = makeSide(sub.Graph, o, opts.Grouped, takeNet(sd))
+			sd = flownet.NewSide(sd.Arena(), sub.Graph, o, opts.Grouped)
 		}
 		ft := time.Now()
 		fsp := tr.Start(obs.SpanFlow, sp)

@@ -4,18 +4,19 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/flownet"
 	"repro/internal/graph"
 	"repro/internal/iterative"
 	"repro/internal/motif"
 )
 
 // Exact is the state-of-the-art exact algorithm: a min s-t cut per probe
-// on a flow network rebuilt on the entire graph every time. For h-cliques
-// it is Algorithm 1's network (for Ψ = edge, Goldberg's network);
-// for a general pattern it is Algorithm 8's, one node per pattern
-// instance — or, with grouped set, the construct+ grouped network
-// (Algorithm 7) without core-based pruning, isolating the effect of
-// grouping for ablations.
+// on a flow network over the entire graph, re-capacitated for every
+// probe. For h-cliques it is Algorithm 1's network (for Ψ = edge,
+// Goldberg's network); for a general pattern it is Algorithm 8's, one
+// node per pattern instance — or, with grouped set, the construct+
+// grouped network (Algorithm 7) without core-based pruning, isolating
+// the effect of grouping for ablations.
 //
 // The probes are Dinkelbach steps instead of the paper's bisection: the
 // first is at α = ρ(W) for W the Greed++ pre-solver's witness, and every
@@ -43,7 +44,7 @@ func Exact(g *graph.Graph, o motif.Oracle, grouped bool) (*Result, error) {
 		// whole-graph analogue of a component finishing flow-free.
 		stats.PreSolveSkips++
 	} else {
-		s := makeSide(g, o, grouped, nil)
+		s := flownet.NewSide(nil, g, o, grouped)
 		for {
 			vs, err := probe(context.Background(), s, lower)
 			if err != nil {

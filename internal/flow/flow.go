@@ -11,6 +11,8 @@
 // off[v]..off[v+1] delimits v's slice of adj, the ids of the arcs
 // leaving v in insertion order. Adding an edge only appends to the arc
 // arrays; the index is rebuilt by one counting pass when a run needs it.
+// SetCap rewrites an edge's capacity in place and keeps the index, so a
+// network whose topology stays fixed is indexed once.
 package flow
 
 import (
@@ -24,11 +26,11 @@ const pollEvery = 1 << 14
 
 // Network is a directed flow network under construction or after a
 // max-flow run. Nodes are dense ints; add edges with AddEdge, then call
-// MaxFlow. Reset recycles a solved network's arena for the next
-// build — the Dinkelbach searches build one network per probe on the
-// same (shrinking) graph, so steady-state probes reuse the arc arrays,
-// the CSR index and the BFS/DFS working state instead of reallocating
-// them.
+// MaxFlow. The Dinkelbach searches probe one network per graph at
+// several α: SetCap re-capacitates it for the next probe, keeping its
+// arcs and CSR index, and Reset recycles the whole arena for the
+// network of a smaller graph, keeping the arc arrays, the index arrays
+// and the BFS/DFS working state instead of reallocating them.
 type Network struct {
 	n   int
 	to  []int32
@@ -98,6 +100,15 @@ func (f *Network) NumEdges() int { return len(f.to) / 2 }
 func (f *Network) AddEdge(u, v int, capacity int64) {
 	f.to = append(f.to, int32(v), int32(u))
 	f.cap = append(f.cap, capacity, 0)
+}
+
+// SetCap sets the capacity of the i-th added edge to c and that of its
+// reverse to 0, dropping any flow a run left on the edge. The CSR index
+// stays current: a network whose every edge is set again runs exactly
+// as a fresh build of the same edges with the new capacities would.
+func (f *Network) SetCap(i int, c int64) {
+	f.cap[2*i] = c
+	f.cap[2*i+1] = 0
 }
 
 // index builds the CSR index over the arcs unless it is current: one

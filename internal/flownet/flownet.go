@@ -4,12 +4,15 @@
 // pattern-instance network of PExact (Algorithm 8), and the grouped
 // construct+ network of Algorithm 7 used by CorePExact.
 //
-// Every builder takes the probe α as an exact rational num/den and
-// scales all capacities by den, so the networks are int64 and exact. The
-// +∞ edges become one more than the total of the finite capacities, and
-// a builder whose capacities would overflow int64 returns an error.
+// A Side is one family's network over a fixed graph. Its topology is
+// the same at every probe α, so a side adds the arcs once and rewrites
+// only their capacities at every later probe. Every probe takes α as an
+// exact rational num/den and scales all capacities by den, so the
+// networks are int64 and exact. The +∞ edges become one more than the
+// total of the finite capacities, and a probe whose capacities would
+// overflow int64 returns an error.
 //
-// All builders share the node layout: node 0 = source s, node 1 = sink t,
+// All families share the node layout: node 0 = source s, node 1 = sink t,
 // node 2+i = graph vertex i, nodes after that = instance (or group) nodes.
 // The decision they encode: the minimal min s-t cut's source side holds a
 // vertex iff the graph has a subgraph of Ψ-density strictly greater than
@@ -72,14 +75,96 @@ func (n *Net) SolveVerticesCtx(ctx context.Context) ([]int32, error) {
 	return vs, nil
 }
 
-// recycle returns f reset to n nodes, or a fresh network when f is nil:
-// the shared allocation-reuse entry of the builders.
-func recycle(f *flow.Network, n int) *flow.Network {
-	if f == nil {
-		return flow.NewNetwork(n)
+// Side is the flow network of one family over one fixed graph. The
+// first Build adds its arcs into the arena the side was given (recycling
+// it, or a fresh one for nil), and the first run indexes them. Every
+// later Build rewrites each arc's capacity in place, in insertion order,
+// and sets every reverse arc to 0: no AddEdge and no re-index. Each
+// Build invalidates the Net the previous one returned, which suits the
+// Dinkelbach searches' build→solve→discard cadence.
+type Side struct {
+	family string
+	net    Net
+	nodes  int
+	edges  int
+	built  bool
+	// total adds every finite capacity of the network at num/den to t;
+	// fill writes every arc at num/den, in insertion order, with inf for
+	// the paper's +∞.
+	total func(t *total, num, den int64)
+	fill  func(w *arcs, num, den, inf int64)
+}
+
+// NewSide picks the network family of o over g — Goldberg's network for
+// edges, the (h−1)-clique network for h-cliques, and the instance
+// network for patterns (grouped = construct+) — recycling the arena f
+// (nil for a fresh one).
+func NewSide(f *flow.Network, g *graph.Graph, o motif.Oracle, grouped bool) *Side {
+	if c, ok := o.(motif.Clique); ok {
+		if c.H == 2 {
+			return NewEDSSide(f, g, nil)
+		}
+		return NewCDSSide(f, g.N(), NewCliqueSide(g, c.H))
 	}
-	f.Reset(n)
-	return f
+	return NewPDSSide(f, g.N(), NewPatternSide(g, o, grouped))
+}
+
+// Build returns the side's network at the probe α = num/den. It fails,
+// and leaves the network as it was, when α is invalid or the scaled
+// capacities overflow int64.
+func (s *Side) Build(num, den int64) (*Net, error) {
+	num, den, err := scale(num, den)
+	if err != nil {
+		return nil, err
+	}
+	var t total
+	s.total(&t, num, den)
+	inf, err := t.inf(s.family)
+	if err != nil {
+		return nil, err
+	}
+	w := arcs{f: s.net.Network, add: !s.built}
+	if w.add {
+		if w.f == nil {
+			w.f = flow.NewNetwork(s.nodes)
+		} else {
+			w.f.Reset(s.nodes)
+		}
+		w.f.Reserve(s.edges)
+		s.net.Network, s.built = w.f, true
+	}
+	s.fill(&w, num, den, inf)
+	return &s.net, nil
+}
+
+// Nodes returns the node count of the side's network (Figure 9's
+// metric).
+func (s *Side) Nodes() int { return s.nodes }
+
+// Arena returns the side's network arena, for the side of a smaller
+// graph to recycle once this one is done; nil for a nil side.
+func (s *Side) Arena() *flow.Network {
+	if s == nil {
+		return nil
+	}
+	return s.net.Network
+}
+
+// arcs writes a side's arcs in insertion order: it adds them on the
+// first build and rewrites the capacity of the next one on later builds.
+type arcs struct {
+	f    *flow.Network
+	add  bool
+	next int
+}
+
+func (w *arcs) edge(u, v int, c int64) {
+	if w.add {
+		w.f.AddEdge(u, v, c)
+		return
+	}
+	w.f.SetCap(w.next, c)
+	w.next++
 }
 
 // scale validates the probe α = num/den and reduces it to lowest terms,
@@ -131,51 +216,48 @@ func (t *total) inf(family string) (int64, error) {
 	return t.sum, nil
 }
 
-// BuildEDS builds the edge-density network at α = num/den, with every
-// capacity scaled by den so that it is integral: s→v with capacity
+// NewEDSSide returns the edge-density side of g: s→v with capacity
 // deg(v)·den, v→t with 2·num, and u↔v with den per direction for every
-// edge. A source side S costs 2m·den − 2(den·e(S) − num·|S|), so the cut
-// is the trivial {s} exactly when no subgraph is denser than α. This is
-// the degree form of Goldberg's network: its total source capacity is
-// 2m·den rather than n·m·den.
+// edge, at α = num/den. A source side S costs 2m·den − 2(den·e(S) −
+// num·|S|), so the cut is the trivial {s} exactly when no subgraph is
+// denser than α. This is the degree form of Goldberg's network: its
+// total source capacity is 2m·den rather than n·m·den.
 //
 // Vertices in anchors (nil for none) are pinned to the source side by
 // an s→v edge no cut can afford, so the source side ⊇ anchors maximizes
 // den·e(S) − num·|S| over those supersets only (the §6.3 query network).
 // f is a network arena to recycle (nil for a fresh one); the caller must
 // be done with any Net previously built over it.
-func BuildEDS(f *flow.Network, g *graph.Graph, anchors []int32, num, den int64) (*Net, error) {
-	num, den, err := scale(num, den)
-	if err != nil {
-		return nil, err
-	}
-	n, m := int64(g.N()), int64(g.M())
-	var t total
-	t.add(4, m, den)
-	t.add(2, n, num)
-	inf, err := t.inf("EDS")
-	if err != nil {
-		return nil, err
-	}
-	f = recycle(f, 2+g.N())
-	f.Reserve(2*g.N() + 2*g.M())
+func NewEDSSide(f *flow.Network, g *graph.Graph, anchors []int32) *Side {
 	pinned := make([]bool, g.N())
 	for _, q := range anchors {
 		pinned[q] = true
 	}
-	for v := 0; v < g.N(); v++ {
-		c := int64(g.Degree(v)) * den
-		if pinned[v] {
-			c = inf
-		}
-		f.AddEdge(Source, VertexNode(v), c)
-		f.AddEdge(VertexNode(v), Sink, 2*num)
+	n, m := int64(g.N()), int64(g.M())
+	return &Side{
+		family: "EDS",
+		net:    Net{Network: f, NVertices: g.N()},
+		nodes:  2 + g.N(),
+		edges:  2*g.N() + 2*g.M(),
+		total: func(t *total, num, den int64) {
+			t.add(4, m, den)
+			t.add(2, n, num)
+		},
+		fill: func(w *arcs, num, den, inf int64) {
+			for v := range g.N() {
+				c := int64(g.Degree(v)) * den
+				if pinned[v] {
+					c = inf
+				}
+				w.edge(Source, VertexNode(v), c)
+				w.edge(VertexNode(v), Sink, 2*num)
+			}
+			g.Edges(func(u, v int) {
+				w.edge(VertexNode(u), VertexNode(v), den)
+				w.edge(VertexNode(v), VertexNode(u), den)
+			})
+		},
 	}
-	g.Edges(func(u, v int) {
-		f.AddEdge(VertexNode(u), VertexNode(v), den)
-		f.AddEdge(VertexNode(v), VertexNode(u), den)
-	})
-	return &Net{Network: f, NVertices: g.N()}, nil
 }
 
 // CliqueSide is the precomputed clique structure reused across the
@@ -247,44 +329,42 @@ func (cs *CliqueSide) NumLambda() int { return len(cs.LinkOff) - 1 }
 // (2 + n + |Λ|), the quantity plotted in Figure 9.
 func (cs *CliqueSide) NumNodes(n int) int { return 2 + n + cs.NumLambda() }
 
-// BuildCDS builds the Algorithm-1 network for h-clique density (h ≥ 3)
-// at α = num/den on the graph cs was computed from, every capacity scaled
-// by den: s→v with capacity deg(v,Ψ)·den, v→t with num·h, v→ψ with den
-// for every link v of (h−1)-clique ψ, and ψ→u with an unaffordable
-// capacity (the paper's +∞) for every member u of ψ. f is a network
-// arena to recycle (nil for a fresh one).
-func BuildCDS(f *flow.Network, n int, cs *CliqueSide, num, den int64) (*Net, error) {
-	num, den, err := scale(num, den)
-	if err != nil {
-		return nil, err
-	}
-	var t total
-	for _, d := range cs.Deg {
-		t.add(2, d, den) // s→v, plus the d links leaving v
-	}
-	t.add(int64(n), num, int64(cs.H))
-	inf, err := t.inf("CDS")
-	if err != nil {
-		return nil, err
-	}
-	f = recycle(f, cs.NumNodes(n))
-	f.Reserve(2*n + len(cs.Members) + len(cs.Links))
-	for v := 0; v < n; v++ {
-		f.AddEdge(Source, VertexNode(v), cs.Deg[v]*den)
-		f.AddEdge(VertexNode(v), Sink, num*int64(cs.H))
-	}
+// NewCDSSide returns the Algorithm-1 side for h-clique density (h ≥ 3)
+// on the n-vertex graph cs was computed from: at α = num/den, every
+// capacity scaled by den, s→v with capacity deg(v,Ψ)·den, v→t with
+// num·h, v→ψ with den for every link v of (h−1)-clique ψ, and ψ→u with
+// an unaffordable capacity (the paper's +∞) for every member u of ψ. f
+// is a network arena to recycle (nil for a fresh one).
+func NewCDSSide(f *flow.Network, n int, cs *CliqueSide) *Side {
 	k := cs.H - 1
-	for j := range cs.NumLambda() {
-		for _, u := range cs.Members[j*k : (j+1)*k] {
-			f.AddEdge(2+n+j, VertexNode(int(u)), inf)
-		}
+	return &Side{
+		family: "CDS",
+		net:    Net{Network: f, NVertices: n},
+		nodes:  cs.NumNodes(n),
+		edges:  2*n + len(cs.Members) + len(cs.Links),
+		total: func(t *total, num, den int64) {
+			for _, d := range cs.Deg {
+				t.add(2, d, den) // s→v, plus the d links leaving v
+			}
+			t.add(int64(n), num, int64(cs.H))
+		},
+		fill: func(w *arcs, num, den, inf int64) {
+			for v := range n {
+				w.edge(Source, VertexNode(v), cs.Deg[v]*den)
+				w.edge(VertexNode(v), Sink, num*int64(cs.H))
+			}
+			for j := range cs.NumLambda() {
+				for _, u := range cs.Members[j*k : (j+1)*k] {
+					w.edge(2+n+j, VertexNode(int(u)), inf)
+				}
+			}
+			for j := range cs.NumLambda() {
+				for _, v := range cs.Links[cs.LinkOff[j]:cs.LinkOff[j+1]] {
+					w.edge(VertexNode(int(v)), 2+n+j, den)
+				}
+			}
+		},
 	}
-	for j := range cs.NumLambda() {
-		for _, v := range cs.Links[cs.LinkOff[j]:cs.LinkOff[j+1]] {
-			f.AddEdge(VertexNode(int(v)), 2+n+j, den)
-		}
-	}
-	return &Net{Network: f, NVertices: n}, nil
 }
 
 // PatternSide is the precomputed instance structure for PDS networks:
@@ -347,47 +427,45 @@ func NewPatternSide(g *graph.Graph, o motif.Oracle, grouped bool) *PatternSide {
 // NumNodes returns 2 + n + |Λ′|.
 func (ps *PatternSide) NumNodes(n int) int { return 2 + n + len(ps.Groups) }
 
-// BuildPDS builds the PDS network at α = num/den on the graph ps was
-// computed from, every capacity scaled by den. For each vertex: s→v with
-// capacity deg(v,Ψ)·den and v→t with num·|VΨ|. For each group g of |g|
-// instances over a shared vertex set: v→g with capacity |g|·den and g→v
-// with |g|·(|VΨ|−1)·den — with |g|=1 this is exactly Algorithm 8's
-// per-instance construction. f is a network arena to recycle (nil for a
-// fresh one).
-func BuildPDS(f *flow.Network, n int, ps *PatternSide, num, den int64) (*Net, error) {
-	num, den, err := scale(num, den)
-	if err != nil {
-		return nil, err
-	}
+// NewPDSSide returns the PDS side on the n-vertex graph ps was computed
+// from: at α = num/den, every capacity scaled by den, s→v with capacity
+// deg(v,Ψ)·den and v→t with num·|VΨ| for each vertex, and for each group
+// g of |g| instances over a shared vertex set, v→g with capacity |g|·den
+// and g→v with |g|·(|VΨ|−1)·den — with |g|=1 this is exactly Algorithm
+// 8's per-instance construction. f is a network arena to recycle (nil
+// for a fresh one).
+func NewPDSSide(f *flow.Network, n int, ps *PatternSide) *Side {
 	p := int64(ps.P)
-	var t total
-	for _, d := range ps.Deg {
-		t.add(d, den)
-	}
-	t.add(int64(n), num, p)
-	for j, vs := range ps.Groups {
-		t.add(int64(len(vs)), ps.Count[j], p, den)
-	}
-	if _, err := t.inf("PDS"); err != nil {
-		return nil, err
-	}
-	f = recycle(f, 2+n+len(ps.Groups))
-	arcs := 2 * n
+	edges := 2 * n
 	for _, vs := range ps.Groups {
-		arcs += 2 * len(vs)
+		edges += 2 * len(vs)
 	}
-	f.Reserve(arcs)
-	groupNode := func(j int) int { return 2 + n + j }
-	for v := 0; v < n; v++ {
-		f.AddEdge(Source, VertexNode(v), ps.Deg[v]*den)
-		f.AddEdge(VertexNode(v), Sink, num*p)
+	return &Side{
+		family: "PDS",
+		net:    Net{Network: f, NVertices: n},
+		nodes:  ps.NumNodes(n),
+		edges:  edges,
+		total: func(t *total, num, den int64) {
+			for _, d := range ps.Deg {
+				t.add(d, den)
+			}
+			t.add(int64(n), num, p)
+			for j, vs := range ps.Groups {
+				t.add(int64(len(vs)), ps.Count[j], p, den)
+			}
+		},
+		fill: func(w *arcs, num, den, _ int64) {
+			for v := range n {
+				w.edge(Source, VertexNode(v), ps.Deg[v]*den)
+				w.edge(VertexNode(v), Sink, num*p)
+			}
+			for j, vs := range ps.Groups {
+				c := ps.Count[j] * den
+				for _, v := range vs {
+					w.edge(VertexNode(int(v)), 2+n+j, c)
+					w.edge(2+n+j, VertexNode(int(v)), c*(p-1))
+				}
+			}
+		},
 	}
-	for j, vs := range ps.Groups {
-		c := ps.Count[j] * den
-		for _, v := range vs {
-			f.AddEdge(VertexNode(int(v)), groupNode(j), c)
-			f.AddEdge(groupNode(j), VertexNode(int(v)), c*(p-1))
-		}
-	}
-	return &Net{Network: f, NVertices: n}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -94,7 +95,7 @@ func TestEDSDecision(t *testing.T) {
 		}
 		o := motif.Clique{H: 2}
 		return checkDecision(t, "EDS", g, o, func(num, den int64) (*Net, error) {
-			return BuildEDS(nil, g, nil, num, den)
+			return NewEDSSide(nil, g, nil).Build(num, den)
 		}, seed)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -112,7 +113,7 @@ func TestCDSDecision(t *testing.T) {
 			}
 			cs := NewCliqueSide(g, h)
 			ok := checkDecision(t, "CDS", g, o, func(num, den int64) (*Net, error) {
-				return BuildCDS(nil, g.N(), cs, num, den)
+				return NewCDSSide(nil, g.N(), cs).Build(num, den)
 			}, seed)
 			if !ok {
 				return false
@@ -137,7 +138,7 @@ func TestPDSDecisionGroupedAndUngrouped(t *testing.T) {
 			for _, grouped := range []bool{false, true} {
 				ps := NewPatternSide(g, o, grouped)
 				ok := checkDecision(t, p.Name(), g, o, func(num, den int64) (*Net, error) {
-					return BuildPDS(nil, g.N(), ps, num, den)
+					return NewPDSSide(nil, g.N(), ps).Build(num, den)
 				}, seed)
 				if !ok {
 					return false
@@ -163,11 +164,11 @@ func TestGroupedMinCutMatchesUngrouped(t *testing.T) {
 		for _, alpha := range []rational.R{
 			rational.New(1, 10), rational.New(1, 2), rational.New(1, 1), rational.New(3, 2), rational.New(5, 2),
 		} {
-			a, err := BuildPDS(nil, g.N(), grouped, alpha.Num, alpha.Den)
+			a, err := NewPDSSide(nil, g.N(), grouped).Build(alpha.Num, alpha.Den)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := BuildPDS(nil, g.N(), plain, alpha.Num, alpha.Den)
+			b, err := NewPDSSide(nil, g.N(), plain).Build(alpha.Num, alpha.Den)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,15 +247,15 @@ func TestBuildIntoMatchesFresh(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		g := gen.GNM(10, 24, seed)
 		sweep(seed, "EDS", func(f *flow.Network, a rational.R) (*Net, error) {
-			return BuildEDS(f, g, nil, a.Num, a.Den)
+			return NewEDSSide(f, g, nil).Build(a.Num, a.Den)
 		})
 		cs := NewCliqueSide(g, 3)
 		sweep(seed, "CDS", func(f *flow.Network, a rational.R) (*Net, error) {
-			return BuildCDS(f, g.N(), cs, a.Num, a.Den)
+			return NewCDSSide(f, g.N(), cs).Build(a.Num, a.Den)
 		})
 		ps := NewPatternSide(g, motif.Diamond{}, true)
 		sweep(seed, "PDS", func(f *flow.Network, a rational.R) (*Net, error) {
-			return BuildPDS(f, g.N(), ps, a.Num, a.Den)
+			return NewPDSSide(f, g.N(), ps).Build(a.Num, a.Den)
 		})
 		// Shrinking graphs through one arena, as a component search does.
 		cur := g
@@ -266,8 +267,99 @@ func TestBuildIntoMatchesFresh(t *testing.T) {
 				}
 				cur = cur.Induced(keep).Graph
 			}
-			return BuildEDS(f, cur, nil, a.Num, a.Den)
+			return NewEDSSide(f, cur, nil).Build(a.Num, a.Den)
 		})
+	}
+}
+
+// arena reads a network's arc arrays and CSR index by reflection: the
+// addresses of to, cap, off and adj, and whether the index is current
+// for the arcs it holds. A field renamed in internal/flow panics here.
+func arena(f *flow.Network) (ptrs [4]uintptr, indexed bool) {
+	v := reflect.ValueOf(f).Elem()
+	for i, name := range []string{"to", "cap", "off", "adj"} {
+		ptrs[i] = v.FieldByName(name).Pointer()
+	}
+	return ptrs, v.FieldByName("indexed").Int() == int64(v.FieldByName("to").Len())
+}
+
+// capacities copies a network's residual capacities out by reflection.
+func capacities(f *flow.Network) []int64 {
+	v := reflect.ValueOf(f).Elem().FieldByName("cap")
+	out := make([]int64, v.Len())
+	for i := range out {
+		out[i] = v.Index(i).Int()
+	}
+	return out
+}
+
+// TestRecapacitateMatchesFresh solves each family's side at α₁, then
+// re-capacitates it at α₂. Before the second run its capacities must
+// equal a fresh build's at α₂, arc by arc with every reverse arc at 0,
+// and the run must give the same max-flow value and minimal source side,
+// on the same arc arrays and CSR index, which stays current: no arc is
+// added and nothing is re-indexed. A probe whose capacities overflow is
+// still refused on a re-capacitated side, and leaves it usable.
+func TestRecapacitateMatchesFresh(t *testing.T) {
+	alphas := []rational.R{
+		rational.New(1, 10), rational.New(9, 10), rational.New(3, 2),
+		rational.New(5, 2), rational.New(4, 1), rational.New(7, 3),
+	}
+	const huge = math.MaxInt64 / 3
+	for seed := int64(1); seed <= 4; seed++ {
+		g := gen.GNM(10, 24, seed)
+		cs := NewCliqueSide(g, 3)
+		grouped := NewPatternSide(g, motif.Diamond{}, true)
+		plain := NewPatternSide(g, motif.Diamond{}, false)
+		sides := map[string]func() *Side{
+			"EDS":          func() *Side { return NewEDSSide(nil, g, nil) },
+			"EDS/anchored": func() *Side { return NewEDSSide(nil, g, []int32{0, 3}) },
+			"CDS":          func() *Side { return NewCDSSide(nil, g.N(), cs) },
+			"PDS/grouped":  func() *Side { return NewPDSSide(nil, g.N(), grouped) },
+			"PDS/plain":    func() *Side { return NewPDSSide(nil, g.N(), plain) },
+		}
+		for name, side := range sides {
+			for i, a1 := range alphas {
+				a2 := alphas[(i+1+int(seed))%len(alphas)]
+				what := fmt.Sprintf("seed %d %s α %v → %v", seed, name, a1, a2)
+				sd := side()
+				first, err := sd.Build(a1.Num, a1.Den)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first.SolveVertices()
+				ptrs, _ := arena(first.Network)
+				if _, err := sd.Build(huge, 1); err == nil {
+					t.Fatalf("%s: re-capacitated probe at α = %d accepted", what, int64(huge))
+				}
+				if _, err := sd.Build(1, huge); err == nil {
+					t.Fatalf("%s: re-capacitated probe at α = 1/%d accepted", what, int64(huge))
+				}
+				again, err := sd.Build(a2.Num, a2.Den)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p, indexed := arena(again.Network); p != ptrs || !indexed {
+					t.Fatalf("%s: re-capacitation moved the arena (%v) or left the index stale (%v)", what, p != ptrs, !indexed)
+				}
+				fresh, err := side().Build(a2.Num, a2.Den)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := capacities(again.Network), capacities(fresh.Network); !slices.Equal(got, want) {
+					t.Fatalf("%s: re-capacitated arcs %v, fresh build %v", what, got, want)
+				}
+				if got, want := again.MaxFlow(Source, Sink), fresh.MaxFlow(Source, Sink); got != want {
+					t.Fatalf("%s: max flow %d, fresh build %d", what, got, want)
+				}
+				if got, want := again.MinCutSource(Source), fresh.MinCutSource(Source); !slices.Equal(got, want) {
+					t.Fatalf("%s: minimal source side %v, fresh build %v", what, got, want)
+				}
+				if p, indexed := arena(again.Network); p != ptrs || !indexed {
+					t.Fatalf("%s: the re-capacitated run moved the arena or re-indexed it", what)
+				}
+			}
+		}
 	}
 }
 
@@ -327,7 +419,7 @@ func TestAnchoredEDSDecision(t *testing.T) {
 	f := func(seed int64) bool {
 		g := gen.GNM(10, 18, seed)
 		for _, q := range [][]int32{{0}, {1, 7}, {2, 5, 9}} {
-			build := func(num, den int64) (*Net, error) { return BuildEDS(nil, g, q, num, den) }
+			build := func(num, den int64) (*Net, error) { return NewEDSSide(nil, g, q).Build(num, den) }
 			opt := anchoredBrute(g, q)
 			holdsQ := func(vs []int32) bool {
 				in := map[int32]bool{}
@@ -372,10 +464,10 @@ func TestCapacityOverflowRefused(t *testing.T) {
 	ps := NewPatternSide(g, motif.Diamond{}, false)
 	const huge = math.MaxInt64 / 3
 	for name, build := range map[string]builder{
-		"EDS":      func(num, den int64) (*Net, error) { return BuildEDS(nil, g, nil, num, den) },
-		"anchored": func(num, den int64) (*Net, error) { return BuildEDS(nil, g, []int32{0}, num, den) },
-		"CDS":      func(num, den int64) (*Net, error) { return BuildCDS(nil, g.N(), cs, num, den) },
-		"PDS":      func(num, den int64) (*Net, error) { return BuildPDS(nil, g.N(), ps, num, den) },
+		"EDS":      func(num, den int64) (*Net, error) { return NewEDSSide(nil, g, nil).Build(num, den) },
+		"anchored": func(num, den int64) (*Net, error) { return NewEDSSide(nil, g, []int32{0}).Build(num, den) },
+		"CDS":      func(num, den int64) (*Net, error) { return NewCDSSide(nil, g.N(), cs).Build(num, den) },
+		"PDS":      func(num, den int64) (*Net, error) { return NewPDSSide(nil, g.N(), ps).Build(num, den) },
 	} {
 		if _, err := build(1, huge); err == nil {
 			t.Errorf("%s: α = 1/%d accepted", name, int64(huge))
@@ -399,15 +491,15 @@ func TestBuildReservesExactArcs(t *testing.T) {
 	g := gen.GNM(14, 40, 5)
 	cs3, cs4 := NewCliqueSide(g, 3), NewCliqueSide(g, 4)
 	builds := map[string]func(f *flow.Network) (*Net, error){
-		"EDS":          func(f *flow.Network) (*Net, error) { return BuildEDS(f, g, nil, 3, 2) },
-		"EDS/anchored": func(f *flow.Network) (*Net, error) { return BuildEDS(f, g, []int32{0, 5}, 3, 2) },
-		"CDS/h=3":      func(f *flow.Network) (*Net, error) { return BuildCDS(f, g.N(), cs3, 3, 2) },
-		"CDS/h=4":      func(f *flow.Network) (*Net, error) { return BuildCDS(f, g.N(), cs4, 1, 2) },
+		"EDS":          func(f *flow.Network) (*Net, error) { return NewEDSSide(f, g, nil).Build(3, 2) },
+		"EDS/anchored": func(f *flow.Network) (*Net, error) { return NewEDSSide(f, g, []int32{0, 5}).Build(3, 2) },
+		"CDS/h=3":      func(f *flow.Network) (*Net, error) { return NewCDSSide(f, g.N(), cs3).Build(3, 2) },
+		"CDS/h=4":      func(f *flow.Network) (*Net, error) { return NewCDSSide(f, g.N(), cs4).Build(1, 2) },
 		"PDS/grouped": func(f *flow.Network) (*Net, error) {
-			return BuildPDS(f, g.N(), NewPatternSide(g, motif.Diamond{}, true), 3, 2)
+			return NewPDSSide(f, g.N(), NewPatternSide(g, motif.Diamond{}, true)).Build(3, 2)
 		},
 		"PDS/instances": func(f *flow.Network) (*Net, error) {
-			return BuildPDS(f, g.N(), NewPatternSide(g, motif.Star{X: 2}, false), 3, 2)
+			return NewPDSSide(f, g.N(), NewPatternSide(g, motif.Star{X: 2}, false)).Build(3, 2)
 		},
 	}
 	for name, build := range builds {
@@ -549,11 +641,11 @@ func TestCliqueSideMatchesOracle(t *testing.T) {
 				rational.New(rho.Num, 2*rho.Den), rho, rational.New(3*rho.Num, 2*rho.Den),
 				rational.New(2*rho.Num, rho.Den), rational.New(4*rho.Num, rho.Den),
 			} {
-				gn, err := BuildCDS(nil, c.g.N(), got, a.Num, a.Den)
+				gn, err := NewCDSSide(nil, c.g.N(), got).Build(a.Num, a.Den)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wn, err := BuildCDS(nil, c.g.N(), want, a.Num, a.Den)
+				wn, err := NewCDSSide(nil, c.g.N(), want).Build(a.Num, a.Den)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -588,7 +680,7 @@ func BenchmarkCDSProbe(b *testing.B) {
 	var f *flow.Network
 	b.ReportAllocs()
 	for b.Loop() {
-		net, err := BuildCDS(f, g.N(), cs, sum, int64(4*g.N()))
+		net, err := NewCDSSide(f, g.N(), cs).Build(sum, int64(4*g.N()))
 		if err != nil {
 			b.Fatal(err)
 		}

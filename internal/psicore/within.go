@@ -11,9 +11,10 @@ import (
 )
 
 // UsesClassicalCores reports whether Ψ is an h-clique with h ≥ 3: the
-// motifs whose core numbers a classical core bounds, through
-// γ(v) = C(core(v), h−1), so that CoreApp and DecomposeWithin read a
-// classical decomposition.
+// motifs whose CoreApp γ bounds, γ(v) = C(core(v), h−1), read a
+// classical decomposition. (For edges γ is the degree; DecomposeWithin
+// still restricts an edge decomposition, but finds the cores it needs
+// itself.)
 func UsesClassicalCores(o motif.Oracle) bool {
 	c, ok := o.(motif.Clique)
 	return ok && c.H >= 3
@@ -21,15 +22,16 @@ func UsesClassicalCores(o motif.Oracle) bool {
 
 // DecomposeWithin is the (k,Ψ)-core decomposition a core-exact search
 // needs, computed only on the part of g that can hold the densest
-// subgraph. kc is g's classical core decomposition when the caller holds
-// one (only Core and KMax are read); nil finds the cores it needs from
-// degree-threshold candidate sets instead of peeling all of g.
+// subgraph, for Ψ an h-clique with any h ≥ 2. kc is g's classical core
+// decomposition when the caller holds one (only Core and KMax are
+// read); nil finds the cores it needs from degree-threshold candidate
+// sets instead of peeling all of g.
 //
 // It counts the h-cliques of the classical kmax-core K, whose density
 // ρ_lo = ρ(K) is a certified lower bound on the optimum ρ*. It then takes
-// x as the least d with C(d, h−1) ≥ ⌈ρ_lo⌉, and counts and peels only
-// G[X], where X is the classical x-core. Every core number ≥ ⌈ρ_lo⌉ is
-// exact:
+// x as the least d with C(d, h−1) ≥ ⌈ρ_lo⌉ (for edges C(d, 1) = d, so
+// x = ⌈ρ_lo⌉), and counts and peels only G[X], where X is the classical
+// x-core. Every core number ≥ ⌈ρ_lo⌉ is exact:
 //
 //   - A (k,Ψ)-core H with k ≥ 1 lies inside the classical x_k-core, x_k
 //     the least d with C(d, h−1) ≥ k. Each vertex v of H lies in at least
@@ -63,10 +65,11 @@ func UsesClassicalCores(o motif.Oracle) bool {
 // ids with 0 outside X, and Order lists X's peel in g's ids.
 //
 // It returns nil and no error when the restriction does not pay: Ψ is
-// not an h-clique with h ≥ 3, K holds no instance (ρ_lo = 0), or X holds
-// more than half of g's adjacency entries. The caller then peels the
-// whole graph, which is exact everywhere. Where X holds that much,
-// counting G[X] costs about what counting g does, and the whole-graph
+// not an h-clique, K holds no instance (ρ_lo = 0), or X holds more than
+// half of g's adjacency entries. The caller then peels the whole graph,
+// which is exact everywhere. Where X holds that much, counting and
+// peeling G[X] cost about what they cost on g (for edges the count is
+// the degree vector, and the saving is the peel), and the whole-graph
 // peel leaves a Ψ-degree vector and core numbers that a caller can
 // repair across edge mutations (see UpperBound); a restricted one leaves
 // neither. Both rules are fixed, not settable. The peel polls ctx like
@@ -94,11 +97,11 @@ type restriction struct {
 }
 
 // classicalRestriction returns the restriction of g's (k,Ψ)-core
-// decomposition, or nil when Ψ is not an h-clique with h ≥ 3, K holds
-// no instance, or X is all of g. kc is g's classical core
+// decomposition, or nil when Ψ is not an h-clique, K holds no instance,
+// or X is all of g. kc is g's classical core
 // decomposition; nil searches the degree-threshold candidate sets.
 func classicalRestriction(g *graph.Graph, o motif.Oracle, kc *kcore.Decomposition) *restriction {
-	if !UsesClassicalCores(o) || g.M() == 0 {
+	if _, ok := o.(motif.Clique); !ok || g.M() == 0 {
 		return nil
 	}
 	var cand *candidates

@@ -160,32 +160,37 @@ func checkWithin(t *testing.T, what string, g *graph.Graph, o motif.Oracle, kc *
 }
 
 // TestDecomposeWithinMatchesDecompose checks the restricted decomposition
-// against the full peel for h ∈ {3, 4, 5}, serial and with striped
+// against the full peel for h ∈ {2, 3, 4, 5}, serial and with striped
 // counting, wherever the classical x-core is a strict subset of the
-// graph, and that DecomposeWithin declines exactly where it should.
+// graph, that the restriction found from candidate sets is the one read
+// from the classical cores, and that DecomposeWithin declines exactly
+// where it should: on these cases and for motifs other than cliques.
 func TestDecomposeWithinMatchesDecompose(t *testing.T) {
 	cases := []struct {
 		name string
 		g    *graph.Graph
-		// strict and restricted report, per h = 3, 4, 5, whether the
+		// strict and restricted report, per h = 2, 3, 4, 5, whether the
 		// classical x-core X is a strict subset of the graph, and whether
 		// it holds at most half of the adjacency, so that DecomposeWithin
 		// restricts.
-		strict, restricted [3]bool
+		strict, restricted [4]bool
 	}{
 		// Every vertex of the multi-community graph lies in the classical
-		// 15-core that triangles need; for h = 4, 5 X misses only a few
-		// fringe vertices.
-		{"multicommunity", gen.MultiCommunity(8, 25, 10, 15, 18, 1), [3]bool{false, true, true}, [3]bool{}},
-		{"chunglu+K12", withPlantedClique(gen.ChungLu(600, 2400, 2.3, 3), 12), [3]bool{true, true, true}, [3]bool{true, true, true}},
-		{"chunglu+K20", withPlantedClique(gen.ChungLu(1500, 4500, 2.1, 7), 20), [3]bool{true, true, true}, [3]bool{true, true, true}},
-		{"bipartite-kmax-core", bipartiteCoreGraph(), [3]bool{}, [3]bool{}},
+		// 15-core that triangles need, and in the 15-core that edges
+		// need; for h = 4, 5 X misses only a few fringe vertices.
+		{"multicommunity", gen.MultiCommunity(8, 25, 10, 15, 18, 1), [4]bool{false, false, true, true}, [4]bool{}},
+		// For edges x = 6 and X holds 1.24 times m adjacency entries.
+		{"chunglu+K12", withPlantedClique(gen.ChungLu(600, 2400, 2.3, 3), 12), [4]bool{true, true, true, true}, [4]bool{false, true, true, true}},
+		{"chunglu+K20", withPlantedClique(gen.ChungLu(1500, 4500, 2.1, 7), 20), [4]bool{true, true, true, true}, [4]bool{true, true, true, true}},
+		// For edges x = 3, and every vertex lies in the classical 3-core.
+		{"bipartite-kmax-core", bipartiteCoreGraph(), [4]bool{}, [4]bool{}},
 	}
 	for _, tc := range cases {
 		kc := kcore.Decompose(tc.g)
-		for i, h := range []int{3, 4, 5} {
+		for i, h := range []int{2, 3, 4, 5} {
 			o := motif.Clique{H: h}
 			what := fmt.Sprintf("%s/h=%d", tc.name, h)
+			checkSameRestriction(t, what, tc.g, o, kc)
 			d, err := DecomposeWithin(context.Background(), tc.g, o, kc, 1)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
@@ -217,8 +222,8 @@ func TestDecomposeWithinMatchesDecompose(t *testing.T) {
 			}
 		}
 	}
-	for _, o := range []motif.Oracle{motif.Clique{H: 2}, motif.Star{X: 2}, motif.Diamond{}} {
-		g := cases[0].g
+	for _, o := range []motif.Oracle{motif.Star{X: 2}, motif.Diamond{}} {
+		g := cases[2].g
 		if d, err := DecomposeWithin(context.Background(), g, o, nil, 1); d != nil || err != nil {
 			t.Fatalf("%s: DecomposeWithin = (%v, %v), want no restriction", o.Name(), d != nil, err)
 		}
@@ -238,7 +243,8 @@ func TestDecomposeWithinCancelled(t *testing.T) {
 
 // FuzzDecomposeWithin checks the restricted decomposition against the
 // full peel on graphs of at most 11 vertices (an edge bitmask over the
-// vertex pairs) for h ∈ {3, 4, 5}: the restriction found from candidate
+// vertex pairs) for edges and for one h ∈ {3, 4, 5} chosen by hsel, so
+// every input checks two motifs: the restriction found from candidate
 // sets must equal the one read from a full classical decomposition, and
 // wherever X is a strict subset, every core number at or above Floor
 // must be exact and both tracked densities real. It skips the size
@@ -249,7 +255,9 @@ func TestDecomposeWithinCancelled(t *testing.T) {
 // at this size: a degree bound above kmax (stars-triangle), a regular
 // graph (circulant-9), a planted K4 with x below the first threshold
 // (k4-beside-c7-h3) and with X in the first candidate set
-// (k4-beside-c7-h4), and an independent set.
+// (k4-beside-c7-h4), an independent set, and a K4 beside a triangle with
+// a pendant vertex, whose edge x-core (x = 2) leaves the pendant out
+// (k4-triangle-pendant-h2).
 func FuzzDecomposeWithin(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n uint8, mask uint64, hsel uint8) {
 		nv := 1 + int(n)%11
@@ -264,18 +272,19 @@ func FuzzDecomposeWithin(f *testing.F) {
 			}
 		}
 		g := graph.FromEdges(nv, edges)
-		o := motif.Clique{H: 3 + int(hsel)%3}
 		kc := kcore.Decompose(g)
-		checkSameRestriction(t, o.Name(), g, o, kc)
-		r := classicalRestriction(g, o, kc)
-		if r == nil {
-			return
+		for _, o := range []motif.Clique{{H: 2}, {H: 3 + int(hsel)%3}} {
+			checkSameRestriction(t, o.Name(), g, o, kc)
+			r := classicalRestriction(g, o, kc)
+			if r == nil {
+				continue
+			}
+			d, err := r.decompose(context.Background(), g, o, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkWithin(t, o.Name(), g, o, kc, d)
 		}
-		d, err := r.decompose(context.Background(), g, o, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkWithin(t, o.Name(), g, o, kc, d)
 	})
 }
 
@@ -314,8 +323,9 @@ func checkSameRestriction(t *testing.T, what string, g *graph.Graph, o motif.Ora
 }
 
 // TestClassicalRestrictionWithoutCores checks the candidate-set search
-// against the restriction read from a full classical decomposition, on
-// shapes that together drive every path of the search: kmax found in
+// against the restriction read from a full classical decomposition, for
+// h ∈ {2, 3, 4, 5}, on shapes that together drive every path of the
+// search: kmax found in
 // the first candidate set, a retry below a degree bound far above kmax,
 // X taken from a lower set than K's, the volume rule peeling all of g
 // for K and for X, and a graph without edges.
@@ -339,7 +349,7 @@ func TestClassicalRestrictionWithoutCores(t *testing.T) {
 	paths := map[string][]string{}
 	for _, tg := range graphs {
 		kc := kcore.Decompose(tg.g)
-		for _, h := range []int{3, 4, 5} {
+		for _, h := range []int{2, 3, 4, 5} {
 			o := motif.Clique{H: h}
 			what := fmt.Sprintf("%s/h=%d", tg.name, h)
 			checkSameRestriction(t, what, tg.g, o, kc)

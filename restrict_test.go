@@ -8,6 +8,10 @@ import (
 	"testing"
 
 	dsd "repro"
+	"repro/internal/core"
+	"repro/internal/datasets"
+	"repro/internal/gen"
+	"repro/internal/motif"
 	"repro/internal/obs"
 )
 
@@ -31,16 +35,16 @@ func plantedCliqueGraph(seed int64, q int) *dsd.Graph {
 // how many vertices), and must leave nothing that AlgoPeel or AlgoInc on
 // the same Solver would read as a whole-graph peel. Both must answer
 // exactly like a fresh Solver's: the same vertices and the same
-// Density.Num/Den. On both triangle graphs the restricted peel's best
-// residual is another vertex set than the whole-graph peel's, so a leak
-// would change PeelApp's answer.
+// Density.Num/Den. On both triangle graphs and on the edge graph (a K12
+// planted) the restricted peel's best residual is another vertex set
+// than the whole-graph peel's, so a leak would change PeelApp's answer.
 func TestRestrictedDecompositionStaysOutOfPeelMemo(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		h    int
 		seed int64
 		q    int
-	}{{3, 10, 10}, {3, 261, 8}, {4, 10, 10}} {
+	}{{2, 10, 12}, {3, 10, 10}, {3, 261, 8}, {4, 10, 10}} {
 		g, h := plantedCliqueGraph(tc.seed, tc.q), tc.h
 		for _, cold := range []string{"solve", "stream"} {
 			s := dsd.NewSolver(g)
@@ -233,6 +237,58 @@ func TestComponentPlanPeelsAfterApply(t *testing.T) {
 		attrs := decomposeAttrs(t, step.what, step.run)
 		if (attrs["reused"] == "true") != step.reused || (attrs["bounded"] == "true") != step.bounded {
 			t.Fatalf("%s: decompose span %v, want reused=%v bounded=%v", step.what, attrs, step.reused, step.bounded)
+		}
+	}
+}
+
+// TestEdgeRestrictionMatchesWholeGraph: a cold core-exact edge solve
+// peels only the classical core that can hold the answer wherever the
+// size rule admits it (its decompose span carries classical_level), and
+// answers exactly as core.CoreExact on the whole-graph peel does: the
+// same Density.Num/Den, the same sorted witness, and the same flow
+// probes and network sizes. The corpus is TestFlowProbeCounts', whose
+// classical x-cores all hold more than half of the adjacency, plus the
+// full-size Ca-HepTh and As-Caida stand-ins, whose x-cores hold 0.64 and
+// 0.28 of it.
+func TestEdgeRestrictionMatchesWholeGraph(t *testing.T) {
+	stand := func(name string, div int) *dsd.Graph {
+		spec, err := datasets.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec.LoadDiv(div)
+	}
+	o := motif.Clique{H: 2}
+	for _, c := range []struct {
+		name       string
+		g          *dsd.Graph
+		restricted bool
+	}{
+		{"multicommunity", gen.MultiCommunity(8, 25, 10, 15, 18, 1), false},
+		{"Ca-HepTh/8", stand("Ca-HepTh", 8), false},
+		{"As-Caida/8", stand("As-Caida", 8), false},
+		{"Ca-HepTh", stand("Ca-HepTh", 1), true},
+		{"As-Caida", stand("As-Caida", 1), true},
+	} {
+		var got *dsd.Result
+		attrs := decomposeAttrs(t, c.name, func(ctx context.Context) (err error) {
+			got, err = dsd.NewSolver(c.g).Solve(ctx, dsd.Query{H: 2, Algo: dsd.AlgoCoreExact})
+			return err
+		})
+		if _, ok := attrs["classical_level"]; ok != c.restricted {
+			t.Errorf("%s: decompose span %v, want restricted=%v", c.name, attrs, c.restricted)
+		}
+		want, err := core.CoreExact(context.Background(), c.g, o, core.DefaultOptions(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gv, wv := slices.Sorted(slices.Values(got.Vertices)), slices.Sorted(slices.Values(want.Vertices))
+		if got.Density.Num != want.Density.Num || got.Density.Den != want.Density.Den || !slices.Equal(gv, wv) {
+			t.Errorf("%s: %d/%d on %d vertices, whole-graph peel %d/%d on %d", c.name,
+				got.Density.Num, got.Density.Den, len(gv), want.Density.Num, want.Density.Den, len(wv))
+		}
+		if got.Stats.Iterations != want.Stats.Iterations || !slices.Equal(got.Stats.FlowNodes, want.Stats.FlowNodes) {
+			t.Errorf("%s: flow networks %v, whole-graph peel %v", c.name, got.Stats.FlowNodes, want.Stats.FlowNodes)
 		}
 	}
 }

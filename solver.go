@@ -284,13 +284,14 @@ func (st *psiState) memoDecLocked(req decRequest) (dec *psicore.Decomposition, b
 // decomposition; else, if req.bound, the upper-bound decomposition
 // carried across Apply (bounded=true — the caller must set
 // core.Options.DecUpperBound); else, if req.restrict, the memoized
-// restricted decomposition, or for an h-clique with h ≥ 3 whose
-// whole-graph Ψ-degree vector is not yet known, a new one
-// (psicore.DecomposeWithin); else a peel of the whole version, memoized
-// exactly like decomposition does. Counting is what the restriction
-// saves: once the degree vector is in hand (memoized, or maintained
-// across Apply), the seeded whole-graph peel is cheap, and it is what
-// the peel family reuses and Apply carries as upper bounds. The
+// restricted decomposition, or for an h-clique (any h) whose whole-graph
+// Ψ-degree vector is not yet known, a new one (psicore.DecomposeWithin);
+// else a peel of the whole version, memoized exactly like decomposition
+// does. For h ≥ 3 the restriction saves mostly the count; for edges,
+// whose count is the degree vector, it saves the peel. Once the degree
+// vector is in hand (memoized by a degree-family query, or maintained
+// across Apply), the whole version is peeled instead, because that peel
+// is what the peel family reuses and Apply carries as upper bounds. The
 // restricted result is kept in within, never in dec.
 func (st *psiState) coreExactDec(ctx context.Context, vs *verState, req decRequest) (dec *psicore.Decomposition, reused, bounded bool, err error) {
 	st.mu.Lock()
@@ -298,7 +299,7 @@ func (st *psiState) coreExactDec(ctx context.Context, vs *verState, req decReque
 	if dec, bounded := st.memoDecLocked(req); dec != nil {
 		return dec, true, bounded, nil
 	}
-	if req.restrict && psicore.UsesClassicalCores(st.o) && !st.haveDeg {
+	if req.restrict && !st.haveDeg {
 		kc := req.classical
 		if kc == nil {
 			kc = vs.memoKcore()
