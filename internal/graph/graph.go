@@ -2,13 +2,18 @@
 // representation used by every algorithm in this repository, together with
 // builders, induced subgraphs, traversal helpers, and edge-list I/O.
 //
-// Vertices are dense integers 0..N-1. Adjacency lists are sorted, which
-// makes edge queries O(log d) and set intersections (used heavily by the
-// clique and pattern enumerators) cost no more than a linear merge.
+// Vertices are dense integers 0..N-1. A graph is stored in compressed
+// sparse row form: one array of N+1 offsets and one array holding every
+// adjacency list back to back. Both are pointer-free, so a graph is two
+// heap objects however many vertices it has, and the garbage collector
+// never scans them. Adjacency lists are sorted, which makes edge queries
+// O(log d) and set intersections (used heavily by the clique and pattern
+// enumerators) cost no more than a linear merge.
 package graph
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -17,30 +22,50 @@ import (
 // Graph is an immutable undirected simple graph. The zero value is the
 // empty graph. Construct non-empty graphs with a Builder or FromEdges.
 type Graph struct {
-	adj [][]int32 // adj[v] = sorted neighbor ids
-	m   int       // number of undirected edges
+	n   int     // number of vertices
+	off []int   // v's neighbors are nbr[off[v]:off[v+1]]; n+1 entries (nil in the zero value)
+	nbr []int32 // every sorted adjacency list, back to back
+	m   int     // number of undirected edges
+	// ov holds the lists a live Mutator graph has rewritten, and an entry
+	// for every vertex it grew, over the parent's off/nbr it shares. It is
+	// nil on every other graph.
+	ov map[int32][]int32
 }
 
 // N returns the number of vertices.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return g.n }
 
 // M returns the number of undirected edges.
 func (g *Graph) M() int { return g.m }
 
 // Degree returns the number of neighbors of v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int {
+	if g.ov != nil {
+		if l, ok := g.ov[int32(v)]; ok {
+			return len(l)
+		}
+	}
+	return g.off[v+1] - g.off[v]
+}
 
 // Neighbors returns the sorted neighbor list of v. The returned slice is
-// shared with the graph and must not be modified.
-func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
+// shared with the graph and must not be modified; its capacity equals its
+// length, so appending to it copies.
+func (g *Graph) Neighbors(v int) []int32 {
+	if g.ov != nil {
+		if l, ok := g.ov[int32(v)]; ok {
+			return l[:len(l):len(l)]
+		}
+	}
+	hi := g.off[v+1]
+	return g.nbr[g.off[v]:hi:hi]
+}
 
 // MaxDegree returns the maximum vertex degree, or 0 for the empty graph.
 func (g *Graph) MaxDegree() int {
 	d := 0
-	for v := range g.adj {
-		if len(g.adj[v]) > d {
-			d = len(g.adj[v])
-		}
+	for v := 0; v < g.n; v++ {
+		d = max(d, g.Degree(v))
 	}
 	return d
 }
@@ -48,20 +73,18 @@ func (g *Graph) MaxDegree() int {
 // HasEdge reports whether the undirected edge {u, v} exists.
 func (g *Graph) HasEdge(u, v int) bool {
 	// Search the shorter list.
-	a := g.adj[u]
-	if len(g.adj[v]) < len(a) {
-		a = g.adj[v]
-		v = u
+	a := g.Neighbors(u)
+	if b := g.Neighbors(v); len(b) < len(a) {
+		a, v = b, u
 	}
-	t := int32(v)
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= t })
-	return i < len(a) && a[i] == t
+	_, ok := slices.BinarySearch(a, int32(v))
+	return ok
 }
 
 // Edges calls fn for every undirected edge with u < v.
 func (g *Graph) Edges(fn func(u, v int)) {
-	for u := range g.adj {
-		for _, w := range g.adj[u] {
+	for u := 0; u < g.n; u++ {
+		for _, w := range g.Neighbors(u) {
 			if int(w) > u {
 				fn(u, int(w))
 			}
@@ -98,39 +121,57 @@ func (b *Builder) AddEdge(u, v int) {
 	b.dst = append(b.dst, int32(v))
 }
 
-// Build materializes the graph, sorting adjacency lists and removing
-// duplicate edges.
+// Build materializes the graph without sorting: a counting pass buckets
+// every arc by its target, then a walk over the targets in increasing
+// order appends each to its source's list, so every list comes out
+// sorted with any repeated edge next to its first copy. A linear pass
+// then drops the repeats, compacting the lists in place.
 func (b *Builder) Build() *Graph {
-	deg := make([]int32, b.n)
+	n := b.n
+	// off[v+1] first counts v's arcs, duplicates included; summed, off[v]
+	// is where v's list starts.
+	off := make([]int, n+1)
 	for i := range b.src {
-		deg[b.src[i]]++
-		deg[b.dst[i]]++
+		off[b.src[i]+1]++
+		off[b.dst[i]+1]++
 	}
-	adj := make([][]int32, b.n)
-	for v := range adj {
-		adj[v] = make([]int32, 0, deg[v])
+	for v := range n {
+		off[v+1] += off[v]
 	}
+	// byTarget[off[t]:off[t+1]] collects the sources of t's arcs. The
+	// graph is symmetric, so t's in-degree equals its out-degree and one
+	// offsets array serves both.
+	byTarget := make([]int32, off[n])
+	next := slices.Clone(off[:n])
 	for i := range b.src {
 		u, v := b.src[i], b.dst[i]
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
+		byTarget[next[v]] = u
+		next[v]++
+		byTarget[next[u]] = v
+		next[u]++
 	}
-	m := 0
-	for v := range adj {
-		l := adj[v]
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-		// Dedupe in place.
-		k := 0
-		for i := range l {
-			if i == 0 || l[i] != l[i-1] {
-				l[k] = l[i]
-				k++
+	nbr := make([]int32, off[n])
+	copy(next, off)
+	for t := range n {
+		for _, s := range byTarget[off[t]:off[t+1]] {
+			nbr[next[s]] = int32(t)
+			next[s]++
+		}
+	}
+	w, lo := 0, 0
+	for v := range n {
+		hi := off[v+1]
+		off[v] = w
+		for _, x := range nbr[lo:hi] {
+			if w == off[v] || nbr[w-1] != x {
+				nbr[w] = x
+				w++
 			}
 		}
-		adj[v] = l[:k]
-		m += k
+		lo = hi
 	}
-	return &Graph{adj: adj, m: m / 2}
+	off[n] = w
+	return &Graph{n: n, off: off, nbr: nbr[:w:w], m: w / 2}
 }
 
 // FromEdges builds a graph with n vertices from an explicit edge list.
@@ -143,12 +184,33 @@ func FromEdges(n int, edges [][2]int) *Graph {
 }
 
 // Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	adj := make([][]int32, len(g.adj))
-	for v := range g.adj {
-		adj[v] = append([]int32(nil), g.adj[v]...)
+func (g *Graph) Clone() *Graph { return g.flatten() }
+
+// flatten returns a fresh overlay-free copy of g: each run of vertices
+// between two rewritten lists is one block copy of the parent's arrays
+// with its offsets shifted, and each rewritten list is copied in after
+// its run. It costs O(N + M) whatever the overlay holds.
+func (g *Graph) flatten() *Graph {
+	f := &Graph{n: g.n, m: g.m, off: make([]int, g.n+1), nbr: make([]int32, 0, 2*g.m)}
+	v := 0
+	// Every vertex past the parent's is in the overlay, so each run of
+	// untouched vertices lies inside the parent's arrays.
+	for _, t := range append(slices.Sorted(maps.Keys(g.ov)), int32(g.n)) {
+		if v < int(t) {
+			shift := len(f.nbr) - g.off[v]
+			for x := v; x < int(t); x++ {
+				f.off[x] = g.off[x] + shift
+			}
+			f.nbr = append(f.nbr, g.nbr[g.off[v]:g.off[t]]...)
+		}
+		if v = int(t); v < g.n {
+			f.off[v] = len(f.nbr)
+			f.nbr = append(f.nbr, g.ov[t]...)
+			v++
+		}
 	}
-	return &Graph{adj: adj, m: g.m}
+	f.off[g.n] = len(f.nbr)
+	return f
 }
 
 // Subgraph is an induced subgraph together with the mapping back to the
@@ -172,7 +234,7 @@ func (g *Graph) Induced(vs []int32) *Subgraph {
 // returns true, numbered like Induced's: in increasing original id.
 func (g *Graph) InducedKeep(keep func(v int) bool) *Subgraph {
 	var orig []int32
-	for v := range g.adj {
+	for v := 0; v < g.n; v++ {
 		if keep(v) {
 			orig = append(orig, int32(v))
 		}
@@ -183,37 +245,36 @@ func (g *Graph) InducedKeep(keep func(v int) bool) *Subgraph {
 // InducedSorted returns the subgraph induced by vs, which must be sorted
 // by increasing id without duplicates and becomes the result's Orig. It
 // maps ids through a dense index, visits only the vertices of vs, and
-// fills all adjacency lists into one backing array sized by their parent
-// degrees.
+// writes a CSR subgraph: its lists fill one backing array sized by their
+// parent degrees, indexed by one offsets array.
 func (g *Graph) InducedSorted(vs []int32) *Subgraph {
 	// local[v] is v's local id plus one; 0 marks a vertex outside vs.
 	lp, _ := localIDs.Get().(*[]int32)
-	if lp == nil || len(*lp) < g.N() {
-		fresh := make([]int32, g.N())
+	if lp == nil || len(*lp) < g.n {
+		fresh := make([]int32, g.n)
 		lp = &fresh
 	}
-	local := (*lp)[:g.N()]
+	local := (*lp)[:g.n]
 	size := 0
 	for i, v := range vs {
 		local[v] = int32(i) + 1
-		size += len(g.adj[v])
+		size += g.Degree(int(v))
 	}
-	backing := make([]int32, 0, size)
-	adj := make([][]int32, len(vs))
+	nbr := make([]int32, 0, size)
+	off := make([]int, len(vs)+1)
 	for i, v := range vs {
-		start := len(backing)
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(int(v)) {
 			if lw := local[w]; lw > 0 {
-				backing = append(backing, lw-1)
+				nbr = append(nbr, lw-1)
 			}
 		}
-		adj[i] = backing[start:len(backing):len(backing)]
+		off[i+1] = len(nbr)
 	}
 	for _, v := range vs {
 		local[v] = 0
 	}
 	localIDs.Put(lp)
-	return &Subgraph{Graph: &Graph{adj: adj, m: len(backing) / 2}, Orig: vs}
+	return &Subgraph{Graph: &Graph{n: len(vs), off: off, nbr: nbr, m: len(nbr) / 2}, Orig: vs}
 }
 
 // localIDs recycles InducedSorted's dense index, all zero between calls:
@@ -237,7 +298,7 @@ func (g *Graph) ConnectedComponents() [][]int32 {
 		for len(queue) > 0 {
 			v := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			for _, w := range g.adj[v] {
+			for _, w := range g.Neighbors(int(v)) {
 				if !seen[w] {
 					seen[w] = true
 					comp = append(comp, w)
@@ -265,7 +326,7 @@ func (g *Graph) BFSFarthest(src int) (far int, dist int) {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(int(v)) {
 			if distv[w] < 0 {
 				distv[w] = distv[v] + 1
 				if int(distv[w]) > dist {
@@ -279,13 +340,24 @@ func (g *Graph) BFSFarthest(src int) (far int, dist int) {
 	return far, dist
 }
 
-// Validate checks internal invariants (sorted deduped adjacency, symmetric
-// edges, no self-loops, consistent edge count). It is used by tests and
-// returns a descriptive error on the first violation found.
+// Validate checks internal invariants (well-formed offsets, sorted
+// deduped adjacency, symmetric edges, no self-loops, consistent edge
+// count). It is used by tests and returns a descriptive error on the
+// first violation found.
 func (g *Graph) Validate() error {
+	if g.ov == nil && (g.n > 0 || g.off != nil) {
+		if len(g.off) != g.n+1 || g.off[0] != 0 || g.off[g.n] > len(g.nbr) {
+			return fmt.Errorf("offsets malformed: %d offsets for %d vertices over %d arcs", len(g.off), g.n, len(g.nbr))
+		}
+		for v := range g.n {
+			if g.off[v+1] < g.off[v] {
+				return fmt.Errorf("offsets of %d decrease", v)
+			}
+		}
+	}
 	total := 0
-	for v := range g.adj {
-		l := g.adj[v]
+	for v := 0; v < g.n; v++ {
+		l := g.Neighbors(v)
 		for i := range l {
 			w := int(l[i])
 			if w == v {

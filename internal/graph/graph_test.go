@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -165,34 +166,6 @@ func TestInducedKeepMatchesInduced(t *testing.T) {
 	}
 }
 
-// BenchmarkInduced measures Induced on a 50k-vertex random graph for the
-// two shapes core-exact builds: a few thousand unsorted vertices (one
-// component search or density evaluation) and half the graph (the
-// located core).
-func BenchmarkInduced(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 50000
-	bld := NewBuilder(n)
-	for i := 0; i < 4*n; i++ {
-		bld.AddEdge(rng.Intn(n), rng.Intn(n))
-	}
-	g := bld.Build()
-	for _, c := range []struct {
-		name string
-		size int
-	}{{"component", 2000}, {"core", n / 2}} {
-		vs := make([]int32, c.size)
-		for i, v := range rng.Perm(n)[:c.size] {
-			vs[i] = int32(v)
-		}
-		b.Run(c.name, func(b *testing.B) {
-			for b.Loop() {
-				g.Induced(vs)
-			}
-		})
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	g := FromEdges(7, [][2]int{{0, 1}, {1, 2}, {3, 4}})
 	comps := g.ConnectedComponents()
@@ -247,30 +220,80 @@ func TestEdgeListRoundTrip(t *testing.T) {
 }
 
 func TestFromEdgeListComments(t *testing.T) {
-	in := "# comment\n% also comment\n0 1\n\n1 2\n"
+	in := "# comment\n% also comment\n0 1\n\n1 2\n" +
+		"  # indented comment\r\n\r\n" + // CRLF comment and blank line
+		"2\t3\r\n" + // tab-separated, CRLF
+		" 3 4 extra fields\t9\n" + // fields past the second ignored
+		"\u00a04\u20035\u00a0\n" + // Unicode whitespace, as strings.Fields splits
+		"+5 06\n" // a sign and leading zeros, as strconv.Atoi reads them
 	g, err := FromEdgeList(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.M() != 2 {
-		t.Fatalf("M = %d, want 2", g.M())
+	var got [][2]int
+	g.Edges(func(u, v int) { got = append(got, [2]int{u, v}) })
+	want := [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("edges = %v, want %v", got, want)
 	}
 }
 
 func TestFromEdgeListErrors(t *testing.T) {
-	cases := []string{"0\n", "a b\n", "0 x\n", "-1 2\n"}
-	for _, in := range cases {
-		if _, err := FromEdgeList(strings.NewReader(in)); err == nil {
-			t.Errorf("input %q: want error, got nil", in)
+	for in, want := range map[string]string{
+		"0\n":          `edge list line 1: want two fields, got "0"`,
+		"a b\n":        `edge list line 1: bad vertex "a": strconv.Atoi: parsing "a": invalid syntax`,
+		"0 x\n":        `edge list line 1: bad vertex "x": strconv.Atoi: parsing "x": invalid syntax`,
+		"-1 2\n":       `edge list line 1: negative vertex id`,
+		"0 1\r\n2\r\n": `edge list line 2: want two fields, got "2"`,
+		"0 1\n1\t-3\n": `edge list line 2: negative vertex id`,
+		"0\t1x\r\n":    `edge list line 1: bad vertex "1x": strconv.Atoi: parsing "1x": invalid syntax`,
+		// Overflowing int, and overflowing the int32 ids a graph stores.
+		"0 99999999999999999999\n": `edge list line 1: bad vertex "99999999999999999999": strconv.Atoi: parsing "99999999999999999999": value out of range`,
+		"2147483648 0\n":           `edge list line 1: vertex id 2147483648 exceeds 2147483647`,
+	} {
+		_, err := FromEdgeList(strings.NewReader(in))
+		if err == nil || err.Error() != want {
+			t.Errorf("input %q: error %v, want %s", in, err, want)
 		}
 	}
 }
 
+// TestFromEdgeListAllocs: parsing allocates per input, not per line —
+// only the Builder's growing edge arrays, the scanner buffer and the
+// build allocate, so 10,000 lines cost far fewer allocations than lines.
+func TestFromEdgeListAllocs(t *testing.T) {
+	var in strings.Builder
+	for i := 0; i < 10000; i++ {
+		fmt.Fprintf(&in, "%d\t%d\r\n", i, (i*7919)%10000)
+	}
+	text := in.String()
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := FromEdgeList(strings.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 200 {
+		t.Fatalf("FromEdgeList made %.0f allocations for 10000 lines", allocs)
+	}
+}
+
+// TestValidateCatchesCorruption corrupts the CSR arrays of a path
+// 0-1-2 and requires Validate to reject each corruption: an arc whose
+// reverse is missing, and offsets that do not delimit the lists.
 func TestValidateCatchesCorruption(t *testing.T) {
-	g := FromEdges(3, [][2]int{{0, 1}, {1, 2}})
-	g.adj[0] = append(g.adj[0], 2) // asymmetric edge
-	if err := g.Validate(); err == nil {
-		t.Fatal("Validate accepted asymmetric adjacency")
+	for name, corrupt := range map[string]func(g *Graph){
+		// 0 lists 2, 2 does not list 0.
+		"extra arc": func(g *Graph) { g.off, g.nbr = []int{0, 2, 4, 5}, []int32{1, 2, 0, 2, 1} },
+		// 2 lists 0 instead of 1.
+		"rewired arc":      func(g *Graph) { g.nbr[g.off[2]] = 0 },
+		"offsets decrease": func(g *Graph) { g.off[1] = 4 },
+		"offsets short":    func(g *Graph) { g.off = g.off[:3] },
+	} {
+		g := FromEdges(3, [][2]int{{0, 1}, {1, 2}})
+		corrupt(g)
+		if err := g.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted corrupted adjacency", name)
+		}
 	}
 }
 
@@ -332,8 +355,8 @@ func TestPowerLawAlphaOnStar(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	g := FromEdges(3, [][2]int{{0, 1}, {1, 2}})
 	c := g.Clone()
-	c.adj[0][0] = 2
-	if g.adj[0][0] != 1 {
+	c.nbr[0] = 2
+	if g.nbr[0] != 1 {
 		t.Fatal("Clone shares adjacency storage")
 	}
 }

@@ -1,13 +1,15 @@
 package graph
 
-import "sort"
+import "slices"
 
 // Mutator applies edge insertions and deletions to a graph copy-on-write:
-// the parent graph is never modified, and the working graph shares every
-// untouched adjacency list with it, so a batch touching k vertices costs
-// O(N) pointers plus the k rewritten lists — not a full clone. It is the
-// substrate of dsd.Solver's versioned snapshots: in-flight readers of the
-// parent keep a consistent view while the mutator builds its successor.
+// the parent graph is never modified. The working graph shares the
+// parent's CSR arrays and keeps the lists the batch rewrites in a small
+// overlay, so starting a mutation is O(1) and each operation costs only
+// the two lists it touches. Freeze then folds the overlay into a fresh
+// CSR in O(N + M) block copies. It is the substrate of dsd.Solver's
+// versioned snapshots: in-flight readers of the parent keep a consistent
+// view while the mutator builds its successor.
 //
 // The working graph returned by Graph() is live — each Insert/Delete
 // mutates it in place — so callers that interleave reads with mutations
@@ -15,45 +17,26 @@ import "sort"
 // last operation, which is the state those algorithms are defined on.
 // A Mutator is not safe for concurrent use.
 type Mutator struct {
-	g      *Graph
-	cloned []bool // cloned[v]: adj[v] is private to this mutator
+	g *Graph
 }
 
 // NewMutator starts a copy-on-write mutation of g.
 func NewMutator(g *Graph) *Mutator {
-	adj := make([][]int32, len(g.adj))
-	copy(adj, g.adj)
-	return &Mutator{g: &Graph{adj: adj, m: g.m}, cloned: make([]bool, len(adj))}
+	if g.ov != nil { // another mutator's live graph: never share its lists
+		g = g.flatten()
+	}
+	return &Mutator{g: &Graph{n: g.n, off: g.off, nbr: g.nbr, m: g.m, ov: map[int32][]int32{}}}
 }
 
-// Graph returns the live working graph: a valid *Graph sharing untouched
-// adjacency with the parent, reflecting every operation applied so far.
-// It must not be retained across further mutations by callers that need
-// an immutable view — Freeze for that.
+// Graph returns the live working graph: a valid *Graph over the parent's
+// arrays and the overlay, reflecting every operation applied so far. It
+// must not be retained across further mutations by callers that need an
+// immutable view — Freeze for that.
 func (mt *Mutator) Graph() *Graph { return mt.g }
 
-// Freeze finalizes the mutation and returns the working graph, which is
-// immutable from here on as long as the Mutator is discarded.
-func (mt *Mutator) Freeze() *Graph { return mt.g }
-
-// grow extends the vertex set to at least n vertices. New vertices start
-// isolated and owned (their nil lists never belonged to the parent).
-func (mt *Mutator) grow(n int) {
-	for len(mt.g.adj) < n {
-		mt.g.adj = append(mt.g.adj, nil)
-		mt.cloned = append(mt.cloned, true)
-	}
-}
-
-// own makes adj[v] private to the mutator, cloning the parent's list on
-// first touch.
-func (mt *Mutator) own(v int) {
-	if mt.cloned[v] {
-		return
-	}
-	mt.g.adj[v] = append([]int32(nil), mt.g.adj[v]...)
-	mt.cloned[v] = true
-}
+// Freeze returns the working graph as a new immutable CSR graph, with no
+// overlay and nothing shared with the parent or the Mutator.
+func (mt *Mutator) Freeze() *Graph { return mt.g.flatten() }
 
 // Insert adds the undirected edge {u, v}, growing the vertex set if
 // needed, and reports whether the graph changed (false for self-loops,
@@ -62,11 +45,9 @@ func (mt *Mutator) Insert(u, v int) bool {
 	if u == v || u < 0 || v < 0 {
 		return false
 	}
-	hi := u
-	if v > hi {
-		hi = v
+	for ; mt.g.n <= max(u, v); mt.g.n++ {
+		mt.g.ov[int32(mt.g.n)] = nil // a new vertex starts isolated
 	}
-	mt.grow(hi + 1)
 	if mt.g.HasEdge(u, v) {
 		return false
 	}
@@ -76,21 +57,26 @@ func (mt *Mutator) Insert(u, v int) bool {
 	return true
 }
 
+// own returns u's list private to the mutator, copying the parent's on
+// first touch with room for one insert.
+func (mt *Mutator) own(u int) []int32 {
+	if l, ok := mt.g.ov[int32(u)]; ok {
+		return l
+	}
+	l := mt.g.Neighbors(u)
+	return append(make([]int32, 0, len(l)+1), l...)
+}
+
 func (mt *Mutator) insertArc(u, v int) {
-	mt.own(u)
-	l := mt.g.adj[u]
-	t := int32(v)
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= t })
-	l = append(l, 0)
-	copy(l[i+1:], l[i:])
-	l[i] = t
-	mt.g.adj[u] = l
+	l := mt.own(u)
+	i, _ := slices.BinarySearch(l, int32(v))
+	mt.g.ov[int32(u)] = slices.Insert(l, i, int32(v))
 }
 
 // Delete removes the undirected edge {u, v} and reports whether the
 // graph changed (false when the edge does not exist).
 func (mt *Mutator) Delete(u, v int) bool {
-	if u < 0 || v < 0 || u >= len(mt.g.adj) || v >= len(mt.g.adj) || !mt.g.HasEdge(u, v) {
+	if u < 0 || v < 0 || u >= mt.g.n || v >= mt.g.n || !mt.g.HasEdge(u, v) {
 		return false
 	}
 	mt.deleteArc(u, v)
@@ -100,10 +86,7 @@ func (mt *Mutator) Delete(u, v int) bool {
 }
 
 func (mt *Mutator) deleteArc(u, v int) {
-	mt.own(u)
-	l := mt.g.adj[u]
-	t := int32(v)
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= t })
-	copy(l[i:], l[i+1:])
-	mt.g.adj[u] = l[:len(l)-1]
+	l := mt.own(u)
+	i, _ := slices.BinarySearch(l, int32(v))
+	mt.g.ov[int32(u)] = slices.Delete(l, i, i+1)
 }

@@ -31,7 +31,7 @@ func TestMutatorInsertDelete(t *testing.T) {
 		t.Fatalf("frozen graph n=%d m=%d, want 4, 2", g.N(), g.M())
 	}
 	if !g.HasEdge(2, 3) || g.HasEdge(0, 1) || !g.HasEdge(1, 2) {
-		t.Fatalf("frozen adjacency wrong: %v", g.adj)
+		t.Fatalf("frozen adjacency wrong: off %v nbr %v", g.off, g.nbr)
 	}
 }
 
@@ -39,7 +39,7 @@ func TestMutatorParentUntouched(t *testing.T) {
 	parent := FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
 	wantAdj := make([][]int32, parent.N())
 	for v := range wantAdj {
-		wantAdj[v] = append([]int32(nil), parent.adj[v]...)
+		wantAdj[v] = append([]int32(nil), parent.Neighbors(v)...)
 	}
 	mt := NewMutator(parent)
 	mt.Delete(1, 2)
@@ -49,7 +49,7 @@ func TestMutatorParentUntouched(t *testing.T) {
 		t.Fatalf("parent resized: n=%d m=%d", parent.N(), parent.M())
 	}
 	for v := range wantAdj {
-		got := parent.adj[v]
+		got := parent.Neighbors(v)
 		if len(got) != len(wantAdj[v]) {
 			t.Fatalf("parent adj[%d] changed: %v, want %v", v, got, wantAdj[v])
 		}
@@ -59,10 +59,14 @@ func TestMutatorParentUntouched(t *testing.T) {
 			}
 		}
 	}
-	// Untouched vertices share their list with the parent (copy-on-write,
-	// not a clone): vertex 3 was never an endpoint above.
-	if len(parent.adj[3]) > 0 && &parent.adj[3][0] != &mt.g.adj[3][0] {
+	// The live graph reads untouched vertices from the parent's arrays
+	// (copy-on-write, not a clone): vertex 3 was never an endpoint above.
+	if &parent.Neighbors(3)[0] != &mt.Graph().Neighbors(3)[0] {
 		t.Fatal("untouched adjacency was cloned; copy-on-write broken")
+	}
+	// The frozen graph shares nothing with the parent.
+	if g := mt.Freeze(); &parent.Neighbors(3)[0] == &g.Neighbors(3)[0] {
+		t.Fatal("frozen graph shares the parent's arrays")
 	}
 }
 

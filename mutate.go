@@ -67,10 +67,11 @@ func (s *Solver) Apply(ctx context.Context, m Mutation) (Version, error) {
 
 // Mutate applies an edge-mutation batch and returns what changed.
 //
-// The new version is built copy-on-write — untouched adjacency lists are
-// shared with the parent, so in-flight queries on older versions keep a
-// consistent view at no copying cost — and the per-graph memo is
-// repaired incrementally rather than discarded:
+// The new version is built copy-on-write — the batch rewrites only the
+// lists it touches, in an overlay over the parent's arrays, and folds
+// them into a fresh CSR graph in O(N + M) block copies, so in-flight
+// queries on older versions keep a consistent view — and the per-graph
+// memo is repaired incrementally rather than discarded:
 //
 //   - For every h-clique Ψ whose whole-graph degree vector the memo
 //     holds, the vector and µ(G,Ψ) are updated in O(touched instances)
