@@ -6,14 +6,9 @@ GO ?= go
 BENCH_OUT ?= BENCH_10.json
 BENCH_PREV ?= BENCH_9.json
 
-.PHONY: check fmt vet build build-bench test race fuzz bench-kernels bench bench-compare api loc e2e-shard obs chaos lint clean
+.PHONY: check fmt vet build build-bench test race fuzz bench-kernels bench bench-compare api loc obs lint clean
 
 check: fmt vet build build-bench race bench-kernels
-
-# The sharding end-to-end gate, exactly as CI's e2e-shard job runs it:
-# coordinator + loopback workers, density equality, fault paths.
-e2e-shard:
-	$(GO) test -race -count=1 -run 'TestSharded|TestShard' ./cmd/dsdd ./internal/shard
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -58,26 +53,14 @@ bench:
 bench-compare: bench
 	$(GO) run ./cmd/dsdbench -compare $(BENCH_PREV) $(BENCH_OUT)
 
-# The resilience gate, exactly as CI's chaos job runs it: the fault
-# policies (backoff, breaker) and the injection harness in full, the
-# deterministic chaos schedules against a live coordinator, and the
-# degradation-certification tests — all under -race, because the whole
-# point is correctness under concurrent faults. The shard chaos tests run
-# ten times, so a race that fails one run in ten still shows.
-chaos:
-	$(GO) test -race -count=1 ./internal/chaos ./internal/resilience
-	$(GO) test -race -count=10 -run Chaos ./internal/shard
-	$(GO) test -race -count=1 -run 'Gap|Deadline|GenerousBudgets' ./internal/core
-	$(GO) test -race -count=1 -run 'TestEngineAdmission|TestHTTPShed|TestUnboundedQueue' ./internal/service
-
 # The observability smoke: the tracing/metrics/logging tests across the
-# obs core, the engine, the shards, and the CLIs, under -race — including
+# obs core, the engine, and the CLIs, under -race — including
 # the wide-event query log suites and the /v1/querylog e2e — plus a
 # traced perf-suite dump to prove the trace artifact still encodes.
 obs:
 	$(GO) test -race -count=1 ./internal/obs
-	$(GO) test -race -count=1 -run 'TestMetrics|TestQueryTrace|TestSlowQuery|TestStatsAwait|TestStitchedTrace|TestObservabilityFlags|TestQueryLog|TestHTTPQueryLog' \
-		./internal/service ./internal/shard ./cmd/dsdd
+	$(GO) test -race -count=1 -run 'TestMetrics|TestQueryTrace|TestSlowQuery|TestStatsAwait|TestObservabilityFlags|TestQueryLog|TestHTTPQueryLog' \
+		./internal/service ./cmd/dsdd
 	$(GO) test -race -count=1 -run 'TestValidateQueryLog' ./internal/expt
 	$(GO) run ./cmd/dsdbench -run perfsuite -quick -div 8 -trace-out /tmp/dsd-trace-smoke.json
 

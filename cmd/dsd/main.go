@@ -23,20 +23,13 @@
 // the loaded graph, applies the edge-mutation batch from the file ("+ u v"
 // inserts, "- u v" deletes, one per line; # comments), and solves again
 // on the new version — warm-started from the first solve's memo, so the
-// second run skips the Ψ-instance enumeration. Incompatible with
-// -shard-addrs.
+// second run skips the Ψ-instance enumeration.
 //
 // With -stream every certified refinement answer is printed as it is
 // found — a monotone sequence of [lower, upper] intervals ending in the
 // final answer (one JSON line per event with -json, the wire.StreamEvent
 // encoding). -stream, -deadline, and -gap run on the core-exact engine;
 // a conflicting -algo is overridden with a warning rather than rejected.
-//
-// With -shard-addrs the CLI becomes a one-shot sharding coordinator: the
-// graph is registered on each listed dsdd worker under a content-derived
-// name, the core is located locally, and the component searches fan
-// across the workers (-shards caps how many are used). The density is
-// bit-identical to a local run.
 package main
 
 import (
@@ -44,21 +37,17 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	dsd "repro"
 	"repro/internal/obs"
 	"repro/internal/qflag"
-	"repro/internal/service/client"
 	"repro/internal/service/wire"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -85,8 +74,6 @@ func run(args []string, out io.Writer) error {
 	b.Algo(fs, "algo", "")
 	b.Workers(fs, "workers", "parallel workers for core-exact (0 or 1 = serial, -1 = GOMAXPROCS)")
 	b.Iterative(fs, "iterative", "Greed++ iterations of the anytime stream's Greed++ rung (0 = default, -1 = skip the rung); core-exact solves ignore it")
-	b.Shards(fs, "shards", "cap on how many shard workers a -shard-addrs run fans across (0 = all)")
-	b.ShardAddrs(fs, "shard-addrs", "comma-separated dsdd worker base URLs; non-empty runs the query as a one-shot sharding coordinator")
 	b.Anchors(fs, "anchors")
 	b.AtLeast(fs, "at-least")
 	b.Eps(fs, "eps")
@@ -128,23 +115,12 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	logger.Debug("loaded graph", "path", *graphPath, "n", g.N(), "m", g.M())
-	sharded := len(q.ShardAddrs) > 0 && q.Shards >= 0
-	if *mutatePath != "" && sharded {
-		return fmt.Errorf("-mutate is incompatible with -shard-addrs: mutations apply to the local solver")
-	}
 	var sink func(dsd.Answer)
 	if *stream {
 		sink = func(a dsd.Answer) { printEvent(out, a, *asJSON) }
 	}
-	var res *dsd.Result
-	var solver *dsd.Solver
-	res, err = withAllocStats(*memStats, func() (*dsd.Result, error) {
-		if sharded {
-			// Shards < 0 is the documented force-local opt-out; it wins even
-			// when worker addresses are listed.
-			return solveSharded(context.Background(), *graphPath, g, q, sink)
-		}
-		solver = dsd.NewSolver(g)
+	solver := dsd.NewSolver(g)
+	res, err := withAllocStats(*memStats, func() (*dsd.Result, error) {
 		if sink != nil {
 			return solver.StreamFunc(context.Background(), q, sink)
 		}
@@ -205,7 +181,7 @@ func run(args []string, out io.Writer) error {
 // CLI and, unlike the span sampler's epoch-granular heap counters, is
 // exact even for solves too small to cross an allocation epoch. The
 // counters are process-wide, so anything else allocating in this
-// process (the stream printer, the sharding client) is included.
+// process (the stream printer) is included.
 func withAllocStats(enabled bool, solve func() (*dsd.Result, error)) (*dsd.Result, error) {
 	if !enabled {
 		return solve()
@@ -300,49 +276,4 @@ func loadMutation(path string) (dsd.Mutation, error) {
 		}
 	}
 	return m, nil
-}
-
-// solveSharded runs the query as a one-shot coordinator over the workers
-// in q.ShardAddrs: the graph is registered on each worker under a name
-// derived from its content (idempotent — a re-run or a second CLI
-// finding the graph already registered is fine), then the component
-// searches distribute exactly as a dsdd coordinator's would.
-// A non-nil sink streams the coordinator's certified answers (-stream);
-// the guard below keeps the coordinator's merge-cell notification
-// goroutines from writing after the solve returns.
-func solveSharded(ctx context.Context, path string, g *dsd.Graph, q dsd.Query, sink func(dsd.Answer)) (*dsd.Result, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	h := fnv.New64a()
-	h.Write(data)
-	name := fmt.Sprintf("dsd-cli-%016x", h.Sum64())
-	for _, addr := range q.ShardAddrs {
-		c := client.New(addr, nil)
-		if _, err := c.RegisterEdges(ctx, name, string(data)); err != nil {
-			// A 409 means the graph (same content, same hash) is already
-			// there — exactly what we want.
-			if !strings.Contains(err.Error(), "status 409") {
-				return nil, fmt.Errorf("registering graph on shard %s: %w", addr, err)
-			}
-		}
-	}
-	coord := shard.NewCoordinator(shard.SingleSolver(name, dsd.NewSolver(g)), shard.NewSet(), shard.Config{})
-	if sink == nil {
-		return coord.Solve(ctx, name, q)
-	}
-	var mu sync.Mutex
-	stopped := false
-	res, err := coord.SolveObserved(ctx, name, q, func(a dsd.Answer) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !stopped {
-			sink(a)
-		}
-	})
-	mu.Lock()
-	stopped = true
-	mu.Unlock()
-	return res, err
 }

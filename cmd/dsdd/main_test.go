@@ -28,12 +28,12 @@ func writeTempGraph(t *testing.T) string {
 
 func TestNewServerPreloadsGraphs(t *testing.T) {
 	path := writeTempGraph(t)
-	srv, opts, err := newServer([]string{"-addr", "127.0.0.1:0", "-workers", "2", "-graph", "bowtie=" + path})
+	srv, addr, err := newServer([]string{"-addr", "127.0.0.1:0", "-workers", "2", "-graph", "bowtie=" + path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.addr != "127.0.0.1:0" {
-		t.Fatalf("addr = %q", opts.addr)
+	if addr != "127.0.0.1:0" {
+		t.Fatalf("addr = %q", addr)
 	}
 
 	ts := httptest.NewServer(srv)

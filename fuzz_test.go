@@ -37,16 +37,27 @@ func fuzzEdges(n int, mask uint64) [][2]int {
 	return edges
 }
 
+// fuzzGaps are the Gap budgets of FuzzSolve's degraded-interval arm.
+var fuzzGaps = []float64{0.01, 0.1, 0.5, 1, 4}
+
 // FuzzSolve is the differential check on every exact path. On a graph of
 // at most 10 vertices, with Ψ an h-clique (h ∈ {2,3,4}) or a Figure-7
 // pattern, the core-exact density must equal brute force, and must be
 // the same exact rational on every other exact path: core-exact at 1 and
 // 3 workers, exact, the final answer of a stream at the fuzzed worker
-// count, and — after each of two edge batches derived from flip — a
-// Solver mutated in place against a fresh Solver on the mutated graph. Paths
-// may return different optimal witnesses, so densities compare by value
-// (6 = 42/7 = 60/10; see testdata/fuzz/FuzzSolve/equal-density-witnesses),
-// not by numerator and denominator.
+// count, and — after each of a sequence of two to eight edge batches
+// derived from flip — one warm Solver mutated in place, version after
+// version, against a fresh Solver on the mutated graph and brute force.
+// Paths may return different optimal witnesses, so densities compare by
+// value (6 = 42/7 = 60/10; see
+// testdata/fuzz/FuzzSolve/equal-density-witnesses), not by numerator and
+// denominator.
+//
+// The degraded-interval arm runs core-exact with a Gap budget (no
+// Deadline, so the check is clock-free): an exact answer must be the
+// brute-force density, and a degraded one must certify an interval
+// [Bound.Lower, Bound.Upper] that contains it, with the witness
+// realizing the lower end and the upper end within (1+Gap) of it.
 func FuzzSolve(f *testing.F) {
 	f.Add(uint8(5), uint64(0b111111), uint8(1), uint8(1), uint64(0)) // bowtie-ish, triangle
 	f.Add(uint8(10), uint64(0x1f3a_5c7e_9b2d_4f61), uint8(0), uint8(3), uint64(0x00ff_00ff))
@@ -99,12 +110,17 @@ func FuzzSolve(f *testing.F) {
 		}
 		same("stream final", final.Density)
 
-		// Two edge batches on the warm Solver: the pairs set in flip, then
-		// those set in flip rotated by 17 bits. A batch deletes its present
-		// pairs and inserts its absent ones. After each, the mutated Solver
-		// must agree with a fresh Solver and with brute force.
+		gap := fuzzGaps[int(motif)/len(fuzzMotifs)%len(fuzzGaps)]
+		checkGapInterval(t, g, base, w, gap, brute)
+
+		// The edge batches on the warm Solver: batch i holds the pairs set
+		// in flip rotated by 17·i bits, and workers picks how many batches
+		// run (two to eight). A batch deletes its present pairs and inserts
+		// its absent ones. After each, the mutated Solver must agree with a
+		// fresh Solver and with brute force.
 		cur := mask
-		for i, batch := range []uint64{flip, bits.RotateLeft64(flip, 17)} {
+		for i := 0; i < 2+int(workers)/4%7; i++ {
+			batch := bits.RotateLeft64(flip, 17*i)
 			before := dsd.FromEdges(nv, fuzzEdges(nv, cur))
 			var m dsd.Mutation
 			for _, e := range fuzzEdges(nv, batch) {
@@ -126,6 +142,43 @@ func FuzzSolve(f *testing.F) {
 			same(fmt.Sprintf("mutated solver after batch %d", i+1), solve(s, dsd.AlgoCoreExact, w))
 		}
 	})
+}
+
+// checkGapInterval runs q's core-exact solve on g under a Gap budget and
+// checks its answer against the brute-force optimum brute.
+func checkGapInterval(t *testing.T, g *dsd.Graph, q dsd.Query, workers int, gap float64, brute dsd.Density) {
+	t.Helper()
+	q.Algo, q.Workers, q.Gap = dsd.AlgoCoreExact, workers, gap
+	res, err := dsd.NewSolver(g).Solve(context.Background(), q)
+	if err != nil {
+		t.Fatalf("%s gap=%g: %v", q.Psi(), gap, err)
+	}
+	ev, err := dsd.NewSolver(g).EvaluateWitness(q, res.Vertices)
+	if err != nil {
+		t.Fatalf("%s gap=%g: evaluate witness: %v", q.Psi(), gap, err)
+	}
+	if ev.Density.Cmp(res.Density) != 0 {
+		t.Fatalf("%s gap=%g: witness recount %v, returned density %v", q.Psi(), gap, ev.Density, res.Density)
+	}
+	if !res.Degraded {
+		if res.Density.Cmp(brute) != 0 || res.Bound != (dsd.Bound{}) {
+			t.Fatalf("%s gap=%g: exact answer %v with bound %+v, brute force %v", q.Psi(), gap, res.Density, res.Bound, brute)
+		}
+		return
+	}
+	lo, up := res.Bound.Lower, res.Bound.Upper
+	if lo.Cmp(res.Density) != 0 {
+		t.Fatalf("%s gap=%g: bound lower %v is not the returned density %v", q.Psi(), gap, lo, res.Density)
+	}
+	if lo.Cmp(brute) > 0 || brute.CmpFloat(up) > 0 {
+		t.Fatalf("%s gap=%g: interval [%v, %v] misses brute force %v", q.Psi(), gap, lo, up, brute)
+	}
+	if lo.CmpFloat(up) >= 0 {
+		t.Fatalf("%s gap=%g: degraded but lower %v ≥ upper %v", q.Psi(), gap, lo, up)
+	}
+	if up > lo.Float()*(1+gap)*(1+1e-12) {
+		t.Fatalf("%s gap=%g: upper %v beyond (1+gap)·lower %v", q.Psi(), gap, up, lo.Float()*(1+gap))
+	}
 }
 
 // bruteDensity is the densest-subgraph density of g for q's motif by

@@ -1,11 +1,11 @@
 // Exported component-search entrypoint: one connected component of a
 // located (k,Ψ)-core, searched with the same shrinking-flow Dinkelbach
 // search the in-process engines run, but against an injectable
-// BoundSource. This is the execution unit of the distributed sharding
-// layer (internal/shard): a coordinator runs PlanCoreExact locally,
-// ships each plan component to a shard worker, and the worker answers
-// through SearchComponent with a FloorCell the coordinator's bound
-// rebroadcasts keep raising.
+// BoundSource. The anytime planner runs it with a bound cell shared
+// across the plan's components, and dsd.Solver.SolveComponent runs it
+// with a FloorCell, so a caller can drive one CoreExact query layer by
+// layer: PlanCoreExact's location phase, then one SearchComponent per
+// component, each seeded with the best density found so far.
 package core
 
 import (
@@ -36,9 +36,7 @@ type ComponentOutcome struct {
 	FlowTime time.Duration
 	// Upper is the search's final certified upper bound on the
 	// component's optimum density (core-number or empty-cut probe
-	// certificate, whichever ended tightest). A
-	// deadline-degrading coordinator takes the max over surviving Uppers
-	// as its interval top.
+	// certificate, whichever ended tightest).
 	Upper float64
 	// GapStop reports the search stopped at the Options.Gap accuracy
 	// budget rather than closing the interval completely.
@@ -52,8 +50,8 @@ type ComponentOutcome struct {
 // components receive in-process, with the shared bound abstracted to
 // bounds. The outcome's witness is the best subgraph found inside this
 // component; bounds.Improve has already seen it (and every intermediate
-// improvement), so in-process callers may rely on the cell alone while
-// remote callers return the outcome over the wire.
+// improvement), so callers sharing one cell across components may rely
+// on the cell alone, while a FloorCell caller reads the witness here.
 //
 // dec must be the decomposition the plan was located in (it provides the
 // core numbers the search shrinks along), and opts must match the plan's
@@ -119,15 +117,15 @@ func (t *trackingBounds) best() (rational.R, []int32) {
 	return t.bestD, t.bestW
 }
 
-// FloorCell is the shard-side BoundSource: a monotone density floor with
-// no witness attached. A worker seeds it from the coordinator's global
-// lower bound at dispatch time; the coordinator keeps raising it through
-// Raise as sibling shards report improvements, which raises the probe α
-// and shrinks the cores of the in-flight search exactly as the in-process
-// cell would. Witnesses stay
-// wherever they were found — the search's own best travels back in its
-// ComponentOutcome, and the floor only ever carries densities of real
-// subgraphs, so every use remains conservative.
+// FloorCell is the witness-free BoundSource of a component search driven
+// one component at a time: a monotone density floor. The caller seeds it
+// with the best density known before the search and may raise it through
+// Raise as other components report improvements, which raises the probe
+// α and shrinks the cores of the in-flight search exactly as a shared
+// cell would. Witnesses stay wherever they were found — the search's own
+// best comes back in its ComponentOutcome, and the floor only ever
+// carries densities of real subgraphs, so every use remains
+// conservative.
 type FloorCell struct {
 	mu    sync.Mutex
 	floor rational.R

@@ -104,10 +104,9 @@ func DefaultOptions() Options {
 // Plan is the output of Algorithm 4's location steps (lines 1-4 plus
 // Pruning2): the located (k,Ψ)-core's connected components, ordered
 // densest first, together with the certified (lower, witness) pair the
-// searches start from. A Plan is what the distributed coordinator ships
-// piecewise to shard workers — each component is an independent search
-// unit — and what the in-process engines execute directly, so the two
-// execution modes cannot drift.
+// searches start from. Each component is an independent search unit:
+// the engines execute a Plan directly, and dsd.Solver.PlanComponents
+// hands it out for a component-by-component run of the same searches.
 type Plan struct {
 	// Dec is the (k,Ψ)-core decomposition the plan was located in.
 	Dec *psicore.Decomposition

@@ -19,11 +19,11 @@ import (
 // BoundSource is the certified global lower bound a component search
 // reads and publishes to. Implementations must be safe for concurrent
 // use and monotone: Bound never decreases, and Improve installs (d, w)
-// only when d strictly beats the current bound. The in-process engines
-// share a boundCell; the distributed coordinator injects a FloorCell on
-// each shard whose floor it rebroadcasts as sibling shards report in —
-// searchComponent's exactness argument only needs the bound to be the
-// density of some real subgraph of the same graph, wherever it lives.
+// only when d strictly beats the current bound. The engines share a
+// boundCell across a plan's components; a caller searching one component
+// at a time passes a FloorCell — searchComponent's exactness argument
+// only needs the bound to be the density of some real subgraph of the
+// same graph, wherever it was found.
 type BoundSource interface {
 	// Bound returns the current certified lower bound.
 	Bound() rational.R

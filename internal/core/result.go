@@ -76,16 +76,6 @@ type Stats struct {
 	// of an exact peel of its own graph — the hot path of a mutated
 	// dsd.Solver, which skips both the Ψ-instance counting and the peel.
 	BoundedCores bool
-	// Sharded-execution counters, set by the internal/shard coordinator
-	// (all zero on in-process runs). ShardComponents counts the planned
-	// component searches; ShardRemote those answered by a remote shard
-	// worker; ShardFallbacks remote failures re-executed locally;
-	// ShardHedges straggler hedges launched (a duplicate local search
-	// racing a slow shard).
-	ShardComponents int
-	ShardRemote     int
-	ShardFallbacks  int
-	ShardHedges     int
 	// FlowTime is the wall time summed over every flow-network build plus
 	// min-cut solve; PreSolveTime over Greed++ pre-solve runs (0 on
 	// core-exact runs, as PreSolveIters). On parallel runs the phases overlap
@@ -109,9 +99,8 @@ type Stats struct {
 
 // Evaluate builds the full Result (µ, exact density, sorted vertex set)
 // for the subgraph of g induced by vs. The engines return their witness
-// through it, and the coordinator's final merge step uses it to
-// recompute the winning witness's certificate from the graph rather than
-// trusting a wire-carried density.
+// through it, and dsd.Solver.EvaluateWitness uses it to recompute a
+// witness's certificate from the graph.
 func Evaluate(g *graph.Graph, o motif.Oracle, vs []int32) *Result {
 	if len(vs) == 0 {
 		return &Result{Density: rational.Zero}

@@ -98,10 +98,6 @@ type BenchCase struct {
 	WarmSpeedup float64 `json:"warm_speedup,omitempty"`
 	WarmMatch   *bool   `json:"warm_match,omitempty"`
 	WarmReused  *bool   `json:"warm_reused,omitempty"`
-	// The sharded arm: the same query answered by a distributed
-	// coordinator fanning the located core's components across N loopback
-	// worker dsdd servers (internal/shard). One entry per shard count.
-	Sharded []ShardArm `json:"sharded,omitempty"`
 	// The mutate arm: an edge-mutation batch applied to a warm Solver
 	// (incremental memo repair + warm re-solve, MutateIncNsOp) against
 	// rebuilding the mutated graph from its edge list and solving cold
@@ -171,21 +167,6 @@ type BenchCase struct {
 	// when either arm does not match.
 	DensityMatch   *bool `json:"density_match,omitempty"`
 	IterativeMatch *bool `json:"iterative_match,omitempty"`
-}
-
-// ShardArm measures one shard count of the sharded arm. The wall clock
-// includes real loopback HTTP round-trips per component; the correctness
-// gate is DensityMatch — the merged density must be exactly the serial
-// engine's (rational comparison), the acceptance criterion of the
-// distributed subsystem.
-type ShardArm struct {
-	Shards int   `json:"shards"`
-	NsOp   int64 `json:"ns_op"`
-	// Remote counts components answered by a worker, Fallbacks remote
-	// failures re-executed locally (0 on a healthy loopback run).
-	Remote       int   `json:"remote"`
-	Fallbacks    int   `json:"fallbacks"`
-	DensityMatch *bool `json:"density_match"`
 }
 
 // perfWorkers resolves the parallel arm's worker count.
@@ -620,29 +601,6 @@ func PerfSuiteReport(cfg Config) (*BenchReport, error) {
 		})
 	}
 
-	// The sharded arm: the multi-component stress instance distributed
-	// across {1,2,4} loopback worker dsdd servers by a coordinator. The
-	// wall clock carries real HTTP round-trips (informational — loopback
-	// latency stands in for the network); the gate is density equality
-	// with the serial engine on every shard count.
-	{
-		serial, _ := core.CoreExact(context.Background(), multi, motif.Clique{H: 3}, core.DefaultOptions(), nil)
-		arms, err := shardedArms(multi, 3, serial.Density, []int{1, 2, 4}, reps)
-		if err != nil {
-			return nil, err
-		}
-		rep.Cases = append(rep.Cases, BenchCase{
-			Name:       "sharded-multicommunity-triangle",
-			Algo:       "core-exact",
-			Motif:      motif.Clique{H: 3}.Name(),
-			N:          multi.N(),
-			M:          multi.M(),
-			SerialNsOp: bestOf(reps, func() { core.CoreExact(context.Background(), multi, motif.Clique{H: 3}, core.DefaultOptions(), nil) }),
-			Sharded:    arms,
-			Density:    serial.Density.Float(),
-		})
-	}
-
 	// The dedicated degrade stress case: triangle-densest on the
 	// multi-community instance under a deadline ~2% of the exact solve.
 	// The gates are the resilience subsystem's acceptance criteria: the
@@ -819,12 +777,6 @@ func RunPerfSuite(cfg Config) error {
 		t.row(c.Name, c.Algo, c.Motif, secs(time.Duration(c.SerialNsOp)), par, speed, iter, solves, warm, match)
 	}
 	t.flush()
-	for _, c := range rep.Cases {
-		for _, a := range c.Sharded {
-			fmt.Fprintf(cfg.Out, "%s: %d shard(s) %s (remote %d, fallbacks %d, match %v)\n",
-				c.Name, a.Shards, secs(time.Duration(a.NsOp)), a.Remote, a.Fallbacks, *a.DensityMatch)
-		}
-	}
 	if rep.FlowSolveReduction > 0 {
 		fmt.Fprintf(cfg.Out, "flow-solve reduction: %.2fx\n", rep.FlowSolveReduction)
 	}
@@ -929,22 +881,6 @@ func ValidateBenchReport(data []byte) error {
 			}
 			if c.PeakRSSBytes <= 0 {
 				return fmt.Errorf("bench report: case %q: missing peak_rss_bytes memory arm", c.Name)
-			}
-		}
-		for _, a := range c.Sharded {
-			if a.Shards <= 0 {
-				return fmt.Errorf("bench report: case %q: sharded arm without shard count", c.Name)
-			}
-			if a.NsOp <= 0 {
-				return fmt.Errorf("bench report: case %q: sharded arm (%d shards) without timing", c.Name, a.Shards)
-			}
-			// The distributed acceptance gate: the coordinator's merged
-			// density must be exactly the serial engine's on every count.
-			if a.DensityMatch == nil {
-				return fmt.Errorf("bench report: case %q: sharded arm (%d shards) without density_match", c.Name, a.Shards)
-			}
-			if !*a.DensityMatch {
-				return fmt.Errorf("bench report: case %q: sharded density (%d shards) does not match serial", c.Name, a.Shards)
 			}
 		}
 		if c.MutateIncNsOp > 0 {

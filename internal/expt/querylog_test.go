@@ -33,7 +33,6 @@ func TestValidateQueryLog(t *testing.T) {
 				Outcome: "ok", Slow: true, DurNs: 100, QueueWaitNs: 3,
 				AllocBytes: 4096, Allocs: 17, Density: 1.5, TraceID: "t1",
 				Phases: []obs.PhaseCost{{Name: "solve", Count: 1, DurNs: 90, AllocBytes: 4096, Allocs: 17}},
-				Shards: []obs.ShardCost{{Addr: "127.0.0.1:1", Spans: 2, DurNs: 40}},
 			},
 		},
 	}
@@ -79,9 +78,6 @@ func TestValidateQueryLog(t *testing.T) {
 		{"malformed phase", marshal(func(r *wire.QueryLogResponse) {
 			r.Events[2].Phases = []obs.PhaseCost{{Name: "", Count: 1}}
 		}), "phase"},
-		{"malformed shard", marshal(func(r *wire.QueryLogResponse) {
-			r.Events[2].Shards = []obs.ShardCost{{Addr: "", Spans: 1}}
-		}), "shard"},
 	}
 	for _, c := range cases {
 		err := ValidateQueryLog(c.data)

@@ -58,45 +58,20 @@ func TestPhaseCosts(t *testing.T) {
 	}
 }
 
-// TestShardCosts checks the per-worker aggregation of adopted spans.
-func TestShardCosts(t *testing.T) {
-	trace := &Trace{Spans: []TraceSpan{
-		{Name: "solve", DurNs: 5},
-		{Name: "component", Shard: "http://b", DurNs: 20, AllocBytes: 64},
-		{Name: "component", Shard: "http://a", DurNs: 10, AllocBytes: 32, Allocs: 1},
-		{Name: "flow", Shard: "http://a", DurNs: 7, AllocBytes: 8, Allocs: 1},
-	}}
-	costs := trace.ShardCosts()
-	if len(costs) != 2 {
-		t.Fatalf("ShardCosts len = %d, want 2", len(costs))
-	}
-	if costs[0].Addr != "http://a" || costs[1].Addr != "http://b" {
-		t.Fatalf("ShardCosts order = %s,%s", costs[0].Addr, costs[1].Addr)
-	}
-	a := costs[0]
-	if a.Spans != 2 || a.DurNs != 17 || a.AllocBytes != 40 || a.Allocs != 2 {
-		t.Fatalf("shard a cost = %+v", a)
-	}
-	var nilTrace *Trace
-	if nilTrace.ShardCosts() != nil {
-		t.Fatal("nil trace ShardCosts should be nil")
-	}
-}
-
-// TestHeapAllocCounters checks the exported sampler is monotone across
-// an allocation.
+// TestHeapAllocCounters checks the span sampler's heap counters are
+// monotone across an allocation.
 func TestHeapAllocCounters(t *testing.T) {
-	b0, o0, ok := HeapAllocCounters()
+	c0, ok := readHeapCount()
 	if !ok {
 		t.Skip("runtime heap counters unavailable")
 	}
 	sink = append(sink[:0], make([]byte, 1<<16))
-	b1, o1, _ := HeapAllocCounters()
-	if b1 < b0+1<<16 {
-		t.Fatalf("alloc bytes %d -> %d, want growth >= %d", b0, b1, 1<<16)
+	c1, _ := readHeapCount()
+	if c1.bytes < c0.bytes+1<<16 {
+		t.Fatalf("alloc bytes %d -> %d, want growth >= %d", c0.bytes, c1.bytes, 1<<16)
 	}
-	if o1 <= o0 {
-		t.Fatalf("alloc objects %d -> %d, want growth", o0, o1)
+	if c1.objects <= c0.objects {
+		t.Fatalf("alloc objects %d -> %d, want growth", c0.objects, c1.objects)
 	}
 	runtime.KeepAlive(sink)
 }

@@ -5,8 +5,8 @@ package obs
 // to answer "what did this query cost and why" — identity (trace id,
 // canonical query key, graph version), outcome (ok / cache_hit / shed /
 // timeout / error, plus the degraded and streamed flags), wall time and
-// queue wait, heap allocation, solver work counters, the per-phase cost
-// table, and the per-shard breakdown. It is the record the query log
+// queue wait, heap allocation, solver work counters and the per-phase
+// cost table. It is the record the query log
 // ring retains, GET /v1/querylog serves, and the slow-query log
 // serializes.
 type QueryEvent struct {
@@ -65,19 +65,13 @@ type QueryEvent struct {
 	ReusedDecomposition bool `json:"reused_decomposition,omitempty"`
 	ReusedDegrees       bool `json:"reused_degrees,omitempty"`
 	BoundedCores        bool `json:"bounded_cores,omitempty"`
-	ShardComponents     int  `json:"shard_components,omitempty"`
-	ShardRemote         int  `json:"shard_remote,omitempty"`
-	ShardFallbacks      int  `json:"shard_fallbacks,omitempty"`
-	ShardHedges         int  `json:"shard_hedges,omitempty"`
 
 	// Density is the answer's density as a float (diagnostic only; the
 	// exact rational lives in the result).
 	Density float64 `json:"density,omitempty"`
 
-	// Phases is the per-phase cost table (Trace.PhaseCosts) and Shards
-	// the per-worker remote breakdown (Trace.ShardCosts).
+	// Phases is the per-phase cost table (Trace.PhaseCosts).
 	Phases []PhaseCost `json:"phases,omitempty"`
-	Shards []ShardCost `json:"shards,omitempty"`
 }
 
 // Retain reports whether tail sampling must keep the event regardless

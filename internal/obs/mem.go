@@ -62,16 +62,6 @@ func readHeapCount() (hc heapCount, ok bool) {
 	return hc, true
 }
 
-// HeapAllocCounters returns the process's cumulative heap allocation
-// counters (bytes and objects allocated since process start). ok=false
-// when the runtime does not expose them. Callers diff two samples to
-// attribute allocation to the work in between — the shard worker uses
-// this to report per-component allocation back to the coordinator.
-func HeapAllocCounters() (bytes, objects uint64, ok bool) {
-	hc, ok := readHeapCount()
-	return hc.bytes, hc.objects, ok
-}
-
 // sub returns the delta a-b clamped at zero (counters are monotone, but
 // clamping keeps a cross-sample race from ever reporting negatives).
 func (a heapCount) sub(b heapCount) (bytes, objects int64) {

@@ -1,7 +1,6 @@
 // Package obs is the repository's zero-dependency observability core:
-// phase-level tracing (Tracer/Span, propagated through context and, for
-// distributed runs, through the wire v3 shard protocol), a Prometheus-
-// compatible metrics registry (Counter/Gauge/Histogram, exported in text
+// phase-level tracing (Tracer/Span, propagated through context), a
+// Prometheus-compatible metrics registry (Counter/Gauge/Histogram, exported in text
 // exposition format), and structured logging setup (log/slog with a
 // human-readable default handler).
 //
@@ -15,12 +14,10 @@ package obs
 
 import "context"
 
-// Span names used across the engine, service, and shard layers. One
-// query's trace is a tree: query → solve → {decompose, locate,
-// component…} with flow children under each component (presolve spans
-// come from Exact and the stream's Greed++ rung), and dispatch spans
-// (coordinator side) adopting the remote worker's component subtree on
-// sharded runs.
+// Span names used across the engine and service layers. One query's
+// trace is a tree: query → solve → {decompose, locate, component…}
+// with flow children under each component (presolve spans come from
+// Exact and the stream's Greed++ rung).
 const (
 	// SpanQuery is the service engine's root: one computed query,
 	// queue wait included.
@@ -39,9 +36,6 @@ const (
 	SpanComponent = "component"
 	// SpanFlow is one flow-network build plus min-cut computation.
 	SpanFlow = "flow"
-	// SpanDispatch is the coordinator's per-component dispatch: the time
-	// from handing a component to a lane until its answer merged.
-	SpanDispatch = "dispatch"
 	// SpanMutate is one dsd.Solver.Apply edge-mutation batch: copy-on-write
 	// graph build plus incremental memo repair.
 	SpanMutate = "mutate"

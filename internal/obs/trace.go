@@ -14,25 +14,12 @@ import (
 // pool all start spans on the same tracer — and nil-safe: every method
 // on a nil *Tracer is a no-op returning zero values, which is how the
 // off path stays free.
-//
-// A trace may span processes: a shard worker resumes the coordinator's
-// trace with Resume, records its spans locally, and ships them back in
-// the ComponentResponse; the coordinator stitches them in with Adopt.
-// Span ids embed a per-tracer random token, so ids minted by different
-// processes within one trace never collide.
 type Tracer struct {
 	id string
-	// parent is the default parent span id for root spans — empty on a
-	// fresh tracer, the coordinator's dispatch span id on a worker-side
-	// tracer built by Resume, which is what stitches the worker's
-	// subtree under the coordinator's tree.
-	parent string
 
 	mu   sync.Mutex
-	tok  string
 	seq  int
 	live []*Span
-	done []TraceSpan
 }
 
 // newToken returns n random bytes as hex.
@@ -44,19 +31,7 @@ func newToken(n int) string {
 
 // New returns a tracer with a fresh random trace id.
 func New() *Tracer {
-	return &Tracer{id: newToken(8), tok: newToken(4)}
-}
-
-// Resume returns a tracer continuing the trace traceID in another
-// process: spans started without an explicit parent attach under
-// parentSpanID, the dispatching span on the originating side. An empty
-// traceID returns nil — the nil-safe off tracer — so wire fields can be
-// passed through unconditionally.
-func Resume(traceID, parentSpanID string) *Tracer {
-	if traceID == "" {
-		return nil
-	}
-	return &Tracer{id: traceID, parent: parentSpanID, tok: newToken(4)}
+	return &Tracer{id: newToken(8)}
 }
 
 // ID returns the trace id ("" on a nil tracer).
@@ -67,14 +42,13 @@ func (t *Tracer) ID() string {
 	return t.id
 }
 
-// Start begins a span named name under parent (nil parent = a root span,
-// or — on a Resume tracer — a child of the remote dispatching span).
-// On a nil tracer it returns nil, a no-op span.
+// Start begins a span named name under parent (nil parent = a root
+// span). On a nil tracer it returns nil, a no-op span.
 func (t *Tracer) Start(name string, parent *Span) *Span {
 	if t == nil {
 		return nil
 	}
-	pid := t.parent
+	var pid string
 	if parent != nil {
 		pid = parent.id
 	}
@@ -83,7 +57,7 @@ func (t *Tracer) Start(name string, parent *Span) *Span {
 	t.seq++
 	s := &Span{
 		t:      t,
-		id:     t.tok + "-" + strconv.Itoa(t.seq),
+		id:     strconv.Itoa(t.seq),
 		parent: pid,
 		name:   name,
 		start:  time.Now(),
@@ -95,22 +69,6 @@ func (t *Tracer) Start(name string, parent *Span) *Span {
 	return s
 }
 
-// Adopt stitches finished spans from another process into this trace,
-// marking each with the shard it ran on. The spans keep their ids and
-// parents — a Resume-side tracer already parented its roots under the
-// dispatching span, so the adopted subtree hangs off the right node.
-func (t *Tracer) Adopt(spans []TraceSpan, shard string) {
-	if t == nil || len(spans) == 0 {
-		return
-	}
-	t.mu.Lock()
-	for _, s := range spans {
-		s.Shard = shard
-		t.done = append(t.done, s)
-	}
-	t.mu.Unlock()
-}
-
 // Snapshot returns the trace recorded so far (nil on a nil tracer).
 // Unended spans are reported with their duration up to now.
 func (t *Tracer) Snapshot() *Trace {
@@ -119,11 +77,10 @@ func (t *Tracer) Snapshot() *Trace {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := &Trace{TraceID: t.id, Spans: make([]TraceSpan, 0, len(t.live)+len(t.done))}
+	out := &Trace{TraceID: t.id, Spans: make([]TraceSpan, 0, len(t.live))}
 	for _, s := range t.live {
 		out.Spans = append(out.Spans, s.data())
 	}
-	out.Spans = append(out.Spans, t.done...)
 	return out
 }
 
@@ -272,18 +229,13 @@ type Trace struct {
 
 // TraceSpan is one span in snapshot form.
 type TraceSpan struct {
-	ID     string `json:"id"`
-	Parent string `json:"parent,omitempty"`
-	Name   string `json:"name"`
-	// Shard is the worker base URL a remotely-executed span ran on
-	// (empty for spans recorded in this process).
-	Shard       string `json:"shard,omitempty"`
+	ID          string `json:"id"`
+	Parent      string `json:"parent,omitempty"`
+	Name        string `json:"name"`
 	StartUnixNs int64  `json:"start_unix_ns"`
 	DurNs       int64  `json:"dur_ns"`
 	// AllocBytes/Allocs are the heap allocation counter deltas over the
 	// span's window (zero when the runtime counters are unavailable).
-	// Worker-side spans carry the worker process's deltas across the
-	// wire, so adopted spans attribute remote allocation too.
 	AllocBytes int64             `json:"alloc_bytes,omitempty"`
 	Allocs     int64             `json:"allocs,omitempty"`
 	Attrs      map[string]string `json:"attrs,omitempty"`
@@ -369,44 +321,5 @@ func (tr *Trace) PhaseCosts() []PhaseCost {
 		out[i].Allocs += s.Allocs
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	return out
-}
-
-// ShardCost is the aggregate cost of the spans a trace adopted from one
-// shard worker: span count, summed wall time, and summed worker-side
-// heap allocation.
-type ShardCost struct {
-	Addr       string `json:"addr"`
-	Spans      int    `json:"spans"`
-	DurNs      int64  `json:"dur_ns"`
-	AllocBytes int64  `json:"alloc_bytes,omitempty"`
-	Allocs     int64  `json:"allocs,omitempty"`
-}
-
-// ShardCosts aggregates adopted remote spans by worker address, sorted
-// by address. Local spans (Shard == "") are excluded; an empty slice
-// means the query never left the process.
-func (tr *Trace) ShardCosts() []ShardCost {
-	if tr == nil {
-		return nil
-	}
-	idx := make(map[string]int)
-	var out []ShardCost
-	for _, s := range tr.Spans {
-		if s.Shard == "" {
-			continue
-		}
-		i, ok := idx[s.Shard]
-		if !ok {
-			i = len(out)
-			idx[s.Shard] = i
-			out = append(out, ShardCost{Addr: s.Shard})
-		}
-		out[i].Spans++
-		out[i].DurNs += s.DurNs
-		out[i].AllocBytes += s.AllocBytes
-		out[i].Allocs += s.Allocs
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Addr < out[b].Addr })
 	return out
 }

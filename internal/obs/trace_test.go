@@ -25,7 +25,6 @@ func TestNilTracerSafe(t *testing.T) {
 	if sp.ID() != "" {
 		t.Fatalf("nil span ID = %q, want empty", sp.ID())
 	}
-	tr.Adopt([]TraceSpan{{ID: "a"}}, "shard")
 	if got := tr.Snapshot(); got != nil {
 		t.Fatalf("nil tracer Snapshot = %v, want nil", got)
 	}
@@ -38,9 +37,6 @@ func TestNilTracerSafe(t *testing.T) {
 	}
 	if snap.PhaseTotals() != nil {
 		t.Fatal("nil trace PhaseTotals should be nil")
-	}
-	if Resume("", "parent") != nil {
-		t.Fatal("Resume with empty trace id should return nil")
 	}
 }
 
@@ -101,55 +97,6 @@ func TestTraceTree(t *testing.T) {
 	totals := snap.PhaseTotals()
 	if totals["query"] <= 0 || totals["solve"] < 0 {
 		t.Fatalf("phase totals = %v", totals)
-	}
-}
-
-// TestResumeStitching models the coordinator→worker handoff: a worker
-// tracer resumed from the dispatch span must root its spans under that
-// span, keep the trace id, and the adopted spans must carry the shard.
-func TestResumeStitching(t *testing.T) {
-	coord := New()
-	dispatch := coord.Start("dispatch", nil)
-
-	worker := Resume(coord.ID(), dispatch.ID())
-	if worker.ID() != coord.ID() {
-		t.Fatalf("worker trace id %q != coordinator %q", worker.ID(), coord.ID())
-	}
-	wspan := worker.Start("component", nil)
-	wchild := worker.Start("flow", wspan)
-	wchild.End()
-	wspan.End()
-	if wspan.ID() == dispatch.ID() || wchild.ID() == dispatch.ID() {
-		t.Fatal("worker span ids collide with coordinator ids")
-	}
-
-	wsnap := worker.Snapshot()
-	ws, _ := wsnap.ByID(wspan.ID())
-	if ws.Parent != dispatch.ID() {
-		t.Fatalf("worker root parent %q, want dispatch %q", ws.Parent, dispatch.ID())
-	}
-
-	coord.Adopt(wsnap.Spans, "http://w1")
-	dispatch.End()
-	snap := coord.Snapshot()
-	if len(snap.Spans) != 3 {
-		t.Fatalf("stitched trace has %d spans, want 3", len(snap.Spans))
-	}
-	got, ok := snap.ByID(wspan.ID())
-	if !ok || got.Shard != "http://w1" {
-		t.Fatalf("adopted span: ok=%v shard=%q", ok, got.Shard)
-	}
-	// Walk the adopted span's parent chain back to the coordinator root.
-	cur := got
-	for cur.Parent != "" {
-		next, ok := snap.ByID(cur.Parent)
-		if !ok {
-			t.Fatalf("broken parent chain at %q → %q", cur.ID, cur.Parent)
-		}
-		cur = next
-	}
-	if cur.ID != dispatch.ID() {
-		t.Fatalf("chain root %q, want dispatch %q", cur.ID, dispatch.ID())
 	}
 }
 

@@ -46,8 +46,6 @@ const (
 	StageIterative Stage = "iterative"
 	// StageSearch is the per-component shrinking-flow Dinkelbach search.
 	StageSearch Stage = "search"
-	// StageShard is a coordinator merge of a shard worker's bound report.
-	StageShard Stage = "shard"
 	// StageFinal marks the terminal answer of a successful stream.
 	StageFinal Stage = "final"
 )

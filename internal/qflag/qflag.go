@@ -27,17 +27,15 @@ import (
 
 // Builder accumulates registered flags and assembles the Query.
 type Builder struct {
-	motif      *string
-	algo       *string
-	workers    *int
-	iterative  *int
-	shards     *int
-	shardAddrs *string
-	anchors    *string
-	atLeast    *int
-	eps        *float64
-	deadline   *time.Duration
-	gap        *float64
+	motif     *string
+	algo      *string
+	workers   *int
+	iterative *int
+	anchors   *string
+	atLeast   *int
+	eps       *float64
+	deadline  *time.Duration
+	gap       *float64
 }
 
 // New returns an empty builder.
@@ -66,18 +64,6 @@ func (b *Builder) Workers(fs *flag.FlagSet, name, usage string) {
 // (0 = default, negative = skip the rung, positive = iteration budget).
 func (b *Builder) Iterative(fs *flag.FlagSet, name, usage string) {
 	b.iterative = fs.Int(name, 0, usage)
-}
-
-// Shards registers the distributed-execution cap flag (0 = every
-// available shard worker, positive = cap, negative = force local).
-func (b *Builder) Shards(fs *flag.FlagSet, name, usage string) {
-	b.shards = fs.Int(name, 0, usage)
-}
-
-// ShardAddrs registers the shard-worker base-URL list flag
-// ("http://h1:8080,http://h2:8080").
-func (b *Builder) ShardAddrs(fs *flag.FlagSet, name, usage string) {
-	b.shardAddrs = fs.String(name, "", usage)
 }
 
 // Anchors registers the anchored-query vertex list flag ("1,2,5").
@@ -164,16 +150,6 @@ func (b *Builder) Query() (dsd.Query, error) {
 	}
 	if b.iterative != nil {
 		q.Iterative = *b.iterative
-	}
-	if b.shards != nil {
-		q.Shards = *b.shards
-	}
-	if b.shardAddrs != nil && *b.shardAddrs != "" {
-		for _, a := range strings.Split(*b.shardAddrs, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				q.ShardAddrs = append(q.ShardAddrs, a)
-			}
-		}
 	}
 	if b.anchors != nil && *b.anchors != "" {
 		anchors, err := parseAnchors(*b.anchors)

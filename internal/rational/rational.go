@@ -26,7 +26,7 @@ var Zero = R{0, 0}
 // New returns the rational num/den. den must be non-negative.
 func New(num, den int64) R { return R{Num: num, Den: den} }
 
-// Decode builds the exact density num/den from wire-carried integers,
+// Decode builds the exact density num/den from caller-supplied integers,
 // mapping anything malformed — a non-positive denominator (the JSON zero
 // value) or a negative numerator — to the empty density, which compares
 // below every proper density and therefore can never inflate a bound.

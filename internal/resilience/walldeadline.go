@@ -1,3 +1,7 @@
+// Package resilience holds the serving layer's wall-clock deadline: a
+// context whose Err() turns DeadlineExceeded the instant the wall clock
+// passes the deadline, which the degradation budgets of the core-exact
+// search and the anytime planner poll.
 package resilience
 
 import (

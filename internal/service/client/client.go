@@ -184,26 +184,6 @@ func (c *Client) Graphs(ctx context.Context) ([]wire.GraphInfo, error) {
 	return infos, nil
 }
 
-// Shards lists the server's registered shard workers with their health
-// (GET /v3/shards).
-func (c *Client) Shards(ctx context.Context) ([]wire.ShardInfo, error) {
-	var infos []wire.ShardInfo
-	if err := c.do(ctx, http.MethodGet, "/v3/shards", nil, &infos); err != nil {
-		return nil, err
-	}
-	return infos, nil
-}
-
-// RegisterShard registers a shard worker's base URL with the server's
-// coordinator (POST /v3/shards).
-func (c *Client) RegisterShard(ctx context.Context, addr string) ([]wire.ShardInfo, error) {
-	var infos []wire.ShardInfo
-	if err := c.do(ctx, http.MethodPost, "/v3/shards", wire.ShardRegisterRequest{Addr: addr}, &infos); err != nil {
-		return nil, err
-	}
-	return infos, nil
-}
-
 // Stats fetches the service's operational counters.
 func (c *Client) Stats(ctx context.Context) (*wire.StatsResponse, error) {
 	var stats wire.StatsResponse

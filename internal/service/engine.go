@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/service/wire"
-	"repro/internal/shard"
 )
 
 // Config tunes an Engine.
@@ -47,26 +45,6 @@ type Config struct {
 	// Greed++ rung, positive sets its iteration budget. Only /v1/stream
 	// reads it; core-exact solves run no Greed++.
 	AlgoIterative int
-	// ShardAddrs seeds the distributed coordinator's worker set with
-	// shard dsdd base URLs; workers may also self-register at runtime
-	// via POST /v3/shards. While the set is non-empty, core-exact
-	// queries are answered by the coordinator — planned locally, their
-	// component searches fanned across the workers — unless a query opts
-	// out with Shards < 0. The answers are bit-identical either way.
-	ShardAddrs []string
-	// ShardHedge is the coordinator's straggler-hedging delay (0 =
-	// shard.DefaultHedge, negative = hedging off).
-	ShardHedge time.Duration
-	// ShardTimeout bounds each remote component attempt (0 = the
-	// query's own budget only).
-	ShardTimeout time.Duration
-	// ShardBoundTimeout bounds one best-effort bound rebroadcast to a
-	// shard worker (0 = shard.DefaultBoundTimeout).
-	ShardBoundTimeout time.Duration
-	// ShardHTTPClient carries the coordinator's v3 traffic (nil =
-	// http.DefaultClient) — the seam fault-injection transports plug
-	// into.
-	ShardHTTPClient *http.Client
 	// ComputeHook, when non-nil, runs at the start of every computation,
 	// on the compute goroutine, after the worker slot is acquired. It is
 	// a test and fault-injection seam: a blocking hook holds worker
@@ -114,7 +92,6 @@ type Engine struct {
 	timeout       time.Duration
 	algoWorkers   int
 	algoIterative int
-	coord         *shard.Coordinator
 	computeHook   func()
 
 	metrics   *obs.Registry
@@ -123,13 +100,12 @@ type Engine struct {
 	noTrace   bool
 	qlog      *obs.QueryLog // nil = query log disabled
 
-	queries      atomic.Int64
-	computes     atomic.Int64
-	hits         atomic.Int64
-	errors       atomic.Int64
-	shed         atomic.Int64
-	shardQueries atomic.Int64
-	streams      atomic.Int64
+	queries  atomic.Int64
+	computes atomic.Int64
+	hits     atomic.Int64
+	errors   atomic.Int64
+	shed     atomic.Int64
+	streams  atomic.Int64
 
 	drain drainEst
 }
@@ -206,9 +182,7 @@ var ErrOverloaded = errors.New("service: overloaded, admission queue full")
 // admits up to Workers running + DefaultQueueFactor×Workers waiting.
 const DefaultQueueFactor = 4
 
-// NewEngine builds an engine over reg. Every engine owns a distributed
-// coordinator; it only takes effect once its worker set is non-empty
-// (seeded from Config.ShardAddrs or grown via shard self-registration).
+// NewEngine builds an engine over reg.
 func NewEngine(reg *Registry, cfg Config) *Engine {
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -229,13 +203,6 @@ func NewEngine(reg *Registry, cfg Config) *Engine {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
-	coord := shard.NewCoordinator(reg, shard.NewSet(cfg.ShardAddrs...), shard.Config{
-		HTTPClient:       cfg.ShardHTTPClient,
-		Hedge:            cfg.ShardHedge,
-		ComponentTimeout: cfg.ShardTimeout,
-		BoundTimeout:     cfg.ShardBoundTimeout,
-		Metrics:          metrics,
-	})
 	var admit chan struct{}
 	if cfg.QueueDepth >= 0 {
 		depth := cfg.QueueDepth
@@ -273,7 +240,6 @@ func NewEngine(reg *Registry, cfg Config) *Engine {
 		timeout:       cfg.Timeout,
 		algoWorkers:   algoWorkers,
 		algoIterative: cfg.AlgoIterative,
-		coord:         coord,
 		computeHook:   cfg.ComputeHook,
 		metrics:       metrics,
 		log:           logger,
@@ -290,10 +256,6 @@ func (e *Engine) QueryLog() *obs.QueryLog { return e.qlog }
 // Metrics returns the engine's metrics registry — the one /metrics
 // serves.
 func (e *Engine) Metrics() *obs.Registry { return e.metrics }
-
-// Coordinator returns the engine's distributed coordinator (its Set is
-// how shard workers register).
-func (e *Engine) Coordinator() *shard.Coordinator { return e.coord }
 
 // Workers returns the worker-pool bound.
 func (e *Engine) Workers() int { return cap(e.sem) }
@@ -544,10 +506,10 @@ func (e *Engine) solve(ctx context.Context, graphName string, q dsd.Query, timeo
 		if nq.Algo == dsd.AlgoCoreExact {
 			algoCtx = cctx
 		}
-		// Root the per-query trace. Solver.Solve and the coordinator each
-		// open their own solve span under this root when the context
-		// carries the tracer; with NoTrace the tracer is nil and every span
-		// call below it is a no-op that allocates nothing.
+		// Root the per-query trace. Solver.Solve opens its own solve span
+		// under this root when the context carries the tracer; with
+		// NoTrace the tracer is nil and every span call below it is a
+		// no-op that allocates nothing.
 		var tr *obs.Tracer
 		if !e.noTrace {
 			tr = obs.New()
@@ -568,17 +530,6 @@ func (e *Engine) solve(ctx context.Context, graphName string, q dsd.Query, timeo
 			var r *core.Result
 			var err error
 			switch {
-			case e.coord.Routable(nq):
-				// Distributed execution: plan locally, fan the located
-				// core's components across the shard workers, merge. The
-				// density is bit-identical to the in-process engine's; a
-				// dead worker costs a local fallback, never the query.
-				e.shardQueries.Add(1)
-				if sink != nil {
-					r, err = e.coord.SolveObserved(algoCtx, graphName, nq, sink)
-				} else {
-					r, err = e.coord.Solve(algoCtx, graphName, nq)
-				}
 			case snap == nil:
 				err = pinErr
 			case sink != nil:
@@ -696,24 +647,6 @@ func (e *Engine) GraphDetail(graphName string) (wire.GraphDetail, error) {
 
 // Stats returns the engine's operational counters.
 func (e *Engine) Stats() wire.StatsResponse {
-	health := e.coord.Health()
-	var shardWorkers []wire.ShardWorkerStats
-	if len(health) > 0 {
-		shardWorkers = make([]wire.ShardWorkerStats, len(health))
-		for i, h := range health {
-			shardWorkers[i] = wire.ShardWorkerStats{
-				Addr:          h.Addr,
-				InFlight:      h.InFlight,
-				Remote:        h.Remote,
-				Failures:      h.Failures,
-				Hedges:        h.Hedges,
-				Retries:       h.Retries,
-				LatencyEWMAMs: float64(h.LatencyEWMA) / float64(time.Millisecond),
-				AllocBytes:    h.AllocBytes,
-				Breaker:       h.Breaker,
-			}
-		}
-	}
 	return wire.StatsResponse{
 		Graphs:            e.reg.Len(),
 		Workers:           cap(e.sem),
@@ -725,9 +658,6 @@ func (e *Engine) Stats() wire.StatsResponse {
 		Errors:            e.errors.Load(),
 		AwaitOrphans:      dsd.AwaitOrphans(),
 		Shed:              e.shed.Load(),
-		Shards:            e.coord.Set().Len(),
-		ShardQueries:      e.shardQueries.Load(),
-		ShardWorkers:      shardWorkers,
 		Streams:           e.streams.Load(),
 		RetryAfterSeconds: e.RetryAfter().Seconds(),
 	}

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -265,65 +264,6 @@ func sameResult(got, want *core.Result) error {
 		}
 	}
 	return nil
-}
-
-// TestEngineShardRouting: an engine whose shard set is non-empty answers
-// core-exact queries through the distributed coordinator — same density,
-// shard counters set, single-flight and the ShardQueries counter intact
-// — while non-core-exact queries and Shards:-1 opt-outs stay local.
-func TestEngineShardRouting(t *testing.T) {
-	wreg := NewRegistry()
-	if _, err := wreg.Register("bowtie", bowtie()); err != nil {
-		t.Fatal(err)
-	}
-	worker := httptest.NewServer(NewServer(wreg, Config{}))
-	defer worker.Close()
-
-	e := newTestEngine(t, Config{Workers: 2, ShardAddrs: []string{worker.URL}})
-	ctx := context.Background()
-
-	local, err := dsd.NewSolver(bowtie()).Solve(ctx, dsd.Query{H: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, cached, err := e.Solve(ctx, "bowtie", dsd.Query{H: 3}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached {
-		t.Fatal("first sharded query reported cached")
-	}
-	if res.Density.Cmp(local.Density) != 0 {
-		t.Fatalf("sharded density %v != local %v", res.Density, local.Density)
-	}
-	if res.Stats.ShardComponents == 0 {
-		t.Fatalf("query did not distribute: %+v", res.Stats)
-	}
-	if got := e.Stats().ShardQueries; got != 1 {
-		t.Fatalf("ShardQueries = %d, want 1", got)
-	}
-	if got := e.Stats().Shards; got != 1 {
-		t.Fatalf("Shards = %d, want 1", got)
-	}
-
-	// The opt-out runs locally on the same engine.
-	optOut, _, err := e.Solve(ctx, "bowtie", dsd.Query{H: 3, Shards: -1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if optOut.Density.Cmp(local.Density) != 0 {
-		t.Fatalf("opt-out density %v != local %v", optOut.Density, local.Density)
-	}
-	if optOut.Stats.ShardComponents != 0 {
-		t.Fatalf("opt-out still distributed: %+v", optOut.Stats)
-	}
-	// A peel query is never routed to the coordinator.
-	if _, _, err := e.Solve(ctx, "bowtie", dsd.Query{H: 3, Algo: dsd.AlgoPeel}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Stats().ShardQueries; got != 1 {
-		t.Fatalf("ShardQueries grew to %d on non-distributable queries", got)
-	}
 }
 
 // TestFloatingQuerySurvivesEviction: a floating-head query pins the head

@@ -1,8 +1,8 @@
 // The wide-event query log: every request through Engine.solve emits
 // one obs.QueryEvent — the canonical cost record GET /v1/querylog
 // serves and the slow-query log serializes — so one artifact answers
-// "what did this query cost and why" across outcomes, phases, shards,
-// and allocation.
+// "what did this query cost and why" across outcomes, phases and
+// allocation.
 package service
 
 import (
@@ -16,7 +16,7 @@ import (
 
 // fillEventFromResult copies a computed (or cache-served) result's cost
 // and work counters into the wide event: solver counters, allocation,
-// density, and the per-phase / per-shard cost tables derived from the
+// density, and the per-phase cost table derived from the
 // trace. On cache hits the stats describe the original computation, not
 // this request — that is what "what did this answer cost" means there.
 func fillEventFromResult(ev *obs.QueryEvent, res *core.Result) {
@@ -29,16 +29,11 @@ func fillEventFromResult(ev *obs.QueryEvent, res *core.Result) {
 	ev.ReusedDecomposition = st.ReusedDecomposition
 	ev.ReusedDegrees = st.ReusedDegrees
 	ev.BoundedCores = st.BoundedCores
-	ev.ShardComponents = st.ShardComponents
-	ev.ShardRemote = st.ShardRemote
-	ev.ShardFallbacks = st.ShardFallbacks
-	ev.ShardHedges = st.ShardHedges
 	ev.AllocBytes = st.AllocBytes
 	ev.Allocs = st.Allocs
 	if st.Trace != nil {
 		ev.TraceID = st.Trace.TraceID
 		ev.Phases = st.Trace.PhaseCosts()
-		ev.Shards = st.Trace.ShardCosts()
 	}
 }
 
@@ -83,14 +78,6 @@ func (e *Engine) observeComputed(graphName string, nq dsd.Query, r *core.Result,
 		slog.Int("presolve_skips", ev.PreSolveSkips),
 		slog.Int64("alloc_bytes", ev.AllocBytes),
 		slog.Int64("allocs", ev.Allocs),
-	}
-	if ev.ShardComponents > 0 {
-		attrs = append(attrs,
-			slog.Int("shard_components", ev.ShardComponents),
-			slog.Int("shard_remote", ev.ShardRemote),
-			slog.Int("shard_fallbacks", ev.ShardFallbacks),
-			slog.Int("shard_hedges", ev.ShardHedges),
-		)
 	}
 	if ev.TraceID != "" {
 		attrs = append(attrs, slog.String("trace_id", ev.TraceID))

@@ -2,19 +2,17 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	dsd "repro"
 	"repro/internal/service/wire"
-	"repro/internal/shard"
 )
 
 // Server is the HTTP JSON API over a Registry and Engine:
@@ -30,20 +28,11 @@ import (
 //	GET    /v1/querylog         — wide-event query log (tail-sampled ring, newest first)
 //	GET    /metrics             — Prometheus text exposition of the engine registry
 //	GET    /healthz             — liveness probe
-//	POST   /v3/component        — run one CoreExact component search (shard worker)
-//	POST   /v3/bound            — raise an in-flight component search's floor
-//	GET    /v3/shards           — list registered shard workers with health
-//	POST   /v3/shards           — register a shard worker's base URL
 //
-// Queries and streams share one pipeline and one result cache. The v3
-// endpoints are the distributed sharding protocol (internal/shard):
-// every server can act as a shard worker, and a server whose shard set
-// is non-empty coordinates — its core-exact queries fan their component
-// searches across the registered workers.
+// Queries and streams share one pipeline and one result cache.
 type Server struct {
 	reg    *Registry
 	engine *Engine
-	worker *shard.Worker
 	mux    *http.ServeMux
 	// allowPaths gates POST /v1/graphs {"path": ...}: reading arbitrary
 	// server files on request is opt-in (the dsdd binary enables it).
@@ -52,7 +41,7 @@ type Server struct {
 
 // NewServer builds a server over reg with a fresh engine.
 func NewServer(reg *Registry, cfg Config) *Server {
-	s := &Server{reg: reg, engine: NewEngine(reg, cfg), worker: shard.NewWorker(reg)}
+	s := &Server{reg: reg, engine: NewEngine(reg, cfg)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/query", s.handleQueryV2)
 	mux.HandleFunc("POST /v1/stream", s.handleStream)
@@ -65,9 +54,6 @@ func NewServer(reg *Registry, cfg Config) *Server {
 	mux.HandleFunc("GET /v1/querylog", s.handleQueryLog)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.worker.Register(mux)
-	mux.HandleFunc("GET /v3/shards", s.handleListShards)
-	mux.HandleFunc("POST /v3/shards", s.handleRegisterShard)
 	s.mux = mux
 	return s
 }
@@ -251,14 +237,12 @@ func (s *Server) handleQueryLog(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics is GET /metrics: the engine's registry in Prometheus
-// text exposition format. Registry-external state (registered graphs,
-// shard set size) is refreshed into gauges at scrape time, so a scrape
+// text exposition format. Registry-external state (the registered
+// graph count) is refreshed into a gauge at scrape time, so a scrape
 // always reflects the current configuration even if no query ran.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m := s.engine.Metrics()
 	m.Gauge("dsd_graphs", "Graphs currently registered.").Set(float64(s.reg.Len()))
-	m.Gauge("dsd_shard_workers", "Shard workers currently registered with the coordinator.").
-		Set(float64(s.engine.Coordinator().Set().Len()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	m.WritePrometheus(w)
 }
@@ -272,56 +256,6 @@ func (s *Server) EnablePprof() {
 	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-}
-
-// handleRegisterShard is POST /v3/shards: a `dsdd -shard-of` worker
-// announcing its base URL. Registration is idempotent (the set dedupes).
-func (s *Server) handleRegisterShard(w http.ResponseWriter, r *http.Request) {
-	var req wire.ShardRegisterRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if strings.TrimSpace(req.Addr) == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("addr is required"))
-		return
-	}
-	u, err := url.Parse(req.Addr)
-	if err != nil || u.Scheme == "" || u.Host == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("addr %q is not a base URL (want e.g. http://host:port)", req.Addr))
-		return
-	}
-	s.engine.Coordinator().Set().Add(req.Addr)
-	writeJSON(w, http.StatusOK, s.shardInfos(r.Context(), false))
-}
-
-// handleListShards is GET /v3/shards: the registered workers, each with
-// a live health probe.
-func (s *Server) handleListShards(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.shardInfos(r.Context(), true))
-}
-
-// shardInfos snapshots the shard set; with probe set, each worker's
-// /healthz is checked concurrently under a short timeout.
-func (s *Server) shardInfos(ctx context.Context, probe bool) []wire.ShardInfo {
-	addrs := s.engine.Coordinator().Set().List()
-	infos := make([]wire.ShardInfo, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		infos[i] = wire.ShardInfo{Addr: addr}
-		if !probe {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			defer cancel()
-			infos[i].Healthy = shard.NewClient(nil).Health(pctx, addr) == nil
-		}(i, addr)
-	}
-	wg.Wait()
-	return infos
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -340,8 +274,8 @@ const (
 )
 
 // writeQueryError answers a failed query, mapping the error to a status
-// and decorating shed responses with the Retry-After header the
-// coordinator's (and any well-behaved client's) backoff honors.
+// and decorating shed responses with the Retry-After header a
+// well-behaved client's backoff honors.
 func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 	status := statusFor(err)
 	if status == http.StatusServiceUnavailable {
@@ -369,16 +303,34 @@ func statusFor(err error) int {
 	}
 }
 
-// The JSON request/response helpers (body cap, strict decoding, error
-// shape) live in the wire package, shared with the v3 shard worker.
+// maxBodyBytes caps request bodies across every dsdd endpoint; the
+// largest legitimate payload is an inline edge list (v1 registration),
+// and one oversized request must not be able to OOM the server.
+const maxBodyBytes = 64 << 20
+
+// decodeJSON strictly decodes one JSON request body into dst, bounded by
+// maxBodyBytes. Unknown fields are an error, so a request written for a
+// field the server does not have fails loudly instead of being answered
+// as if the field were absent.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	return wire.DecodeJSON(w, r, dst)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return fmt.Errorf("invalid request body: %w", err)
+	}
+	return nil
 }
 
+// writeJSON writes v as a JSON response with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	wire.WriteJSON(w, status, v)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(v)
 }
 
+// writeError writes err as a wire.ErrorResponse with the given status.
 func writeError(w http.ResponseWriter, status int, err error) {
-	wire.WriteError(w, status, err)
+	writeJSON(w, status, wire.ErrorResponse{Error: err.Error()})
 }

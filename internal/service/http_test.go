@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -236,5 +237,62 @@ func TestServerMethodAndBodyValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized body status = %d", resp.StatusCode)
+	}
+}
+
+// TestRemovedShardSurfaceFailsLoudly: the server has no distributed
+// execution, and a client written for it must learn so instead of being
+// answered locally. The v3 endpoints are gone (404), and the strict
+// decoder rejects a /v2/query body carrying a sharding field (400).
+func TestRemovedShardSurfaceFailsLoudly(t *testing.T) {
+	srv, c := newTestServer(t)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if _, err := c.RegisterEdges(context.Background(), "bowtie", bowtieEdges); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, req := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v3/component", `{"graph":"bowtie","query":{"h":3},"component":[0,1,2],"k_locate":1}`},
+		{http.MethodPost, "/v3/bound", `{"search_id":"s","floor_num":1,"floor_den":1}`},
+		{http.MethodGet, "/v3/shards", ""},
+		{http.MethodPost, "/v3/shards", `{"addr":"http://127.0.0.1:1"}`},
+	} {
+		r, err := http.NewRequest(req.method, ts.URL+req.path, strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s %s status = %d, want 404", req.method, req.path, resp.StatusCode)
+		}
+	}
+
+	for _, field := range []string{`"shards":2`, `"shard_addrs":["http://127.0.0.1:1"]`} {
+		body := `{"graph":"bowtie","query":{"pattern":"triangle",` + field + `}}`
+		resp, err := http.Post(ts.URL+"/v2/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e wire.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(e.Error, "unknown field") {
+			t.Fatalf("query with %s: status %d, error %q (%v); want 400 naming the unknown field", field, resp.StatusCode, e.Error, err)
+		}
+	}
+	// The same body without the sharding field is answered.
+	resp, err := http.Post(ts.URL+"/v2/query", "application/json",
+		strings.NewReader(`{"graph":"bowtie","query":{"pattern":"triangle"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("plain query status = %d, want 200", resp.StatusCode)
 	}
 }

@@ -160,18 +160,6 @@ func (r *Registry) Get(name string) (*GraphEntry, bool) {
 	return e, ok
 }
 
-// SolverFor returns the Solver answering queries on the graph registered
-// under name — the shard.SolverSource contract, making a Registry
-// directly usable as the graph store behind a shard worker or
-// coordinator.
-func (r *Registry) SolverFor(name string) (*dsd.Solver, bool) {
-	e, ok := r.Get(name)
-	if !ok {
-		return nil, false
-	}
-	return e.Solver, true
-}
-
 // Len returns the number of registered graphs.
 func (r *Registry) Len() int {
 	r.mu.RLock()

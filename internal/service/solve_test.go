@@ -40,12 +40,6 @@ func TestSolveCacheKeying(t *testing.T) {
 		{{H: 3, Iterative: -1}},
 		{{H: 3, Workers: 2}},
 		{{H: 3, Core: &dsd.CoreExactOptions{Pruning1: true}}},
-		// The sharding knobs change execution, so they key separately —
-		// and every negative Shards spelling collapses to one key. (No
-		// shards are registered on a test engine, so these still execute
-		// locally.)
-		{{H: 3, Shards: -1}, {H: 3, Shards: -3}},
-		{{H: 3, Shards: 2}},
 	}
 
 	const fanout = 8

@@ -125,17 +125,15 @@ func FromAnswer(a dsd.Answer, cached bool) StreamEvent {
 // the algorithm, the execution knobs, and the problem-variant
 // parameters. Fields at their zero value are omitted.
 type Query struct {
-	Pattern    string   `json:"pattern,omitempty"`
-	H          int      `json:"h,omitempty"`
-	Algo       string   `json:"algo,omitempty"`
-	Workers    int      `json:"workers,omitempty"`
-	Iterative  int      `json:"iterative,omitempty"`
-	Shards     int      `json:"shards,omitempty"`
-	ShardAddrs []string `json:"shard_addrs,omitempty"`
-	Pruning    *Pruning `json:"pruning,omitempty"`
-	Anchors    []int32  `json:"anchors,omitempty"`
-	AtLeast    int      `json:"at_least,omitempty"`
-	Eps        float64  `json:"eps,omitempty"`
+	Pattern   string   `json:"pattern,omitempty"`
+	H         int      `json:"h,omitempty"`
+	Algo      string   `json:"algo,omitempty"`
+	Workers   int      `json:"workers,omitempty"`
+	Iterative int      `json:"iterative,omitempty"`
+	Pruning   *Pruning `json:"pruning,omitempty"`
+	Anchors   []int32  `json:"anchors,omitempty"`
+	AtLeast   int      `json:"at_least,omitempty"`
+	Eps       float64  `json:"eps,omitempty"`
 	// Version pins the query to one graph version of a mutable graph
 	// (0 = current head; see dsd.Solver.Apply). The service resolves 0 to
 	// the head version at admission, so the echoed canonical query always
@@ -163,17 +161,15 @@ type Pruning struct {
 // inside a run.
 func (w Query) ToQuery() (dsd.Query, error) {
 	q := dsd.Query{
-		H:          w.H,
-		Workers:    w.Workers,
-		Iterative:  w.Iterative,
-		Shards:     w.Shards,
-		ShardAddrs: w.ShardAddrs,
-		Anchors:    w.Anchors,
-		AtLeast:    w.AtLeast,
-		Eps:        w.Eps,
-		Version:    dsd.Version(w.Version),
-		Deadline:   time.Duration(w.DeadlineMs) * time.Millisecond,
-		Gap:        w.Gap,
+		H:         w.H,
+		Workers:   w.Workers,
+		Iterative: w.Iterative,
+		Anchors:   w.Anchors,
+		AtLeast:   w.AtLeast,
+		Eps:       w.Eps,
+		Version:   dsd.Version(w.Version),
+		Deadline:  time.Duration(w.DeadlineMs) * time.Millisecond,
+		Gap:       w.Gap,
 	}
 	if w.Algo != "" {
 		a, err := dsd.ParseAlgo(w.Algo)
@@ -207,8 +203,6 @@ func FromQuery(q dsd.Query) Query {
 		Algo:       string(q.Algo),
 		Workers:    q.Workers,
 		Iterative:  q.Iterative,
-		Shards:     q.Shards,
-		ShardAddrs: q.ShardAddrs,
 		Anchors:    q.Anchors,
 		AtLeast:    q.AtLeast,
 		Eps:        q.Eps,
@@ -247,13 +241,6 @@ type QueryStats struct {
 	// BoundedCores: the run located on upper-bound core numbers carried
 	// across a mutation instead of peeling its own graph version.
 	BoundedCores bool `json:"bounded_cores,omitempty"`
-	// The sharded-execution counters (zero on in-process runs): planned
-	// component searches, those answered remotely, remote failures
-	// re-executed locally, and straggler hedges launched.
-	ShardComponents int `json:"shard_components,omitempty"`
-	ShardRemote     int `json:"shard_remote,omitempty"`
-	ShardFallbacks  int `json:"shard_fallbacks,omitempty"`
-	ShardHedges     int `json:"shard_hedges,omitempty"`
 	// FlowMs / PreSolveMs attribute the run's wall time to flow solves
 	// and Exact's Greed++ pre-solve (0 on core-exact runs); on parallel
 	// runs the phases overlap across workers, so the sums can exceed
@@ -283,10 +270,6 @@ func FromQueryStats(st dsd.QueryStats) *QueryStats {
 		ReusedDecomposition: st.ReusedDecomposition,
 		ReusedDegrees:       st.ReusedDegrees,
 		BoundedCores:        st.BoundedCores,
-		ShardComponents:     st.ShardComponents,
-		ShardRemote:         st.ShardRemote,
-		ShardFallbacks:      st.ShardFallbacks,
-		ShardHedges:         st.ShardHedges,
 		FlowMs:              float64(st.FlowTime) / float64(time.Millisecond),
 		PreSolveMs:          float64(st.PreSolveTime) / float64(time.Millisecond),
 		AllocBytes:          st.AllocBytes,
@@ -411,14 +394,6 @@ type StatsResponse struct {
 	// Shed counts queries rejected at admission (503 + Retry-After)
 	// because the engine's admission queue was full.
 	Shed int64 `json:"shed,omitempty"`
-	// Shards is the number of registered shard workers; ShardQueries
-	// counts computations routed through the distributed coordinator.
-	Shards       int   `json:"shards,omitempty"`
-	ShardQueries int64 `json:"shard_queries,omitempty"`
-	// ShardWorkers breaks the shard counters down per registered worker,
-	// with the coordinator's live health view (in-flight component count,
-	// exponentially-weighted remote latency).
-	ShardWorkers []ShardWorkerStats `json:"shard_workers,omitempty"`
 	// Streams counts anytime streaming queries (POST /v1/stream and
 	// Engine.Stream).
 	Streams int64 `json:"streams,omitempty"`
@@ -426,122 +401,6 @@ type StatsResponse struct {
 	// the value a 503's Retry-After header would carry right now. Clients
 	// can poll it to pace themselves before shedding starts.
 	RetryAfterSeconds float64 `json:"retry_after_seconds"`
-}
-
-// ShardWorkerStats is the coordinator's per-worker health and accounting
-// view: components answered remotely, remote failures that fell back to
-// local execution, straggler hedges launched against it, the components
-// in flight on it right now, and the EWMA of its component round-trip
-// latency.
-type ShardWorkerStats struct {
-	Addr          string  `json:"addr"`
-	InFlight      int64   `json:"in_flight"`
-	Remote        int64   `json:"remote"`
-	Failures      int64   `json:"failures"`
-	Hedges        int64   `json:"hedges"`
-	Retries       int64   `json:"retries,omitempty"`
-	LatencyEWMAMs float64 `json:"latency_ewma_ms"`
-	// AllocBytes is the worker-reported heap allocation summed over the
-	// components it answered — the coordinator's per-worker cost view
-	// (0 from workers predating the accounting).
-	AllocBytes int64 `json:"alloc_bytes,omitempty"`
-	// Breaker is the worker's circuit-breaker state: "closed",
-	// "half-open" or "open".
-	Breaker string `json:"breaker,omitempty"`
-}
-
-// ComponentRequest is the wire v3 shard-execution message
-// (POST /v3/component): one connected component of a located (k,Ψ)-core,
-// shipped by a coordinator to a shard worker holding the same graph. It
-// reuses the v2 Query encoding for the motif and knobs; Component is the
-// component's vertex set in original ids, KLocate the core level the
-// coordinator located it at, and FloorNum/FloorDen the coordinator's
-// current certified global lower bound — the worker seeds its search
-// floor from it and the coordinator keeps raising it via BoundRequest as
-// sibling components report in.
-type ComponentRequest struct {
-	Graph string `json:"graph"`
-	// SearchID names this in-flight search for bound rebroadcasts;
-	// empty disables them.
-	SearchID  string  `json:"search_id,omitempty"`
-	Query     Query   `json:"query"`
-	Component []int32 `json:"component"`
-	KLocate   int64   `json:"k_locate"`
-	FloorNum  int64   `json:"floor_num,omitempty"`
-	FloorDen  int64   `json:"floor_den,omitempty"`
-	// TraceID / ParentSpan propagate the coordinator's trace across the
-	// process boundary: a non-empty TraceID makes the worker record its
-	// phase spans under ParentSpan (the coordinator's dispatch span) and
-	// ship them back in ComponentResponse.Spans, stitching both processes
-	// into one tree. Empty disables worker-side tracing.
-	TraceID    string `json:"trace_id,omitempty"`
-	ParentSpan string `json:"parent_span,omitempty"`
-}
-
-// ComponentResponse answers a ComponentRequest: the best subgraph found
-// inside the component (empty witness when nothing beat the floor) with
-// its exact density, plus the search's counters for the coordinator's
-// stats merge.
-type ComponentResponse struct {
-	Graph      string  `json:"graph"`
-	SearchID   string  `json:"search_id,omitempty"`
-	DensityNum int64   `json:"density_num"`
-	DensityDen int64   `json:"density_den"`
-	Density    float64 `json:"density"`
-	Witness    []int32 `json:"witness,omitempty"`
-	FlowSolves int     `json:"flow_solves"`
-	// Upper is the search's certified upper bound on the component's
-	// optimum density — the coordinator's degraded-answer substrate
-	// (0 from workers predating it; the coordinator then keeps its own
-	// planning bound).
-	Upper   float64 `json:"upper,omitempty"`
-	TotalMs float64 `json:"total_ms"`
-	// FlowMs is TotalMs's flow-solve share.
-	FlowMs float64 `json:"flow_ms,omitempty"`
-	// AllocBytes / Allocs are the worker-side heap allocation counter
-	// deltas over the search — the per-component cost the coordinator
-	// accumulates into its per-worker accounting. Reported even when the
-	// request carried no TraceID (the worker samples its own counters).
-	AllocBytes int64 `json:"alloc_bytes,omitempty"`
-	Allocs     int64 `json:"allocs,omitempty"`
-	// TraceID echoes the request's trace id; Spans are the worker-side
-	// phase spans of the search, parented under the request's ParentSpan,
-	// for the coordinator to adopt into its trace. Both are empty when the
-	// request carried no TraceID.
-	TraceID string          `json:"trace_id,omitempty"`
-	Spans   []obs.TraceSpan `json:"spans,omitempty"`
-}
-
-// BoundRequest rebroadcasts an improved global lower bound to an
-// in-flight component search (POST /v3/bound). The bound is the exact
-// density of a real subgraph found elsewhere; the worker raises the
-// named search's floor, which can only remove work.
-type BoundRequest struct {
-	SearchID string `json:"search_id"`
-	FloorNum int64  `json:"floor_num"`
-	FloorDen int64  `json:"floor_den"`
-}
-
-// BoundResponse reports what a BoundRequest did: Active that the named
-// search was still in flight, Raised that the floor actually rose.
-type BoundResponse struct {
-	SearchID string `json:"search_id"`
-	Active   bool   `json:"active"`
-	Raised   bool   `json:"raised"`
-}
-
-// ShardRegisterRequest registers a shard worker's base URL with a
-// coordinator (POST /v3/shards) — how a `dsdd -shard-of` worker
-// announces itself after binding its listener.
-type ShardRegisterRequest struct {
-	Addr string `json:"addr"`
-}
-
-// ShardInfo is one registered shard worker as seen by the coordinator
-// (GET /v3/shards): its base URL and whether its health probe answered.
-type ShardInfo struct {
-	Addr    string `json:"addr"`
-	Healthy bool   `json:"healthy"`
 }
 
 // QueryLogSchema names the GET /v1/querylog response format.

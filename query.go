@@ -96,19 +96,6 @@ type Query struct {
 	// Greed++ rung, parallelism and budgets stay with the Query fields
 	// above and below.
 	Core *CoreExactOptions
-	// Shards tunes distributed execution for core-exact queries answered
-	// by a sharding-enabled dsdd service: 0 fans the located core's
-	// components across every available shard worker, a positive value
-	// caps how many workers are used, and a negative value forces local
-	// execution even on a sharding-enabled service. The Solver itself
-	// always executes locally (the knob is honored by the service's
-	// coordinator); the returned density is identical for every value.
-	Shards int
-	// ShardAddrs overrides the set of shard worker base URLs (e.g.
-	// "http://10.0.0.2:8080") for this query; empty defers to the
-	// service's configured/registered workers. Only meaningful for
-	// core-exact. The returned density is identical for every set.
-	ShardAddrs []string
 	// Deadline is the graceful-degradation time budget for core-exact
 	// queries (0 disables it). When the exact search cannot finish within
 	// Deadline, Solve returns the best certified approximation held at
@@ -221,9 +208,6 @@ func (q Query) normalize() (Query, motif.Oracle, error) {
 	if len(q.Anchors) > 0 && q.Algo != AlgoAnchored {
 		return q, nil, fmt.Errorf("dsd: Anchors is only meaningful with Algo=%s (got %q)", AlgoAnchored, q.Algo)
 	}
-	if (q.Shards != 0 || len(q.ShardAddrs) > 0) && q.Algo != AlgoCoreExact {
-		return q, nil, fmt.Errorf("dsd: Shards/ShardAddrs are only meaningful with Algo=%s (got %q)", AlgoCoreExact, q.Algo)
-	}
 	if (q.Deadline != 0 || q.Gap != 0) && q.Algo != AlgoCoreExact {
 		return q, nil, fmt.Errorf("dsd: Deadline/Gap are only meaningful with Algo=%s (got %q)", AlgoCoreExact, q.Algo)
 	}
@@ -232,11 +216,6 @@ func (q Query) normalize() (Query, motif.Oracle, error) {
 	}
 	if q.Gap < 0 {
 		return q, nil, fmt.Errorf("dsd: Gap must be ≥ 0, got %v", q.Gap)
-	}
-	if q.Shards < 0 {
-		// Every negative value means the same thing — force local — so
-		// canonicalize to one spelling.
-		q.Shards = -1
 	}
 	if q.AtLeast > 0 && q.Algo != AlgoAtLeast {
 		return q, nil, fmt.Errorf("dsd: AtLeast is only meaningful with Algo=%s (got %q)", AlgoAtLeast, q.Algo)
@@ -315,17 +294,6 @@ func (q Query) Key() string {
 		// reads it, and existing keys keep their meaning.
 		fmt.Fprintf(&b, "|workers=%d|iter=%d|p1=%t|p2=%t|grouped=%t",
 			workers, opts.Iterative, opts.Pruning1, opts.Pruning2, opts.Grouped)
-		// The sharding knobs change where the components run, never the
-		// answer — but like Workers they change the observable stats, so
-		// spellings that request different executions never share a
-		// single-flight entry. Omitted when zero to keep pre-sharding keys
-		// stable.
-		if nq.Shards != 0 {
-			fmt.Fprintf(&b, "|shards=%d", nq.Shards)
-		}
-		if len(nq.ShardAddrs) > 0 {
-			fmt.Fprintf(&b, "|shardaddrs=%s", strings.Join(nq.ShardAddrs, ","))
-		}
 		// Degradation budgets change what the computation may return (a
 		// certified approximation), so budgeted queries can never share a
 		// single-flight entry with exact ones. Omitted when zero to keep

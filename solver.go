@@ -254,8 +254,8 @@ type decRequest struct {
 // coreExactRequest is the decRequest of a core-exact query run with
 // opts. Solve and the stream take the carried upper bound (bound); the
 // component surface does not, because the bound loosens with every
-// batch applied since the last peel and a plan located on it ships
-// larger components to every worker.
+// batch applied since the last peel and a plan located on it hands out
+// larger components.
 func coreExactRequest(opts core.Options, bound bool) decRequest {
 	workers := opts.Workers
 	if workers < 1 {

@@ -364,8 +364,6 @@ func TestQueryKey(t *testing.T) {
 		{{H: 3, Algo: dsd.AlgoPeel, Workers: 2}, {H: 3, Algo: dsd.AlgoPeel, Workers: 8, Iterative: 4}},
 		// Anchors are a set.
 		{{Anchors: []int32{2, 1, 1}}, {Anchors: []int32{1, 2}}},
-		// Every negative Shards spelling means "force local".
-		{{H: 3, Shards: -1}, {H: 3, Shards: -7}},
 	}
 	for i, pair := range same {
 		if pair[0].Key() != pair[1].Key() {
@@ -389,10 +387,6 @@ func TestQueryKey(t *testing.T) {
 		{H: 3, AtLeast: 5},
 		{H: 3, Eps: 0.25},
 		{H: 3, Eps: 0.5},
-		{H: 3, Shards: 2},
-		{H: 3, Shards: -1},
-		{H: 3, ShardAddrs: []string{"http://a:1"}},
-		{H: 3, ShardAddrs: []string{"http://a:1", "http://b:2"}},
 	}
 	seen := map[string]int{}
 	for i, q := range distinct {
@@ -423,8 +417,6 @@ func TestQueryValidation(t *testing.T) {
 		{H: 3, Algo: dsd.AlgoPeel, Eps: 0.5},           // eps without batch-peel
 		{H: 3, Algo: dsd.AlgoExact, AtLeast: 4},        // size without at-least
 		{H: 3, Algo: dsd.AlgoInc, Anchors: []int32{0}}, // anchors without anchored
-		{H: 3, Algo: dsd.AlgoPeel, Shards: 2},          // shards without core-exact
-		{H: 3, Algo: dsd.AlgoExact, ShardAddrs: []string{"http://a:1"}}, // addrs without core-exact
 	}
 	for i, q := range bad {
 		if _, err := s.Solve(context.Background(), q); err == nil {

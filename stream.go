@@ -35,7 +35,6 @@ const (
 	StagePlan      = plan.StagePlan
 	StageIterative = plan.StageIterative
 	StageSearch    = plan.StageSearch
-	StageShard     = plan.StageShard
 	StageFinal     = plan.StageFinal
 )
 
