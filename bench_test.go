@@ -121,7 +121,7 @@ func BenchmarkCoreExactTriangleMidSize(b *testing.B) {
 	g := dsd.GenerateChungLu(5000, 25000, 2.5, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.CoreExact(context.Background(), g, motif.Clique{H: 3}, core.DefaultOptions(), nil)
+		core.CoreExact(context.Background(), g, motif.Clique{H: 3}, core.DefaultOptions(), nil, nil)
 	}
 }
 
@@ -179,7 +179,7 @@ func BenchmarkCoreExactSerial(b *testing.B) {
 	g := benchMultiComponent()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.CoreExact(context.Background(), g, motif.Clique{H: 3}, core.DefaultOptions(), nil)
+		core.CoreExact(context.Background(), g, motif.Clique{H: 3}, core.DefaultOptions(), nil, nil)
 	}
 }
 
@@ -189,7 +189,7 @@ func BenchmarkCoreExactParallel(b *testing.B) {
 	opts.Workers = 4
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.CoreExact(context.Background(), g, motif.Clique{H: 3}, opts, nil)
+		core.CoreExact(context.Background(), g, motif.Clique{H: 3}, opts, nil, nil)
 	}
 }
 

@@ -96,19 +96,21 @@ func (s *Solver) PlanComponents(ctx context.Context, q Query) (*ComponentPlan, e
 // running search's next probe α and shrinks its cores. Safe for
 // concurrent use.
 type ComponentFloor struct {
-	cell *core.FloorCell
+	cell *core.Emitter
 }
 
 // NewComponentFloor returns a floor seeded at num/den (den ≤ 0 seeds the
 // empty density, below everything).
 func NewComponentFloor(num, den int64) *ComponentFloor {
-	return &ComponentFloor{cell: core.NewFloorCell(ratio(num, den))}
+	f := &ComponentFloor{cell: core.NewEmitter(nil)}
+	f.Raise(num, den)
+	return f
 }
 
 // Raise lifts the floor to num/den iff it strictly beats the current
 // floor, reporting whether it did.
 func (f *ComponentFloor) Raise(num, den int64) bool {
-	return f.cell.Raise(ratio(num, den))
+	return f.cell.Improve(ratio(num, den), nil, core.StageSearch)
 }
 
 // ratio builds a density from a numerator/denominator pair (see
@@ -183,7 +185,7 @@ func (s *Solver) SolveComponent(ctx context.Context, q Query, comp []int32, kLoc
 	// always runs exact.
 	opts.Deadline = 0
 	opts.Gap = 0
-	out, err := core.SearchComponent(ctx, vs.g, o, dec, opts, floor.cell, comp, kLocate, nil)
+	out, err := core.SearchComponent(ctx, vs.g, o, dec, opts, floor.cell, comp, kLocate)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func runExact(t testing.TB, g *graph.Graph, o motif.Oracle, grouped bool) *Resul
 
 func coreExact(t testing.TB, g *graph.Graph, o motif.Oracle, opts Options) *Result {
 	t.Helper()
-	res, err := CoreExact(context.Background(), g, o, opts, nil)
+	res, err := CoreExact(context.Background(), g, o, opts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"repro/internal/flownet"
 	"repro/internal/graph"
+	"repro/internal/iterative"
 	"repro/internal/motif"
 	"repro/internal/obs"
 	"repro/internal/psicore"
@@ -32,20 +33,23 @@ type Options struct {
 	// meaningful for non-clique patterns only.
 	Grouped bool
 	// Iterative is the Greed++ iteration budget (internal/iterative) of
-	// the anytime ladder's StageIterative rung (internal/plan), which runs
-	// it on the densest component and streams its certified bounds; 0 or
-	// less skips the rung. CoreExact and SearchComponent ignore it: a
-	// component search goes straight from the located core to flow
-	// probes, so the search, its answer and its stats are identical for
+	// the anytime ladder's iterative rung, which runs it on the densest
+	// component and streams its certified bounds; 0 or less skips the
+	// rung. Only a CoreExact run with a receiver (Stream) runs the rung: a
+	// unary run, and SearchComponent, go straight from the located core to
+	// flow probes, so their search, answer and stats are identical for
 	// every budget.
 	Iterative int
-	// Workers bounds how many per-component searches (Algorithm 4
-	// lines 5-20) run concurrently; values ≤ 1 run the engine serially.
-	// Workers > 1 also parallelizes the clique-degree seeding of the
-	// (k,Ψ)-core decomposition and Pruning2's per-component density
-	// evaluation. The returned density is identical for every value: the
-	// searches share a mutex-protected monotone lower bound, so sharing
-	// only ever prunes work, never answers.
+	// Workers bounds how many per-component searches (Algorithm 4 lines
+	// 5-20) run concurrently; values ≤ 1 run the engine serially. Workers
+	// > 1 also stripes the clique-degree seeding of the (k,Ψ)-core
+	// decomposition and Pruning2's count of the located core across
+	// goroutines. The returned density is identical for every value: the
+	// searches share one monotone cell (Emitter), so sharing only ever
+	// prunes work, never answers. The witness may differ where several
+	// subgraphs attain the optimum, and on a multi-component core the
+	// network sizes a search builds depend on when a sibling raises the
+	// shared bound.
 	Workers int
 	// SeedWitness is an optional candidate witness — typically the answer
 	// of a previous solve on a slightly different graph (see dsd.Solver's
@@ -105,7 +109,7 @@ func DefaultOptions() Options {
 // Pruning2): the located (k,Ψ)-core's connected components, ordered
 // densest first, together with the certified (lower, witness) pair the
 // searches start from. Each component is an independent search unit:
-// the engines execute a Plan directly, and dsd.Solver.PlanComponents
+// CoreExact executes a Plan directly, and dsd.Solver.PlanComponents
 // hands it out for a component-by-component run of the same searches.
 type Plan struct {
 	// Dec is the (k,Ψ)-core decomposition the plan was located in.
@@ -138,8 +142,8 @@ func (p *Plan) Empty() bool { return p.Dec.TotalInstances == 0 }
 // decomposition (reusing dec when non-nil), Pruning1's residual-density
 // bound (or the Theorem-1 kmax-core fallback), the component split, and
 // Pruning2's per-component refinement. The returned plan's components
-// can then be searched in any order, in any process, as long as every
-// search shares one monotone BoundSource seeded from (Lower, Witness).
+// can then be searched in any order, as long as every search shares one
+// monotone cell (Emitter) seeded from (Lower, Witness).
 //
 // dec may be restricted (psicore.DecomposeWithin, Floor > 0): its
 // counted classical kmax-core then starts the lower bound, so the
@@ -313,14 +317,37 @@ func PlanCoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Opt
 // psicore.Decompose(g, o)'s result, a psicore.DecomposeWithin result, or
 // an upper bound on the former flagged by Options.DecUpperBound; it is
 // only read, so one decomposition may serve any number of concurrent
-// searches; nil computes one (see PlanCoreExact).
+// searches; nil computes one (see PlanCoreExact), through st.Decompose
+// when set.
+//
+// st is the optional receiver. A unary run passes nil: it locates the
+// core and searches its components, nothing more. With a receiver the
+// run is an anytime ladder (see Stream): it first replays the seed
+// witness (memo rung), on the cold path (dec nil) answers with CoreApp
+// before the decomposition is paid for (approx rung), and after location
+// runs Greed++ on the densest component for Options.Iterative iterations
+// (iterative rung). Those rungs only ever add certified bounds to the
+// searches' shared cell, which can only prune the searches, never change
+// their optimum value. The ladder is traced as one SpanPlan span, whose
+// rungs attribute lists the rungs that ran.
 //
 // The decomposition and every component search poll ctx and return
 // (nil, ctx.Err()) once it is cancelled. Cancellation is cooperative at
 // flow-solve granularity: the algorithm returns after at most one more
-// min-cut.
-func CoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Options, dec *psicore.Decomposition) (*Result, error) {
+// min-cut. A Deadline that fires mid-plan returns the deadline error; one
+// that fires later returns a Degraded result with a certified interval.
+func CoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Options, dec *psicore.Decomposition, st *Stream) (*Result, error) {
 	start := time.Now()
+	var sink func(Answer)
+	if st != nil {
+		sink = st.Sink
+	}
+	em := NewEmitter(sink)
+	sp := obs.StartFromContext(ctx, obs.SpanPlan)
+	defer sp.End()
+	var rungs []string
+	defer func() { sp.SetAttr("rungs", strings.Join(rungs, ",")) }()
+
 	// Graceful degradation: the searches run under the deadline-bounded
 	// dctx, while the caller's ctx stays the authority on real
 	// cancellation. A search the deadline stops returns ctx.Err(); the
@@ -332,131 +359,141 @@ func CoreExact(ctx context.Context, g *graph.Graph, o motif.Oracle, opts Options
 		dctx, cancel = resilience.WallDeadline(ctx, start.Add(opts.Deadline))
 		defer cancel()
 	}
+	deadlined := func() bool { return opts.Deadline > 0 && ctx.Err() == nil && dctx.Err() != nil }
+
+	if sink != nil {
+		// Memo rung: replay the recorded witness of an earlier run. Its
+		// density is exact by construction, so a warm stream's first byte
+		// is one tiny induced-subgraph evaluation away.
+		if w := opts.SeedWitness; len(w) > 0 && witnessValid(g, w) {
+			if ev := Evaluate(g, o, w); ev.Mu > 0 && em.Improve(ev.Density, ev.Vertices, StageMemo) {
+				rungs = append(rungs, "memo")
+			}
+		}
+		// Approx rung, cold path only: CoreApp's output certifies both ends
+		// at once (it is a |VΨ|-approximation, so the optimum is at most
+		// p·ρ(CoreApp)), giving a full interval before the decomposition is
+		// paid for. The upper end is inflated by a couple of ulps so the
+		// float product can never round below the true p·ρ bound.
+		if dec == nil {
+			if ca := CoreApp(g, o, st.Classical); ca.Mu > 0 {
+				em.Improve(ca.Density, ca.Vertices, StageApprox)
+				u := float64(o.Size()) * ca.Density.Float()
+				em.Tighten(math.Nextafter(u*(1+1e-12), math.Inf(1)), StageApprox)
+				rungs = append(rungs, "approx")
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	// Location: decomposition (unless supplied), Pruning1/2, the component
+	// split and the per-component core-number upper bounds. A deadline
+	// mid-plan leaves nothing certified to return.
+	if dec == nil && st != nil && st.Decompose != nil {
+		var err error
+		if dec, err = st.Decompose(dctx); err != nil {
+			return nil, err
+		}
+	}
 	plan, err := PlanCoreExact(dctx, g, o, opts, dec)
 	if err != nil {
-		// A deadline mid-plan leaves nothing certified to return.
 		return nil, err
 	}
 	stats := plan.Stats
+	sp.SetInt("components", int64(len(plan.Components)))
 	if plan.Empty() {
 		r := &Result{}
 		r.Stats = stats
 		r.Stats.Total = time.Since(start)
+		em.Final(r)
 		return r, nil
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
+	em.Install(plan.Lower, plan.Witness, plan.Uppers, StagePlan)
+	rungs = append(rungs, "plan")
+	stopped := false
+
+	// Iterative rung: adaptive Greed++ on the densest component, chunked
+	// iterations whose (prefix density, max-load/T) certificates tighten
+	// both ends between chunks, long before the first flow network is
+	// built. Its bounds reach the searches only through the shared cell.
+	if sink != nil && opts.Iterative > 0 && len(plan.Components) > 0 {
+		sub := g.Induced(plan.Components[0])
+		it := iterative.New(sub.Graph, o)
+		it.Progress = func() {
+			if lb, wit := it.Lower(); len(wit) > 0 {
+				em.Improve(lb, toOrig(sub, wit), StageIterative)
+			}
+			em.TightenComp(0, it.UpperFloat(), StageIterative)
+		}
+		if _, err := it.RunAdaptive(dctx, opts.Iterative); err != nil {
+			if !deadlined() {
+				return nil, err
+			}
+			stopped = true
+		}
+		rungs = append(rungs, "iterative")
 	}
-	p := int64(o.Size())
 
 	// Step 3: per-component Dinkelbach search with shrinking flow networks
-	// (lines 5-20). The searches share the (lower, witness) pair through
-	// a monotone cell: an improvement published by one component
-	// immediately raises the probe α and shrinks the cores of every other
-	// component, whether they run on this goroutine or across the worker
-	// pool.
-	cell := &boundCell{lower: plan.Lower, witness: plan.Witness}
+	// (lines 5-20), across the worker pool, sharing the emitter as their
+	// monotone cell: every witness improvement and every upper certificate
+	// (empty-cut probe α, core shrink) tightens the interval the moment it
+	// is known.
+	p := int64(o.Size())
 	perComp := make([]compStats, len(plan.Components))
 	errs := make([]error, len(plan.Components))
-	slots := newUpperSlots(plan.Uppers)
-	runIndexed(workers, len(plan.Components), func(i int) {
-		perComp[i], errs[i] = searchComponent(
-			dctx, g, o, plan.Dec, opts, cell, plan.Components[i], plan.KLocate, p, &slots[i])
-	})
-	deadlined := false
+	if !stopped {
+		runIndexed(max(opts.Workers, 1), len(plan.Components), func(i int) {
+			perComp[i], errs[i] = searchComponent(
+				dctx, g, o, plan.Dec, opts, em, i, plan.Components[i], plan.KLocate, p)
+		})
+		rungs = append(rungs, "search")
+	}
 	for _, err := range errs {
 		if err != nil {
 			// Search errors are only ever context errors (the searches poll
 			// ctx); outer ctx alive + dctx dead identifies the degradation
 			// deadline as the cause, for every component at once.
-			if opts.Deadline > 0 && ctx.Err() == nil && dctx.Err() != nil {
-				deadlined = true
-				break
+			if !deadlined() {
+				return nil, err
 			}
-			return nil, err
+			stopped = true
+			break
 		}
 	}
 	gapped := false
 	for _, cs := range perComp {
 		stats.FlowNodes = append(stats.FlowNodes, cs.flowNodes...)
 		stats.Iterations += cs.iterations
-		if cs.gapStop {
-			gapped = true
-		}
+		gapped = gapped || cs.gapStop
 		stats.FlowTime += cs.flowNS
 	}
 
-	_, witness := cell.snapshot()
+	_, witness, upper := em.Snapshot()
 	res := Evaluate(g, o, witness)
 	res.Stats = stats
 	res.Stats.Total = time.Since(start)
-	if deadlined || gapped {
-		// The interval top: every component optimum sits at or below its
-		// slot, so ρopt ≤ max(returned density, max slot). When that max
-		// does not exceed the returned density the searches proved
-		// exactness after all (every early stop was overtaken by the
-		// shared bound) and the answer is not degraded.
-		upper := res.Density.Float()
-		for i := range slots {
-			if u := slots[i].get(); u > upper {
-				upper = u
-			}
-		}
-		if res.Density.CmpFloat(upper) < 0 {
-			res.Degraded = true
-			res.Bound = Bound{Lower: res.Density, Upper: upper}
-		}
+	// The emitter's upper end folds every certificate the run saw (plan
+	// slots, Greed++ loads, probe αs), so it is the degraded interval top;
+	// when it does not exceed the density the searches proved exactness
+	// after all (every early stop was overtaken by the shared bound).
+	if (stopped || gapped) && res.Density.CmpFloat(upper) < 0 {
+		res.Degraded = true
+		res.Bound = Bound{Lower: res.Density, Upper: upper}
 	}
+	em.Final(res)
 	return res, nil
 }
 
-// upperSlot holds one component's certified upper bound on its optimum
-// density. The owning search lowers it as better certificates appear
-// (empty-cut probe α, core shrink below p); CoreExact reads the
-// survivors when a degraded run assembles its Bound.
-// Writes are monotone decreasing; the CAS loop makes concurrent readers
-// safe even though each slot has a single writer. notify, when set,
-// observes each successful tightening (single writer ⇒ the calls are
-// serialized and monotone).
-type upperSlot struct {
-	bits   atomic.Uint64
-	notify func(float64)
-}
-
-func newUpperSlots(uppers []float64) []upperSlot {
-	slots := make([]upperSlot, len(uppers))
-	for i, u := range uppers {
-		slots[i].bits.Store(math.Float64bits(u))
-	}
-	return slots
-}
-
-// lower tightens the slot to v when v is smaller; nil slots (plain
-// SearchComponent callers without degradation) are no-ops.
-func (s *upperSlot) lower(v float64) {
-	if s == nil {
-		return
-	}
-	for {
-		old := s.bits.Load()
-		if math.Float64frombits(old) <= v {
-			return
-		}
-		if s.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			if s.notify != nil {
-				s.notify(v)
-			}
-			return
-		}
-	}
-}
-
-func (s *upperSlot) get() float64 { return math.Float64frombits(s.bits.Load()) }
-
-// compStats is the per-component slice of Stats, merged in component
-// order after the searches so the aggregate is independent of scheduling.
+// compStats is one component search's contribution, merged in component
+// order after the searches so the aggregate is independent of scheduling:
+// the best (density, witness) the search itself found (zero/nil when
+// nothing in the component beat the shared bound) and its share of Stats.
 type compStats struct {
+	density    rational.R
+	witness    []int32
 	flowNodes  []int
 	iterations int
 	gapStop    bool // search stopped at the Options.Gap accuracy budget
@@ -477,12 +514,12 @@ type compStats struct {
 // The shared bound is used two ways, each conservative: as the probe α,
 // and to shrink to a higher core (a subgraph beating density d lies in
 // the ⌈d⌉-core), before the first network as well as between probes.
-// Upper bounds from core numbers and empty cuts feed slot for the
-// degraded and anytime paths. As in the paper, the search goes straight
-// from the located core to flow probes: no Greed++ pre-solve runs here.
+// Upper bounds from core numbers and empty cuts tighten component i's
+// slot of em, for the degraded and anytime paths. As in the paper, the
+// search goes straight from the located core to flow probes: no Greed++
+// pre-solve runs here.
 func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition,
-	opts Options, cell BoundSource, comp []int32, kLocate int64, p int64,
-	slot *upperSlot) (cs compStats, err error) {
+	opts Options, em *Emitter, i int, comp []int32, kLocate int64, p int64) (cs compStats, err error) {
 	if err := ctx.Err(); err != nil {
 		return cs, err
 	}
@@ -499,7 +536,7 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 			sp.End()
 		}()
 	}
-	lower := cell.Bound()
+	lower := em.Bound()
 	cur := comp
 	curK := kLocate
 	// Shrink by the shared lower bound before building anything (line 6).
@@ -510,7 +547,7 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 	if int64(len(cur)) < p {
 		// Nothing denser than the shared bound survives the shrink, so the
 		// component optimum is at most that bound.
-		slot.lower(lower.Float())
+		em.TightenComp(i, lower.Float(), StageSearch)
 		return cs, nil
 	}
 
@@ -520,7 +557,7 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 	// component's max core number dominates ρ(D) — tighter than the global
 	// kmax for every component but the one carrying it.
 	uc := float64(maxCoreOf(cur, dec))
-	slot.lower(uc)
+	em.TightenComp(i, uc, StageSearch)
 
 	var (
 		sd  *flownet.Side
@@ -530,7 +567,7 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 		if err := ctx.Err(); err != nil {
 			return cs, err
 		}
-		alpha := cell.Bound()
+		alpha := em.Bound()
 		// Accuracy budget (graceful degradation): stop once the certified
 		// interval is within a relative (1+Gap) of the shared lower bound —
 		// the component optimum is at most uc ≤ bound·(1+Gap), which the
@@ -571,7 +608,7 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 		}
 		if len(vs) == 0 {
 			// The exact certificate: nothing in the component beats α.
-			slot.lower(alpha.Float())
+			em.TightenComp(i, alpha.Float(), StageSearch)
 			return cs, nil
 		}
 		best := toOrig(sub, vs)
@@ -579,7 +616,10 @@ func searchComponent(ctx context.Context, g *graph.Graph, o motif.Oracle, dec *p
 		if !d.Greater(alpha) {
 			return cs, fmt.Errorf("core: flow probe at α=%v returned a subgraph of density %v", alpha, d)
 		}
-		cell.Improve(d, best)
+		// Every probe beats the bound it ran at, which is at least this
+		// search's previous best, so the latest witness is its best.
+		cs.density, cs.witness = d, best
+		em.Improve(d, best, StageSearch)
 	}
 }
 

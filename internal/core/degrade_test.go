@@ -55,7 +55,7 @@ func TestGapBoundsContainExact(t *testing.T) {
 		for _, h := range []int{2, 3} {
 			exact := runExact(t, g, motif.Clique{H: h}, false)
 			for _, gap := range []float64{0.05, 0.25, 1.0} {
-				res, err := CoreExact(context.Background(), g, motif.Clique{H: h}, Options{Gap: gap}, nil)
+				res, err := CoreExact(context.Background(), g, motif.Clique{H: h}, Options{Gap: gap}, nil, nil)
 				if err != nil {
 					t.Logf("seed %d h=%d gap=%g: %v", seed, h, gap, err)
 					return false
@@ -100,7 +100,7 @@ func TestDeadlineBoundsContainExact(t *testing.T) {
 		g := gen.GNM(16, 40, seed)
 		exact := runExact(t, g, motif.Clique{H: 3}, false)
 		for _, d := range deadlines {
-			res, err := CoreExact(context.Background(), g, motif.Clique{H: 3}, Options{Deadline: d}, nil)
+			res, err := CoreExact(context.Background(), g, motif.Clique{H: 3}, Options{Deadline: d}, nil, nil)
 			if err != nil {
 				// Only a mid-plan deadline may error, and only with the
 				// context's own error.
@@ -134,7 +134,7 @@ func TestDeadlineNeverMasksRealCancellation(t *testing.T) {
 	cancel()
 	// Outer ctx dead: the run must error, never "degrade" its way past a
 	// real cancellation — even with a deadline armed.
-	if _, err := CoreExact(ctx, g, motif.Clique{H: 3}, Options{Deadline: time.Minute}, nil); !errors.Is(err, context.Canceled) {
+	if _, err := CoreExact(ctx, g, motif.Clique{H: 3}, Options{Deadline: time.Minute}, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned err=%v, want context.Canceled", err)
 	}
 }
@@ -145,7 +145,7 @@ func TestGenerousBudgetsStayExact(t *testing.T) {
 	f := func(seed int64) bool {
 		g := gen.GNM(12, 30, seed)
 		exact := coreExact(t, g, motif.Clique{H: 2}, DefaultOptions())
-		res, err := CoreExact(context.Background(), g, motif.Clique{H: 2}, Options{Deadline: time.Hour}, nil)
+		res, err := CoreExact(context.Background(), g, motif.Clique{H: 2}, Options{Deadline: time.Hour}, nil, nil)
 		if err != nil || res.Degraded || res.Density.Cmp(exact.Density) != 0 {
 			t.Logf("seed %d: deadline=1h err=%v degraded=%v density %v want %v",
 				seed, err, res != nil && res.Degraded, res.Density, exact.Density)

@@ -194,8 +194,9 @@ func TestExactPreSolveSeeding(t *testing.T) {
 }
 
 // TestSearchComponentFloorCell: the exported component entrypoint with a
-// FloorCell — the distributed worker's path — must agree with the serial
-// engine when handed the engine's own plan, component by component.
+// witness-free floor cell — dsd.Solver.SolveComponent's path — must agree
+// with the serial engine when handed the engine's own plan, component by
+// component.
 func TestSearchComponentFloorCell(t *testing.T) {
 	g := gen.MultiCommunity(5, 14, 6, 9, 10, 1)
 	o := motif.Clique{H: 3}
@@ -208,14 +209,18 @@ func TestSearchComponentFloorCell(t *testing.T) {
 		t.Fatalf("stress instance yielded %d components", len(plan.Components))
 	}
 	want := coreExact(t, g, motif.Clique{H: 3}, opts)
+	floorAt := func(d rational.R) *Emitter {
+		e := NewEmitter(nil)
+		e.Improve(d, nil, StageSearch)
+		return e
+	}
 
 	// Sequential floor-cell execution in plan order reproduces the
 	// serial engine's merge exactly.
 	best := plan.Lower
 	witness := plan.Witness
 	for i, comp := range plan.Components {
-		cell := NewFloorCell(best)
-		out, err := SearchComponent(context.Background(), g, o, plan.Dec, opts, cell, comp, plan.KLocate, nil)
+		out, err := SearchComponent(context.Background(), g, o, plan.Dec, opts, floorAt(best), comp, plan.KLocate)
 		if err != nil {
 			t.Fatalf("component %d: %v", i, err)
 		}
@@ -239,8 +244,7 @@ func TestSearchComponentFloorCell(t *testing.T) {
 	// A floor already at the optimum means no component can improve: the
 	// searches must come back witness-less, never with a worse answer.
 	for i, comp := range plan.Components {
-		cell := NewFloorCell(want.Density)
-		out, err := SearchComponent(context.Background(), g, o, plan.Dec, opts, cell, comp, plan.KLocate, nil)
+		out, err := SearchComponent(context.Background(), g, o, plan.Dec, opts, floorAt(want.Density), comp, plan.KLocate)
 		if err != nil {
 			t.Fatalf("component %d: %v", i, err)
 		}

@@ -106,7 +106,7 @@ func TestCoreExactCtxCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CoreExact(ctx, g, motif.Clique{H: 3}, DefaultOptions(), nil); err != context.Canceled {
+	if _, err := CoreExact(ctx, g, motif.Clique{H: 3}, DefaultOptions(), nil, nil); err != context.Canceled {
 		t.Fatalf("pre-cancelled ctx: err = %v, want context.Canceled", err)
 	}
 
@@ -120,7 +120,7 @@ func TestCoreExactCtxCancelled(t *testing.T) {
 	done := make(chan outcome, 1)
 	start := time.Now()
 	go func() {
-		res, err := CoreExact(ctx, g, motif.Clique{H: 3}, opts, nil)
+		res, err := CoreExact(ctx, g, motif.Clique{H: 3}, opts, nil, nil)
 		done <- outcome{res, err}
 	}()
 	time.Sleep(5 * time.Millisecond)

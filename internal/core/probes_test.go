@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/datasets"
@@ -11,11 +12,14 @@ import (
 	"repro/internal/motif"
 	"repro/internal/obs"
 	"repro/internal/rational"
+	"repro/internal/testutil"
 )
 
 // TestFlowProbeCounts pins how many flow networks serial CoreExact builds
 // on a fixed corpus — the quick-mode perfsuite stress instance and two
-// stand-ins at a quick downscale — next to the exact optimum. The search
+// stand-ins at a quick downscale — next to the exact optimum, the
+// fingerprint of its sorted witness and the node count of every network
+// in build order (Stats.FlowNodes). The search
 // runs no Greed++ pre-solve, so the rows pin the engine at Iterative 0;
 // TestIterativeBudgetDoesNotChangeSearch (root package) holds every
 // other budget to them. Every count is deterministic: a change in it is
@@ -38,20 +42,24 @@ func TestFlowProbeCounts(t *testing.T) {
 		h, iter int
 		probes  int
 		density rational.R
+		witness string
+		nodes   []int
 	}{
-		{"multicommunity", multi, 2, 0, 13, rational.New(520, 35)},
-		{"multicommunity", multi, 3, 0, 12, rational.New(4610, 35)},
-		{"Ca-HepTh/8", hepth, 2, 0, 3, rational.New(5243, 337)},
-		{"Ca-HepTh/8", hepth, 3, 0, 1, rational.New(3997, 32)},
-		{"As-Caida/8", caida, 2, 0, 3, rational.New(8151, 422)},
-		{"As-Caida/8", caida, 3, 0, 1, rational.New(7939, 40)},
+		{"multicommunity", multi, 2, 0, 13, rational.New(520, 35), "1723c5a630218c01",
+			[]int{37, 55, 73, 91, 91, 109, 109, 127, 127, 145, 145, 163, 163}},
+		{"multicommunity", multi, 3, 0, 12, rational.New(4610, 35), "1723c5a630218c01",
+			[]int{327, 669, 851, 1033, 1215, 1215, 1397, 1397, 1579, 1579, 1761, 1761}},
+		{"Ca-HepTh/8", hepth, 2, 0, 3, rational.New(5243, 337), "784d3b15443e10cb", []int{771, 767, 767}},
+		{"Ca-HepTh/8", hepth, 3, 0, 1, rational.New(3997, 32), "671fc28df117f4e5", []int{496}},
+		{"As-Caida/8", caida, 2, 0, 3, rational.New(8151, 422), "3e78b3caccad0aaa", []int{959, 957, 957}},
+		{"As-Caida/8", caida, 3, 0, 1, rational.New(7939, 40), "ef9bcfda0055870d", []int{768}},
 	}
 	for _, c := range cases {
 		key := fmt.Sprintf("%s h=%d iter=%d", c.name, c.h, c.iter)
 		opts := DefaultOptions()
 		opts.Iterative = c.iter
 		tr := obs.New()
-		res, err := CoreExact(obs.WithSpan(context.Background(), tr, nil), c.g, motif.Clique{H: c.h}, opts, nil)
+		res, err := CoreExact(obs.WithSpan(context.Background(), tr, nil), c.g, motif.Clique{H: c.h}, opts, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,6 +68,17 @@ func TestFlowProbeCounts(t *testing.T) {
 		}
 		if res.Stats.Iterations != c.probes {
 			t.Errorf("%s: %d flow probes, want %d", key, res.Stats.Iterations, c.probes)
+		}
+		w := slices.Sorted(slices.Values(res.Vertices))
+		xs := make([]int64, len(w))
+		for i, v := range w {
+			xs[i] = int64(v)
+		}
+		if got := testutil.Fingerprint(xs...); got != c.witness {
+			t.Errorf("%s: witness fingerprint %s, want %s", key, got, c.witness)
+		}
+		if !slices.Equal(res.Stats.FlowNodes, c.nodes) {
+			t.Errorf("%s: flow nodes %v, want %v", key, res.Stats.FlowNodes, c.nodes)
 		}
 		trace := tr.Snapshot()
 		flows := trace.Named(obs.SpanFlow)

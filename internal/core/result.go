@@ -76,11 +76,14 @@ type Stats struct {
 	// of an exact peel of its own graph — the hot path of a mutated
 	// dsd.Solver, which skips both the Ψ-instance counting and the peel.
 	BoundedCores bool
-	// FlowTime is the wall time summed over every flow-network build plus
-	// min-cut solve; PreSolveTime over Greed++ pre-solve runs (0 on
-	// core-exact runs, as PreSolveIters). On parallel runs the phases overlap
-	// across workers, so the sums can exceed Total — they are CPU-style
-	// attribution ("where the work went"), the paper's flow-vs-peel split.
+	// FlowTime is the wall time summed over a core-exact run's flow
+	// probes: setting the network's capacities (adding its arcs on a
+	// side's first probe) plus the min-cut solve. The induced subgraph each network is built on is
+	// not included. PreSolveTime is summed over Exact's Greed++ pre-solve
+	// (0 on core-exact runs, as PreSolveIters; a stream's Greed++ rung is
+	// not counted). On parallel runs the probes overlap across workers, so
+	// FlowTime can exceed Total — it is CPU-style attribution ("where the
+	// work went"), the paper's flow-vs-peel split.
 	FlowTime     time.Duration
 	PreSolveTime time.Duration
 	// AllocBytes/Allocs are the heap allocation attributed to the run:

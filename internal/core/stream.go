@@ -1,15 +1,15 @@
-// Package plan is the anytime query planner: it runs one CoreExact-class
-// query as a refinement ladder — memo hit, CoreApp approximation,
-// adaptive Greed++ tightening, per-component flow search — and emits a
-// monotone stream of certified answers while doing so. Every emitted
-// Answer carries a witness whose exact density is the interval's lower
-// end and a certified upper bound as its top; consecutive answers only
-// ever tighten the interval, and the last one is the exact (or
-// deadline/gap-degraded) result, equal in value to what the plain solver
-// returns for the same query. The optimal witness, and with it the
-// density's Num/Den, may differ where several subgraphs attain the
-// optimum (the root package's FuzzSolve corpus entry
-// equal-density-witnesses is one such graph).
+// Anytime streaming: CoreExact run as a refinement ladder — memo hit,
+// CoreApp approximation, adaptive Greed++ tightening, per-component flow
+// search — that emits a monotone stream of certified answers while doing
+// so. Every emitted Answer carries a witness whose exact density is the
+// interval's lower end and a certified upper bound as its top;
+// consecutive answers only ever tighten the interval, and the last one is
+// the exact (or deadline/gap-degraded) result. A run without a receiver
+// skips the rungs that only produce intermediate answers, so the optimal
+// witness, and with it the density's Num/Den, may differ between a
+// streamed and a unary run where several subgraphs attain the optimum
+// (the root package's FuzzSolve corpus entry equal-density-witnesses is
+// one such graph); the density value never does.
 //
 // The unified-framework view (Zhou et al.) is what makes the ladder
 // sound: CoreApp, Greed++ and CoreExact are points on one
@@ -17,16 +17,34 @@
 // certificates compose — a lower bound from any rung is a real
 // subgraph's density, an upper bound from any rung caps the optimum, and
 // the exact search inherits both.
-package plan
+package core
 
 import (
+	"context"
 	"math"
 	"sync"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/kcore"
+	"repro/internal/psicore"
 	"repro/internal/rational"
 )
+
+// Stream is CoreExact's optional receiver: with one, the driver runs the
+// ladder rungs that only produce intermediate answers and pushes every
+// certified tightening to Sink.
+type Stream struct {
+	// Sink receives every answer; see Emitter for its contract.
+	Sink func(Answer)
+	// Classical is g's classical core decomposition, which the
+	// approximation rung reads for h-cliques with h ≥ 3; nil computes it.
+	Classical *kcore.Decomposition
+	// Decompose returns the decomposition to locate in when CoreExact is
+	// handed none; the ladder calls it once the approximation rung has
+	// answered. It may be restricted (Floor > 0). nil peels the whole
+	// graph.
+	Decompose func(context.Context) (*psicore.Decomposition, error)
+}
 
 // Stage labels which ladder rung produced an Answer.
 type Stage string
@@ -77,13 +95,15 @@ type Answer struct {
 	Err error
 }
 
-// Emitter is the monotone interval cell behind a refinement stream: a
-// (lower, witness) pair that only rises, a global upper bound that only
-// falls, and an optional per-component upper array feeding it. Every
-// strict tightening is pushed to the sink synchronously under the
-// emitter lock, so the emitted sequence is totally ordered and each
-// event tightens at least one interval end — the stream-level
-// monotonicity guarantee is enforced here, not trusted to callers.
+// Emitter is the monotone interval cell CoreExact's component searches
+// share: a (lower, witness) pair that only rises, a global upper bound
+// that only falls, and an optional per-component upper array feeding it.
+// A density improvement published by one search immediately raises the
+// probe α and shrinks the cores of every other one. Every strict
+// tightening is pushed to the sink synchronously under the emitter lock,
+// so the emitted sequence is totally ordered and each event tightens at
+// least one interval end — the stream-level monotonicity guarantee is
+// enforced here, not trusted to callers.
 //
 // The sink must be fast and non-blocking (solver goroutines publish
 // through it); channel fan-out and network writes belong behind a
@@ -95,12 +115,18 @@ type Emitter struct {
 	lower   rational.R
 	witness []int32
 	upper   float64
-	uppers  []float64
-	done    bool
+	// uppers is a max tournament tree over the per-component upper
+	// bounds: component i's slot is the leaf uppers[n+i] (n = len/2),
+	// every inner node k holds max(uppers[2k], uppers[2k+1]), and
+	// uppers[1] is the max of them all, so a slot update costs O(log n)
+	// however many components share the emitter.
+	uppers []float64
+	done   bool
 }
 
-// NewEmitter returns an emitter over sink (nil sink = bookkeeping only)
-// with an empty lower bound and an infinite upper bound.
+// NewEmitter returns an emitter over sink (nil sink = bookkeeping only,
+// a unary run's cell) with an empty lower bound and an infinite upper
+// bound.
 func NewEmitter(sink func(Answer)) *Emitter {
 	return &Emitter{start: time.Now(), sink: sink, upper: math.Inf(1)}
 }
@@ -134,9 +160,9 @@ func (e *Emitter) Tighten(u float64, stage Stage) {
 }
 
 // Install atomically adopts a location plan: raise the lower end to
-// (d, w) if it helps, adopt the per-component upper array, and clamp the
-// global upper to what it implies — at most one event for the whole
-// update.
+// (d, w) if it helps (or hold w when no witness is held yet), adopt the
+// per-component upper array, and clamp the global upper to what it
+// implies — at most one event for the whole update.
 func (e *Emitter) Install(d rational.R, w []int32, uppers []float64, stage Stage) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -145,8 +171,15 @@ func (e *Emitter) Install(d rational.R, w []int32, uppers []float64, stage Stage
 		e.lower = d
 		e.witness = w
 		changed = true
+	} else if e.witness == nil {
+		e.witness = w
 	}
-	e.uppers = append([]float64(nil), uppers...)
+	n := len(uppers)
+	e.uppers = make([]float64, 2*n)
+	copy(e.uppers[n:], uppers)
+	for k := n - 1; k >= 1; k-- {
+		e.uppers[k] = max(e.uppers[2*k], e.uppers[2*k+1])
+	}
 	if u := e.recomputeLocked(); u < e.upper {
 		e.upper = u
 		changed = true
@@ -161,10 +194,16 @@ func (e *Emitter) Install(d rational.R, w []int32, uppers []float64, stage Stage
 func (e *Emitter) TightenComp(i int, v float64, stage Stage) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if i < 0 || i >= len(e.uppers) || v >= e.uppers[i] {
+	n := len(e.uppers) / 2
+	if i < 0 || i >= n || v >= e.uppers[n+i] {
 		return
 	}
-	e.uppers[i] = v
+	k := n + i
+	e.uppers[k] = v
+	for k > 1 {
+		k /= 2
+		e.uppers[k] = max(e.uppers[2*k], e.uppers[2*k+1])
+	}
 	if u := e.recomputeLocked(); u < e.upper {
 		e.upper = u
 		e.emitLocked(stage)
@@ -173,20 +212,17 @@ func (e *Emitter) TightenComp(i int, v float64, stage Stage) {
 
 // recomputeLocked derives the global upper end from the component array:
 // every component optimum sits at or below its slot, so the optimum is
-// at most max(lower, max slots) — the same assembly a degraded
-// CoreExact run uses for its interval top.
+// at most max(lower, max slots) — a degraded run's interval top.
 func (e *Emitter) recomputeLocked() float64 {
 	u := e.lower.Float()
-	for _, v := range e.uppers {
-		if v > u {
-			u = v
-		}
+	if len(e.uppers) > 0 && e.uppers[1] > u {
+		u = e.uppers[1]
 	}
 	return u
 }
 
-// Bound returns the current certified lower end — the BoundSource read
-// side for searches sharing the emitter as their cell.
+// Bound returns the current certified lower end, the probe α of the
+// searches sharing the emitter.
 func (e *Emitter) Bound() rational.R {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -200,19 +236,12 @@ func (e *Emitter) Snapshot() (lower rational.R, witness []int32, upper float64) 
 	return e.lower, e.witness, e.upper
 }
 
-// Upper returns the current certified upper end.
-func (e *Emitter) Upper() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.upper
-}
-
 // Final emits the terminal answer for res and closes the emitter: the
 // interval top is res.Bound.Upper on a degraded result and the density
 // itself on an exact one, clamped against the emitted upper so the last
 // event can never widen what an earlier one certified (float rounding of
 // an exact density could otherwise tick above it).
-func (e *Emitter) Final(res *core.Result) {
+func (e *Emitter) Final(res *Result) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.done {
@@ -276,14 +305,3 @@ func Conflate(ch chan Answer, a Answer) {
 		}
 	}
 }
-
-// stageCell adapts an Emitter to core.BoundSource with a fixed stage
-// label for the Improve side.
-type stageCell struct {
-	em    *Emitter
-	stage Stage
-}
-
-func (c stageCell) Bound() rational.R { return c.em.Bound() }
-
-func (c stageCell) Improve(d rational.R, w []int32) bool { return c.em.Improve(d, w, c.stage) }

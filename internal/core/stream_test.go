@@ -1,29 +1,31 @@
-package plan
+package core
 
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/rational"
 )
 
-// opt is the hidden optimum the emitter tests certify around: every lower
-// bound fed in is at most opt and every upper bound at least opt. It is
-// exactly representable, so float rounding cannot move a bound across it.
-var opt = rational.New(5, 2)
+// emitterOpt is the hidden optimum the emitter tests certify around:
+// every lower bound fed in is at most emitterOpt and every upper bound at
+// least emitterOpt. It is exactly representable, so float rounding cannot
+// move a bound across it.
+var emitterOpt = rational.New(5, 2)
 
-// randomLower returns a density in [0, opt], as a real witness would have.
+// randomLower returns a density in [0, emitterOpt], as a real witness
+// would have.
 func randomLower(rng *rand.Rand) rational.R {
 	den := int64(1 + rng.Intn(12))
 	return rational.New(rng.Int63n(5*den/2+1), den)
 }
 
-// randomUpper returns a certified upper bound: opt or above.
+// randomUpper returns a certified upper bound: emitterOpt or above.
 func randomUpper(rng *rand.Rand) float64 {
-	return opt.Float() + float64(rng.Intn(40))/8
+	return emitterOpt.Float() + float64(rng.Intn(40))/8
 }
 
 // hammer drives e from workers goroutines with random, individually
@@ -67,10 +69,10 @@ func TestEmitterInvariants(t *testing.T) {
 		hammer(e, 4, 300, 10*seed)
 
 		lower, witness, upper := e.Snapshot()
-		res := &core.Result{Vertices: witness, Density: lower}
-		if lower.Cmp(opt) < 0 {
+		res := &Result{Vertices: witness, Density: lower}
+		if lower.Cmp(emitterOpt) < 0 {
 			res.Degraded = true
-			res.Bound = core.Bound{Lower: lower, Upper: upper + 1} // clamped to upper
+			res.Bound = Bound{Lower: lower, Upper: upper + 1} // clamped to upper
 		}
 		e.Final(res)
 
@@ -106,15 +108,15 @@ func TestEmitterInvariants(t *testing.T) {
 func TestEmitterSilentAfterFinal(t *testing.T) {
 	var events []Answer // appended under the emitter lock
 	e := NewEmitter(func(a Answer) { events = append(events, a) })
-	e.Install(rational.New(1, 1), []int32{0}, []float64{opt.Float() + 8}, StagePlan)
+	e.Install(rational.New(1, 1), []int32{0}, []float64{emitterOpt.Float() + 8}, StagePlan)
 	lower, witness, upper := e.Snapshot()
-	e.Final(&core.Result{Vertices: witness, Density: lower, Degraded: true,
-		Bound: core.Bound{Lower: lower, Upper: upper}})
+	e.Final(&Result{Vertices: witness, Density: lower, Degraded: true,
+		Bound: Bound{Lower: lower, Upper: upper}})
 	var again sync.WaitGroup
 	again.Add(1)
 	go func() {
 		defer again.Done()
-		e.Final(&core.Result{Vertices: witness, Density: opt})
+		e.Final(&Result{Vertices: witness, Density: emitterOpt})
 	}()
 	hammer(e, 3, 200, 7)
 	again.Wait()
@@ -133,12 +135,12 @@ func TestEmitterTightenCompIgnoresUnknownSlots(t *testing.T) {
 	e.Install(rational.New(1, 1), []int32{0}, []float64{4, 3}, StagePlan)
 	e.TightenComp(2, 0.5, StageSearch)
 	e.TightenComp(-1, 0.5, StageSearch)
-	if n != 1 || e.Upper() != 4 {
-		t.Fatalf("%d events, upper %v; want 1 event, upper 4", n, e.Upper())
+	if _, _, upper := e.Snapshot(); n != 1 || upper != 4 {
+		t.Fatalf("%d events, upper %v; want 1 event, upper 4", n, upper)
 	}
 	e.TightenComp(0, 2, StageSearch) // the global upper is now max(1, 2, 3)
-	if n != 2 || e.Upper() != 3 {
-		t.Fatalf("%d events, upper %v; want 2 events, upper 3", n, e.Upper())
+	if _, _, upper := e.Snapshot(); n != 2 || upper != 3 {
+		t.Fatalf("%d events, upper %v; want 2 events, upper 3", n, upper)
 	}
 }
 
@@ -179,6 +181,30 @@ func TestConflateKeepsLatest(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if got[i] <= got[i-1] {
 			t.Fatalf("received out of order: %d after %d", got[i], got[i-1])
+		}
+	}
+}
+
+// TestEmitterUpperTracksMaxSlot: with the lower end at zero, the global
+// upper end is the largest component slot after every update, for any
+// number of components.
+func TestEmitterUpperTracksMaxSlot(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 1; n <= 40; n++ {
+		slots := make([]float64, n)
+		for i := range slots {
+			slots[i] = float64(rng.Intn(100))
+		}
+		e := NewEmitter(nil)
+		e.Install(rational.Zero, nil, slots, StagePlan)
+		for step := 0; step < 3*n; step++ {
+			i := rng.Intn(n)
+			v := slots[i] * rng.Float64()
+			slots[i] = min(slots[i], v)
+			e.TightenComp(i, v, StageSearch)
+			if _, _, upper := e.Snapshot(); upper != slices.Max(slots) {
+				t.Fatalf("n=%d step %d: upper %v, max slot %v", n, step, upper, slices.Max(slots))
+			}
 		}
 	}
 }

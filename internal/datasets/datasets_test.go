@@ -90,11 +90,11 @@ func TestPlantedStructure(t *testing.T) {
 	spec, _ := Get("Yeast")
 	g := spec.Load()
 
-	eds, err := core.CoreExact(context.Background(), g, motif.Clique{H: 2}, core.DefaultOptions(), nil)
+	eds, err := core.CoreExact(context.Background(), g, motif.Clique{H: 2}, core.DefaultOptions(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cds, err := core.CoreExact(context.Background(), g, motif.Clique{H: 3}, core.DefaultOptions(), nil)
+	cds, err := core.CoreExact(context.Background(), g, motif.Clique{H: 3}, core.DefaultOptions(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,7 +154,7 @@ func RunFig10(cfg Config) error {
 			cells := make([]string, len(variants))
 			var ref rational.R
 			for i, opts := range variants {
-				r, _ := core.CoreExact(context.Background(), g, motif.Clique{H: h}, opts, nil)
+				r, _ := core.CoreExact(context.Background(), g, motif.Clique{H: h}, opts, nil, nil)
 				cells[i] = secs(r.Stats.Total)
 				if i == 0 {
 					ref = r.Density

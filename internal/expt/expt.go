@@ -205,6 +205,6 @@ func timeIt(fn func()) time.Duration {
 func seedCoreExact(g *graph.Graph, o motif.Oracle) *core.Result {
 	opts := core.DefaultOptions()
 	opts.Iterative = 0
-	res, _ := core.CoreExact(context.Background(), g, o, opts, nil)
+	res, _ := core.CoreExact(context.Background(), g, o, opts, nil, nil)
 	return res
 }

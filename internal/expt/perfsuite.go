@@ -452,10 +452,10 @@ func PerfSuiteReport(cfg Config) (*BenchReport, error) {
 		seed := core.DefaultOptions()
 		seed.Iterative = 0
 		var serialRes, parRes, iterRes *core.Result
-		serial := bestOf(reps, func() { serialRes, _ = core.CoreExact(context.Background(), g, o, seed, nil) })
+		serial := bestOf(reps, func() { serialRes, _ = core.CoreExact(context.Background(), g, o, seed, nil, nil) })
 		popts := seed
 		popts.Workers = workers
-		par := bestOf(reps, func() { parRes, _ = core.CoreExact(context.Background(), g, o, popts, nil) })
+		par := bestOf(reps, func() { parRes, _ = core.CoreExact(context.Background(), g, o, popts, nil, nil) })
 		iopts := core.DefaultOptions()
 		iopts.Iterative = iterBudget
 		// The iterative arm, interleaved with the obs arm: the exact same
@@ -464,10 +464,10 @@ func PerfSuiteReport(cfg Config) (*BenchReport, error) {
 		// default.
 		var obsRes *core.Result
 		iter, obsNs, ratios := interleaved(obsPairs, obsBudget,
-			func() { iterRes, _ = core.CoreExact(context.Background(), g, o, iopts, nil) },
+			func() { iterRes, _ = core.CoreExact(context.Background(), g, o, iopts, nil, nil) },
 			func() {
 				octx := obs.WithSpan(context.Background(), obs.New(), nil)
-				obsRes, _ = core.CoreExact(octx, g, o, iopts, nil)
+				obsRes, _ = core.CoreExact(octx, g, o, iopts, nil, nil)
 			})
 		obsRatios = append(obsRatios, ratios...)
 		match := serialRes.Density.Cmp(parRes.Density) == 0
@@ -476,7 +476,7 @@ func PerfSuiteReport(cfg Config) (*BenchReport, error) {
 
 		// The memory arm: the iterative configuration once more, measured
 		// for heap allocation and peak RSS instead of wall clock.
-		peakRSS, allocBytes, allocs := measureMem(func() { core.CoreExact(context.Background(), g, o, iopts, nil) })
+		peakRSS, allocBytes, allocs := measureMem(func() { core.CoreExact(context.Background(), g, o, iopts, nil, nil) })
 
 		// Warm-solver arm: the same Ψ through one dsd.Solver, default
 		// engine configuration.

@@ -18,7 +18,7 @@
 // computation, a certified (lower, witness, upper) triple; the bounds
 // tighten monotonically with more iterations (iteration one is exactly
 // Algorithm 2's greedy peel). Exact takes its starting witness from it,
-// and the anytime planner streams it as its StageIterative rung; the
+// and a streamed CoreExact run streams it as its StageIterative rung; the
 // CoreExact component searches do not use it.
 package iterative
 
@@ -65,7 +65,7 @@ type Solver struct {
 	lowerVerts []int32
 
 	// Progress, when non-nil, is invoked after every completed chunk of a
-	// RunAdaptive call, on the caller's goroutine — the anytime planner's
+	// RunAdaptive call, on the caller's goroutine — the streamed CoreExact run's
 	// per-chunk emission hook. The callback may read Lower/Upper/UpperFloat
 	// freely (same goroutine, between iterations) but must not call Run.
 	Progress func()

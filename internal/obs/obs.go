@@ -39,8 +39,10 @@ const (
 	// SpanMutate is one dsd.Solver.Apply edge-mutation batch: copy-on-write
 	// graph build plus incremental memo repair.
 	SpanMutate = "mutate"
-	// SpanPlan is the anytime planner's ladder decision: which refinement
-	// rungs a streamed query runs, and what each rung certified.
+	// SpanPlan is one core.CoreExact run's ladder: which rungs ran (a
+	// unary run only locates and searches; a streamed one may also
+	// replay the memo, approximate and run Greed++) and how many
+	// components location found.
 	SpanPlan = "plan"
 )
 

@@ -320,7 +320,7 @@ func (sn *Snapshot) Solve(ctx context.Context, q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sn.s.solveOn(ctx, nq, o, sn.vs)
+	return sn.s.solveOn(ctx, nq, o, sn.vs, nil)
 }
 
 // normalize normalizes q and checks that it may be answered on the

@@ -278,7 +278,7 @@ func TestEdgeRestrictionMatchesWholeGraph(t *testing.T) {
 		if _, ok := attrs["classical_level"]; ok != c.restricted {
 			t.Errorf("%s: decompose span %v, want restricted=%v", c.name, attrs, c.restricted)
 		}
-		want, err := core.CoreExact(context.Background(), c.g, o, core.DefaultOptions(), nil)
+		want, err := core.CoreExact(context.Background(), c.g, o, core.DefaultOptions(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -278,6 +278,15 @@ func (st *psiState) memoDecLocked(req decRequest) (dec *psicore.Decomposition, b
 	return nil, false
 }
 
+// peekDec returns the memoized decomposition req admits, in
+// coreExactDec's order (bounded=true for the upper-bound peel carried
+// across Apply), without computing anything.
+func (st *psiState) peekDec(req decRequest) (dec *psicore.Decomposition, bounded bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.memoDecLocked(req)
+}
+
 // coreExactDec returns the decomposition a core-exact query on version
 // vs locates in; Solve, the stream, PlanComponents and SolveComponent
 // all take it from here. In order of preference: the exact memoized
@@ -452,12 +461,16 @@ func (s *Solver) Solve(ctx context.Context, q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.solveOn(ctx, nq, o, vs)
+	return s.solveOn(ctx, nq, o, vs, nil)
 }
 
 // solveOn answers a normalized query on one version's state (shared by
-// Solve and Snapshot.Solve).
-func (s *Solver) solveOn(ctx context.Context, nq Query, o motif.Oracle, vs *verState) (*Result, error) {
+// Solve, StreamFunc and their Snapshot forms); fn is a stream's receiver,
+// nil for a unary query.
+func (s *Solver) solveOn(ctx context.Context, nq Query, o motif.Oracle, vs *verState, fn func(Answer)) (*Result, error) {
+	if fn != nil && nq.Algo != AlgoCoreExact {
+		return nil, fmt.Errorf("dsd: streaming supports Algo=core-exact only (got %q)", nq.Algo)
+	}
 	// Root the run's trace (a no-op chain when ctx carries no tracer; see
 	// internal/obs). Child phases — decompose, locate, per-component
 	// search, flow — attach under this span, and the finished
@@ -468,10 +481,13 @@ func (s *Solver) solveOn(ctx context.Context, nq Query, o motif.Oracle, vs *verS
 		sp.SetAttr("algo", string(nq.Algo))
 		sp.SetAttr("psi", o.Name())
 		sp.SetInt("version", int64(vs.ver))
+		if fn != nil {
+			sp.SetAttr("stream", "true")
+		}
 		ctx = obs.WithSpan(ctx, tr, sp)
 	}
 	start := time.Now()
-	res, err := s.dispatch(ctx, nq, o, vs)
+	res, err := s.dispatch(ctx, nq, o, vs, fn)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -484,34 +500,15 @@ func (s *Solver) solveOn(ctx context.Context, nq Query, o motif.Oracle, vs *verS
 }
 
 // dispatch routes a normalized query to its algorithm, on one version's
-// graph and memo.
-func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verState) (*Result, error) {
+// graph and memo. Only core-exact reads fn.
+func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verState, fn func(Answer)) (*Result, error) {
 	g := vs.g
 	switch q.Algo {
 	case AlgoCoreExact:
-		return await(ctx, func() (*Result, error) {
-			st := vs.psiFor(o)
-			opts := q.coreOptions()
-			decStart := time.Now()
-			dec, reused, bounded, err := st.tracedCoreExactDec(ctx, vs, coreExactRequest(opts, true))
-			if err != nil {
-				return nil, err
-			}
-			decTime := time.Since(decStart)
-			opts.DecUpperBound = bounded
-			// Warm-start from the previous solve's certificate (carried
-			// across Apply): PlanCoreExact re-evaluates the witness's
-			// exact density on this graph before trusting it.
-			opts.SeedWitness = st.seedWitness()
-			res, err := core.CoreExact(ctx, g, o, opts, dec)
-			if err != nil {
-				return nil, err
-			}
-			st.recordWitness(res.Vertices)
-			stampDecompose(res, reused, decTime)
-			res.Stats.BoundedCores = bounded
-			return res, nil
-		})
+		if fn != nil {
+			return coreExactOn(ctx, q, o, vs, fn)
+		}
+		return await(ctx, func() (*Result, error) { return coreExactOn(ctx, q, o, vs, nil) })
 	case AlgoExact:
 		return await(ctx, func() (*Result, error) { return core.Exact(g, o, false) })
 	case AlgoPeel:
@@ -590,6 +587,60 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 		})
 	}
 	return nil, fmt.Errorf("dsd: unknown algorithm %q", q.Algo)
+}
+
+// coreExactOn answers a core-exact query on one version's state, with fn
+// as core.CoreExact's receiver (nil for a unary query). A unary query
+// takes its decomposition before the driver starts, so a Deadline budget
+// times only location and search. A stream peeks the memo without
+// forcing a peel: on a cold graph the driver puts a certified CoreApp
+// interval on the stream first and decomposes afterwards, through the
+// same coreExactDec, sharing one classical decomposition between the
+// CoreApp rung and a restriction. Both warm-start from the previous
+// solve's certificate (carried across Apply), whose exact density
+// PlanCoreExact re-evaluates on this graph before trusting it.
+func coreExactOn(ctx context.Context, q Query, o motif.Oracle, vs *verState, fn func(Answer)) (*Result, error) {
+	st := vs.psiFor(o)
+	opts := q.coreOptions()
+	req := coreExactRequest(opts, true)
+	var (
+		dec             *psicore.Decomposition
+		stream          *core.Stream
+		reused, bounded bool
+		decTime         time.Duration
+	)
+	if fn == nil {
+		decStart := time.Now()
+		var err error
+		if dec, reused, bounded, err = st.tracedCoreExactDec(ctx, vs, req); err != nil {
+			return nil, err
+		}
+		decTime = time.Since(decStart)
+	} else {
+		dec, bounded = st.peekDec(req)
+		reused = dec != nil
+		stream = &core.Stream{Sink: fn}
+		if dec == nil {
+			req.classical = vs.classical(o)
+			stream.Classical = req.classical
+			stream.Decompose = func(ctx context.Context) (*psicore.Decomposition, error) {
+				decStart := time.Now()
+				d, r, _, err := st.tracedCoreExactDec(ctx, vs, req)
+				reused, decTime = r, time.Since(decStart)
+				return d, err
+			}
+		}
+	}
+	opts.DecUpperBound = bounded
+	opts.SeedWitness = st.seedWitness()
+	res, err := core.CoreExact(ctx, vs.g, o, opts, dec, stream)
+	if err != nil {
+		return nil, err
+	}
+	st.recordWitness(res.Vertices)
+	stampDecompose(res, reused, decTime)
+	res.Stats.BoundedCores = bounded
+	return res, nil
 }
 
 // stampDecompose records on res whether the run's decomposition came out

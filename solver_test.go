@@ -38,7 +38,7 @@ func solverEquivalenceGraphs(tb testing.TB) []*dsd.Graph {
 // decomposition.
 func coreExact(t testing.TB, g *dsd.Graph, o motif.Oracle) *core.Result {
 	t.Helper()
-	res, err := core.CoreExact(context.Background(), g, o, core.DefaultOptions(), nil)
+	res, err := core.CoreExact(context.Background(), g, o, core.DefaultOptions(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Anytime streaming: Solve as a refinement session instead of a single
-// terminal answer. Stream/StreamFunc run the internal/plan ladder — memo
-// hit, CoreApp, adaptive Greed++, per-component flow search — over the
-// same memoized state Solve uses, emitting every certified interval
+// terminal answer. Stream/StreamFunc run core-exact with a receiver, so
+// the driver climbs its ladder — memo hit, CoreApp, adaptive Greed++,
+// per-component flow search (see internal/core's Stream) — over the same
+// memoized state Solve uses, emitting every certified interval
 // tightening on the way to a final answer whose density equals Solve's
 // in value for the same query. Where several subgraphs attain the
 // optimum the two may return different optimal witnesses, so Num/Den
@@ -14,28 +15,25 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/motif"
-	"repro/internal/obs"
-	"repro/internal/plan"
-	"repro/internal/psicore"
+	"repro/internal/core"
 )
 
 // Answer is one certified point of a refinement stream: a witness whose
 // exact density is the interval's lower end and a certified upper bound
-// as its top. See internal/plan for the full contract.
-type Answer = plan.Answer
+// as its top. See internal/core's Emitter for the full contract.
+type Answer = core.Answer
 
-// Stage labels which planner rung produced an Answer.
-type Stage = plan.Stage
+// Stage labels which ladder rung produced an Answer.
+type Stage = core.Stage
 
-// The planner ladder's stages, in refinement order.
+// The ladder's stages, in refinement order.
 const (
-	StageMemo      = plan.StageMemo
-	StageApprox    = plan.StageApprox
-	StagePlan      = plan.StagePlan
-	StageIterative = plan.StageIterative
-	StageSearch    = plan.StageSearch
-	StageFinal     = plan.StageFinal
+	StageMemo      = core.StageMemo
+	StageApprox    = core.StageApprox
+	StagePlan      = core.StagePlan
+	StageIterative = core.StageIterative
+	StageSearch    = core.StageSearch
+	StageFinal     = core.StageFinal
 )
 
 // StreamFunc answers q like Solve but pushes every certified interval
@@ -63,7 +61,7 @@ func (s *Solver) StreamFunc(ctx context.Context, q Query, fn func(Answer)) (*Res
 	if err != nil {
 		return nil, err
 	}
-	return streamOn(ctx, nq, o, vs, fn)
+	return s.solveOn(ctx, nq, o, vs, receiver(fn))
 }
 
 // StreamFunc is Solver.StreamFunc on the snapshot's version. q.Version
@@ -73,62 +71,16 @@ func (sn *Snapshot) StreamFunc(ctx context.Context, q Query, fn func(Answer)) (*
 	if err != nil {
 		return nil, err
 	}
-	return streamOn(ctx, nq, o, sn.vs, fn)
+	return sn.s.solveOn(ctx, nq, o, sn.vs, receiver(fn))
 }
 
-// streamOn streams a normalized query on one version's state (shared by
-// Solver.StreamFunc and Snapshot.StreamFunc).
-func streamOn(ctx context.Context, nq Query, o motif.Oracle, vs *verState, fn func(Answer)) (*Result, error) {
-	if nq.Algo != AlgoCoreExact {
-		return nil, fmt.Errorf("dsd: streaming supports Algo=core-exact only (got %q)", nq.Algo)
+// receiver is fn, or a receiver that drops every answer when fn is nil:
+// StreamFunc always streams, and only a unary Solve passes solveOn nil.
+func receiver(fn func(Answer)) func(Answer) {
+	if fn == nil {
+		return func(Answer) {}
 	}
-	tr, parent := obs.FromContext(ctx)
-	sp := tr.Start(obs.SpanSolve, parent)
-	if sp != nil {
-		sp.SetAttr("algo", string(nq.Algo))
-		sp.SetAttr("psi", o.Name())
-		sp.SetInt("version", int64(vs.ver))
-		sp.SetAttr("stream", "true")
-		ctx = obs.WithSpan(ctx, tr, sp)
-	}
-	start := time.Now()
-	st := vs.psiFor(o)
-	opts := nq.coreOptions()
-	req := coreExactRequest(opts, true)
-	// Peek the memoized decomposition WITHOUT forcing a peel: on a cold
-	// graph the planner wants to put a certified CoreApp interval on the
-	// stream before paying for the decomposition, so the decomposition
-	// happens inside the ladder, from coreExactDec as Solve's does. The
-	// ladder's CoreApp rung and a restriction share one classical
-	// decomposition.
-	dec, bounded := st.peekDec(req)
-	var cold plan.Cold
-	decReused, decTime := dec != nil, time.Duration(0)
-	if dec == nil {
-		req.classical = vs.classical(o)
-		cold.Classical = req.classical
-		cold.Decompose = func(ctx context.Context) (*psicore.Decomposition, error) {
-			decStart := time.Now()
-			d, reused, _, err := st.tracedCoreExactDec(ctx, vs, req)
-			decReused, decTime = reused, time.Since(decStart)
-			return d, err
-		}
-	}
-	opts.DecUpperBound = bounded
-	opts.SeedWitness = st.seedWitness()
-	res, err := plan.Run(ctx, vs.g, o, opts, dec, cold, fn)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	stampDecompose(res, decReused, decTime)
-	st.recordWitness(res.Vertices)
-	res.Stats.BoundedCores = bounded
-	res.Stats.Total = time.Since(start)
-	if tr != nil {
-		res.Stats.Trace = tr.Snapshot()
-	}
-	return res, nil
+	return fn
 }
 
 // Stream answers q as an anytime stream: a channel of certified Answers
@@ -157,18 +109,9 @@ func (s *Solver) Stream(ctx context.Context, q Query) (<-chan Answer, error) {
 	go func() {
 		defer close(ch)
 		start := time.Now()
-		if _, err := s.StreamFunc(ctx, nq, func(a Answer) { plan.Conflate(ch, a) }); err != nil {
-			plan.Conflate(ch, Answer{Err: err, Elapsed: time.Since(start)})
+		if _, err := s.StreamFunc(ctx, nq, func(a Answer) { core.Conflate(ch, a) }); err != nil {
+			core.Conflate(ch, Answer{Err: err, Elapsed: time.Since(start)})
 		}
 	}()
 	return ch, nil
-}
-
-// peekDec returns the memoized decomposition req admits, in
-// coreExactDec's order (bounded=true for the upper-bound peel carried
-// across Apply), without computing anything.
-func (st *psiState) peekDec(req decRequest) (dec *psicore.Decomposition, bounded bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.memoDecLocked(req)
 }
