@@ -141,7 +141,8 @@ func BenchmarkPeelAppTriangle(b *testing.B) {
 	}
 }
 
-// Ablation benchmarks for the design choices DESIGN.md calls out.
+// Ablation benchmarks: each pair times one design choice of the paper's
+// algorithms against the alternative it improves on.
 
 // construct+ (Algorithm 7) vs the per-instance network (Algorithm 8):
 // grouping pattern instances that share a vertex set shrinks the network.
@@ -167,9 +168,9 @@ func BenchmarkPDSExactGrouped(b *testing.B) {
 // the located core has ten components whose search order (Pruning 2,
 // densest component first) is the reverse of their optimum order, so the
 // serial engine fully searches component after component while the
-// parallel workers share every density improvement and end most
-// searches early. The speedup is algorithmic — fewer flow solves, not
-// just more cores — so it shows up even at GOMAXPROCS=1.
+// parallel workers search them concurrently. Both take the same flow
+// probes, so the gain is wall clock only and needs more than one core
+// (README §Parallelism).
 
 func benchMultiComponent() *dsd.Graph {
 	return dsd.GenerateMultiCommunity(10, 30, 12, 18, 20, 1)

@@ -5,7 +5,9 @@
 // paper-reported vertex count, edge count and power-law exponent, with a
 // planted near-clique sized like the paper's reported (kmax,Ψ)-core so
 // that densest-subgraph structure (CDS ≈ large near-clique) is preserved.
-// See DESIGN.md §3 for the substitution rationale.
+// The paper's claims compare algorithms on one graph, so a stand-in needs
+// the statistics the algorithms are sensitive to (size, degree skew, a
+// dense core), not the real graph's edges.
 //
 // Large datasets are generated at a reduced scale by default (Div field):
 // the shape claims of the paper are about relative algorithm behaviour,
@@ -146,16 +148,18 @@ func (s Spec) loadWith(div int, withEDSPlant bool) *graph.Graph {
 	case "R-MAT":
 		return gen.RMATDefault(n, m, s.Seed)
 	}
-	base := gen.ChungLu(n, m, s.Alpha, s.Seed)
-	plant := s.Plant
-	if plant > n/24 {
-		plant = n / 24
-	}
+	plant := min(s.Plant, n/24)
 	if plant < 4 {
-		return base
+		plant = 0 // too small to plant anything
 	}
-	b := graph.NewBuilder(n)
-	base.Edges(func(u, v int) { b.AddEdge(u, v) })
+	a, span := plant/2, (plant/2+3)/2
+	// The Chung–Lu draws and the plants below go into one Builder, sized
+	// for all of them, and are built once.
+	b := graph.NewBuilderCap(n, m+plant*(plant-1)/2+a*10*plant+12*plant*span)
+	gen.ChungLuEdges(n, m, s.Alpha, s.Seed, b.AddEdge)
+	if plant == 0 {
+		return b.Build()
+	}
 
 	// The stand-in plants three structures in a contiguous mid-range id
 	// block, reproducing the paper's Figure 1 narrative (the EDS and the
@@ -195,7 +199,6 @@ func (s Spec) loadWith(div int, withEDSPlant bool) *graph.Graph {
 		return b.Build()
 	}
 	// 2: bipartite K_{a,T}.
-	a := plant / 2
 	left := take(a)
 	right := take(10 * plant)
 	for _, l := range left {
@@ -205,7 +208,6 @@ func (s Spec) loadWith(div int, withEDSPlant bool) *graph.Graph {
 	}
 	// 3: circulant decoy with degree 2·⌈(a+2)/2⌉ ≥ a+2.
 	dec := take(12 * plant)
-	span := (a + 3) / 2
 	for i := range dec {
 		for o := 1; o <= span; o++ {
 			b.AddEdge(dec[i], dec[(i+o)%len(dec)])

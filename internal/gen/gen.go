@@ -30,33 +30,28 @@ func ER(n int, p float64, seed int64) *graph.Graph {
 		return b.Build()
 	}
 	// Geometric skipping: sample the gap to the next present edge, so the
-	// cost is proportional to the number of edges, not n².
+	// cost is proportional to the number of edges, not n². The sampled
+	// indices only increase, so the row (u, and the index of its first
+	// pair) carries over from one edge to the next.
 	logq := math.Log(1 - p)
 	var i int64
 	total := int64(n) * int64(n-1) / 2
+	u, rowStart, rowLen := 0, int64(0), int64(n-1)
 	for {
 		gap := int64(math.Log(1-rng.Float64())/logq) + 1
 		i += gap
 		if i > total {
 			break
 		}
-		u, v := edgeFromIndex(i-1, n)
-		b.AddEdge(u, v)
+		// Pair i-1 in lexicographic (u, v) order, u < v.
+		for i-1 >= rowStart+rowLen {
+			rowStart += rowLen
+			u++
+			rowLen--
+		}
+		b.AddEdge(u, u+1+int(i-1-rowStart))
 	}
 	return b.Build()
-}
-
-// edgeFromIndex maps a linear index in [0, n(n-1)/2) to the pair (u,v)
-// with u < v in lexicographic order.
-func edgeFromIndex(idx int64, n int) (int, int) {
-	u := 0
-	rowLen := int64(n - 1)
-	for idx >= rowLen {
-		idx -= rowLen
-		u++
-		rowLen--
-	}
-	return u, u + 1 + int(idx)
 }
 
 // GNM samples a uniform graph with n vertices and (approximately, after
@@ -143,53 +138,101 @@ func SSCA(n, maxClique int, seed int64) *graph.Graph {
 // stand-in family for the paper's real datasets (Table 2 records each
 // dataset's n, m and power-law α).
 func ChungLu(n, m int, alpha float64, seed int64) *graph.Graph {
+	b := graph.NewBuilderCap(n, m)
+	ChungLuEdges(n, m, alpha, seed, b.AddEdge)
+	return b.Build()
+}
+
+// ChungLuEdges emits ChungLu's m endpoint pairs in draw order, self-loops
+// and repeats included, so a caller can add them to its own Builder and
+// build once: ChungLu is ChungLuEdges into a fresh Builder.
+func ChungLuEdges(n, m int, alpha float64, seed int64, emit func(u, v int)) {
+	if n < 1 || m < 1 {
+		return
+	}
 	rng := rand.New(rand.NewSource(seed))
 	if alpha <= 1.5 {
 		alpha = 1.5
 	}
-	w := make([]float64, n)
+	// cum[i+1] first holds vertex i's raw weight (i+1)^exp, then the
+	// cumulative sum of the normalized weights: Σw = 2m (the expected
+	// degrees), each capped at sqrt(2m) to keep edge probabilities ≤ 1.
+	cum := make([]float64, n+1)
 	var sum float64
 	exp := -1.0 / (alpha - 1)
 	for i := 0; i < n; i++ {
-		w[i] = math.Pow(float64(i+1), exp)
-		sum += w[i]
+		cum[i+1] = math.Pow(float64(i+1), exp)
+		sum += cum[i+1]
 	}
-	// Normalize so Σw = 2m (expected degrees).
-	for i := range w {
-		w[i] *= 2 * float64(m) / sum
-	}
-	// Cap weights at sqrt(2m) to keep edge probabilities ≤ 1.
+	scale := 2 * float64(m) / sum
 	capw := math.Sqrt(2 * float64(m))
-	for i := range w {
-		if w[i] > capw {
-			w[i] = capw
-		}
-	}
-	// Weighted sampling of endpoints by the alias-free inversion method:
-	// draw endpoints proportional to w via cumulative table.
-	cum := make([]float64, n+1)
 	for i := 0; i < n; i++ {
-		cum[i+1] = cum[i] + w[i]
+		cum[i+1] = cum[i] + min(float64(cum[i+1]*scale), capw)
 	}
+	// Each endpoint is drawn proportional to w by inversion: x uniform in
+	// [0, Σw), endpoint = the smallest i with cum[i+1] ≥ x, which a guide
+	// table finds in a few probes instead of a search over all n entries.
 	total := cum[n]
-	draw := func() int {
-		x := rng.Float64() * total
-		lo, hi := 0, n
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid+1] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
-	}
-	b := graph.NewBuilder(n)
+	t := newGuideTable(cum)
+	draw := func() int { return t.find(rng.Float64() * total) }
 	for i := 0; i < m; i++ {
-		b.AddEdge(draw(), draw())
+		emit(draw(), draw())
 	}
-	return b.Build()
+}
+
+// guideTable inverts a cumulative weight table: find(x) is the smallest i
+// with cum[i+1] ≥ x. It splits [0, cum[n]) into n equal buckets with
+// thresholds t_j = j·step; guide[j] is the smallest i with cum[i+1] ≥ t_j
+// (n−1 if there is none), and guide[n] = n−1. An x in bucket j, so
+// t_j ≤ x < t_{j+1}, has its answer in [guide[j], guide[j+1]], and a
+// binary search over that short range returns exactly what a search over
+// the whole table would, ties in cum included. The thresholds are
+// recomputed, not stored.
+type guideTable struct {
+	cum       []float64
+	guide     []int32
+	step, inv float64
+}
+
+// newGuideTable indexes cum, which must start at 0, be non-decreasing and
+// end above 0.
+func newGuideTable(cum []float64) *guideTable {
+	n := len(cum) - 1
+	t := &guideTable{cum: cum, guide: make([]int32, n+1), step: cum[n] / float64(n)}
+	t.inv = 1 / t.step
+	for j, i := 0, 0; j < n; j++ {
+		th := float64(j) * t.step
+		for i < n-1 && cum[i+1] < th {
+			i++
+		}
+		t.guide[j] = int32(i)
+	}
+	t.guide[n] = int32(n - 1)
+	return t
+}
+
+// find returns the smallest i with cum[i+1] ≥ x, for x in [0, cum[n]].
+func (t *guideTable) find(x float64) int {
+	n := len(t.guide) - 1
+	// Estimate x's bucket, then correct it against the thresholds as
+	// newGuideTable computed them, so rounding never picks a neighbour.
+	j := min(max(int(x*t.inv), 0), n-1)
+	for j > 0 && x < float64(j)*t.step {
+		j--
+	}
+	for j < n-1 && x >= float64(j+1)*t.step {
+		j++
+	}
+	lo, hi := int(t.guide[j]), int(t.guide[j+1])
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.cum[mid+1] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // MultiCommunity generates a deterministic multi-component stress
@@ -302,9 +345,8 @@ func Collaboration(authors, papers, maxAuthors int, seed int64) *graph.Graph {
 // It returns the graph and the module vertex sets in that order.
 func PlantedPPI(n, m int, seed int64) (*graph.Graph, [][]int32) {
 	rng := rand.New(rand.NewSource(seed))
-	base := ChungLu(n, m, 2.9, seed+1)
-	b := graph.NewBuilder(n)
-	base.Edges(func(u, v int) { b.AddEdge(u, v) })
+	b := graph.NewBuilderCap(n, m)
+	ChungLuEdges(n, m, 2.9, seed+1, b.AddEdge)
 	var modules [][]int32
 	next := 0
 	pick := func(k int) []int32 {

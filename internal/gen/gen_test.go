@@ -50,23 +50,6 @@ func TestEREdgeCases(t *testing.T) {
 	}
 }
 
-func TestEdgeFromIndexBijective(t *testing.T) {
-	n := 7
-	seen := map[[2]int]bool{}
-	total := int64(n * (n - 1) / 2)
-	for i := int64(0); i < total; i++ {
-		u, v := edgeFromIndex(i, n)
-		if u < 0 || v <= u || v >= n {
-			t.Fatalf("edgeFromIndex(%d) = (%d,%d) invalid", i, u, v)
-		}
-		key := [2]int{u, v}
-		if seen[key] {
-			t.Fatalf("edgeFromIndex(%d) duplicates (%d,%d)", i, u, v)
-		}
-		seen[key] = true
-	}
-}
-
 func TestGNM(t *testing.T) {
 	g := GNM(100, 300, 5)
 	if g.N() != 100 {

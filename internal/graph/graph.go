@@ -106,6 +106,13 @@ func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
 }
 
+// NewBuilderCap returns a Builder for n vertices with room for edges
+// edges before it reallocates.
+func NewBuilderCap(n, edges int) *Builder {
+	edges = max(edges, 0)
+	return &Builder{n: n, src: make([]int32, 0, edges), dst: make([]int32, 0, edges)}
+}
+
 // AddEdge records the undirected edge {u, v}. Self-loops are ignored.
 func (b *Builder) AddEdge(u, v int) {
 	if u == v || u < 0 || v < 0 {

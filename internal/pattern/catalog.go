@@ -7,8 +7,8 @@ import (
 )
 
 // The catalog mirrors Figure 7 of the paper: seven non-clique patterns plus
-// the h-cliques. See DESIGN.md §2 for how the informal figure names map to
-// formal graphs.
+// the h-cliques. Figure 7 names and draws its patterns; each constructor's
+// doc states the formal graph taken for a name, with vertex 0 first.
 
 // Edge returns the 2-clique (a single edge).
 func Edge() *Pattern { return MustNew("edge", 2, [][2]int{{0, 1}}) }
@@ -66,8 +66,8 @@ func Book(x int) *Pattern {
 }
 
 // Basket returns the basket pattern: a 4-cycle with one pendant vertex
-// (5 vertices, 5 edges). Figure 7 gives no formal definition; this choice
-// is documented in DESIGN.md.
+// (5 vertices, 5 edges). Figure 7 gives no formal definition, so this
+// package fixes this one; every basket count and density here uses it.
 func Basket() *Pattern {
 	return MustNew("basket", 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 4}})
 }

@@ -29,8 +29,11 @@ const initialWindow = 64
 // has γ(v,Ψ) < kmax, which certifies that the (kmax,Ψ)-core of G[W]
 // equals that of G.
 //
-// For h-cliques, γ(v,Ψ) = C(x, h−1) with x the classical core number of v
-// (see DESIGN.md for the proof this bounds the Ψ-core number). For
+// For h-cliques, γ(v,Ψ) = C(x, h−1) with x the classical core number of v.
+// It bounds v's Ψ-core number c: the (c,Ψ)-core H holding v has some
+// vertex u of minimum degree d, u lies in at most C(d, h−1) h-cliques of
+// H, so c ≤ C(d, h−1); and H is a subgraph of minimum degree d holding v,
+// so x ≥ d. For
 // non-clique patterns γ is the exact pattern degree, computed with the
 // Appendix-D fast counters where available. kc is g's classical core
 // decomposition when the caller holds one; it is read only for h-cliques
