@@ -41,7 +41,7 @@ fuzz:
 # as CI's test job runs them: they must keep compiling and running
 # (timings ungated).
 bench-kernels:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/clique ./internal/psicore ./internal/graph ./internal/kcore ./internal/flownet ./internal/flow ./internal/gen ./internal/datasets
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/clique ./internal/core ./internal/psicore ./internal/graph ./internal/kcore ./internal/flownet ./internal/flow ./internal/gen ./internal/datasets
 
 # Produce and validate the perf-trajectory artifact locally, exactly as
 # CI's bench job does.

@@ -143,13 +143,6 @@ func CountCliques(g *Graph, h int) int64 {
 	return motif.Count(motif.Clique{H: h}, g)
 }
 
-// CountCliquesParallel counts h-cliques with the given number of workers
-// (0 = GOMAXPROCS), exploiting the parallelizability the paper notes in
-// Section 6.3.
-func CountCliquesParallel(g *Graph, h, workers int) int64 {
-	return clique.NewLister(g).CountParallel(h, workers)
-}
-
 // CliqueDegreesParallel computes h-clique degrees with the given number of
 // workers (0 = GOMAXPROCS).
 func CliqueDegreesParallel(g *Graph, h, workers int) []int64 {

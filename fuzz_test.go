@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 
 	dsd "repro"
@@ -58,6 +59,12 @@ var fuzzGaps = []float64{0.01, 0.1, 0.5, 1, 4}
 // brute-force density, and a degraded one must certify an interval
 // [Bound.Lower, Bound.Upper] that contains it, with the witness
 // realizing the lower end and the upper end within (1+Gap) of it.
+//
+// The peel-family arm (checkPeelFamily) holds every approximation to its
+// stated bound against brute force, with k drawn from flip as at-least's
+// size bound, and after each edge batch the warm Solver's peel and
+// at-least answers must equal a fresh Solver's in µ, exact density and
+// witness.
 func FuzzSolve(f *testing.F) {
 	f.Add(uint8(5), uint64(0b111111), uint8(1), uint8(1), uint64(0)) // bowtie-ish, triangle
 	f.Add(uint8(10), uint64(0x1f3a_5c7e_9b2d_4f61), uint8(0), uint8(3), uint64(0x00ff_00ff))
@@ -113,6 +120,9 @@ func FuzzSolve(f *testing.F) {
 		gap := fuzzGaps[int(motif)/len(fuzzMotifs)%len(fuzzGaps)]
 		checkGapInterval(t, g, base, w, gap, brute)
 
+		k := 1 + int(flip%uint64(nv))
+		checkPeelFamily(t, g, base, k, brute)
+
 		// The edge batches on the warm Solver: batch i holds the pairs set
 		// in flip rotated by 17·i bits, and workers picks how many batches
 		// run (two to eight). A batch deletes its present pairs and inserts
@@ -140,8 +150,101 @@ func FuzzSolve(f *testing.F) {
 				t.Fatalf("%s: core-exact after batch %d %v, brute force %v", base.Psi(), i+1, want, brute)
 			}
 			same(fmt.Sprintf("mutated solver after batch %d", i+1), solve(s, dsd.AlgoCoreExact, w))
+			fresh := dsd.NewSolver(mutated)
+			for _, q := range []dsd.Query{peelQuery(base, dsd.AlgoPeel, 0), peelQuery(base, dsd.AlgoAtLeast, k)} {
+				label := fmt.Sprintf("%s %s after batch %d", base.Psi(), q.Algo, i+1)
+				sameAnswer(t, label, solveQuery(t, s, q), solveQuery(t, fresh, q))
+			}
 		}
 	})
+}
+
+// fuzzEpsSlack are FuzzSolve's batch-peel slacks as exact factors 1+ε,
+// for ε = 0.1, 0.5 and 1.
+var fuzzEpsSlack = []dsd.Density{{Num: 11, Den: 10}, {Num: 3, Den: 2}, {Num: 2, Den: 1}}
+
+// checkPeelFamily is FuzzSolve's oracle arm for the approximations, on
+// g with base's motif and brute its brute-force optimum. PeelApp, IncApp,
+// CoreApp and Nucleus must reach ρopt/|VΨ|, batch-peel ρopt/((1+ε)|VΨ|),
+// and every witness must recount to its density. At-least with size
+// bound k keeps at least k vertices, equals peel bit for bit at k = 1,
+// and for Ψ = edge reaches a third of the densest at-least-k subgraph.
+func checkPeelFamily(t *testing.T, g *dsd.Graph, base dsd.Query, k int, brute dsd.Density) {
+	t.Helper()
+	s := dsd.NewSolver(g)
+	size := int64(base.H)
+	if base.Pattern != nil {
+		size = int64(base.Pattern.Size())
+	}
+	// reaches fails unless the answer's witness recounts to its density
+	// and that density times factor is at least opt.
+	reaches := func(label string, res *dsd.Result, factor, opt dsd.Density) {
+		t.Helper()
+		scaled := dsd.Density{Num: res.Density.Num * factor.Num, Den: res.Density.Den * factor.Den}
+		if scaled.Less(opt) {
+			t.Fatalf("%s %s: density %v times %v below %v", base.Psi(), label, res.Density, factor, opt)
+		}
+		ev, err := s.EvaluateWitness(base, res.Vertices)
+		if err != nil {
+			t.Fatalf("%s %s: evaluate witness: %v", base.Psi(), label, err)
+		}
+		if ev.Density.Cmp(res.Density) != 0 {
+			t.Fatalf("%s %s: witness recount %v, returned density %v", base.Psi(), label, ev.Density, res.Density)
+		}
+	}
+	for _, algo := range []dsd.Algo{dsd.AlgoPeel, dsd.AlgoInc, dsd.AlgoCoreApp, dsd.AlgoNucleus} {
+		reaches(string(algo), solveQuery(t, s, peelQuery(base, algo, 0)), dsd.Density{Num: size, Den: 1}, brute)
+	}
+	for _, slack := range fuzzEpsSlack {
+		q := base
+		q.Algo, q.Eps = dsd.AlgoBatchPeel, slack.Float()-1
+		factor := dsd.Density{Num: slack.Num * size, Den: slack.Den}
+		reaches(fmt.Sprintf("batch-peel eps=%g", q.Eps), solveQuery(t, s, q), factor, brute)
+	}
+
+	peel := solveQuery(t, s, peelQuery(base, dsd.AlgoPeel, 0))
+	sameAnswer(t, base.Psi()+" at-least 1 against peel", solveQuery(t, s, peelQuery(base, dsd.AlgoAtLeast, 1)), peel)
+	atl := solveQuery(t, s, peelQuery(base, dsd.AlgoAtLeast, k))
+	if len(atl.Vertices) < k {
+		t.Fatalf("%s at-least %d: %d vertices", base.Psi(), k, len(atl.Vertices))
+	}
+	// The 1/3 bound is Andersen & Chellapilla's, for edge density; for
+	// other motifs only the size and the recount are checked.
+	opt := dsd.Density{}
+	if base.Pattern == nil && base.H == 2 {
+		opt = bruteDensityAtLeast(g, base, k)
+	}
+	reaches(fmt.Sprintf("at-least %d", k), atl, dsd.Density{Num: 3, Den: 1}, opt)
+}
+
+// peelQuery is base's motif with algo, and for at-least the size bound k.
+func peelQuery(base dsd.Query, algo dsd.Algo, k int) dsd.Query {
+	q := base
+	q.Algo = algo
+	if algo == dsd.AlgoAtLeast {
+		q.AtLeast = k
+	}
+	return q
+}
+
+// solveQuery answers q on s, failing the test on an error.
+func solveQuery(t *testing.T, s *dsd.Solver, q dsd.Query) *dsd.Result {
+	t.Helper()
+	res, err := s.Solve(context.Background(), q)
+	if err != nil {
+		t.Fatalf("%s %s: %v", q.Psi(), q.Algo, err)
+	}
+	return res
+}
+
+// sameAnswer fails unless got and want agree in µ, in the density's
+// numerator and denominator, and in the witness.
+func sameAnswer(t *testing.T, label string, got, want *dsd.Result) {
+	t.Helper()
+	if got.Mu != want.Mu || got.Density != want.Density || !slices.Equal(got.Vertices, want.Vertices) {
+		t.Fatalf("%s: answer µ=%d %v %v, want µ=%d %v %v", label,
+			got.Mu, got.Density, got.Vertices, want.Mu, want.Density, want.Vertices)
+	}
 }
 
 // checkGapInterval runs q's core-exact solve on g under a Gap budget and
@@ -184,12 +287,18 @@ func checkGapInterval(t *testing.T, g *dsd.Graph, q dsd.Query, workers int, gap 
 // bruteDensity is the densest-subgraph density of g for q's motif by
 // exhaustive subset enumeration.
 func bruteDensity(g *dsd.Graph, q dsd.Query) dsd.Density {
+	return bruteDensityAtLeast(g, q, 1)
+}
+
+// bruteDensityAtLeast is bruteDensity over the subgraphs of at least k
+// vertices.
+func bruteDensityAtLeast(g *dsd.Graph, q dsd.Query, k int) dsd.Density {
 	count := func(sub *graph.Graph) int64 {
 		if q.Pattern != nil {
 			return dsd.CountPatterns(sub, q.Pattern)
 		}
 		return dsd.CountCliques(sub, q.H)
 	}
-	d, _ := testutil.BruteForceDensest(g, count)
+	d, _ := testutil.BruteForceDensestAtLeast(g, k, count)
 	return d
 }

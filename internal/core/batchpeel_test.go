@@ -1,12 +1,14 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/motif"
+	"repro/internal/psicore"
 	"repro/internal/rational"
 )
 
@@ -90,7 +92,7 @@ func TestPeelAppAtLeastRespectsBound(t *testing.T) {
 	if len(un.Vertices) != 4 {
 		t.Fatalf("unconstrained peel |V|=%d, want 4", len(un.Vertices))
 	}
-	res, err := PeelAppAtLeast(g, o, 8, 0, nil)
+	res, err := PeelAppAtLeast(g, o, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestPeelAppAtLeastMatchesBruteForceShape(t *testing.T) {
 		g := gen.GNM(10, 22, seed)
 		o := motif.Clique{H: 2}
 		for _, k := range []int{1, 4, 8, 10} {
-			res, err := PeelAppAtLeast(g, o, k, 0, nil)
+			res, err := PeelAppAtLeast(g, o, k, nil)
 			if err != nil {
 				return false
 			}
@@ -121,10 +123,14 @@ func TestPeelAppAtLeastMatchesBruteForceShape(t *testing.T) {
 				t.Logf("seed %d k=%d: recount mismatch", seed, k)
 				return false
 			}
-			// With k=1 this is an unconstrained greedy peel (possibly a
-			// different tie-break order than PeelApp's bucket queue), so
-			// it must satisfy the same 1/2-approximation guarantee.
+			// With k=1 this is PeelApp itself, which must satisfy the
+			// 1/2-approximation guarantee.
 			if k == 1 {
+				peel := PeelApp(g, o, nil)
+				if !slices.Equal(res.Vertices, peel.Vertices) || res.Mu != peel.Mu || res.Density != peel.Density {
+					t.Logf("seed %d: k=1 answer %v differs from PeelApp's %v", seed, res.Vertices, peel.Vertices)
+					return false
+				}
 				opt := bruteDensest(g, o)
 				lhs := rational.New(res.Density.Num*2, res.Density.Den)
 				if lhs.Less(opt) {
@@ -140,12 +146,47 @@ func TestPeelAppAtLeastMatchesBruteForceShape(t *testing.T) {
 	}
 }
 
+// TestPeelAppAtLeastRanksPeelResiduals holds the replay to a recount:
+// for every k, the answer is the densest residual Order[i:] of the
+// decomposition's peel with at least k vertices, earliest i on ties, on
+// graphs whose peels start with instance-free vertices.
+func TestPeelAppAtLeastRanksPeelResiduals(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		g := gen.GNM(11, 14+int(seed), seed)
+		for _, o := range []motif.Oracle{motif.Clique{H: 2}, motif.Clique{H: 3}, motif.Diamond{}} {
+			dec := psicore.Decompose(g, o)
+			n := g.N()
+			for k := 1; k <= n; k++ {
+				from, best := 0, rational.Zero
+				for i := 0; i+k <= n; i++ {
+					if d, _ := densityOf(g, o, dec.Order[i:]); i == 0 || d.Greater(best) {
+						from, best = i, d
+					}
+				}
+				res, err := PeelAppAtLeast(g, o, k, dec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := append([]int32(nil), dec.Order[from:]...)
+				sortVertices(want)
+				if res.Density != best || res.Mu != best.Num || !slices.Equal(res.Vertices, want) {
+					t.Fatalf("seed %d %s k=%d: µ=%d %v %v, want residual %d: %v %v",
+						seed, o.Name(), k, res.Mu, res.Density, res.Vertices, from, best, want)
+				}
+			}
+		}
+	}
+}
+
 func TestPeelAppAtLeastErrors(t *testing.T) {
 	g := graph.FromEdges(3, [][2]int{{0, 1}})
-	if _, err := PeelAppAtLeast(g, motif.Clique{H: 2}, 0, 0, nil); err == nil {
+	if _, err := PeelAppAtLeast(g, motif.Clique{H: 2}, 0, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := PeelAppAtLeast(g, motif.Clique{H: 2}, 99, 0, nil); err == nil {
+	if _, err := PeelAppAtLeast(g, motif.Clique{H: 2}, 99, nil); err == nil {
 		t.Fatal("k>n accepted")
+	}
+	if _, err := PeelAppAtLeast(g, motif.Clique{H: 2}, 1, &psicore.Decomposition{Floor: 1}); err == nil {
+		t.Fatal("restricted decomposition accepted")
 	}
 }

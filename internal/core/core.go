@@ -16,9 +16,10 @@
 //	coreexact.go  CoreExact: location, Pruning1-2, per-component Dinkelbach
 //	              search on shrinking int64 networks, construct+
 //	parallel.go   worker pool + shared monotone bound for CoreExact
-//	approx.go     PeelApp, IncApp, CoreApp, Nucleus
+//	approx.go     PeelApp and PeelAppAtLeast [3] (one peel), IncApp,
+//	              CoreApp, Nucleus
 //	anchored.go   QueryDensest (§6.3 variant)
-//	batchpeel.go  BatchPeel [6] and PeelAppAtLeast [3]
+//	batchpeel.go  BatchPeel [6]
 //	certify.go    Certify: result certificates
 //	side.go       flow-network sides (EDS / CDS / PDS nets) and the probe
 //	result.go     Result and Stats types

@@ -69,7 +69,9 @@ type Stats struct {
 	ReusedDecomposition bool
 	// ReusedDegrees reports that the run was handed the whole-graph
 	// Ψ-degree vector as a state argument instead of enumerating
-	// instances itself.
+	// instances itself. Only BatchPeel reads that vector; the peel family
+	// (PeelApp, PeelAppAtLeast, IncApp) reads a decomposition and reports
+	// ReusedDecomposition.
 	ReusedDegrees bool
 	// BoundedCores reports that the run located on upper-bound core
 	// numbers carried across a mutation (Options.DecUpperBound) instead

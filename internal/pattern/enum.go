@@ -15,13 +15,6 @@ import (
 // orbit — two embeddings share an edge-set image iff they differ by an
 // automorphism, so this realizes Definition 8's edge-set counting.
 
-// ForEachEmbedding calls fn for every embedding of p into g restricted to
-// alive vertices (alive == nil means all). The φ slice passed to fn is
-// indexed by pattern vertex and reused between calls.
-func (p *Pattern) ForEachEmbedding(g *graph.Graph, alive []bool, fn func(phi []int32)) {
-	p.enumerate(g, alive, 0, -1, fn)
-}
-
 // ForEachInstance calls fn once per instance (canonical embedding only).
 func (p *Pattern) ForEachInstance(g *graph.Graph, alive []bool, fn func(phi []int32)) {
 	p.enumerate(g, alive, 0, -1, func(phi []int32) {

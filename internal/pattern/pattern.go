@@ -108,9 +108,6 @@ func (p *Pattern) NumEdges() int { return len(p.edges) }
 // Edges returns the normalized (u<v, sorted) pattern edges.
 func (p *Pattern) Edges() [][2]int { return p.edges }
 
-// Adj returns the sorted adjacency list of pattern vertex v.
-func (p *Pattern) Adj(v int) []int { return p.adj[v] }
-
 // Automorphisms returns the automorphism group as permutations; the first
 // element is the identity.
 func (p *Pattern) Automorphisms() [][]int { return p.autos }

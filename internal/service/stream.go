@@ -46,26 +46,15 @@ func newStreamRelay(sink func(dsd.Answer)) *streamRelay {
 	return r
 }
 
-// push conflates a into the relay channel (displacing an undelivered
-// older event) unless the relay has stopped. Never blocks on the
+// push conflates a into the relay channel (core.Conflate: displacing an
+// undelivered older event) unless the relay has stopped. Never blocks on the
 // consumer; conflation preserves monotonicity, and with the solver as
 // sole producer the terminal event is always the last delivered.
 func (r *streamRelay) push(a dsd.Answer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	for {
-		select {
-		case r.ch <- a:
-			return
-		default:
-		}
-		select {
-		case <-r.ch:
-		default:
-		}
+	if !r.closed {
+		core.Conflate(r.ch, a)
 	}
 }
 

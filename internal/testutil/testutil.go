@@ -6,6 +6,7 @@ package testutil
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -152,11 +153,20 @@ func BruteForcePatternInstances(g *graph.Graph, k int, pedges [][2]int) (int64, 
 // non-empty vertex subset, using count to measure µ of each induced
 // subgraph. Usable for n ≤ ~16.
 func BruteForceDensest(g *graph.Graph, count func(sub *graph.Graph) int64) (rational.R, []int32) {
+	return BruteForceDensestAtLeast(g, 1, count)
+}
+
+// BruteForceDensestAtLeast is BruteForceDensest over the subsets of at
+// least k vertices: the exact densest at-least-k subgraph.
+func BruteForceDensestAtLeast(g *graph.Graph, k int, count func(sub *graph.Graph) int64) (rational.R, []int32) {
 	n := g.N()
 	best := rational.Zero
 	var bestSet []int32
 	var vs []int32
 	for mask := 1; mask < (1 << n); mask++ {
+		if bits.OnesCount(uint(mask)) < k {
+			continue
+		}
 		vs = vs[:0]
 		for v := 0; v < n; v++ {
 			if mask&(1<<v) != 0 {

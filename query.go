@@ -32,7 +32,9 @@ const (
 	// batch-removal passes with slack Query.Eps.
 	AlgoBatchPeel Algo = "batch-peel"
 	// AlgoAtLeast is the size-constrained heuristic of Andersen &
-	// Chellapilla [3]: the densest residual with ≥ Query.AtLeast vertices.
+	// Chellapilla [3]: the densest residual with ≥ Query.AtLeast vertices
+	// of AlgoPeel's own (k,Ψ)-core peel, which it shares through the
+	// Solver's memo; AtLeast 1 answers exactly as AlgoPeel does.
 	AlgoAtLeast Algo = "at-least"
 )
 
@@ -110,7 +112,9 @@ type Query struct {
 	Gap float64
 	// Anchors are the query vertices of AlgoAnchored (Ψ must be edge).
 	Anchors []int32
-	// AtLeast is AlgoAtLeast's minimum answer size (≥ 1).
+	// AtLeast is AlgoAtLeast's minimum answer size (≥ 1): the answer is
+	// the densest residual of the memoized whole-graph peel that keeps at
+	// least AtLeast vertices.
 	AtLeast int
 	// Eps is AlgoBatchPeel's batch-removal slack (> 0); the answer is a
 	// 1/((1+ε)·|VΨ|)-approximation in O(log n / ε) passes.

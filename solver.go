@@ -20,7 +20,10 @@ import (
 // (Iterations, FlowNodes), Exact's Greed++ counters (PreSolveIters,
 // PreSolveSkips; 0 on core-exact runs), and the reuse flags
 // (ReusedDecomposition, ReusedDegrees) that prove a warm query skipped
-// recomputation. The dsdd v2 wire encoding serializes it verbatim.
+// recomputation: every algorithm reading a memoized decomposition, the
+// peel family at-least included, sets ReusedDecomposition, and
+// ReusedDegrees marks only batch-peel. The dsdd v2 wire encoding
+// serializes it verbatim.
 type QueryStats = core.Stats
 
 // DefaultRetainVersions is how many graph versions a Solver keeps
@@ -199,7 +202,7 @@ func (vs *verState) psiFor(o motif.Oracle) *psiState {
 // decomposition returns the memoized (k,Ψ)-core decomposition, computing
 // it on first use. ctx aborts a compute but never poisons the memo: an
 // aborted computation is simply retried by the next caller. When the
-// state already holds the Ψ-degree vector — memoized by a degree-family
+// state already holds the Ψ-degree vector — memoized by a batch-peel
 // query, or maintained incrementally across Apply — the peel is seeded
 // from it and the enumeration-heavy counting prefix is skipped; the
 // result is bit-identical either way (psicore.DecomposeSeeded).
@@ -216,7 +219,7 @@ func (st *psiState) decomposeLocked(ctx context.Context, g *Graph, workers int) 
 	}
 	if !st.haveDeg {
 		// Memoize the Ψ-degree vector itself, not just the peel built from
-		// it: degree-family queries reuse it directly, and Apply maintains
+		// it: batch-peel queries reuse it directly, and Apply maintains
 		// it per edge so post-mutation decompositions skip this counting
 		// entirely.
 		if pc, ok := st.o.(motif.ParallelCounter); ok && workers > 1 {
@@ -298,7 +301,7 @@ func (st *psiState) peekDec(req decRequest) (dec *psicore.Decomposition, bounded
 // else a peel of the whole version, memoized exactly like decomposition
 // does. For h ≥ 3 the restriction saves mostly the count; for edges,
 // whose count is the degree vector, it saves the peel. Once the degree
-// vector is in hand (memoized by a degree-family query, or maintained
+// vector is in hand (memoized by a batch-peel query, or maintained
 // across Apply), the whole version is peeled instead, because that peel
 // is what the peel family reuses and Apply carries as upper bounds. The
 // restricted result is kept in within, never in dec.
@@ -511,7 +514,9 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 		return await(ctx, func() (*Result, error) { return coreExactOn(ctx, q, o, vs, nil) })
 	case AlgoExact:
 		return await(ctx, func() (*Result, error) { return core.Exact(g, o, false) })
-	case AlgoPeel:
+	case AlgoPeel, AlgoInc, AlgoAtLeast:
+		// The peel family reads one memoized whole-graph peel: PeelApp
+		// and at-least rank its residuals, IncApp takes its kmax-core.
 		return await(ctx, func() (*Result, error) {
 			st := vs.psiFor(o)
 			decStart := time.Now()
@@ -521,19 +526,17 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 			if err != nil {
 				return nil, err
 			}
-			res := core.PeelApp(g, o, dec)
-			stampDecompose(res, reused, time.Since(decStart))
-			return res, nil
-		})
-	case AlgoInc:
-		return await(ctx, func() (*Result, error) {
-			st := vs.psiFor(o)
-			decStart := time.Now()
-			dec, reused, err := st.decomposition(context.Background(), g, 1)
-			if err != nil {
-				return nil, err
+			var res *Result
+			switch q.Algo {
+			case AlgoPeel:
+				res = core.PeelApp(g, o, dec)
+			case AlgoInc:
+				res = core.IncApp(g, o, dec)
+			default:
+				if res, err = core.PeelAppAtLeast(g, o, q.AtLeast, dec); err != nil {
+					return nil, err
+				}
 			}
-			res := core.IncApp(g, o, dec)
 			stampDecompose(res, reused, time.Since(decStart))
 			return res, nil
 		})
@@ -568,17 +571,6 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 			st := vs.psiFor(o)
 			total, deg, reused := st.degrees(g)
 			res, err := core.BatchPeel(g, o, q.Eps, total, deg)
-			if err != nil {
-				return nil, err
-			}
-			res.Stats.ReusedDegrees = reused
-			return res, nil
-		})
-	case AlgoAtLeast:
-		return await(ctx, func() (*Result, error) {
-			st := vs.psiFor(o)
-			total, deg, reused := st.degrees(g)
-			res, err := core.PeelAppAtLeast(g, o, q.AtLeast, total, deg)
 			if err != nil {
 				return nil, err
 			}
