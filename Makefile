@@ -1,6 +1,7 @@
 # Developer entry points mirroring CI (.github/workflows/ci.yml):
-# `make check` is the test job, `make bench` is the bench job. Run them
-# before pushing and the gates cannot surprise you.
+# `make check fuzz` is the test job (check runs everything but the
+# bounded fuzz runs), `make bench` is the bench job. Run them before
+# pushing and the gates cannot surprise you.
 
 GO ?= go
 BENCH_OUT ?= BENCH_10.json

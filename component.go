@@ -45,8 +45,9 @@ type ComponentPlan struct {
 
 // PlanComponents runs the location phase of q (which must resolve to
 // AlgoCoreExact) on the Solver's graph: the (k,Ψ)-core decomposition —
-// served from the Solver's memo when warm — Pruning1's bound, the
-// component split, and Pruning2's refinement.
+// served from the Solver's memo when warm, and on a version made by
+// Apply the carried upper bound, exactly as Solve locates — Pruning1's
+// bound, the component split, and Pruning2's refinement.
 func (s *Solver) PlanComponents(ctx context.Context, q Query) (*ComponentPlan, error) {
 	nq, o, err := q.normalize()
 	if err != nil {
@@ -62,7 +63,7 @@ func (s *Solver) PlanComponents(ctx context.Context, q Query) (*ComponentPlan, e
 	st := vs.psiFor(o)
 	opts := nq.coreOptions()
 	decStart := time.Now()
-	dec, reused, _, err := st.tracedCoreExactDec(ctx, vs, coreExactRequest(opts, false))
+	dec, reused, bounded, err := st.coreExactDec(ctx, vs, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -70,8 +71,10 @@ func (s *Solver) PlanComponents(ctx context.Context, q Query) (*ComponentPlan, e
 	if reused {
 		decTime = 0
 	}
-	// Same warm start Solve's core-exact path gets: the carried witness's
-	// density is re-evaluated by PlanCoreExact before use.
+	// Same location and warm start Solve's core-exact path gets: the
+	// carried witness's density is re-evaluated by PlanCoreExact before
+	// use.
+	opts.DecUpperBound = bounded
 	opts.SeedWitness = st.seedWitness()
 	plan, err := core.PlanCoreExact(ctx, vs.g, o, opts, dec)
 	if err != nil {
@@ -142,8 +145,9 @@ type ComponentResult struct {
 // the vertex set comp, which must be a component of a ComponentPlan for
 // the same (graph, query). kLocate is the plan's core level, floor the
 // search's live lower bound (nil starts from the empty density). The
-// decomposition comes from the Solver's memo, so the components of one
-// query pay for it once.
+// decomposition comes from the Solver's memo, through the same accessor
+// and preference order as PlanComponents, so the components of one query
+// pay for it once.
 //
 // Exactness mirrors Solve: the floor is only ever a density of a real
 // subgraph of the same graph, so every use — probe α, core shrink — is
@@ -170,7 +174,7 @@ func (s *Solver) SolveComponent(ctx context.Context, q Query, comp []int32, kLoc
 	}
 	st := vs.psiFor(o)
 	opts := nq.coreOptions()
-	dec, _, _, err := st.coreExactDec(ctx, vs, decRequest{workers: 1, restrict: opts.Pruning1})
+	dec, _, _, err := st.coreExactDec(ctx, vs, opts)
 	if err == nil && dec.Floor > kLocate {
 		// The plan was located below the levels this restricted
 		// decomposition holds exactly (it was planned on other memo

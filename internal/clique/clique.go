@@ -163,7 +163,17 @@ func (l *Lister) ForEachStop(h int, fn func(clique []int32) bool) bool {
 }
 
 // Count returns the number of h-cliques in the graph.
-func (l *Lister) Count(h int) int64 { return l.CountParallel(h, 1) }
+func (l *Lister) Count(h int) int64 {
+	var c int64
+	if h < 1 {
+		return 0
+	}
+	l.walk(h, 0, 1, func(_, cand []int32) bool {
+		c += int64(len(cand))
+		return true
+	})
+	return c
+}
 
 // Degrees returns the clique-degree deg(v,Ψ) of every vertex: the number of
 // h-cliques containing v (Definition 3).

@@ -95,9 +95,6 @@ func TestListerMatchesBruteForce(t *testing.T) {
 					}
 					assertDegrees(t, "Degrees", l.Degrees(h), wantDeg)
 					for w := 1; w <= 4; w++ {
-						if c := l.CountParallel(h, w); c != int64(len(want)) {
-							t.Fatalf("CountParallel(workers=%d) = %d, want %d", w, c, len(want))
-						}
 						assertDegrees(t, fmt.Sprintf("DegreesParallel(workers=%d)", w), l.DegreesParallel(h, w), wantDeg)
 					}
 				})

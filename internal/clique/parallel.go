@@ -72,26 +72,3 @@ func (l *Lister) DegreesParallel(h int, workers int) []int64 {
 	}
 	return deg
 }
-
-// CountParallel counts h-cliques with the given number of workers.
-func (l *Lister) CountParallel(h int, workers int) int64 {
-	n := len(l.order)
-	if h < 1 || n == 0 {
-		return 0
-	}
-	workers = workersFor(workers, n)
-	counts := make([]int64, workers)
-	stripes(workers, func(w, stride int) {
-		var c int64
-		l.walk(h, w, stride, func(_, cand []int32) bool {
-			c += int64(len(cand))
-			return true
-		})
-		counts[w] = c
-	})
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	return total
-}

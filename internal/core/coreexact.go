@@ -110,9 +110,14 @@ func DefaultOptions() Options {
 // densest first, together with the certified (lower, witness) pair the
 // searches start from. Each component is an independent search unit:
 // CoreExact executes a Plan directly, and dsd.Solver.PlanComponents
-// hands it out for a component-by-component run of the same searches.
+// hands it out for a component-by-component run of the same searches,
+// located in the same decomposition Solve would locate in.
 type Plan struct {
-	// Dec is the (k,Ψ)-core decomposition the plan was located in.
+	// Dec is the (k,Ψ)-core decomposition the plan was located in: an
+	// exact peel, a restricted one (Floor > 0), or upper-bound core
+	// numbers carried across a mutation (Options.DecUpperBound), whose
+	// components are no smaller than the exact ones and hold the same
+	// optimum.
 	Dec *psicore.Decomposition
 	// Components are the located core's connected components in original
 	// vertex ids, densest first (when Pruning2 is on).

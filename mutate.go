@@ -94,10 +94,10 @@ func (s *Solver) Apply(ctx context.Context, m Mutation) (Version, error) {
 //
 // Pattern (non-clique) Ψ state carries only the witness: there is no
 // edge-local delta rule for general patterns, so their degree vectors
-// are recomputed on first use. Classical k-core numbers (anchored
-// queries) are not carried either: a version peels them once, on its
-// first anchored query, which costs less than repairing them edge by
-// edge on every batch.
+// are recomputed on first use. Classical k-core numbers are not carried
+// either: a version peels them once, on the first query that reads them
+// (anchored, CoreApp for h ≥ 3, a stream's CoreApp rung), which costs
+// less than repairing them edge by edge on every batch.
 //
 // Mutations are serialized (a total order of versions is the point);
 // queries never block on a mutation and a mutation never blocks on

@@ -209,35 +209,155 @@ func TestRestrictionFollowsPruning1(t *testing.T) {
 	}
 }
 
-// TestComponentPlanPeelsAfterApply pins which decomposition each
-// core-exact entry point takes on a version made by Apply, which carries
-// the parent's core numbers as upper bounds: Solve locates on those, and
-// PlanComponents peels the version, because the bound loosens with every
-// batch and a plan ships its components to other processes. The peel
-// then serves Solve too.
-func TestComponentPlanPeelsAfterApply(t *testing.T) {
+// solveByComponents answers q through the component surface: a plan,
+// one SolveComponent per component sharing one floor, and the best
+// witness's evaluation.
+func solveByComponents(t *testing.T, s *dsd.Solver, q dsd.Query) *dsd.Result {
+	t.Helper()
+	ctx := context.Background()
+	plan, err := s.PlanComponents(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bestNum, bestDen, best := plan.LowerNum, plan.LowerDen, plan.Witness
+	floor := dsd.NewComponentFloor(bestNum, bestDen)
+	for _, comp := range plan.Components {
+		cr, err := s.SolveComponent(ctx, q, comp, plan.KLocate, floor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cr.Witness != nil && (bestDen == 0 || cr.DensityNum*bestDen > bestNum*cr.DensityDen) {
+			bestNum, bestDen, best = cr.DensityNum, cr.DensityDen, cr.Witness
+			floor.Raise(bestNum, bestDen)
+		}
+	}
+	res, err := s.EvaluateWitness(q, best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestComponentSurfaceLocatesLikeSolve pins that every core-exact entry
+// point takes the same decomposition from a version's memo. On a version
+// made by Apply, which carries the parent's core numbers as upper bounds,
+// Solve, PlanComponents and SolveComponent all locate on those (bounded),
+// and a plan-then-components run answers what Solve and a rebuild
+// answer. Once a peel query has peeled the version, all three read that
+// exact peel instead.
+func TestComponentSurfaceLocatesLikeSolve(t *testing.T) {
+	ctx := context.Background()
 	g := dsd.GenerateMultiCommunity(6, 18, 8, 11, 12, 1)
 	s := dsd.NewSolver(g)
 	q := dsd.Query{H: 3}
-	if _, err := s.Solve(context.Background(), q); err != nil {
+	if _, err := s.Solve(ctx, q); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply(context.Background(), dsd.Mutation{Insert: [][2]int{{0, g.N()}, {1, g.N()}}}); err != nil {
+	if _, err := s.Apply(ctx, dsd.Mutation{Insert: [][2]int{{0, g.N()}, {1, g.N()}}}); err != nil {
 		t.Fatal(err)
 	}
-	for _, step := range []struct {
-		what            string
-		run             func(ctx context.Context) error
-		reused, bounded bool
+	plan, err := s.PlanComponents(ctx, q)
+	if err != nil || len(plan.Components) == 0 {
+		t.Fatalf("plan: %v, %d components", err, len(plan.Components))
+	}
+	steps := []struct {
+		what string
+		run  func(ctx context.Context) error
 	}{
-		{"solve", func(ctx context.Context) error { _, err := s.Solve(ctx, q); return err }, true, true},
-		{"plan", func(ctx context.Context) error { _, err := s.PlanComponents(ctx, q); return err }, false, false},
-		{"solve again", func(ctx context.Context) error { _, err := s.Solve(ctx, q); return err }, true, false},
-	} {
-		attrs := decomposeAttrs(t, step.what, step.run)
-		if (attrs["reused"] == "true") != step.reused || (attrs["bounded"] == "true") != step.bounded {
-			t.Fatalf("%s: decompose span %v, want reused=%v bounded=%v", step.what, attrs, step.reused, step.bounded)
+		{"solve", func(ctx context.Context) error { _, err := s.Solve(ctx, q); return err }},
+		{"plan", func(ctx context.Context) error { _, err := s.PlanComponents(ctx, q); return err }},
+		{"component", func(ctx context.Context) error {
+			_, err := s.SolveComponent(ctx, q, plan.Components[0], plan.KLocate, nil)
+			return err
+		}},
+	}
+	for _, bounded := range []bool{true, false} {
+		for _, step := range steps {
+			attrs := decomposeAttrs(t, step.what, step.run)
+			if attrs["reused"] != "true" || (attrs["bounded"] == "true") != bounded {
+				t.Fatalf("%s: decompose span %v, want reused bounded=%v", step.what, attrs, bounded)
+			}
 		}
+		got := solveByComponents(t, s, q)
+		solved, err := s.Solve(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameDensity(t, "components against Solve", got, solved)
+		cold, err := dsd.NewSolver(rebuild(s.Graph())).Solve(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameDensity(t, "components against a rebuild", got, cold)
+		if _, err := s.Solve(ctx, dsd.Query{H: 3, Algo: dsd.AlgoPeel}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestClassicalDecompositionOncePerVersion pins the version's one
+// classical k-core decomposition: whichever of CoreApp (h ≥ 3), a cold
+// stream's CoreApp rung and an anchored query reads it first computes
+// it, and the others reuse it. A core-exact restriction reading the
+// memoized cores locates at the same classical level, and answers the
+// same density, as a cold one finding its own high cores.
+func TestClassicalDecompositionOncePerVersion(t *testing.T) {
+	ctx := context.Background()
+	anchored := dsd.Query{Anchors: []int32{0, 1}}
+	g := plantedCliqueGraph(10, 10)
+	for _, first := range []struct {
+		what string
+		run  func(s *dsd.Solver) error
+	}{
+		{"core-app", func(s *dsd.Solver) error {
+			_, err := s.Solve(ctx, dsd.Query{H: 3, Algo: dsd.AlgoCoreApp})
+			return err
+		}},
+		{"stream", func(s *dsd.Solver) error {
+			_, err := s.StreamFunc(ctx, dsd.Query{H: 3}, func(dsd.Answer) {})
+			return err
+		}},
+	} {
+		s := dsd.NewSolver(g)
+		if err := first.run(s); err != nil {
+			t.Fatalf("%s: %v", first.what, err)
+		}
+		res, err := s.Solve(ctx, anchored)
+		if err != nil {
+			t.Fatalf("%s, then anchored: %v", first.what, err)
+		}
+		if !res.Stats.ReusedDecomposition {
+			t.Fatalf("%s, then anchored: the version's classical cores were computed again", first.what)
+		}
+	}
+
+	for _, tc := range []struct {
+		h     int
+		q     int
+		first dsd.Query
+	}{
+		{2, 12, anchored},
+		{3, 10, dsd.Query{H: 3, Algo: dsd.AlgoCoreApp}},
+	} {
+		g := plantedCliqueGraph(10, tc.q)
+		q := dsd.Query{H: tc.h}
+		var cold, warm *dsd.Result
+		coldAttrs := decomposeAttrs(t, "cold", func(ctx context.Context) (err error) {
+			cold, err = dsd.NewSolver(g).Solve(ctx, q)
+			return err
+		})
+		s := dsd.NewSolver(g)
+		if _, err := s.Solve(ctx, tc.first); err != nil {
+			t.Fatal(err)
+		}
+		warmAttrs := decomposeAttrs(t, "memoized cores", func(ctx context.Context) (err error) {
+			warm, err = s.Solve(ctx, q)
+			return err
+		})
+		if coldAttrs["classical_level"] == "" || warmAttrs["classical_level"] != coldAttrs["classical_level"] {
+			t.Fatalf("h=%d: restriction on memoized cores %v, cold %v", tc.h, warmAttrs, coldAttrs)
+		}
+		sameDensity(t, "restriction on memoized cores", warm, cold)
 	}
 }
 

@@ -35,7 +35,7 @@ const DefaultRetainVersions = 8
 // Solver answers densest-subgraph queries on one graph through the
 // single entrypoint Solve, memoizing the expensive per-(graph,Ψ) state —
 // whole-graph Ψ-degree vectors, (k,Ψ)-core and nucleus decompositions,
-// the classical k-core of anchored queries — behind a mutex, so repeated
+// the classical k-core decomposition — behind a mutex, so repeated
 // queries with the same Ψ skip the recomputation entirely. The dsdd
 // service keeps one Solver per registered graph; one-shot callers pay
 // nothing for the machinery (a cold Solver computes exactly what the
@@ -62,9 +62,10 @@ type Solver struct {
 	retain int
 }
 
-// verState is one immutable graph version with its memoized per-Ψ state.
-// The graph and version number never change after construction; the memo
-// fields fill in lazily under their locks.
+// verState is one immutable graph version with its memoized per-Ψ state
+// and its classical k-core decomposition (see classical). The graph and
+// version number never change after construction; the memo fields fill
+// in lazily under their locks.
 type verState struct {
 	ver Version
 	g   *Graph
@@ -79,7 +80,10 @@ type verState struct {
 // psiState is the memoized per-Ψ state. Each kind is computed at most
 // once per version, on first use, under the state's own lock — same-Ψ
 // queries serialize on the first computation instead of duplicating it;
-// different Ψ never contend.
+// different Ψ never contend. Every core-exact entry point (Solve, the
+// stream, PlanComponents, SolveComponent) reads dec, ub and within
+// through coreExactDec alone; the peel-order family reads dec through
+// decomposition.
 type psiState struct {
 	o motif.Oracle
 
@@ -96,12 +100,13 @@ type psiState struct {
 	deg     []int64 // whole-graph Ψ-degrees
 	haveDeg bool
 	// ub is an upper-bound core decomposition carried across Apply
-	// (psicore.UpperBound over the parent version's cores): core-exact
-	// queries locate on it without re-peeling this version, which is
-	// sound because CoreExact only ever uses core numbers to prune
-	// (core.Options.DecUpperBound). It is NOT a peel of this graph — the
-	// peel-order family (AlgoPeel/AlgoInc, nucleus) never reads it, and a
-	// real peel, once computed into dec, supersedes it.
+	// (psicore.UpperBound over the parent version's cores): every
+	// core-exact entry point locates on it without re-peeling this
+	// version, which is sound because CoreExact only ever uses core
+	// numbers to prune (core.Options.DecUpperBound). It is NOT a peel of
+	// this graph — the peel-order family (AlgoPeel/AlgoInc, nucleus)
+	// never reads it, and a real peel, once computed into dec, supersedes
+	// it.
 	ub *psicore.Decomposition
 	// witness is the best exact witness a core-exact run on this Ψ has
 	// produced — carried across Apply so the next search starts from the
@@ -237,117 +242,85 @@ func (st *psiState) decomposeLocked(ctx context.Context, g *Graph, workers int) 
 	return d, false, nil
 }
 
-// decRequest says which decompositions a core-exact caller may locate
-// in (see coreExactDec).
-type decRequest struct {
-	workers int
-	// restrict admits a decomposition restricted to the classical core
-	// that can hold the answer. It follows Pruning1, the paper's pruning
-	// by a lower bound, so the ablations without it peel the whole graph.
-	restrict bool
-	// bound admits the upper-bound decomposition carried across Apply.
-	bound bool
-	// classical is g's classical core decomposition when the caller
-	// already holds one; with nil a restriction reads the version's
-	// memoized one, or finds the high cores it needs without peeling all
-	// of g (psicore.DecomposeWithin).
-	classical *kcore.Decomposition
-}
-
-// coreExactRequest is the decRequest of a core-exact query run with
-// opts. Solve and the stream take the carried upper bound (bound); the
-// component surface does not, because the bound loosens with every
-// batch applied since the last peel and a plan located on it hands out
-// larger components.
-func coreExactRequest(opts core.Options, bound bool) decRequest {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	return decRequest{workers: workers, restrict: opts.Pruning1, bound: bound}
-}
-
-// memoDecLocked returns the memoized decomposition req admits, in
-// coreExactDec's order, or nil. Caller holds st.mu.
-func (st *psiState) memoDecLocked(req decRequest) (dec *psicore.Decomposition, bounded bool) {
+// memoDecLocked returns the memoized decomposition a core-exact query
+// locates in, in coreExactDec's order, or nil; restrict admits the
+// restricted one. Caller holds st.mu.
+func (st *psiState) memoDecLocked(restrict bool) (dec *psicore.Decomposition, bounded bool) {
 	switch {
 	case st.dec != nil:
 		return st.dec, false
-	case req.bound && st.ub != nil:
+	case st.ub != nil:
 		return st.ub, true
-	case req.restrict && st.within != nil:
+	case restrict && st.within != nil:
 		return st.within, false
 	}
 	return nil, false
 }
 
-// peekDec returns the memoized decomposition req admits, in
-// coreExactDec's order (bounded=true for the upper-bound peel carried
-// across Apply), without computing anything.
-func (st *psiState) peekDec(req decRequest) (dec *psicore.Decomposition, bounded bool) {
+// peekDec returns the memoized decomposition a core-exact query run with
+// opts locates in, in coreExactDec's order (bounded=true for the
+// upper-bound decomposition carried across Apply), without computing
+// anything.
+func (st *psiState) peekDec(opts core.Options) (dec *psicore.Decomposition, bounded bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.memoDecLocked(req)
+	return st.memoDecLocked(opts.Pruning1)
 }
 
-// coreExactDec returns the decomposition a core-exact query on version
-// vs locates in; Solve, the stream, PlanComponents and SolveComponent
-// all take it from here. In order of preference: the exact memoized
-// decomposition; else, if req.bound, the upper-bound decomposition
-// carried across Apply (bounded=true — the caller must set
-// core.Options.DecUpperBound); else, if req.restrict, the memoized
-// restricted decomposition, or for an h-clique (any h) whose whole-graph
-// Ψ-degree vector is not yet known, a new one (psicore.DecomposeWithin);
-// else a peel of the whole version, memoized exactly like decomposition
-// does. For h ≥ 3 the restriction saves mostly the count; for edges,
-// whose count is the degree vector, it saves the peel. Once the degree
-// vector is in hand (memoized by a batch-peel query, or maintained
-// across Apply), the whole version is peeled instead, because that peel
-// is what the peel family reuses and Apply carries as upper bounds. The
-// restricted result is kept in within, never in dec.
-func (st *psiState) coreExactDec(ctx context.Context, vs *verState, req decRequest) (dec *psicore.Decomposition, reused, bounded bool, err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if dec, bounded := st.memoDecLocked(req); dec != nil {
-		return dec, true, bounded, nil
-	}
-	if req.restrict && !st.haveDeg {
-		kc := req.classical
-		if kc == nil {
-			kc = vs.memoKcore()
-		}
-		d, err := psicore.DecomposeWithin(ctx, vs.g, st.o, kc, req.workers)
-		if err != nil {
-			return nil, false, false, err
-		}
-		if d != nil {
-			st.within = d
-			return d, false, false, nil
-		}
-	}
-	dec, reused, err = st.decomposeLocked(ctx, vs.g, req.workers)
-	return dec, reused, false, err
-}
-
-// tracedCoreExactDec is coreExactDec under a decompose span, which
-// records whether the memo served it, whether it is the carried upper
-// bound, and how much of the graph a restricted decomposition counted:
-// the classical level x and |X|.
-func (st *psiState) tracedCoreExactDec(ctx context.Context, vs *verState, req decRequest) (dec *psicore.Decomposition, reused, bounded bool, err error) {
+// coreExactDec returns the decomposition a core-exact query run with
+// opts locates in on version vs; Solve, the stream, PlanComponents and
+// SolveComponent all take it from here. In order of preference: the
+// exact whole-graph peel; else the upper-bound decomposition carried
+// across Apply (bounded=true — the caller sets
+// core.Options.DecUpperBound); else, with Pruning1 (the restriction
+// rests on its lower bound, so the ablations without it peel the whole
+// graph), the memoized restricted decomposition, or for an h-clique (any
+// h) whose whole-graph Ψ-degree vector is not yet known, a new one
+// (psicore.DecomposeWithin, reading the version's classical cores when
+// memoized and finding the high cores it needs itself otherwise); else a
+// peel of the whole version, memoized exactly like decomposition does.
+// For h ≥ 3 the restriction saves mostly the count; for edges, whose
+// count is the degree vector, it saves the peel. Once the degree vector
+// is in hand (memoized by a batch-peel query, or maintained across
+// Apply), the whole version is peeled instead, because that peel is what
+// the peel family reuses and Apply carries as upper bounds. The
+// restricted result is kept in within, never in dec. Computes use
+// max(opts.Workers, 1) workers.
+//
+// The call runs under a decompose span, which records whether the memo
+// served it, whether it is the carried upper bound, and how much of the
+// graph a restricted decomposition counted: the classical level x and
+// |X|.
+func (st *psiState) coreExactDec(ctx context.Context, vs *verState, opts core.Options) (dec *psicore.Decomposition, reused, bounded bool, err error) {
 	dsp := obs.StartFromContext(ctx, obs.SpanDecompose)
 	defer dsp.End()
-	dec, reused, bounded, err = st.coreExactDec(ctx, vs, req)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	workers := max(opts.Workers, 1)
+	dec, bounded = st.memoDecLocked(opts.Pruning1)
+	reused = dec != nil
+	if dec == nil && opts.Pruning1 && !st.haveDeg {
+		if dec, err = psicore.DecomposeWithin(ctx, vs.g, st.o, vs.peekClassical(), workers); dec != nil {
+			st.within = dec
+		}
+	}
+	if dec == nil && err == nil {
+		dec, reused, err = st.decomposeLocked(ctx, vs.g, workers)
+	}
+	if err != nil {
+		return nil, false, false, err
+	}
 	if reused {
 		dsp.SetAttr("reused", "true")
 	}
 	if bounded {
 		dsp.SetAttr("bounded", "true")
 	}
-	if err == nil && dec.Floor > 0 {
+	if dec.Floor > 0 {
 		dsp.SetInt("classical_level", int64(dec.Level))
 		dsp.SetInt("counted_vertices", int64(len(dec.Order)))
 	}
-	return dec, reused, bounded, err
+	return dec, reused, bounded, nil
 }
 
 // nucleus returns the memoized nucleus decomposition.
@@ -395,8 +368,12 @@ func (st *psiState) recordWitness(vs []int32) {
 	st.mu.Unlock()
 }
 
-// kcoreDec returns the memoized classical k-core decomposition.
-func (vs *verState) kcoreDec() (*kcore.Decomposition, bool) {
+// classical returns the version's classical k-core decomposition,
+// computing it on first use (reused reports that the memo served it).
+// Anchored queries, CoreApp's clique γ bounds and the stream's CoreApp
+// rung read it; a core-exact restriction reads it only through
+// peekClassical.
+func (vs *verState) classical() (kc *kcore.Decomposition, reused bool) {
 	vs.kmu.Lock()
 	defer vs.kmu.Unlock()
 	if vs.kc != nil {
@@ -406,30 +383,12 @@ func (vs *verState) kcoreDec() (*kcore.Decomposition, bool) {
 	return vs.kc, false
 }
 
-// memoKcore returns the version's memoized classical k-core
-// decomposition, or nil when no anchored query has computed it.
-func (vs *verState) memoKcore() *kcore.Decomposition {
+// peekClassical returns the version's memoized classical k-core
+// decomposition, or nil when no reader has computed it yet.
+func (vs *verState) peekClassical() *kcore.Decomposition {
 	vs.kmu.Lock()
 	defer vs.kmu.Unlock()
 	return vs.kc
-}
-
-// classical returns g's classical core decomposition when Ψ's
-// algorithms read all of it (h-cliques with h ≥ 3, see
-// psicore.UsesClassicalCores), and nil otherwise: the version's memoized
-// one when an anchored query computed it, else a fresh one left out of
-// the memo. CoreApp's γ bounds read every vertex's core number, so
-// CoreApp and the stream's CoreApp rung take it from here; a core-exact
-// restriction needs only the high cores and finds them itself when the
-// memo holds none (psicore.DecomposeWithin).
-func (vs *verState) classical(o motif.Oracle) *kcore.Decomposition {
-	if !psicore.UsesClassicalCores(o) {
-		return nil
-	}
-	if kc := vs.memoKcore(); kc != nil {
-		return kc
-	}
-	return kcore.Decompose(vs.g)
 }
 
 // Solve answers q on the Solver's graph: the one entrypoint behind which
@@ -543,9 +502,9 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 	case AlgoCoreApp:
 		// CoreApp's whole point is extracting the kmax-core top-down
 		// without the full decomposition, so there is no per-Ψ state
-		// worth memoizing for it; its clique γ bounds read the classical
-		// cores (see classical).
-		return await(ctx, func() (*Result, error) { return core.CoreApp(g, o, vs.classical(o)), nil })
+		// worth memoizing for it; its clique γ bounds read the version's
+		// classical cores.
+		return await(ctx, func() (*Result, error) { return core.CoreApp(g, o, gammaCores(vs, o)), nil })
 	case AlgoNucleus:
 		return await(ctx, func() (*Result, error) {
 			st := vs.psiFor(o)
@@ -558,7 +517,7 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 	case AlgoAnchored:
 		return await(ctx, func() (*Result, error) {
 			decStart := time.Now()
-			dec, reused := vs.kcoreDec()
+			dec, reused := vs.classical()
 			res, err := core.QueryDensest(g, q.Anchors, dec)
 			if err != nil {
 				return nil, err
@@ -587,14 +546,13 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 // times only location and search. A stream peeks the memo without
 // forcing a peel: on a cold graph the driver puts a certified CoreApp
 // interval on the stream first and decomposes afterwards, through the
-// same coreExactDec, sharing one classical decomposition between the
-// CoreApp rung and a restriction. Both warm-start from the previous
-// solve's certificate (carried across Apply), whose exact density
-// PlanCoreExact re-evaluates on this graph before trusting it.
+// same coreExactDec; the CoreApp rung memoizes the version's classical
+// cores, which a restriction then reads. Both warm-start from the
+// previous solve's certificate (carried across Apply), whose exact
+// density PlanCoreExact re-evaluates on this graph before trusting it.
 func coreExactOn(ctx context.Context, q Query, o motif.Oracle, vs *verState, fn func(Answer)) (*Result, error) {
 	st := vs.psiFor(o)
 	opts := q.coreOptions()
-	req := coreExactRequest(opts, true)
 	var (
 		dec             *psicore.Decomposition
 		stream          *core.Stream
@@ -604,20 +562,19 @@ func coreExactOn(ctx context.Context, q Query, o motif.Oracle, vs *verState, fn 
 	if fn == nil {
 		decStart := time.Now()
 		var err error
-		if dec, reused, bounded, err = st.tracedCoreExactDec(ctx, vs, req); err != nil {
+		if dec, reused, bounded, err = st.coreExactDec(ctx, vs, opts); err != nil {
 			return nil, err
 		}
 		decTime = time.Since(decStart)
 	} else {
-		dec, bounded = st.peekDec(req)
+		dec, bounded = st.peekDec(opts)
 		reused = dec != nil
 		stream = &core.Stream{Sink: fn}
 		if dec == nil {
-			req.classical = vs.classical(o)
-			stream.Classical = req.classical
+			stream.Classical = gammaCores(vs, o)
 			stream.Decompose = func(ctx context.Context) (*psicore.Decomposition, error) {
 				decStart := time.Now()
-				d, r, _, err := st.tracedCoreExactDec(ctx, vs, req)
+				d, r, _, err := st.coreExactDec(ctx, vs, opts)
 				reused, decTime = r, time.Since(decStart)
 				return d, err
 			}
@@ -633,6 +590,17 @@ func coreExactOn(ctx context.Context, q Query, o motif.Oracle, vs *verState, fn 
 	stampDecompose(res, reused, decTime)
 	res.Stats.BoundedCores = bounded
 	return res, nil
+}
+
+// gammaCores returns the classical cores CoreApp's γ bounds read: the
+// version's memoized decomposition for h-cliques with h ≥ 3, nil for
+// every other Ψ (see psicore.UsesClassicalCores).
+func gammaCores(vs *verState, o motif.Oracle) *kcore.Decomposition {
+	if !psicore.UsesClassicalCores(o) {
+		return nil
+	}
+	kc, _ := vs.classical()
+	return kc
 }
 
 // stampDecompose records on res whether the run's decomposition came out
