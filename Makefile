@@ -37,6 +37,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryDensest$$' -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecomposeWithin$$' -fuzztime 30s ./internal/psicore
+	$(GO) test -run '^$$' -fuzz '^FuzzPeelMatchesReference$$' -fuzztime 30s ./internal/psicore
 
 # One iteration of each enumeration-, peel- and flow-kernel benchmark, exactly
 # as CI's test job runs them: they must keep compiling and running

@@ -2,6 +2,8 @@ package clique
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -136,6 +138,50 @@ func TestForEachStopStopsAtFirstFalse(t *testing.T) {
 		var calls int64
 		if !l.ForEachStop(h, func([]int32) bool { calls++; return true }) || calls != total {
 			t.Fatalf("h=%d: full walk done after %d of %d calls", h, calls, total)
+		}
+	}
+}
+
+// TestRowsMatchLists holds the bit-row walk to the list walks on random
+// graphs whose vertex counts sit on and around word boundaries, each
+// drawn sparse and dense: Rows.Degrees and DegreesParallel must equal
+// Lister.Degrees, and Rows.ForEachContaining must list the cliques of
+// ForEachContaining in the same order, with every vertex alive and under
+// random alive masks.
+func TestRowsMatchLists(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 130} {
+		pairs := n * (n - 1) / 2
+		for _, m := range []int{pairs / 20, pairs / 3} {
+			g := testutil.Relabel(gen.GNM(n, m, int64(n+m)), int64(m))
+			rows := NewRows(g)
+			l := NewLister(g)
+			rng := rand.New(rand.NewSource(int64(n * m)))
+			for h := 1; h <= 6; h++ {
+				want := l.Degrees(h)
+				assertDegrees(t, fmt.Sprintf("n=%d m=%d h=%d Rows.Degrees", n, m, h), rows.Degrees(h), want)
+				assertDegrees(t, fmt.Sprintf("n=%d m=%d h=%d Rows.DegreesParallel(3)", n, m, h), rows.DegreesParallel(h, 3), want)
+			}
+			for trial := 0; trial < 4; trial++ {
+				alive, mask := []bool(nil), []uint64(nil)
+				if trial > 0 {
+					alive, mask = make([]bool, n), NewAlive(n)
+					for v := range alive {
+						if alive[v] = rng.Intn(4) != 0; !alive[v] {
+							Kill(mask, v)
+						}
+					}
+				}
+				for h := 2; h <= 5; h++ {
+					for v := 0; v < n; v++ {
+						var want, got [][]int32
+						ForEachContaining(g, v, h, alive, func(o []int32) { want = append(want, slices.Clone(o)) })
+						rows.ForEachContaining(v, h, mask, func(o []int32) { got = append(got, slices.Clone(o)) })
+						if !slices.EqualFunc(got, want, slices.Equal[[]int32]) {
+							t.Fatalf("n=%d m=%d trial %d h=%d v=%d: rows list %v, lists %v", n, m, trial, h, v, got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

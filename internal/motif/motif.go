@@ -48,6 +48,13 @@ type State struct {
 	Alive  []bool
 	RDeg   []int32 // number of alive neighbors
 	NAlive int
+
+	// rows and live are G's clique bit rows and the alive set as a bit
+	// mask, built by the first clique removal when clique.RowsPay(G)
+	// holds; rowsTried records that the rule was read.
+	rows      *clique.Rows
+	live      []uint64
+	rowsTried bool
 }
 
 // NewState returns the all-alive state for g.
@@ -72,6 +79,9 @@ func (st *State) Remove(v int) {
 	}
 	st.Alive[v] = false
 	st.NAlive--
+	if st.live != nil {
+		clique.Kill(st.live, v)
+	}
 	for _, w := range st.G.Neighbors(v) {
 		if st.Alive[w] {
 			st.RDeg[w]--
@@ -119,8 +129,9 @@ func (c Clique) CountAndDegrees(g *graph.Graph) (int64, []int64) {
 }
 
 // CountAndDegreesParallel implements ParallelCounter with the striped
-// kClist enumerator: every h-clique contributes h to the degree sum, so
-// µ is recovered from the degrees without a second pass.
+// kClist enumerator, or with the bit-row walk when clique.RowsPay(g)
+// holds: every h-clique contributes h to the degree sum, so µ is
+// recovered from the degrees without a second pass.
 func (c Clique) CountAndDegreesParallel(g *graph.Graph, workers int) (int64, []int64) {
 	if c.H == 2 {
 		deg := make([]int64, g.N())
@@ -129,7 +140,12 @@ func (c Clique) CountAndDegreesParallel(g *graph.Graph, workers int) (int64, []i
 		}
 		return int64(g.M()), deg
 	}
-	deg := clique.NewLister(g).DegreesParallel(c.H, workers)
+	var deg []int64
+	if clique.RowsPay(g) {
+		deg = clique.NewRows(g).DegreesParallel(c.H, workers)
+	} else {
+		deg = clique.NewLister(g).DegreesParallel(c.H, workers)
+	}
 	var sum int64
 	for _, d := range deg {
 		sum += d
@@ -141,7 +157,9 @@ func (c Clique) CountAndDegreesParallel(g *graph.Graph, workers int) (int64, []i
 }
 
 // OnRemove implements Oracle by enumerating the cliques that contain v
-// among alive vertices.
+// among alive vertices: on G's bit rows when clique.RowsPay(G) holds,
+// on its neighbour lists otherwise. Both list the cliques in the same
+// order.
 func (c Clique) OnRemove(st *State, v int, dec func(u int, delta int64)) int64 {
 	if c.H == 2 {
 		var destroyed int64
@@ -154,13 +172,36 @@ func (c Clique) OnRemove(st *State, v int, dec func(u int, delta int64)) int64 {
 		return destroyed
 	}
 	var destroyed int64
-	clique.ForEachContaining(st.G, v, c.H, st.Alive, func(others []int32) {
+	fn := func(others []int32) {
 		destroyed++
 		for _, u := range others {
 			dec(int(u), 1)
 		}
-	})
+	}
+	if rows := st.cliqueRows(); rows != nil {
+		rows.ForEachContaining(v, c.H, st.live, fn)
+	} else {
+		clique.ForEachContaining(st.G, v, c.H, st.Alive, fn)
+	}
 	return destroyed
+}
+
+// cliqueRows returns G's bit rows, building them and the live mask on
+// the first call, or nil when clique.RowsPay(G) fails.
+func (st *State) cliqueRows() *clique.Rows {
+	if !st.rowsTried {
+		st.rowsTried = true
+		if clique.RowsPay(st.G) {
+			st.rows = clique.NewRows(st.G)
+			st.live = clique.NewAlive(st.G.N())
+			for v, a := range st.Alive {
+				if !a {
+					clique.Kill(st.live, v)
+				}
+			}
+		}
+	}
+	return st.rows
 }
 
 // Star is the oracle for x-star patterns with the closed-form degree and

@@ -2,9 +2,11 @@ package psicore
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/bucketq"
+	"repro/internal/clique"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/motif"
@@ -13,11 +15,24 @@ import (
 )
 
 // referencePeel is the single-phase peel: every vertex, instance-free or
-// not, goes through one bucket queue over g. The production peel, which
-// may emit the instance-free prefix directly and peel a compacted support,
-// must match it in every field.
+// not, goes through one bucket queue over g, and every destroyed instance
+// lowers each other member's key at once, one DecreaseTo per member. It
+// counts and enumerates cliques on neighbour lists only (a Lister and
+// clique.ForEachContaining). The production peel, which may emit the
+// instance-free prefix directly, peel a compacted support, move each
+// vertex once per step and walk bit rows, must match it in every field.
 func referencePeel(g *graph.Graph, o motif.Oracle) *Decomposition {
 	total, deg := o.CountAndDegrees(g)
+	c, isClique := o.(motif.Clique)
+	isClique = isClique && c.H >= 3
+	if isClique {
+		deg = clique.NewLister(g).Degrees(c.H)
+		total = 0
+		for _, dv := range deg {
+			total += dv
+		}
+		total /= int64(c.H)
+	}
 	n := g.N()
 	st := motif.NewState(g)
 	q := bucketq.New(deg)
@@ -42,7 +57,16 @@ func referencePeel(g *graph.Graph, o motif.Oracle) *Decomposition {
 		d.Core[v] = cur
 		d.KMax = max(d.KMax, cur)
 		d.Order = append(d.Order, int32(v))
-		mu -= o.OnRemove(st, v, dec)
+		if isClique {
+			clique.ForEachContaining(g, v, c.H, st.Alive, func(others []int32) {
+				mu--
+				for _, u := range others {
+					dec(int(u), 1)
+				}
+			})
+		} else {
+			mu -= o.OnRemove(st, v, dec)
+		}
 		st.Remove(v)
 		alive--
 		if alive > 0 {
@@ -74,19 +98,36 @@ func trianglePlus(tails, length int) *graph.Graph {
 	return b.Build()
 }
 
-// TestCompactedPeelMatchesFullPeel checks that compacting the Ψ-support
-// changes nothing a peel decides: for every test oracle, Decompose,
-// DecomposeWorkers(·, 2) and DecomposeSeeded must fingerprint like the
-// single-phase reference peel, on graphs where the compaction rule fires
-// and where it does not. Each case states which triangle peels compact,
-// so both phases stay covered.
-func TestCompactedPeelMatchesFullPeel(t *testing.T) {
-	clique := graph.NewBuilder(6)
-	for u := 0; u < 6; u++ {
-		for v := u + 1; v < 6; v++ {
-			clique.AddEdge(u, v)
+// k12Tails returns a K12 on 0..11 whose vertex i carries a path of
+// i%3+1 further vertices. Removing the first clique vertex drops every
+// other one below cur at once, so the step clamps eleven keys to cur
+// and the tie order decides the rest of the peel.
+func k12Tails() *graph.Graph {
+	b := graph.NewBuilder(12)
+	addClique(b, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
+	next := 12
+	for i := 0; i < 12; i++ {
+		prev := i
+		for j := 0; j <= i%3; j++ {
+			b.AddEdge(prev, next)
+			prev = next
+			next++
 		}
 	}
+	return b.Build()
+}
+
+// TestCompactedPeelMatchesFullPeel checks that compacting the Ψ-support,
+// moving each vertex once per step and walking bit rows change nothing a
+// peel decides: for every test oracle, Decompose, DecomposeWorkers(·, 2)
+// and DecomposeSeeded must equal the single-phase reference peel in every
+// field, on graphs where the compaction rule fires and where it does not,
+// and on both sides of the bit-row rule. Each case states which triangle
+// peels compact and which triangle counts walk bit rows, so every path
+// stays covered.
+func TestCompactedPeelMatchesFullPeel(t *testing.T) {
+	k6 := graph.NewBuilder(6)
+	addClique(k6, 0, 1, 2, 3, 4, 5)
 	path := graph.NewBuilder(40)
 	for v := 1; v < 40; v++ {
 		path.AddEdge(v-1, v)
@@ -95,25 +136,30 @@ func TestCompactedPeelMatchesFullPeel(t *testing.T) {
 		name         string
 		g            *graph.Graph
 		triCompacted bool // whether the triangle peel compacts
+		triRows      bool // whether the triangle count walks bit rows
 	}{
-		{"empty", graph.FromEdges(0, nil), false},
-		{"isolated", graph.FromEdges(9, nil), false},
-		{"path-mu-0", path.Build(), true},
-		{"clique-all-support", clique.Build(), false},
-		{"triangle-pendants", trianglePlus(30, 1), false},
-		{"triangle-tails", trianglePlus(10, 4), true},
-		{"chunglu-sparse", testutil.Relabel(gen.ChungLu(1500, 3000, 2.5, 2), 2), true},
-		{"chunglu-dense", testutil.Relabel(gen.ChungLu(800, 2400, 2.1, 4), 4), false},
-		{"gnm", testutil.Relabel(gen.GNM(300, 1200, 11), 5), true},
-		{"gnm-dense", testutil.Relabel(gen.GNM(60, 600, 6), 6), false},
+		{"empty", graph.FromEdges(0, nil), false, false},
+		{"isolated", graph.FromEdges(9, nil), false, false},
+		{"path-mu-0", path.Build(), true, true},
+		{"clique-all-support", k6.Build(), false, true},
+		{"k12-tails", k12Tails(), false, true},
+		{"triangle-pendants", trianglePlus(30, 1), false, true},
+		{"triangle-tails", trianglePlus(10, 4), true, true},
+		{"chunglu-sparse", testutil.Relabel(gen.ChungLu(1500, 3000, 2.5, 2), 2), true, false},
+		{"chunglu-dense", testutil.Relabel(gen.ChungLu(800, 2400, 2.1, 4), 4), false, false},
+		{"gnm", testutil.Relabel(gen.GNM(300, 1200, 11), 5), true, true},
+		{"gnm-dense", testutil.Relabel(gen.GNM(60, 600, 6), 6), false, true},
+		{"gnm-dense-130", testutil.Relabel(gen.GNM(130, 2000, 8), 8), false, true},
 	}
 	for _, tc := range cases {
 		if _, deg := (motif.Clique{H: 3}).CountAndDegrees(tc.g); compactSupport(tc.g, deg) != tc.triCompacted {
 			t.Errorf("%s: triangle peel compacts = %v, want %v", tc.name, !tc.triCompacted, tc.triCompacted)
 		}
+		if clique.RowsPay(tc.g) != tc.triRows {
+			t.Errorf("%s: triangle count walks bit rows = %v, want %v", tc.name, !tc.triRows, tc.triRows)
+		}
 		for _, o := range testOracles {
 			ref := referencePeel(tc.g, o)
-			want := decompositionFingerprint(ref)
 			total, deg := o.CountAndDegrees(tc.g)
 			seeded, err := DecomposeSeeded(context.Background(), tc.g, o, total, deg)
 			if err != nil {
@@ -124,11 +170,10 @@ func TestCompactedPeelMatchesFullPeel(t *testing.T) {
 				"DecomposeWorkers/2": DecomposeWorkers(tc.g, o, 2),
 				"DecomposeSeeded":    seeded,
 			} {
-				if got := decompositionFingerprint(d); got != want {
-					t.Errorf("%s/%s: %s fingerprint %s, full peel %s", tc.name, o.Name(), path, got, want)
-				}
-				if d.BestResidual != ref.BestResidual {
-					t.Errorf("%s/%s: %s best residual %v, full peel %v", tc.name, o.Name(), path, d.BestResidual, ref.BestResidual)
+				if !reflect.DeepEqual(d, ref) {
+					t.Errorf("%s/%s: %s fingerprint %s (best residual %v at %d), reference %s (%v at %d)", tc.name, o.Name(), path,
+						decompositionFingerprint(d), d.BestResidual, d.BestResidualStart,
+						decompositionFingerprint(ref), ref.BestResidual, ref.BestResidualStart)
 				}
 			}
 		}
@@ -155,4 +200,25 @@ func TestDecomposeGoldenCompacted(t *testing.T) {
 			t.Errorf("%s: fingerprint %s, golden %s", o.Name(), got, tc.want)
 		}
 	}
+}
+
+// FuzzPeelMatchesReference holds Decompose to the reference peel in every
+// field, for a drawn test oracle on a drawn graph: a shuffled G(n, m)
+// with up to 130 vertices and 1000 edges, so that sparse draws count and
+// peel cliques on neighbour lists and dense ones on bit rows.
+func FuzzPeelMatchesReference(f *testing.F) {
+	f.Add(uint8(30), uint16(200), int64(1), uint8(2))  // dense: bit rows
+	f.Add(uint8(120), uint16(100), int64(2), uint8(1)) // sparse: lists
+	f.Add(uint8(129), uint16(700), int64(3), uint8(2)) // three row words
+	f.Add(uint8(64), uint16(500), int64(4), uint8(4))
+	f.Fuzz(func(t *testing.T, n uint8, m uint16, seed int64, osel uint8) {
+		nv := 1 + int(n)%130
+		me := int(m) % (min(nv*(nv-1)/2, 1000) + 1)
+		g := testutil.Relabel(gen.GNM(nv, me, seed), seed)
+		o := testOracles[int(osel)%len(testOracles)]
+		if got, want := Decompose(g, o), referencePeel(g, o); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d m=%d %s (bit rows %v): peel fingerprint %s, reference %s", nv, me, o.Name(), clique.RowsPay(g),
+				decompositionFingerprint(got), decompositionFingerprint(want))
+		}
+	})
 }

@@ -94,7 +94,21 @@ func DecomposeSeeded(ctx context.Context, g *graph.Graph, o motif.Oracle, total 
 // and runs the removal order, core-number assignment, and residual-density
 // tracking. The bucket queue copies deg, so deg itself stays the exact
 // residual Ψ-degree of every vertex: dec lowers it by each destroyed
-// instance, and the vertex's key becomes max(deg, cur).
+// instance, and the vertex's key is max(deg, cur).
+//
+// A removal destroys many instances, and a vertex may lose several of
+// them; the queue moves each vertex once per step, not once per instance.
+// Algorithm 3 as written lowers the key after every decrement: with the
+// key at max(deg, cur), a decrement lowers it exactly when deg was above
+// cur before it, and the vertex then leaves its bucket for the front of
+// bucket max(deg, cur). After the step, a bucket therefore holds the
+// vertices whose last lowering decrement put them there, latest first,
+// ahead of the members that never moved, in their old order. dec only
+// sums the decrements and logs the lowering ones. After OnRemove returns,
+// each vertex whose key fell moves once, to max(deg, cur), in the order
+// of its last lowering decrement. The buckets are last-in first-out, so
+// these moves rebuild the same buckets in the same order, and every later
+// pop, tie and core number is the one per-decrement moves give.
 //
 // Say z vertices have Ψ-degree 0. The queue pops them first, from
 // bucket 0 in descending id order (equal keys leave last-in first-out),
@@ -153,9 +167,23 @@ func peel(ctx context.Context, g *graph.Graph, o motif.Oracle, total int64, deg 
 	mu := total
 	alive := h.N()
 	cur := int64(0)
+	// An edge removal lowers each neighbour once, so the queue moves a
+	// vertex at each decrement. Larger motifs log the step's key-lowering
+	// decrements in moves, last[u] indexing u's latest entry.
+	var moves, last []int32
 	dec := func(u int, delta int64) {
 		deg[u] -= delta
 		q.DecreaseTo(u, deg[u], cur)
+	}
+	if o.Size() > 2 {
+		last = make([]int32, h.N())
+		dec = func(u int, delta int64) {
+			if delta > 0 && deg[u] > cur {
+				last[u] = int32(len(moves))
+				moves = append(moves, int32(u))
+			}
+			deg[u] -= delta
+		}
 	}
 	for steps := 0; ; steps++ {
 		if steps%ctxCheckStride == 0 {
@@ -185,6 +213,12 @@ func peel(ctx context.Context, g *graph.Graph, o motif.Oracle, total int64, deg 
 		// vertices of a sparse graph lie in no triangle at all.
 		if deg[v] != 0 {
 			mu -= o.OnRemove(st, v, dec)
+			for i, u := range moves {
+				if last[u] == int32(i) {
+					q.DecreaseTo(int(u), deg[u], cur)
+				}
+			}
+			moves = moves[:0]
 		}
 		st.Remove(v)
 		alive--

@@ -414,3 +414,27 @@ func BenchmarkClassicalRestriction(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkDecomposeWithin times the two halves of a restricted
+// decomposition, counting G[X] and peeling it, for triangles and
+// 4-cliques on the planted-K48 graph of BenchmarkClassicalRestriction,
+// whose x-core is dense enough for bit rows.
+func BenchmarkDecomposeWithin(b *testing.B) {
+	g := testutil.Relabel(withPlantedClique(gen.ChungLu(106000, 262000, 2.35, 1), 48), 1)
+	for _, h := range []int{3, 4} {
+		o := motif.Clique{H: h}
+		r := classicalRestriction(g, o, nil)
+		x := r.cores.keep(r.x).Graph
+		total, deg := o.CountAndDegrees(x)
+		b.Run(fmt.Sprintf("h=%d/count", h), func(b *testing.B) {
+			for b.Loop() {
+				o.CountAndDegrees(x)
+			}
+		})
+		b.Run(fmt.Sprintf("h=%d/peel", h), func(b *testing.B) {
+			for b.Loop() {
+				peel(context.Background(), x, o, total, append([]int64(nil), deg...))
+			}
+		})
+	}
+}
