@@ -89,6 +89,10 @@ func (w *bitWalk) rec(depth, need, base int, cand []uint64) {
 		w.leaf(depth, base, cand)
 		return
 	}
+	if need == 2 && w.deg != nil {
+		w.pairs(depth, base, cand)
+		return
+	}
 	left := popcount(cand)
 	for i, word := range cand {
 		for ; word != 0; word &= word - 1 {
@@ -140,6 +144,28 @@ func (w *bitWalk) leaf(depth, base int, cand []uint64) {
 	}
 	for _, p := range w.prefix[:depth] {
 		w.deg[p] += k
+	}
+}
+
+// pairs adds to deg the cliques prefix[:depth] ∪ {x, y}, x and y
+// adjacent members of cand: x lies in one such clique per neighbour it has
+// in cand, so a popcount per member replaces walking the pairs.
+func (w *bitWalk) pairs(depth, base int, cand []uint64) {
+	var twice int64
+	for i, word := range cand {
+		for ; word != 0; word &= word - 1 {
+			x := (base+i)<<6 | bits.TrailingZeros64(word)
+			row := w.r.row(x)[base:]
+			k := 0
+			for j, c := range cand {
+				k += bits.OnesCount64(c & row[j])
+			}
+			w.deg[x] += int64(k)
+			twice += int64(k)
+		}
+	}
+	for _, p := range w.prefix[:depth] {
+		w.deg[p] += twice / 2
 	}
 }
 
