@@ -4,7 +4,9 @@
 # pushing and the gates cannot surprise you.
 
 GO ?= go
-BENCH_OUT ?= BENCH_10.json
+# `make bench` writes its artifact under the gitignored build directory,
+# so a local run never overwrites the committed BENCH_* trajectory.
+BENCH_OUT ?= .bench_build/BENCH_local.json
 BENCH_PREV ?= BENCH_9.json
 
 .PHONY: check fmt vet build build-bench test race fuzz bench-kernels bench bench-compare api loc obs lint clean
@@ -48,6 +50,7 @@ bench-kernels:
 # Produce and validate the perf-trajectory artifact locally, exactly as
 # CI's bench job does.
 bench:
+	@mkdir -p $(dir $(BENCH_OUT))
 	$(GO) run ./cmd/dsdbench -run perfsuite -quick -json -out $(BENCH_OUT) -workers 4
 	$(GO) run ./cmd/dsdbench -validate $(BENCH_OUT)
 

@@ -7,6 +7,7 @@ package dsd_test
 import (
 	"context"
 	"io"
+	"runtime"
 	"testing"
 
 	dsd "repro"
@@ -203,11 +204,14 @@ func BenchmarkCliqueDegreesSequential(b *testing.B) {
 	}
 }
 
+// BenchmarkCliqueDegreesParallel stripes the same count across
+// GOMAXPROCS workers, as a core-exact query with Workers > 1 does.
 func BenchmarkCliqueDegreesParallel(b *testing.B) {
 	g := benchGraph()
+	workers := runtime.GOMAXPROCS(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dsd.CliqueDegreesParallel(g, 4, 0)
+		motif.CountAndDegreesWorkers(motif.Clique{H: 4}, g, workers)
 	}
 }
 

@@ -46,7 +46,7 @@ type ComponentPlan struct {
 // PlanComponents runs the location phase of q (which must resolve to
 // AlgoCoreExact) on the Solver's graph: the (k,Ψ)-core decomposition —
 // served from the Solver's memo when warm, and on a version made by
-// Apply the carried upper bound, exactly as Solve locates — Pruning1's
+// Mutate the carried upper bound, exactly as Solve locates — Pruning1's
 // bound, the component split, and Pruning2's refinement.
 func (s *Solver) PlanComponents(ctx context.Context, q Query) (*ComponentPlan, error) {
 	nq, o, err := q.normalize()
@@ -63,7 +63,7 @@ func (s *Solver) PlanComponents(ctx context.Context, q Query) (*ComponentPlan, e
 	st := vs.psiFor(o)
 	opts := nq.coreOptions()
 	decStart := time.Now()
-	dec, reused, bounded, err := st.coreExactDec(ctx, vs, opts)
+	dec, reused, bounded, err := st.coreExactDec(ctx, vs, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +174,7 @@ func (s *Solver) SolveComponent(ctx context.Context, q Query, comp []int32, kLoc
 	}
 	st := vs.psiFor(o)
 	opts := nq.coreOptions()
-	dec, _, _, err := st.coreExactDec(ctx, vs, opts)
+	dec, _, _, err := st.coreExactDec(ctx, vs, opts.Workers)
 	if err == nil && dec.Floor > kLocate {
 		// The plan was located below the levels this restricted
 		// decomposition holds exactly (it was planned on other memo

@@ -18,9 +18,9 @@
 //     computed bottom-up or top-down (Algorithms 5 and 6).
 //
 // The one entrypoint is a Solver over one graph answering Query values —
-// every problem variant (EDS/CDS/PDS, anchored, at-least-k, batch-peel,
-// pruning ablations) is one Query, and repeated queries with the same Ψ
-// reuse the memoized per-graph state:
+// every problem variant (EDS/CDS/PDS, anchored, at-least-k, batch-peel)
+// is one Query, and repeated queries with the same Ψ reuse the memoized
+// per-graph state:
 //
 //	g := dsd.FromEdges(4, [][2]int{{0,1},{0,2},{1,2},{2,3}})
 //	s := dsd.NewSolver(g)
@@ -32,7 +32,6 @@ package dsd
 import (
 	"io"
 
-	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/kcore"
@@ -141,12 +140,6 @@ func CliqueCore(g *Graph, h int, k int64) *Subgraph {
 // CountCliques returns µ(g,Ψ) for Ψ = h-clique.
 func CountCliques(g *Graph, h int) int64 {
 	return motif.Count(motif.Clique{H: h}, g)
-}
-
-// CliqueDegreesParallel computes h-clique degrees with the given number of
-// workers (0 = GOMAXPROCS).
-func CliqueDegreesParallel(g *Graph, h, workers int) []int64 {
-	return clique.NewLister(g).DegreesParallel(h, workers)
 }
 
 // CountPatterns returns µ(g,Ψ) for a general pattern.

@@ -212,26 +212,6 @@ func TestPublicAPIGenerators(t *testing.T) {
 	}
 }
 
-// TestCoreExactOptionsExposed: a Query.Core ablation changes only the
-// pruning switches — the density stays exact, the Greed++ budget stays
-// with Query.Iterative (and its cache-key term), and no Greed++ runs.
-func TestCoreExactOptionsExposed(t *testing.T) {
-	q := dsd.Query{H: 3, Core: &dsd.CoreExactOptions{Pruning1: true}}
-	res, err := dsd.NewSolver(triangleBowtie()).Solve(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Density.Float() != 0.4 {
-		t.Fatalf("P1-only density %v, want 0.4", res.Density)
-	}
-	if res.Stats.PreSolveIters != 0 {
-		t.Fatalf("core-exact ran %d Greed++ iterations", res.Stats.PreSolveIters)
-	}
-	if key := q.Key(); !strings.Contains(key, "|iter=16|") {
-		t.Fatalf("a Core ablation dropped the default Iterative budget from its key %q", key)
-	}
-}
-
 func TestFigure7Patterns(t *testing.T) {
 	ps := dsd.Figure7Patterns()
 	if len(ps) != 7 {
@@ -246,19 +226,13 @@ func TestFigure7Patterns(t *testing.T) {
 }
 
 // TestLargePatternCoreExact: a pattern of more than eight vertices (a
-// 9-vertex path) solves under core-exact, on the grouped and the
-// ungrouped instance network, to the density AlgoExact finds — on a
-// 20-cycle, and on a 9-cycle with a chord, whose instances share vertex
-// sets and so collapse into groups.
+// 9-vertex path) solves under core-exact, on its grouped instance
+// network, to the density AlgoExact finds — on a 20-cycle, and on a
+// 9-cycle with a chord, whose instances share vertex sets and so
+// collapse into groups. internal/core's TestLargePatternUngrouped holds
+// the ungrouped network to the same densities.
 func TestLargePatternCoreExact(t *testing.T) {
-	var path [][2]int
-	for v := 0; v+1 < 9; v++ {
-		path = append(path, [2]int{v, v + 1})
-	}
-	p, err := dsd.NewPattern("9-path", 9, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := pathPattern(9)
 	cycle := func(n int, extra ...[2]int) *dsd.Graph {
 		edges := extra
 		for v := 0; v < n; v++ {
@@ -276,15 +250,12 @@ func TestLargePatternCoreExact(t *testing.T) {
 		if want.Density.Num == 0 {
 			t.Fatalf("%s: exact density 0, the graph holds instances", name)
 		}
-		for _, grouped := range []bool{false, true} {
-			res, err := s.Solve(ctx, dsd.Query{Pattern: p, Algo: dsd.AlgoCoreExact,
-				Core: &dsd.CoreExactOptions{Pruning1: true, Pruning2: true, Grouped: grouped}})
-			if err != nil {
-				t.Fatalf("%s grouped=%v: %v", name, grouped, err)
-			}
-			if res.Density.Cmp(want.Density) != 0 {
-				t.Fatalf("%s grouped=%v: core-exact %v, exact %v", name, grouped, res.Density, want.Density)
-			}
+		res, err := s.Solve(ctx, dsd.Query{Pattern: p, Algo: dsd.AlgoCoreExact})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Density.Cmp(want.Density) != 0 {
+			t.Fatalf("%s: core-exact %v, exact %v", name, res.Density, want.Density)
 		}
 	}
 }

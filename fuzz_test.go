@@ -22,6 +22,40 @@ var fuzzMotifs = func() []dsd.Query {
 	return qs
 }()
 
+// fuzzWide are the motifs of FuzzSolve's wide-motif arm: h-cliques with
+// h = 5…8, and the 9-vertex path, whose arm graph is thinned to maximum
+// degree 3 (fuzzThin) so that the brute force's embedding count stays
+// small.
+var fuzzWide = []dsd.Query{{H: 5}, {H: 6}, {H: 7}, {H: 8}, {Pattern: pathPattern(9)}}
+
+// pathPattern is the n-vertex path, named "n-path".
+func pathPattern(n int) *dsd.Pattern {
+	var path [][2]int
+	for v := 0; v+1 < n; v++ {
+		path = append(path, [2]int{v, v + 1})
+	}
+	p, err := dsd.NewPattern(fmt.Sprintf("%d-path", n), n, path)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// fuzzThin keeps the edges of fuzzEdges(n, mask), in order, whose
+// endpoints both have fewer than maxDeg kept edges.
+func fuzzThin(n int, mask uint64, maxDeg int) *dsd.Graph {
+	deg := make([]int, n)
+	var kept [][2]int
+	for _, e := range fuzzEdges(n, mask) {
+		if deg[e[0]] < maxDeg && deg[e[1]] < maxDeg {
+			deg[e[0]]++
+			deg[e[1]]++
+			kept = append(kept, e)
+		}
+	}
+	return dsd.FromEdges(n, kept)
+}
+
 // fuzzEdges decodes an edge bitmask over the n(n−1)/2 vertex pairs of an
 // n-vertex graph (n ≤ 11, so every pair has a bit).
 func fuzzEdges(n int, mask uint64) [][2]int {
@@ -59,6 +93,10 @@ var fuzzGaps = []float64{0.01, 0.1, 0.5, 1, 4}
 // brute-force density, and a degraded one must certify an interval
 // [Bound.Lower, Bound.Upper] that contains it, with the witness
 // realizing the lower end and the upper end within (1+Gap) of it.
+//
+// The wide-motif arm checks core-exact against brute force for a motif
+// drawn from fuzzWide by flip's top byte, so that motif's mapping into
+// fuzzMotifs, and with it every committed input's motif, stays as named.
 //
 // The peel-family arm (checkPeelFamily) holds every approximation to its
 // stated bound against brute force, with k drawn from flip as at-least's
@@ -122,6 +160,20 @@ func FuzzSolve(f *testing.F) {
 
 		k := 1 + int(flip%uint64(nv))
 		checkPeelFamily(t, g, base, k, brute)
+
+		wide := fuzzWide[int(flip>>56)%len(fuzzWide)]
+		wg := g
+		if wide.Pattern != nil {
+			wg = fuzzThin(nv, mask, 3)
+		}
+		wide.Workers = w
+		res, err := dsd.NewSolver(wg).Solve(ctx, wide)
+		if err != nil {
+			t.Fatalf("%s: %v", wide.Psi(), err)
+		}
+		if brute := bruteDensity(wg, wide); res.Density.Cmp(brute) != 0 {
+			t.Fatalf("%s: core-exact %v, brute force %v", wide.Psi(), res.Density, brute)
+		}
 
 		// The edge batches on the warm Solver: batch i holds the pairs set
 		// in flip rotated by 17·i bits, and workers picks how many batches

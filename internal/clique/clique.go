@@ -41,7 +41,8 @@ type Lister struct {
 
 // NewLister prepares a clique lister for g.
 func NewLister(g *graph.Graph) *Lister {
-	order, rank := kcore.Decompose(g).DegeneracyOrder()
+	kc := kcore.Decompose(g)
+	order, rank := kc.Order, kc.Pos
 	n := g.N()
 	l := &Lister{order: order, off: make([]int, n+1)}
 	for v := 0; v < n; v++ {
@@ -178,12 +179,6 @@ func (l *Lister) Count(h int) int64 {
 // Degrees returns the clique-degree deg(v,Ψ) of every vertex: the number of
 // h-cliques containing v (Definition 3).
 func (l *Lister) Degrees(h int) []int64 { return l.DegreesParallel(h, 1) }
-
-// Count returns the number of h-cliques of g.
-func Count(g *graph.Graph, h int) int64 { return NewLister(g).Count(h) }
-
-// Degrees returns per-vertex h-clique degrees of g.
-func Degrees(g *graph.Graph, h int) []int64 { return NewLister(g).Degrees(h) }
 
 // ForEachContaining enumerates the h-cliques of g that contain vertex v and
 // whose members are all alive (alive == nil means every vertex is alive).

@@ -170,14 +170,14 @@ func cliqueKey(members []int32) key {
 
 func TestEmptyAndTinyGraphs(t *testing.T) {
 	empty := graph.FromEdges(0, nil)
-	if got := Count(empty, 3); got != 0 {
+	if got := NewLister(empty).Count(3); got != 0 {
 		t.Fatalf("empty count = %d", got)
 	}
 	single := graph.FromEdges(1, nil)
-	if got := Count(single, 2); got != 0 {
+	if got := NewLister(single).Count(2); got != 0 {
 		t.Fatalf("single count = %d", got)
 	}
-	if got := Count(single, 1); got != 1 {
+	if got := NewLister(single).Count(1); got != 1 {
 		t.Fatalf("1-clique count = %d, want 1", got)
 	}
 }

@@ -130,8 +130,9 @@ func CoreApp(g *graph.Graph, o motif.Oracle, kc *kcore.Decomposition) *Result {
 // Nucleus is the baseline that computes the (kmax,Ψ)-core with the
 // local (AND-style) nucleus decomposition instead of peeling. It reuses
 // dec when non-nil (nil computes one); dec must then come from
-// psicore.NucleusDecompose — the nucleus core numbers differ from the
-// peel decomposition's, so the two memo kinds are never interchangeable.
+// psicore.NucleusDecompose. Its core numbers equal the peel's, but it
+// carries no peel order or residual densities, so the peel family cannot
+// read it and the two memo kinds stay apart.
 func Nucleus(g *graph.Graph, o motif.Oracle, dec *psicore.Decomposition) *Result {
 	start := time.Now()
 	reused := dec != nil

@@ -15,12 +15,15 @@
 //	exact.go      Exact: Dinkelbach flow probes on the whole graph (Alg. 1, 8)
 //	coreexact.go  CoreExact: location, Pruning1-2, per-component Dinkelbach
 //	              search on shrinking int64 networks, construct+
-//	parallel.go   worker pool + shared monotone bound for CoreExact
+//	component.go  SearchComponent: one component's search, exported
+//	stream.go     the anytime ladder's Stream, Answer and Conflate, and the
+//	              Emitter: the shared monotone bound of the component searches
+//	parallel.go   the worker pool CoreExact's component searches run on
+//	side.go       probe: one α probe on a flow-network side
 //	approx.go     PeelApp and PeelAppAtLeast [3] (one peel), IncApp,
 //	              CoreApp, Nucleus
 //	anchored.go   QueryDensest (§6.3 variant)
 //	batchpeel.go  BatchPeel [6]
 //	certify.go    Certify: result certificates
-//	side.go       flow-network sides (EDS / CDS / PDS nets) and the probe
 //	result.go     Result and Stats types
 package core

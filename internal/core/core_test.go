@@ -162,6 +162,41 @@ func TestPExactAndCorePExactMatchBruteForce(t *testing.T) {
 	}
 }
 
+// TestLargePatternUngrouped: a 9-vertex path pattern solves under
+// CoreExact on the ungrouped instance network to the density Exact
+// finds, on a 20-cycle and on a 9-cycle with a chord, whose instances
+// share vertex sets (the root package's TestLargePatternCoreExact holds
+// the grouped network to the same densities).
+func TestLargePatternUngrouped(t *testing.T) {
+	var path [][2]int
+	for v := 0; v+1 < 9; v++ {
+		path = append(path, [2]int{v, v + 1})
+	}
+	p, err := pattern.New("9-path", 9, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := motif.For(p)
+	cycle := func(n int, extra ...[2]int) *graph.Graph {
+		edges := extra
+		for v := 0; v < n; v++ {
+			edges = append(edges, [2]int{v, (v + 1) % n})
+		}
+		return graph.FromEdges(n, edges)
+	}
+	for name, g := range map[string]*graph.Graph{"C20": cycle(20), "C9+chord": cycle(9, [2]int{0, 4})} {
+		want := runExact(t, g, o, false).Density
+		if want.Num == 0 {
+			t.Fatalf("%s: exact density 0, the graph holds instances", name)
+		}
+		opts := DefaultOptions()
+		opts.Grouped = false
+		if got := coreExact(t, g, o, opts).Density; got.Cmp(want) != 0 {
+			t.Fatalf("%s: ungrouped CoreExact %v, Exact %v", name, got, want)
+		}
+	}
+}
+
 // TestApproximationGuarantee checks Lemma 8 / Lemma 10: every
 // approximation algorithm returns density ≥ ρopt/|VΨ|.
 func TestApproximationGuarantee(t *testing.T) {

@@ -89,10 +89,6 @@ type Answer struct {
 	// Degraded reports a final answer that stopped at a deadline or gap
 	// budget with the interval still open (mirrors Result.Degraded).
 	Degraded bool
-	// Err is non-nil only on the terminal event of a failed stream
-	// (cancellation, unknown graph mid-mutation, …); all other fields
-	// except Elapsed are zero on such an event.
-	Err error
 }
 
 // Emitter is the monotone interval cell CoreExact's component searches

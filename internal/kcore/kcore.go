@@ -110,10 +110,3 @@ func KMaxCore(g *graph.Graph) (*graph.Subgraph, int32) {
 	d := Decompose(g)
 	return CoreSubgraph(g, d, d.KMax), d.KMax
 }
-
-// DegeneracyOrder returns vertices in degeneracy order: each vertex has at
-// most KMax neighbors appearing later in the order. Rank[v] gives the
-// position of v.
-func (d *Decomposition) DegeneracyOrder() (order []int32, rank []int32) {
-	return d.Order, d.Pos
-}

@@ -124,7 +124,7 @@ func TestDegeneracyOrderProperty(t *testing.T) {
 	// Every vertex has at most KMax neighbors later in the order.
 	g := gen.GNM(60, 240, 7)
 	d := Decompose(g)
-	order, rank := d.DegeneracyOrder()
+	order, rank := d.Order, d.Pos
 	if len(order) != g.N() {
 		t.Fatalf("order length %d, want %d", len(order), g.N())
 	}

@@ -28,11 +28,11 @@ func TestCliqueEdgeDeltaMatchesRecount(t *testing.T) {
 				mt := graph.NewMutator(g)
 				mt.Delete(u, v)
 				without := mt.Freeze()
-				wantTotal := clique.Count(g, h) - clique.Count(without, h)
+				wantTotal := clique.NewLister(g).Count(h) - clique.NewLister(without).Count(h)
 				if total != wantTotal {
 					t.Fatalf("trial %d h=%d edge {%d,%d}: total = %d, want %d", trial, h, u, v, total, wantTotal)
 				}
-				with, wo := clique.Degrees(g, h), clique.Degrees(without, h)
+				with, wo := clique.NewLister(g).Degrees(h), clique.NewLister(without).Degrees(h)
 				for w := 0; w < g.N(); w++ {
 					want := with[w]
 					if w < len(wo) {

@@ -9,35 +9,20 @@ import (
 // Instance enumeration helpers used by the nucleus baseline and by the
 // flow-network builders, which need explicit instance lists.
 
-// ForEachCliqueInstance lists all h-cliques of g (h ≥ 2).
-func ForEachCliqueInstance(g *graph.Graph, h int, fn func(vs []int32)) {
-	clique.NewLister(g).ForEach(h, fn)
-}
-
-// ForEachStarInstance lists all x-star instances of g via the generic
-// matcher.
-func ForEachStarInstance(g *graph.Graph, x int, fn func(vs []int32)) {
-	pattern.Star(x).ForEachInstance(g, nil, fn)
-}
-
-// ForEachDiamondInstance lists all diamond (4-cycle) instances of g via the
-// generic matcher.
-func ForEachDiamondInstance(g *graph.Graph, fn func(vs []int32)) {
-	pattern.Diamond().ForEachInstance(g, nil, fn)
-}
-
 // ForEachInstance lists all instances of the oracle's motif in g. The
 // slice passed to fn is reused; copy it if retained.
 func ForEachInstance(g *graph.Graph, o Oracle, fn func(vs []int32)) {
 	switch oo := o.(type) {
 	case Clique:
-		ForEachCliqueInstance(g, oo.H, fn)
+		clique.NewLister(g).ForEach(oo.H, fn)
 	case Generic:
 		oo.P.ForEachInstance(g, nil, fn)
 	case Star:
-		ForEachStarInstance(g, oo.X, fn)
+		// The fast star and diamond counters cannot enumerate, so their
+		// pattern equivalents go through the generic matcher.
+		pattern.Star(oo.X).ForEachInstance(g, nil, fn)
 	case Diamond:
-		ForEachDiamondInstance(g, fn)
+		pattern.Diamond().ForEachInstance(g, nil, fn)
 	default:
 		panic("motif: unknown oracle type")
 	}

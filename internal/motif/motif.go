@@ -273,9 +273,10 @@ func (Diamond) Name() string { return "diamond" }
 func (Diamond) Size() int { return 4 }
 
 // CountAndDegrees implements Oracle. deg(v,Ψ) = Σ_w C(cnt(v,w), 2) over
-// 2-path endpoints w; every 4-cycle is counted once per diagonal pair, so
-// µ = Σ_v deg(v) / 4... not quite: summing per-vertex degrees counts each
-// instance 4 times (once per member), hence total = Σ deg / 4.
+// the 2-path endpoints w of v, cnt(v,w) their common neighbours: a 4-cycle
+// through v is fixed by v's opposite corner w and the two common
+// neighbours it passes, so each one is counted once in deg(v). Every
+// 4-cycle has four members, so µ = Σ_v deg(v) / 4.
 func (Diamond) CountAndDegrees(g *graph.Graph) (int64, []int64) {
 	deg := make([]int64, g.N())
 	cnt := make([]int64, g.N())

@@ -36,7 +36,7 @@ const (
 	SpanComponent = "component"
 	// SpanFlow is one flow-network build plus min-cut computation.
 	SpanFlow = "flow"
-	// SpanMutate is one dsd.Solver.Apply edge-mutation batch: copy-on-write
+	// SpanMutate is one dsd.Solver.Mutate edge-mutation batch: copy-on-write
 	// graph build plus incremental memo repair.
 	SpanMutate = "mutate"
 	// SpanPlan is one core.CoreExact run's ladder: which rungs ran (a

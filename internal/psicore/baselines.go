@@ -28,7 +28,7 @@ func NucleusDecompose(g *graph.Graph, o motif.Oracle) *Decomposition {
 	collect := func(vs []int32) {
 		members = append(members, vs...)
 	}
-	enumerateInstances(g, o, collect)
+	motif.ForEachInstance(g, o, collect)
 	numInst := len(members) / p
 	incidence := make([][]int32, n)
 	for i := 0; i < numInst; i++ {
@@ -87,25 +87,6 @@ func hIndex(vals []int64) int64 {
 		}
 	}
 	return h
-}
-
-// enumerateInstances lists all instances of the oracle's motif. Clique
-// oracles use the kClist enumerator; pattern oracles use the generic
-// matcher (the fast star/diamond counters cannot enumerate, so their
-// pattern equivalents are used).
-func enumerateInstances(g *graph.Graph, o motif.Oracle, fn func(vs []int32)) {
-	switch oo := o.(type) {
-	case motif.Clique:
-		motif.ForEachCliqueInstance(g, oo.H, fn)
-	case motif.Generic:
-		oo.P.ForEachInstance(g, nil, fn)
-	case motif.Star:
-		motif.ForEachStarInstance(g, oo.X, fn)
-	case motif.Diamond:
-		motif.ForEachDiamondInstance(g, fn)
-	default:
-		panic("psicore: unknown oracle type")
-	}
 }
 
 // EMcore computes the classical (edge) kmax-core with a top-down,

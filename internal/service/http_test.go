@@ -296,3 +296,29 @@ func TestRemovedShardSurfaceFailsLoudly(t *testing.T) {
 		t.Fatalf("plain query status = %d, want 200", resp.StatusCode)
 	}
 }
+
+// TestRemovedPruningFieldFailsLoudly: CoreExact always runs with every
+// pruning on, so a body carrying the retired "pruning" ablation switches
+// is a 400 naming the field on both query endpoints, not an exact answer
+// that silently ignored them.
+func TestRemovedPruningFieldFailsLoudly(t *testing.T) {
+	srv, c := newTestServer(t)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if _, err := c.RegisterEdges(context.Background(), "bowtie", bowtieEdges); err != nil {
+		t.Fatal(err)
+	}
+	body := `{"graph":"bowtie","query":{"pattern":"triangle","pruning":{"pruning1":true,"pruning2":false,"grouped":true}}}`
+	for _, path := range []string{"/v2/query", "/v1/stream"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e wire.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(e.Error, `unknown field "pruning"`) {
+			t.Fatalf("%s with pruning: status %d, error %q (%v); want 400 naming the field", path, resp.StatusCode, e.Error, err)
+		}
+	}
+}

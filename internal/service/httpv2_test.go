@@ -39,9 +39,7 @@ func TestServerV2EndToEnd(t *testing.T) {
 		{"anchored", wire.Query{Anchors: []int32{5}}, dsd.Query{Anchors: []int32{5}}},
 		{"at-least", wire.Query{Pattern: "triangle", AtLeast: 5}, dsd.Query{Pattern: triangle, AtLeast: 5}},
 		{"batch-peel", wire.Query{Pattern: "edge", Eps: 0.5}, dsd.Query{Eps: 0.5}},
-		{"pruning-ablation", wire.Query{H: 3, Algo: "core-exact",
-			Pruning: &wire.Pruning{Pruning1: true, Pruning2: true, Grouped: true}},
-			dsd.Query{H: 3}},
+		{"parallel-core-exact", wire.Query{H: 3, Algo: "core-exact", Workers: 2}, dsd.Query{H: 3}},
 	}
 	for _, tc := range cases {
 		want, err := dsd.NewSolver(g).Solve(ctx, tc.want)

@@ -11,8 +11,8 @@ import (
 
 // TestSolveCacheKeying is the cache-keying proof obligation of the Query
 // redesign, run under -race: requests differing only in one Query field
-// — anchored vertices, the at-least-k bound, batch-peel ε, pruning
-// ablations, execution knobs — must never share a single-flight entry,
+// — anchored vertices, the at-least-k bound, batch-peel ε, execution
+// knobs — must never share a single-flight entry,
 // while identical queries (under any spelling of the same canonical
 // form) still dedupe to one computation.
 func TestSolveCacheKeying(t *testing.T) {
@@ -39,7 +39,6 @@ func TestSolveCacheKeying(t *testing.T) {
 		{{H: 3, Eps: 0.5}},
 		{{H: 3, Iterative: -1}},
 		{{H: 3, Workers: 2}},
-		{{H: 3, Core: &dsd.CoreExactOptions{Pruning1: true}}},
 	}
 
 	const fanout = 8

@@ -125,17 +125,16 @@ func FromAnswer(a dsd.Answer, cached bool) StreamEvent {
 // the algorithm, the execution knobs, and the problem-variant
 // parameters. Fields at their zero value are omitted.
 type Query struct {
-	Pattern   string   `json:"pattern,omitempty"`
-	H         int      `json:"h,omitempty"`
-	Algo      string   `json:"algo,omitempty"`
-	Workers   int      `json:"workers,omitempty"`
-	Iterative int      `json:"iterative,omitempty"`
-	Pruning   *Pruning `json:"pruning,omitempty"`
-	Anchors   []int32  `json:"anchors,omitempty"`
-	AtLeast   int      `json:"at_least,omitempty"`
-	Eps       float64  `json:"eps,omitempty"`
+	Pattern   string  `json:"pattern,omitempty"`
+	H         int     `json:"h,omitempty"`
+	Algo      string  `json:"algo,omitempty"`
+	Workers   int     `json:"workers,omitempty"`
+	Iterative int     `json:"iterative,omitempty"`
+	Anchors   []int32 `json:"anchors,omitempty"`
+	AtLeast   int     `json:"at_least,omitempty"`
+	Eps       float64 `json:"eps,omitempty"`
 	// Version pins the query to one graph version of a mutable graph
-	// (0 = current head; see dsd.Solver.Apply). The service resolves 0 to
+	// (0 = current head; see dsd.Solver.Mutate). The service resolves 0 to
 	// the head version at admission, so the echoed canonical query always
 	// carries the concrete version it answered on.
 	Version int64 `json:"version,omitempty"`
@@ -145,14 +144,6 @@ type Query struct {
 	// relative accuracy at which component searches may stop early.
 	DeadlineMs int64   `json:"deadline_ms,omitempty"`
 	Gap        float64 `json:"gap,omitempty"`
-}
-
-// Pruning is the wire form of dsd.CoreExactOptions, the CoreExact
-// pruning ablations. Every switch starts false.
-type Pruning struct {
-	Pruning1 bool `json:"pruning1"`
-	Pruning2 bool `json:"pruning2"`
-	Grouped  bool `json:"grouped"`
 }
 
 // ToQuery decodes the wire query into a dsd.Query, resolving the pattern
@@ -185,13 +176,6 @@ func (w Query) ToQuery() (dsd.Query, error) {
 		}
 		q.Pattern = p
 	}
-	if w.Pruning != nil {
-		q.Core = &dsd.CoreExactOptions{
-			Pruning1: w.Pruning.Pruning1,
-			Pruning2: w.Pruning.Pruning2,
-			Grouped:  w.Pruning.Grouped,
-		}
-	}
 	return q, nil
 }
 
@@ -214,13 +198,6 @@ func FromQuery(q dsd.Query) Query {
 		w.Pattern = q.Psi()
 	} else {
 		w.H = q.H
-	}
-	if q.Core != nil {
-		w.Pruning = &Pruning{
-			Pruning1: q.Core.Pruning1,
-			Pruning2: q.Core.Pruning2,
-			Grouped:  q.Core.Grouped,
-		}
 	}
 	return w
 }

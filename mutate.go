@@ -12,7 +12,7 @@ import (
 
 // Version identifies one immutable state of a Solver's graph. Versions
 // start at 1 (the graph handed to NewSolver) and advance by one per
-// effective Apply; 0 is never a version — in Query.Version it means
+// effective Mutate; 0 is never a version — in Query.Version it means
 // "current head".
 type Version int64
 
@@ -29,7 +29,7 @@ type Mutation struct {
 	Insert [][2]int
 }
 
-// MutationDelta reports what an Apply actually changed.
+// MutationDelta reports what a Mutate actually changed.
 type MutationDelta struct {
 	// Version is the head version after the batch. When the batch changed
 	// nothing (every operation skipped), it is the unchanged current
@@ -53,19 +53,9 @@ type MutationDelta struct {
 // Changed reports whether the batch produced a new version.
 func (d *MutationDelta) Changed() bool { return d.Inserted+d.Deleted > 0 }
 
-// Apply applies an edge-mutation batch to the Solver's graph and returns
-// the resulting head version: the Mutation/Version half of the graph
-// lifecycle API (Solve is the query half, At pins a reader). It is
-// shorthand for Mutate when the caller does not need the change counts.
-func (s *Solver) Apply(ctx context.Context, m Mutation) (Version, error) {
-	d, err := s.Mutate(ctx, m)
-	if err != nil {
-		return 0, err
-	}
-	return d.Version, nil
-}
-
-// Mutate applies an edge-mutation batch and returns what changed.
+// Mutate applies an edge-mutation batch to the Solver's graph and
+// returns what changed: the Mutation/Version half of the graph lifecycle
+// API (Solve is the query half, At pins a reader).
 //
 // The new version is built copy-on-write — the batch rewrites only the
 // lists it touches, in an overlay over the parent's arrays, and folds
@@ -105,14 +95,14 @@ func (s *Solver) Apply(ctx context.Context, m Mutation) (Version, error) {
 // without creating a new one. On error (only ctx cancellation) the
 // Solver is unchanged.
 func (s *Solver) Mutate(ctx context.Context, m Mutation) (*MutationDelta, error) {
-	s.applyMu.Lock()
-	defer s.applyMu.Unlock()
+	s.mutateMu.Lock()
+	defer s.mutateMu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
 	s.vmu.RLock()
-	head := s.head // applyMu serializes writers, so head is stable here
+	head := s.head // mutateMu serializes writers, so head is stable here
 	s.vmu.RUnlock()
 
 	sp := obs.StartFromContext(ctx, obs.SpanMutate)

@@ -57,7 +57,7 @@ func sameDensity(t *testing.T, label string, got, want *dsd.Result) {
 
 // TestMutateMatchesRebuild is the equivalence suite gating the mutable
 // graph subsystem: for many random graphs, motifs, and randomized
-// mutation batches, solving after Apply must match an independent
+// mutation batches, solving after Mutate must match an independent
 // rebuild-then-solve bit-exactly — warm (the mutated solver carries the
 // previous solve's memo) and cold (a fresh solver on the mutated graph's
 // edge set). Densities compare as exact rationals and every witness must
@@ -77,12 +77,12 @@ func TestMutateMatchesRebuild(t *testing.T) {
 			}
 
 			batch := randomBatch(g, rng)
-			ver, err := solver.Apply(ctx, batch)
+			d, err := solver.Mutate(ctx, batch)
 			if err != nil {
-				t.Fatalf("seed %d h=%d: Apply: %v", seed, h, err)
+				t.Fatalf("seed %d h=%d: Mutate: %v", seed, h, err)
 			}
-			if ver != 2 {
-				t.Fatalf("seed %d h=%d: version = %d, want 2", seed, h, ver)
+			if d.Version != 2 {
+				t.Fatalf("seed %d h=%d: version = %d, want 2", seed, h, d.Version)
 			}
 
 			warm, err := solver.Solve(ctx, q)
@@ -130,7 +130,7 @@ func TestMutateSequenceMatchesRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for step := 0; step < 5; step++ {
-		if _, err := solver.Apply(ctx, randomBatch(solver.Graph(), rng)); err != nil {
+		if _, err := solver.Mutate(ctx, randomBatch(solver.Graph(), rng)); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		warm, err := solver.Solve(ctx, q)
@@ -148,7 +148,7 @@ func TestMutateSequenceMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestAnchoredAfterApplyMatchesRebuild chains Apply batches on a Solver
+// TestAnchoredAfterApplyMatchesRebuild chains Mutate batches on a Solver
 // whose every version answered an anchored query first (so each parent
 // memoized its classical cores), and checks each head's anchored answer
 // against a cold rebuild: a version computes its own classical cores
@@ -160,7 +160,7 @@ func TestAnchoredAfterApplyMatchesRebuild(t *testing.T) {
 	q := dsd.Query{Anchors: []int32{0, 3}}
 	for step := 0; step <= 5; step++ {
 		if step > 0 {
-			if _, err := solver.Apply(ctx, randomBatch(solver.Graph(), rng)); err != nil {
+			if _, err := solver.Mutate(ctx, randomBatch(solver.Graph(), rng)); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 		}
@@ -173,7 +173,7 @@ func TestAnchoredAfterApplyMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		sameDensity(t, "anchored after Apply", warm, cold)
+		sameDensity(t, "anchored after Mutate", warm, cold)
 		if warm.Stats.ReusedDecomposition {
 			t.Fatalf("step %d: the first anchored query on a version reused classical cores", step)
 		}
@@ -256,7 +256,7 @@ func TestRetentionEvictsOldVersions(t *testing.T) {
 	s := dsd.NewSolver(dsd.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}}))
 	s.SetRetain(2)
 	for i := 0; i < 4; i++ {
-		if _, err := s.Apply(ctx, dsd.Mutation{Insert: [][2]int{{i, i + 4}}}); err != nil {
+		if _, err := s.Mutate(ctx, dsd.Mutation{Insert: [][2]int{{i, i + 4}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -296,7 +296,7 @@ func TestSnapshotPinsVersion(t *testing.T) {
 	}
 	s.SetRetain(1)
 	for i := 0; i < 3; i++ {
-		if _, err := s.Apply(ctx, dsd.Mutation{Insert: [][2]int{{i, 19 - i}}}); err != nil {
+		if _, err := s.Mutate(ctx, dsd.Mutation{Insert: [][2]int{{i, 19 - i}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -459,7 +459,7 @@ func TestBoundedCoreLocateMatchesRebuild(t *testing.T) {
 				}
 				i++
 			})
-			if _, err := solver.Apply(ctx, batch); err != nil {
+			if _, err := solver.Mutate(ctx, batch); err != nil {
 				t.Fatalf("seed %d h=%d: apply: %v", seed, h, err)
 			}
 			warm, err := solver.Solve(ctx, q)
@@ -538,7 +538,7 @@ func TestBoundedCoreChainsAcrossBatches(t *testing.T) {
 			}
 			i++
 		})
-		if _, err := solver.Apply(ctx, batch); err != nil {
+		if _, err := solver.Mutate(ctx, batch); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		warm, err := solver.Solve(ctx, q)

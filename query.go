@@ -64,7 +64,8 @@ func ParseAlgo(s string) (Algo, error) {
 // Query expresses every densest-subgraph problem this library supports in
 // one value: the motif Ψ, the algorithm, its execution knobs, and the
 // problem-variant parameters. The zero value asks for the edge-densest
-// subgraph via CoreExact with default prunings, serially.
+// subgraph via CoreExact, serially. CoreExact always runs with every
+// pruning on; `dsdbench -run fig10` measures its Figure-10 ablations.
 //
 // A Query is pure data — build one, pass it to Solver.Solve, serialize it
 // over the dsdd v2 wire, or use Key as a cache key. See Normalized for
@@ -93,11 +94,6 @@ type Query struct {
 	// core-exact runs no Greed++ pre-solve — so its answer, witness and
 	// stats are identical for every value. It is still part of Key.
 	Iterative int
-	// Core overrides CoreExact's pruning switches for ablation (nil =
-	// every pruning and construct+ on). Only the switches change; the
-	// Greed++ rung, parallelism and budgets stay with the Query fields
-	// above and below.
-	Core *CoreExactOptions
 	// Deadline is the graceful-degradation time budget for core-exact
 	// queries (0 disables it). When the exact search cannot finish within
 	// Deadline, Solve returns the best certified approximation held at
@@ -120,7 +116,7 @@ type Query struct {
 	// 1/((1+ε)·|VΨ|)-approximation in O(log n / ε) passes.
 	Eps float64
 	// Version pins the query to one graph version of a mutable Solver
-	// (see Solver.Apply): 0 answers on the current head, a positive value
+	// (see Solver.Mutate): 0 answers on the current head, a positive value
 	// on that retained version — Solve fails when it has been evicted.
 	// Version participates in Key, so pinned queries never share a cache
 	// entry with head queries or with other versions.
@@ -233,26 +229,10 @@ func (q Query) normalize() (Query, motif.Oracle, error) {
 	return q, o, nil
 }
 
-// CoreExactOptions holds CoreExact's Figure-10 switches for ablation. Each one changes only the work done, never the density.
-type CoreExactOptions struct {
-	// Pruning1 locates the answer in the (⌈ρ′⌉,Ψ)-core, ρ′ the best
-	// residual density seen while peeling; off, the weaker Theorem-1
-	// bound ⌈kmax/|VΨ|⌉ locates the core.
-	Pruning1 bool
-	// Pruning2 refines the location per connected component.
-	Pruning2 bool
-	// Grouped uses the construct+ grouped flow network (Algorithm 7);
-	// meaningful for non-clique patterns only.
-	Grouped bool
-}
-
 // coreOptions resolves the effective CoreExact options: the engine
-// defaults, the Core switches when set, and the Query's own knobs.
+// defaults, every pruning on, with the Query's own knobs.
 func (q Query) coreOptions() core.Options {
 	opts := core.DefaultOptions()
-	if c := q.Core; c != nil {
-		opts.Pruning1, opts.Pruning2, opts.Grouped = c.Pruning1, c.Pruning2, c.Grouped
-	}
 	opts.Workers = q.Workers
 	switch {
 	case q.Iterative < 0:
@@ -269,11 +249,11 @@ func (q Query) coreOptions() core.Options {
 // equal keys denote the same computation on the same graph. Fields the
 // selected algorithm ignores are omitted — a peel query keys identically
 // for every Workers value — and fields it consumes are all included, so
-// queries differing only in anchors, size bound, ε, pruning ablations,
-// or parallelism knobs never collide. Patterns are identified by their
-// canonical name; custom patterns must therefore use distinct names.
-// Invalid queries yield an "invalid|"-prefixed key carrying the error,
-// which can never collide with a real computation.
+// queries differing only in anchors, size bound, ε or parallelism knobs
+// never collide. Patterns are identified by their canonical name; custom
+// patterns must therefore use distinct names. Invalid queries yield an
+// "invalid|"-prefixed key carrying the error, which can never collide
+// with a real computation.
 func (q Query) Key() string {
 	nq, o, err := q.normalize()
 	if err != nil {
@@ -295,9 +275,8 @@ func (q Query) Key() string {
 			workers = 1
 		}
 		// iter stays although Solve ignores it: the stream's Greed++ rung
-		// reads it, and existing keys keep their meaning.
-		fmt.Fprintf(&b, "|workers=%d|iter=%d|p1=%t|p2=%t|grouped=%t",
-			workers, opts.Iterative, opts.Pruning1, opts.Pruning2, opts.Grouped)
+		// reads it.
+		fmt.Fprintf(&b, "|workers=%d|iter=%d", workers, opts.Iterative)
 		// Degradation budgets change what the computation may return (a
 		// certified approximation), so budgeted queries can never share a
 		// single-flight entry with exact ones. Omitted when zero to keep

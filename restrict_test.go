@@ -162,49 +162,38 @@ func decomposeAttrs(t *testing.T, what string, fn func(ctx context.Context) erro
 	return decs[0].Attrs
 }
 
-// TestRestrictionFollowsPruning1 pins which core-exact runs restrict: the
-// restriction rests on a lower bound, as Pruning1 does, so a Query.Core
-// ablation with Pruning1 off peels the whole graph like the paper's
-// variants without it, by Solve and by StreamFunc alike, and still
-// answers the optimum.
+// TestRestrictionFollowsPruning1 pins that a cold core-exact clique run
+// restricts, by Solve and by StreamFunc alike: the restriction rests on
+// Pruning1's lower bound, which every core-exact query runs with, and it
+// still answers the optimum. internal/core's TestCoreExactPruningVariants
+// holds the runs without Pruning1 to the same optimum.
 func TestRestrictionFollowsPruning1(t *testing.T) {
 	g := plantedCliqueGraph(10, 10)
 	want, err := dsd.NewSolver(g).Solve(context.Background(), dsd.Query{H: 3, Algo: dsd.AlgoExact})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name       string
-		core       *dsd.CoreExactOptions
-		restricted bool
-	}{
-		{"default", nil, true},
-		{"base", &dsd.CoreExactOptions{}, false},
-		{"P1", &dsd.CoreExactOptions{Pruning1: true}, true},
-		{"P2", &dsd.CoreExactOptions{Pruning2: true}, false},
-	} {
-		q := dsd.Query{H: 3, Algo: dsd.AlgoCoreExact, Core: tc.core}
-		for _, stream := range []bool{false, true} {
-			what := tc.name + " solve"
+	q := dsd.Query{H: 3, Algo: dsd.AlgoCoreExact}
+	for _, stream := range []bool{false, true} {
+		what := "solve"
+		if stream {
+			what = "stream"
+		}
+		s := dsd.NewSolver(g)
+		var res *dsd.Result
+		attrs := decomposeAttrs(t, what, func(ctx context.Context) (err error) {
 			if stream {
-				what = tc.name + " stream"
+				res, err = s.StreamFunc(ctx, q, func(dsd.Answer) {})
+			} else {
+				res, err = s.Solve(ctx, q)
 			}
-			s := dsd.NewSolver(g)
-			var res *dsd.Result
-			attrs := decomposeAttrs(t, what, func(ctx context.Context) (err error) {
-				if stream {
-					res, err = s.StreamFunc(ctx, q, func(dsd.Answer) {})
-				} else {
-					res, err = s.Solve(ctx, q)
-				}
-				return err
-			})
-			if _, ok := attrs["counted_vertices"]; ok != tc.restricted {
-				t.Fatalf("%s: decompose span %v, want restricted=%v", what, attrs, tc.restricted)
-			}
-			if res.Density.Cmp(want.Density) != 0 {
-				t.Fatalf("%s: density %v, optimum %v", what, res.Density, want.Density)
-			}
+			return err
+		})
+		if _, ok := attrs["counted_vertices"]; !ok {
+			t.Fatalf("%s: decompose span %v, want a restricted decomposition", what, attrs)
+		}
+		if res.Density.Cmp(want.Density) != 0 {
+			t.Fatalf("%s: density %v, optimum %v", what, res.Density, want.Density)
 		}
 	}
 }
@@ -240,7 +229,7 @@ func solveByComponents(t *testing.T, s *dsd.Solver, q dsd.Query) *dsd.Result {
 
 // TestComponentSurfaceLocatesLikeSolve pins that every core-exact entry
 // point takes the same decomposition from a version's memo. On a version
-// made by Apply, which carries the parent's core numbers as upper bounds,
+// made by Mutate, which carries the parent's core numbers as upper bounds,
 // Solve, PlanComponents and SolveComponent all locate on those (bounded),
 // and a plan-then-components run answers what Solve and a rebuild
 // answer. Once a peel query has peeled the version, all three read that
@@ -253,7 +242,7 @@ func TestComponentSurfaceLocatesLikeSolve(t *testing.T) {
 	if _, err := s.Solve(ctx, q); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply(ctx, dsd.Mutation{Insert: [][2]int{{0, g.N()}, {1, g.N()}}}); err != nil {
+	if _, err := s.Mutate(ctx, dsd.Mutation{Insert: [][2]int{{0, g.N()}, {1, g.N()}}}); err != nil {
 		t.Fatal(err)
 	}
 	plan, err := s.PlanComponents(ctx, q)

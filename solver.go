@@ -41,20 +41,20 @@ const DefaultRetainVersions = 8
 // nothing for the machinery (a cold Solver computes exactly what the
 // bare algorithms would).
 //
-// The graph is mutable through Apply: each edge insert/delete batch
+// The graph is mutable through Mutate: each edge insert/delete batch
 // produces a new immutable version (copy-on-write — untouched adjacency
 // is shared), the memo is repaired incrementally instead of discarded
-// (see Apply), and in-flight queries keep reading the version they
+// (see Mutate), and in-flight queries keep reading the version they
 // started on. Query.Version pins a query to a retained version; 0 means
 // the current head.
 //
 // A Solver is safe for concurrent use. Graphs handed to NewSolver must
 // not be mutated externally (Graphs are immutable by construction; all
-// mutation goes through Apply).
+// mutation goes through Mutate).
 type Solver struct {
-	// applyMu serializes Apply: mutations are rare relative to queries
+	// mutateMu serializes Mutate: mutations are rare relative to queries
 	// and a total order of versions is the whole point.
-	applyMu sync.Mutex
+	mutateMu sync.Mutex
 
 	vmu    sync.RWMutex
 	head   *verState
@@ -93,13 +93,13 @@ type psiState struct {
 	// within is the (k,Ψ)-core decomposition restricted to the classical
 	// core that can hold a core-exact answer (psicore.DecomposeWithin,
 	// Floor > 0). Its core numbers below Floor are not exact, so only
-	// core-exact reads it; the peel-order family and Apply's upper-bound
+	// core-exact reads it; the peel-order family and Mutate's upper-bound
 	// carry read dec alone.
 	within  *psicore.Decomposition
 	total   int64   // µ(G,Ψ)
 	deg     []int64 // whole-graph Ψ-degrees
 	haveDeg bool
-	// ub is an upper-bound core decomposition carried across Apply
+	// ub is an upper-bound core decomposition carried across Mutate
 	// (psicore.UpperBound over the parent version's cores): every
 	// core-exact entry point locates on it without re-peeling this
 	// version, which is sound because CoreExact only ever uses core
@@ -109,7 +109,7 @@ type psiState struct {
 	// it.
 	ub *psicore.Decomposition
 	// witness is the best exact witness a core-exact run on this Ψ has
-	// produced — carried across Apply so the next search starts from the
+	// produced — carried across Mutate so the next search starts from the
 	// old certificate (its density is re-evaluated on the new graph
 	// before use, so a stale witness can only under-seed, never mislead).
 	witness []int32
@@ -133,7 +133,7 @@ func (s *Solver) Graph() *Graph {
 }
 
 // Version returns the Solver's current head version. Versions start at 1
-// and advance by one per effective Apply.
+// and advance by one per effective Mutate.
 func (s *Solver) Version() Version {
 	s.vmu.RLock()
 	defer s.vmu.RUnlock()
@@ -154,7 +154,7 @@ func (s *Solver) Versions() []Version {
 }
 
 // SetRetain bounds how many versions the Solver keeps addressable
-// (minimum 1: the head always is). Older versions are evicted as Apply
+// (minimum 1: the head always is). Older versions are evicted as Mutate
 // advances the head; queries already running on an evicted version are
 // unaffected (they hold their version's state directly).
 func (s *Solver) SetRetain(n int) {
@@ -208,7 +208,7 @@ func (vs *verState) psiFor(o motif.Oracle) *psiState {
 // it on first use. ctx aborts a compute but never poisons the memo: an
 // aborted computation is simply retried by the next caller. When the
 // state already holds the Ψ-degree vector — memoized by a batch-peel
-// query, or maintained incrementally across Apply — the peel is seeded
+// query, or maintained incrementally across Mutate — the peel is seeded
 // from it and the enumeration-heavy counting prefix is skipped; the
 // result is bit-identical either way (psicore.DecomposeSeeded).
 func (st *psiState) decomposition(ctx context.Context, g *Graph, workers int) (*psicore.Decomposition, bool, error) {
@@ -224,14 +224,10 @@ func (st *psiState) decomposeLocked(ctx context.Context, g *Graph, workers int) 
 	}
 	if !st.haveDeg {
 		// Memoize the Ψ-degree vector itself, not just the peel built from
-		// it: batch-peel queries reuse it directly, and Apply maintains
+		// it: batch-peel queries reuse it directly, and Mutate maintains
 		// it per edge so post-mutation decompositions skip this counting
 		// entirely.
-		if pc, ok := st.o.(motif.ParallelCounter); ok && workers > 1 {
-			st.total, st.deg = pc.CountAndDegreesParallel(g, workers)
-		} else {
-			st.total, st.deg = st.o.CountAndDegrees(g)
-		}
+		st.total, st.deg = motif.CountAndDegreesWorkers(st.o, g, workers)
 		st.haveDeg = true
 	}
 	d, err := psicore.DecomposeSeeded(ctx, g, st.o, st.total, st.deg)
@@ -243,63 +239,59 @@ func (st *psiState) decomposeLocked(ctx context.Context, g *Graph, workers int) 
 }
 
 // memoDecLocked returns the memoized decomposition a core-exact query
-// locates in, in coreExactDec's order, or nil; restrict admits the
-// restricted one. Caller holds st.mu.
-func (st *psiState) memoDecLocked(restrict bool) (dec *psicore.Decomposition, bounded bool) {
+// locates in, in coreExactDec's order, or nil. Caller holds st.mu.
+func (st *psiState) memoDecLocked() (dec *psicore.Decomposition, bounded bool) {
 	switch {
 	case st.dec != nil:
 		return st.dec, false
 	case st.ub != nil:
 		return st.ub, true
-	case restrict && st.within != nil:
+	case st.within != nil:
 		return st.within, false
 	}
 	return nil, false
 }
 
-// peekDec returns the memoized decomposition a core-exact query run with
-// opts locates in, in coreExactDec's order (bounded=true for the
-// upper-bound decomposition carried across Apply), without computing
-// anything.
-func (st *psiState) peekDec(opts core.Options) (dec *psicore.Decomposition, bounded bool) {
+// peekDec returns the memoized decomposition a core-exact query locates
+// in, in coreExactDec's order (bounded=true for the upper-bound
+// decomposition carried across Mutate), without computing anything.
+func (st *psiState) peekDec() (dec *psicore.Decomposition, bounded bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.memoDecLocked(opts.Pruning1)
+	return st.memoDecLocked()
 }
 
-// coreExactDec returns the decomposition a core-exact query run with
-// opts locates in on version vs; Solve, the stream, PlanComponents and
-// SolveComponent all take it from here. In order of preference: the
-// exact whole-graph peel; else the upper-bound decomposition carried
-// across Apply (bounded=true — the caller sets
-// core.Options.DecUpperBound); else, with Pruning1 (the restriction
-// rests on its lower bound, so the ablations without it peel the whole
-// graph), the memoized restricted decomposition, or for an h-clique (any
-// h) whose whole-graph Ψ-degree vector is not yet known, a new one
-// (psicore.DecomposeWithin, reading the version's classical cores when
-// memoized and finding the high cores it needs itself otherwise); else a
-// peel of the whole version, memoized exactly like decomposition does.
-// For h ≥ 3 the restriction saves mostly the count; for edges, whose
-// count is the degree vector, it saves the peel. Once the degree vector
-// is in hand (memoized by a batch-peel query, or maintained across
-// Apply), the whole version is peeled instead, because that peel is what
-// the peel family reuses and Apply carries as upper bounds. The
-// restricted result is kept in within, never in dec. Computes use
-// max(opts.Workers, 1) workers.
+// coreExactDec returns the decomposition a core-exact query locates in on
+// version vs; Solve, the stream, PlanComponents and SolveComponent all
+// take it from here. In order of preference: the exact whole-graph peel;
+// else the upper-bound decomposition carried across Mutate (bounded=true
+// — the caller sets core.Options.DecUpperBound); else the memoized
+// restricted decomposition, or for an h-clique (any h) whose whole-graph
+// Ψ-degree vector is not yet known, a new one (psicore.DecomposeWithin,
+// reading the version's classical cores when memoized and finding the
+// high cores it needs itself otherwise); else a peel of the whole
+// version, memoized exactly like decomposition does. The restriction
+// rests on Pruning1's lower bound, which every core-exact query runs
+// with. For h ≥ 3 it saves mostly the count; for edges, whose count is
+// the degree vector, it saves the peel. Once the degree vector is in hand
+// (memoized by a batch-peel query, or maintained across Mutate), the
+// whole version is peeled instead, because that peel is what the peel
+// family reuses and Mutate carries as upper bounds. The restricted result
+// is kept in within, never in dec. Computes use max(workers, 1) workers.
 //
 // The call runs under a decompose span, which records whether the memo
 // served it, whether it is the carried upper bound, and how much of the
 // graph a restricted decomposition counted: the classical level x and
 // |X|.
-func (st *psiState) coreExactDec(ctx context.Context, vs *verState, opts core.Options) (dec *psicore.Decomposition, reused, bounded bool, err error) {
+func (st *psiState) coreExactDec(ctx context.Context, vs *verState, workers int) (dec *psicore.Decomposition, reused, bounded bool, err error) {
 	dsp := obs.StartFromContext(ctx, obs.SpanDecompose)
 	defer dsp.End()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	workers := max(opts.Workers, 1)
-	dec, bounded = st.memoDecLocked(opts.Pruning1)
+	workers = max(workers, 1)
+	dec, bounded = st.memoDecLocked()
 	reused = dec != nil
-	if dec == nil && opts.Pruning1 && !st.haveDeg {
+	if dec == nil && !st.haveDeg {
 		if dec, err = psicore.DecomposeWithin(ctx, vs.g, st.o, vs.peekClassical(), workers); dec != nil {
 			st.within = dec
 		}
@@ -548,7 +540,7 @@ func (s *Solver) dispatch(ctx context.Context, q Query, o motif.Oracle, vs *verS
 // interval on the stream first and decomposes afterwards, through the
 // same coreExactDec; the CoreApp rung memoizes the version's classical
 // cores, which a restriction then reads. Both warm-start from the
-// previous solve's certificate (carried across Apply), whose exact
+// previous solve's certificate (carried across Mutate), whose exact
 // density PlanCoreExact re-evaluates on this graph before trusting it.
 func coreExactOn(ctx context.Context, q Query, o motif.Oracle, vs *verState, fn func(Answer)) (*Result, error) {
 	st := vs.psiFor(o)
@@ -562,19 +554,19 @@ func coreExactOn(ctx context.Context, q Query, o motif.Oracle, vs *verState, fn 
 	if fn == nil {
 		decStart := time.Now()
 		var err error
-		if dec, reused, bounded, err = st.coreExactDec(ctx, vs, opts); err != nil {
+		if dec, reused, bounded, err = st.coreExactDec(ctx, vs, opts.Workers); err != nil {
 			return nil, err
 		}
 		decTime = time.Since(decStart)
 	} else {
-		dec, bounded = st.peekDec(opts)
+		dec, bounded = st.peekDec()
 		reused = dec != nil
 		stream = &core.Stream{Sink: fn}
 		if dec == nil {
 			stream.Classical = gammaCores(vs, o)
 			stream.Decompose = func(ctx context.Context) (*psicore.Decomposition, error) {
 				decStart := time.Now()
-				d, r, _, err := st.coreExactDec(ctx, vs, opts)
+				d, r, _, err := st.coreExactDec(ctx, vs, opts.Workers)
 				reused, decTime = r, time.Since(decStart)
 				return d, err
 			}

@@ -186,8 +186,8 @@ func TestSolveVariantsMatchCore(t *testing.T) {
 // TestSolverWarmReuse pins the tentpole's hot path on the multi-community
 // stress instance: the second same-Ψ query must skip the decomposition
 // entirely (flow-free stats prove the reuse) and return the identical
-// density, and pruning ablations keyed differently must still share the
-// same memoized state.
+// density, and a different algorithm on the same Ψ must share the same
+// memoized state.
 func TestSolverWarmReuse(t *testing.T) {
 	g := dsd.GenerateMultiCommunity(6, 20, 8, 12, 15, 1)
 	s := dsd.NewSolver(g)
@@ -380,7 +380,6 @@ func TestQueryKey(t *testing.T) {
 		{H: 3, Workers: 4},
 		{H: 3, Iterative: -1},
 		{H: 3, Iterative: 8},
-		{H: 3, Core: &dsd.CoreExactOptions{Pruning1: true}},
 		{Anchors: []int32{1}},
 		{Anchors: []int32{1, 2}},
 		{H: 3, AtLeast: 4},
@@ -398,6 +397,12 @@ func TestQueryKey(t *testing.T) {
 			t.Fatalf("queries %d and %d collide on key %s", j, i, key)
 		}
 		seen[key] = i
+	}
+
+	// The zero Iterative keys as the default Greed++ budget the stream's
+	// rung runs.
+	if got, want := (dsd.Query{H: 3}).Key(), "v2|psi=triangle|algo=core-exact|workers=1|iter=16"; got != want {
+		t.Fatalf("key %q, want %q", got, want)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Anytime streaming: Solve as a refinement session instead of a single
-// terminal answer. Stream/StreamFunc run core-exact with a receiver, so
+// terminal answer. StreamFunc runs core-exact with a receiver, so
 // the driver climbs its ladder — memo hit, CoreApp, adaptive Greed++,
 // per-component flow search (see internal/core's Stream) — over the same
 // memoized state Solve uses, emitting every certified interval
@@ -12,8 +12,6 @@ package dsd
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"repro/internal/core"
 )
@@ -41,8 +39,10 @@ const (
 // (lower ends only rise, upper ends only fall, each event strictly
 // tightens one of them), ending with the Final answer for the returned
 // Result. fn is invoked synchronously from solver goroutines under the
-// stream's ordering lock, so it must be fast and non-blocking — channel
-// fan-out belongs in Stream, which wraps this with a conflating relay.
+// stream's ordering lock, so it must be fast and non-blocking: a caller
+// that feeds a slow consumer relays the answers through a cap-1 channel
+// that displaces an undelivered older answer, as dsdd's stream endpoint
+// does; skipping intermediates of a monotone sequence leaves it monotone.
 //
 // Only Algo=core-exact queries stream (the ladder refines toward that
 // exact answer); everything else returns an error. The final Result's
@@ -51,7 +51,8 @@ const (
 // lower bounds to the search's shared cell, which can only prune, never
 // change an optimum. Those extra bounds can steer the search to another
 // optimal witness, so the witness, and with it Density.Num/Den, may
-// differ from Solve's (see the package comment).
+// differ from Solve's (see the package comment). Cancelling ctx abandons
+// the refinement, and StreamFunc returns ctx's error.
 func (s *Solver) StreamFunc(ctx context.Context, q Query, fn func(Answer)) (*Result, error) {
 	nq, o, err := q.normalize()
 	if err != nil {
@@ -81,37 +82,4 @@ func receiver(fn func(Answer)) func(Answer) {
 		return func(Answer) {}
 	}
 	return fn
-}
-
-// Stream answers q as an anytime stream: a channel of certified Answers
-// whose intervals only ever tighten, ending with one marked Final (or,
-// on failure after the stream starts, one carrying Err) before the
-// channel closes. Argument errors — a non-core-exact algo, an unknown
-// version, an invalid query — are returned synchronously instead.
-//
-// The channel conflates: a slow receiver observes the latest tightening
-// rather than every one, but never loses the terminal event, and
-// monotonicity survives conflation (skipping intermediates of a monotone
-// sequence leaves it monotone). Cancel ctx to abandon the refinement;
-// the terminal event then carries ctx's error.
-func (s *Solver) Stream(ctx context.Context, q Query) (<-chan Answer, error) {
-	nq, _, err := q.normalize()
-	if err != nil {
-		return nil, err
-	}
-	if nq.Algo != AlgoCoreExact {
-		return nil, fmt.Errorf("dsd: streaming supports Algo=core-exact only (got %q)", nq.Algo)
-	}
-	if _, err := s.state(nq.Version); err != nil {
-		return nil, err
-	}
-	ch := make(chan Answer, 1)
-	go func() {
-		defer close(ch)
-		start := time.Now()
-		if _, err := s.StreamFunc(ctx, nq, func(a Answer) { core.Conflate(ch, a) }); err != nil {
-			core.Conflate(ch, Answer{Err: err, Elapsed: time.Since(start)})
-		}
-	}()
-	return ch, nil
 }

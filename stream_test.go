@@ -2,6 +2,7 @@ package dsd_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -10,16 +11,18 @@ import (
 	dsd "repro"
 )
 
-// collect drains a stream into a slice, failing the test on a terminal
-// Err event.
-func collect(t *testing.T, ch <-chan dsd.Answer) []dsd.Answer {
+// collect streams q on s and returns every answer StreamFunc delivered,
+// failing the test on an error or when the last answer is not the
+// returned Result's.
+func collect(t *testing.T, s *dsd.Solver, q dsd.Query) []dsd.Answer {
 	t.Helper()
 	var got []dsd.Answer
-	for a := range ch {
-		if a.Err != nil {
-			t.Fatalf("stream error event: %v", a.Err)
-		}
-		got = append(got, a)
+	res, err := s.StreamFunc(context.Background(), q, func(a dsd.Answer) { got = append(got, a) })
+	if err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	if len(got) == 0 || got[len(got)-1].Density.Cmp(res.Density) != 0 {
+		t.Fatalf("stream of %d answers does not end with the returned density %v", len(got), res.Density)
 	}
 	return got
 }
@@ -89,11 +92,7 @@ func TestStreamEquivalence(t *testing.T) {
 			}
 			s := dsd.NewSolver(g)
 			for _, phase := range []string{"cold", "warm"} {
-				ch, err := s.Stream(context.Background(), q)
-				if err != nil {
-					t.Fatalf("graph %d %s: stream: %v", gi, phase, err)
-				}
-				got := collect(t, ch)
+				got := collect(t, s, q)
 				checkMonotone(t, s, q, got)
 				fin := got[len(got)-1]
 				if fin.Density.Cmp(ref.Density) != 0 {
@@ -108,10 +107,9 @@ func TestStreamEquivalence(t *testing.T) {
 	}
 }
 
-// TestStreamFuncSeesEveryEvent runs the synchronous primitive (no
-// conflation) and asserts the full, unconflated sequence obeys the
-// monotone contract and that the first certified answer precedes the
-// final one.
+// TestStreamFuncSeesEveryEvent asserts the full sequence StreamFunc
+// delivers obeys the monotone contract and that a certified answer
+// precedes the final one.
 func TestStreamFuncSeesEveryEvent(t *testing.T) {
 	g := dsd.GenerateMultiCommunity(8, 25, 10, 15, 18, 1)
 	s := dsd.NewSolver(g)
@@ -142,25 +140,16 @@ func TestStreamDeadline(t *testing.T) {
 	}
 	s := dsd.NewSolver(g)
 	q := dsd.Query{H: 3, Deadline: time.Nanosecond}
-	ch, err := s.Stream(context.Background(), q)
-	if err != nil {
-		t.Fatalf("stream: %v", err)
+	// A 1ns deadline may die mid-plan (an error) or degrade; both are the
+	// Solve contract. Only a Final answer makes interval claims.
+	var got []dsd.Answer
+	if _, err := s.StreamFunc(context.Background(), q, func(a dsd.Answer) { got = append(got, a) }); err != nil {
+		return
 	}
-	// A 1ns deadline may die mid-plan (error event) or degrade; both are
-	// the Solve contract. Only a Final answer makes interval claims.
-	var fin *dsd.Answer
-	for a := range ch {
-		if a.Err != nil {
-			return
-		}
-		if a.Final {
-			a := a
-			fin = &a
-		}
+	if len(got) == 0 || !got[len(got)-1].Final {
+		t.Fatal("stream returned without a final answer")
 	}
-	if fin == nil {
-		t.Fatal("stream closed without final or error event")
-	}
+	fin := got[len(got)-1]
 	if fin.Degraded {
 		if fin.Density.Greater(exact.Density) {
 			t.Fatalf("degraded lower %v above exact %v", fin.Density, exact.Density)
@@ -183,11 +172,7 @@ func TestStreamGap(t *testing.T) {
 	}
 	s := dsd.NewSolver(g)
 	q := dsd.Query{H: 3, Gap: 0.5}
-	ch, err := s.Stream(context.Background(), q)
-	if err != nil {
-		t.Fatalf("stream: %v", err)
-	}
-	got := collect(t, ch)
+	got := collect(t, s, q)
 	checkMonotone(t, s, q, got)
 	fin := got[len(got)-1]
 	if fin.Density.Greater(exact.Density) {
@@ -203,35 +188,27 @@ func TestStreamGap(t *testing.T) {
 	}
 }
 
-// TestStreamCancel: cancelling mid-refinement must terminate the stream
-// with an Err event and close the channel.
+// TestStreamCancel: a cancelled stream must return ctx's error and
+// deliver no Final answer.
 func TestStreamCancel(t *testing.T) {
 	g := dsd.GenerateMultiCommunity(8, 25, 10, 15, 18, 1)
 	s := dsd.NewSolver(g)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ch, err := s.Stream(ctx, dsd.Query{H: 3})
-	if err != nil {
-		t.Fatalf("stream: %v", err)
+	var final bool
+	res, err := s.StreamFunc(ctx, dsd.Query{H: 3}, func(a dsd.Answer) { final = final || a.Final })
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("cancelled stream returned (%v, %v), want ctx's error", res, err)
 	}
-	sawErr := false
-	for a := range ch {
-		if a.Err != nil {
-			sawErr = true
-		}
-	}
-	if !sawErr {
-		t.Fatal("cancelled stream ended without an Err event")
+	if final {
+		t.Fatal("cancelled stream delivered a Final answer")
 	}
 }
 
 // TestStreamRejectsNonCoreExact: streaming is defined for the exact
-// ladder only; other algos are synchronous errors.
+// ladder only; other algos are errors.
 func TestStreamRejectsNonCoreExact(t *testing.T) {
 	s := dsd.NewSolver(dsd.GenerateGNM(20, 40, 1))
-	if _, err := s.Stream(context.Background(), dsd.Query{H: 3, Algo: dsd.AlgoPeel}); err == nil {
-		t.Fatal("expected error for Algo=peel stream")
-	}
 	if _, err := s.StreamFunc(context.Background(), dsd.Query{H: 3, Algo: dsd.AlgoPeel}, nil); err == nil {
 		t.Fatal("expected error for Algo=peel streamfunc")
 	}
@@ -253,18 +230,10 @@ func TestStreamConcurrentWithSolve(t *testing.T) {
 		go func(streaming bool) {
 			defer wg.Done()
 			if streaming {
-				ch, err := s.Stream(context.Background(), q)
-				if err != nil {
+				var last dsd.Answer
+				if _, err := s.StreamFunc(context.Background(), q, func(a dsd.Answer) { last = a }); err != nil {
 					t.Errorf("stream: %v", err)
 					return
-				}
-				var last dsd.Answer
-				for a := range ch {
-					if a.Err != nil {
-						t.Errorf("stream error: %v", a.Err)
-						return
-					}
-					last = a
 				}
 				if !last.Final || last.Density.Cmp(ref.Density) != 0 {
 					t.Errorf("concurrent stream final %v != %v", last.Density, ref.Density)
